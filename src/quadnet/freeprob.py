@@ -49,11 +49,6 @@ __all__ = [
 DEFAULT_EPS = 1e-8
 DEFAULT_NODES = 2001
 
-# probes used only to classify support gaps; a smaller offset sharpens the
-# on/off contrast without affecting the densities returned to callers
-_PROBE_EPS = 1e-11
-_PROBE_RHO_MIN = 1e-7
-
 _OMEGA = np.exp(2j * np.pi / 3)
 
 
@@ -301,7 +296,7 @@ def _companion_roots(coeffs_desc):
     c = coeffs_desc / coeffs_desc[:, :1]
     m, dp1 = c.shape
     deg = dp1 - 1
-    comp = np.zeros((m, deg, deg), dtype=complex)
+    comp = np.zeros((m, deg, deg), dtype=c.dtype)
     idx = np.arange(deg - 1)
     comp[:, idx + 1, idx] = 1.0
     comp[:, 0, :] = -c[:, 1:]
@@ -335,7 +330,7 @@ def _all_roots(prior, t, z):
     return roots
 
 
-def _homotopy_solve(prior, t, x, eps, steps_per_decade=4, polish_each=True):
+def _homotopy_solve(prior, t, x, eps):
     """Physical branch of g at z = x + i*eps for real x (vectorized).
 
     Follows the root from high in the upper half plane, where g ~ -1/z is
@@ -348,7 +343,7 @@ def _homotopy_solve(prior, t, x, eps, steps_per_decade=4, polish_each=True):
     scale = 1.0 + np.sqrt(prior.second_moment + max(t, 0.0)) + np.abs(x)
     top = np.maximum(10.0 * scale, 2.0 * eps)
     n_steps = int(
-        max(20, steps_per_decade * np.ceil(np.log10(top.max() / eps)))
+        max(20, 4 * np.ceil(np.log10(top.max() / eps)))
     )
     ladder = np.exp(
         np.linspace(np.log(top), np.full_like(top, np.log(eps)), n_steps)
@@ -369,8 +364,7 @@ def _homotopy_solve(prior, t, x, eps, steps_per_decade=4, polish_each=True):
         if np.any(none):
             pick[none] = np.argmin(dist[none], axis=1)
         g = roots[rows, pick]
-        if polish_each:
-            g = _newton_polish(prior, t, z, g, steps=1)
+        g = _newton_polish(prior, t, z, g, steps=1)
     g = _newton_polish(prior, t, x + 1j * eps, g, steps=2)
     # at square-root edges the physical root and its conjugate collide as the
     # height shrinks; if polishing landed on the lower partner, flip to the
@@ -505,25 +499,34 @@ def _edge_candidates(prior, t):
     return np.array(out)
 
 
-def _probe_rho(prior, t, x):
-    g = _homotopy_solve(
-        prior, t, np.atleast_1d(x), _PROBE_EPS, steps_per_decade=3, polish_each=False
-    )
-    return g.imag / np.pi
+def _has_nonreal_root(prior, t, x):
+    """Whether the real branch polynomial P_x(g) has a non-real root, per x.
+
+    Needs no tolerance: LAPACK returns each real eigenvalue of a real
+    companion matrix with imaginary part exactly zero.
+    """
+    roots = _companion_roots(_coeffs_desc(prior, t, x).real)
+    return (roots.imag != 0.0).any(axis=1)
 
 
 def support_edges(prior: PriorSpectrum, t: float, refine: bool = True):
     """Support intervals of mu_t = prior (+) semicircle(t), t > 0.
 
     Candidate edges are the real critical values of the inverse map
-    z = phi(g); candidates are classified by probing the density between
-    consecutive candidates, and each surviving edge is confirmed by bisection
-    on the on/off-support indicator to absolute tolerance 1e-10.
+    z = phi(g) (Biane 1997).  Roots of the real branch polynomial P_x(g)
+    collide on the real axis only at such values, so the number of non-real
+    roots is constant between consecutive candidates; each region is
+    classified by that count at its midpoint (`_has_nonreal_root`).  On the
+    support the physical g is non-real, so a region where every root is real
+    is off it.  The test is made at real x: unlike a density probe at
+    x + i*eps it needs no offset, and thin intervals such as the bulk near
+    zero (mass 1 - kappa at small kappa) are not lost.
 
-    With refine=False the confirmation bisection is skipped and the critical
-    values are returned as they are.  They already solve the edge equation to
-    machine precision, so this only drops the independent cross-check; hot
-    loops that build many densities use it.
+    With refine=True each surviving edge is confirmed by bisection on the
+    branch-collision indicator to absolute tolerance 1e-10.  With
+    refine=False the critical values are returned as they are.  They already
+    solve the edge equation to machine precision, so this only drops the
+    independent cross-check; hot loops that build many densities use it.
 
     Returns
     -------
@@ -534,18 +537,18 @@ def support_edges(prior: PriorSpectrum, t: float, refine: bool = True):
     zc = _edge_candidates(prior, t)
     if len(zc) == 2:
         # a bounded nonempty support with exactly two candidates is a single
-        # interval; no classification probes needed
+        # interval; no classification needed
         edges = [(zc[0], True), (zc[1], False)]
     else:
         span = max(zc[-1] - zc[0], 1.0)
-        probes = np.concatenate(
+        mids = np.concatenate(
             [
                 [zc[0] - 0.1 * span - 1.0],
                 0.5 * (zc[1:] + zc[:-1]),
                 [zc[-1] + 0.1 * span + 1.0],
             ]
         )
-        on = _probe_rho(prior, t, probes) > _PROBE_RHO_MIN
+        on = _has_nonreal_root(prior, t, mids)
         if on[0] or on[-1]:
             raise EdgeDetectionFailed(
                 "support appears unbounded; edge candidates are wrong"
@@ -685,18 +688,6 @@ class SpectralDensity:
             if np.any(m):
                 out[m] = np.interp(lam[m], xg, vg)
         return out
-
-    def to_csv(self, path, header_lines=()):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["interval_index", "x", "density"])
-            for i, (xg, rg) in enumerate(zip(self.x, self.rho)):
-                for xv, rv in zip(xg, rg):
-                    writer.writerow([i, f"{xv:.12g}", f"{rv:.12g}"])
 
 
 def _mp_analytic_density(prior, n_nodes, eps):

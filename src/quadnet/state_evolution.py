@@ -30,10 +30,13 @@ SOLVER_NODES = 801
 # q_hat beyond this is numerically indistinguishable from the perfect-recovery
 # fixed point at infinity (MMSE ~ 2 alpha kappa / q_hat < 1e-8)
 QHAT_MAX = 1e9
+# |residual| above this at the bracketed root means brentq closed in on a
+# jump of the fixed-point map, not a root (true roots reach ~1e-14)
+RESIDUAL_MAX = 1e-9
 
 
 class NoConvergence(RuntimeError):
-    """Fixed-point root finder exhausted its iteration budget."""
+    """Fixed-point root finder exhausted its iteration budget or found no root."""
 
 
 class OutOfRange(RuntimeError):
@@ -172,6 +175,12 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = True) -> SEFixed
         raise NoConvergence(f"brentq did not converge: {info.flag}")
     q_hat = math.exp(u_star)
     residual = abs(g(u_star))
+    if residual > RESIDUAL_MAX:
+        raise NoConvergence(
+            f"bracketed sign change at q_hat={q_hat} is not a root: residual"
+            f" {residual:.3g} > {RESIDUAL_MAX:g} at alpha={params.alpha},"
+            f" kappa={params.kappa}, delta={params.delta}"
+        )
     mmse_raw = 2.0 * params.alpha * params.kappa / q_hat - 0.5 * params.kappa * params.tilde_delta
     q_raw = params.q0 - mmse_raw / params.kappa
     if not (params.q_min - 1e-6 <= q_raw <= params.q0 + 1e-6):

@@ -68,9 +68,6 @@ def test_aspect_ratio_limits():
     small_kappa_mmse is the kappa -> 0 limit, so the narrow block checks it
     as a limit: at fixed alpha/kappa the gap to it must shrink as kappa goes
     0.01 -> 0.003 -> 0.001, and be within the gate at the smallest kappa.
-    The 1e-5 slack on shrinking covers solver noise far below the measured
-    steps (0.047, 0.020 at alpha/kappa=0.6): above the threshold the
-    solver returns 3e-6 instead of 0 at kappa=0.003.
     """
     failures = []
     narrow_kappas = (0.01, 0.003, 0.001)
@@ -86,7 +83,7 @@ def test_aspect_ratio_limits():
         trail = ", ".join(f"kappa={k}: {g:+.4f}" for k, g in zip(narrow_kappas, gaps))
         _check(
             failures,
-            all(abs(b) <= abs(a) + 1e-5 for a, b in zip(gaps, gaps[1:])),
+            all(abs(b) <= abs(a) for a, b in zip(gaps, gaps[1:])),
             f"narrow alpha/kappa={alpha_tilde}: gap to limit {lim:.4f} does not "
             f"shrink with kappa ({trail})",
         )

@@ -275,6 +275,31 @@ class TestDensityInvariants:
         assert len(dens.intervals) == 2
         assert dens.mass() == pytest.approx(1.0, abs=1e-4)
 
+    def test_narrow_bulk_at_zero_kept_at_tiny_kappa(self):
+        # the bulk near zero carries mass 1 - kappa but is ~1e-3 as tall as
+        # wide; both intervals must be found and their masses kept
+        dens = density(PriorSpectrum.marchenko_pastur(3e-4), 0.5211524781096064, n_nodes=801)
+        assert len(dens.intervals) == 2
+        assert dens.mass() == pytest.approx(1.0, abs=1e-4)
+
+    def test_mass_over_kappa_and_t_grid(self):
+        # every support interval found: a dropped interval loses its mass
+        # (1 - kappa for the bulk at zero when kappa < 1)
+        priors = [PriorSpectrum.marchenko_pastur(k) for k in np.geomspace(1e-3, 20.0, 8)]
+        priors += [
+            CP3,
+            PriorSpectrum.compound_poisson(0.2, ((1.0, 0.5), (10.0, 0.5))),
+            PriorSpectrum.compound_poisson(0.5, ((1.0, 1.0),)),
+            PriorSpectrum.compound_poisson(0.05, ((0.5, 0.5), (2.0, 0.5))),
+        ]
+        off = []
+        for prior in priors:
+            for t in np.geomspace(1e-8, 10.0, 12):
+                mass = density(prior, t, n_nodes=401, refine_edges=False).mass()
+                if not abs(mass - 1.0) < 1e-2:
+                    off.append((prior.kappa, prior.atoms, t, mass))
+        assert not off, off
+
 
 class TestCubeIntegral:
     def test_unit_semicircle(self):

@@ -108,6 +108,20 @@ class TestSolveQhat:
         assert fp.q == pytest.approx(3.0)
         assert math.isinf(fp.q_hat)
 
+    def test_supercritical_at_small_kappa(self):
+        # alpha = 0.0036 is above the threshold 0.0029955, so the map has no
+        # root; it is continuous only if the bulk at zero (mass 1 - kappa) is
+        # kept by every density build
+        fp = se.solve_qhat(ProblemParams(alpha=0.0036, kappa=0.003), with_free_entropy=False)
+        assert fp.status == "supercritical"
+        assert fp.mmse == 0.0
+
+    def test_sign_change_at_a_jump_is_not_a_root(self, monkeypatch):
+        step = lambda params, q_hat: -1.0 if q_hat < 10.0 else 1.0
+        monkeypatch.setattr(se, "_fixed_point_lhs_minus_rhs", step)
+        with pytest.raises(se.NoConvergence, match="residual"):
+            se.solve_qhat(ProblemParams(alpha=0.3, kappa=0.5), with_free_entropy=False)
+
     def test_threshold_scan_matches_closed_form(self):
         a_cross = se.threshold_alpha(0.5)
         assert abs(a_cross - 0.375) < 0.01
