@@ -40,7 +40,6 @@ __all__ = [
     "stieltjes",
     "density",
     "support_edges",
-    "cube_integral",
     "hilbert",
     "log_potential",
     "sigma_t_derivative",
@@ -198,20 +197,20 @@ def _coeffs_desc(prior, t, z):
     return coeffs[:, ::-1]
 
 
-def _newton_polish(prior, t, z, g, steps=2):
+def _newton_polish(coeffs, g, steps=2):
     """Safeguarded Newton steps on the cleared polynomial (Horner form).
 
-    Stable where the analytic root formulas lose the small root (large |z|,
-    tiny t).  Steps are only accepted when they reduce |P|: near collided
-    root pairs (square-root edges) plain Newton stalls at the pair midpoint
-    and would otherwise corrupt an already-accurate root.
+    coeffs is `_coeffs_desc(prior, t, z)` at the points of g.  Stable where
+    the analytic root formulas lose the small root (large |z|, tiny t).
+    Steps are only accepted when they reduce |P|: near collided root pairs
+    (square-root edges) plain Newton stalls at the pair midpoint and would
+    otherwise corrupt an already-accurate root.
     """
-    coeffs = _coeffs_desc(prior, t, z)
 
     def horner(gv):
-        p = np.zeros_like(gv)
+        p = coeffs[..., 0]
         dp = np.zeros_like(gv)
-        for k in range(coeffs.shape[-1]):
+        for k in range(1, coeffs.shape[-1]):
             dp = dp * gv + p
             p = p * gv + coeffs[..., k]
         return p, dp
@@ -303,16 +302,19 @@ def _companion_roots(coeffs_desc):
     return np.linalg.eigvals(comp)
 
 
-def _all_roots(prior, t, z):
+def _all_roots(prior, t, z, coeffs=None):
     """All branches of g(z), shape (M, deg).  z is a complex array.
 
-    For t much smaller than the other coefficient scales the leading (t g^3)
-    term makes the direct root formulas ill-conditioned; in that regime the
-    reversed polynomial in w = 1/g is well-scaled, so solve that and invert.
-    The huge spurious branch then comes out as w ~ 0 (inaccurate/inf), which
-    is harmless because it is never the admissible pick.
+    Callers that also polish the roots pass coeffs = `_coeffs_desc(prior, t,
+    z)`, so it is built once.  For t much smaller than the other coefficient
+    scales the leading (t g^3) term makes the direct root formulas
+    ill-conditioned; in that regime the reversed polynomial in w = 1/g is
+    well-scaled, so solve that and invert.  The huge spurious branch then
+    comes out as w ~ 0 (inaccurate/inf), which is harmless because it is
+    never the admissible pick.
     """
-    coeffs = _coeffs_desc(prior, t, z)
+    if coeffs is None:
+        coeffs = _coeffs_desc(prior, t, z)
     invert = t != 0.0 and t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
     if invert:
         coeffs = coeffs[:, ::-1]
@@ -352,7 +354,8 @@ def _homotopy_solve(prior, t, x, eps):
     rows = np.arange(len(x))
     for k in range(n_steps):
         z = x + 1j * ladder[k]
-        roots = _all_roots(prior, t, z)
+        coeffs = _coeffs_desc(prior, t, z)
+        roots = _all_roots(prior, t, z, coeffs)
         dist = np.abs(roots - g[:, None])
         # exclude clearly lower-half-plane roots; roots within roundoff of the
         # real axis (off-support points at small heights) are left to the
@@ -364,8 +367,8 @@ def _homotopy_solve(prior, t, x, eps):
         if np.any(none):
             pick[none] = np.argmin(dist[none], axis=1)
         g = roots[rows, pick]
-        g = _newton_polish(prior, t, z, g, steps=1)
-    g = _newton_polish(prior, t, x + 1j * eps, g, steps=2)
+        g = _newton_polish(coeffs, g, steps=1)
+    g = _newton_polish(_coeffs_desc(prior, t, x + 1j * eps), g, steps=2)
     # at square-root edges the physical root and its conjugate collide as the
     # height shrinks; if polishing landed on the lower partner, flip to the
     # conjugate root (same Re, which is all a collision point determines)
@@ -395,14 +398,15 @@ def _grid_branch(prior, t, x, eps):
     and branch collisions) are re-solved by homotopy, which is unambiguous.
     """
     z = x + 1j * eps
-    roots = _all_roots(prior, t, z)
+    coeffs = _coeffs_desc(prior, t, z)
+    roots = _all_roots(prior, t, z, coeffs)
     im = roots.imag
     g = roots[np.arange(len(x)), np.argmax(im, axis=1)]
     n_adm = (im > 1e-13).sum(axis=1)
     ambiguous = n_adm > 1
     if np.any(ambiguous):
         g[ambiguous] = _homotopy_solve(prior, t, x[ambiguous], eps)
-    g = _newton_polish(prior, t, z, g, steps=2)
+    g = _newton_polish(coeffs, g, steps=2)
     return g
 
 
@@ -765,11 +769,6 @@ def density(
         rho=tuple(rhos),
         re_g=tuple(regs),
     )
-
-
-def cube_integral(dens: SpectralDensity) -> float:
-    """int rho^3 over the continuous part of the measure."""
-    return dens.cube_integral()
 
 
 def hilbert(prior, t, lam, dens: SpectralDensity | None = None, eps: float = DEFAULT_EPS):

@@ -18,6 +18,7 @@ agreement is asserted in the tests.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -80,11 +81,6 @@ class ProblemParams:
         return 2.0 * self.delta * (2.0 + self.delta) / self.kappa
 
     @property
-    def lam(self) -> float:
-        """Noise combination delta (2 + delta)."""
-        return self.delta * (2.0 + self.delta)
-
-    @property
     def q0(self) -> float:
         """Prior second moment (1 + 1/kappa for the Marchenko-Pastur prior)."""
         return self.prior.second_moment
@@ -102,6 +98,34 @@ class ProblemParams:
 
 @dataclasses.dataclass
 class SEFixedPoint:
+    """Solution of the state-evolution fixed-point equation at one cell.
+
+    Attributes
+    ----------
+    q, q_hat : float
+        Overlap and conjugate overlap; q_hat = inf past perfect recovery.
+    mmse : float
+        kappa (Q0 - q), clipped into [0, `ProblemParams.mmse_max`].
+    free_entropy : float
+        F(q), NaN when the solve skipped it, inf past perfect recovery.
+    iterations : int
+        Evaluation points of the fixed-point map visited by the bracket
+        search plus the `brentq` iterations.  This is not the number of
+        density builds: each point is evaluated once, and `brentq`'s two
+        endpoint evaluations are points the bracket search has already
+        built.
+    residual : float
+        |lhs - rhs| of the fixed-point equation at the returned root
+        (0 past perfect recovery).
+    status : str
+        "converged" for a bracketed root, "supercritical" when the map has
+        no root below `QHAT_MAX` (noiseless perfect recovery, mmse 0).
+        `sweep` records a failed cell as "error: <message>".
+    clipped : float
+        How far the raw MMSE 2 alpha kappa / q_hat - kappa tilde_delta / 2
+        was moved to land in [0, mmse_max].
+    """
+
     q: float
     q_hat: float
     mmse: float
@@ -141,13 +165,17 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = True) -> SEFixed
     """Solve the fixed-point equation for q_hat and assemble the MMSE.
 
     The root is bracketed and solved in log q_hat starting from the
-    initialization q_hat = 2 alpha / Q0.  In the noiseless supercritical
-    regime (no root below QHAT_MAX) the perfect-recovery fixed point is
-    returned: q_hat = inf, MMSE = 0, q = Q0.
+    initialization q_hat = 2 alpha / Q0.  Each point of the map, one
+    density build, is evaluated once per call: the bracket ends handed to
+    `brentq` and the root checked for its residual are not rebuilt.  In the
+    noiseless supercritical regime (no root below QHAT_MAX) the
+    perfect-recovery fixed point is returned: q_hat = inf, MMSE = 0, q = Q0.
     """
     if not params.alpha > 0:
         raise ValueError("solve_qhat requires alpha > 0")
-    g = lambda u: _fixed_point_lhs_minus_rhs(params, math.exp(u))
+    # brentq evaluates the bracket ends again and the residual check the
+    # root brentq returns; the cache, local to this call, saves those builds
+    g = functools.cache(lambda u: _fixed_point_lhs_minus_rhs(params, math.exp(u)))
     u0 = math.log(2.0 * params.alpha / params.q0)
     evals = 0
     lo, g_lo = u0, g(u0)
@@ -217,7 +245,8 @@ def _perfect_recovery_point(params, evals):
 def _inner_conjugate(params, q):
     """q_hat realizing the inner infimum of I(q): solves F_RIE(1/q_hat) = Q0 - q."""
     target = params.q0 - q
-    g = lambda v: _f_rie(params.prior, math.exp(v)) - target
+    # local to this call: brentq re-evaluates the bracket ends
+    g = functools.cache(lambda v: _f_rie(params.prior, math.exp(v)) - target)
     v = math.log(max(target, 1e-12))
     g_v = g(v)
     lo, hi = v, v

@@ -53,6 +53,36 @@ def pv_pairing_oracle(dens, lam):
     return float(np.trapezoid(f * u, np.log(u)))
 
 
+def newton_polish_reference(prior, t, z, g, steps=2):
+    """The Newton polish as it was before coefficients were shared.
+
+    Rebuilds the coefficients from (prior, t, z) and starts Horner's rule
+    from zeros; `fp._newton_polish` takes the caller's coefficients and
+    starts at the leading one, and must give the same bits.
+    """
+    coeffs = fp._coeffs_desc(prior, t, z)
+
+    def horner(gv):
+        p = np.zeros_like(gv)
+        dp = np.zeros_like(gv)
+        for k in range(coeffs.shape[-1]):
+            dp = dp * gv + p
+            p = p * gv + coeffs[..., k]
+        return p, dp
+
+    p0, dp0 = horner(g)
+    for _ in range(steps):
+        with np.errstate(all="ignore"):
+            step = p0 / dp0
+        cand = g - np.where(np.isfinite(step), step, 0.0)
+        p1, dp1 = horner(cand)
+        better = np.abs(p1) < np.abs(p0)
+        g = np.where(better, cand, g)
+        p0 = np.where(better, p1, p0)
+        dp0 = np.where(better, dp1, dp0)
+    return g
+
+
 class TestPriorSpectrum:
     def test_marchenko_pastur_moments(self):
         assert MP05.mean == 1.0
@@ -195,6 +225,41 @@ class TestSupportEdges:
             support_edges(MP05, -1.0)
 
 
+class TestSharedCoefficients:
+    @pytest.mark.parametrize("t", [1e-9, 1e-5, 1e-2, 0.5, 2.0])
+    @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
+    def test_polish_matches_reference(self, monkeypatch, prior, t):
+        # every polish on the density and off-support Hilbert paths gets
+        # coefficients built for its own (prior, t, z) and gives the bits of
+        # the reference polish that rebuilds them
+        built = {}
+        coeffs_desc, polish = fp._coeffs_desc, fp._newton_polish
+
+        def recording_coeffs(prior_, t_, z):
+            c = coeffs_desc(prior_, t_, z)
+            built[id(c)] = (c, prior_, t_, z)
+            return c
+
+        n_checked = [0]
+
+        def checked_polish(coeffs, g, steps=2):
+            out = polish(coeffs, g, steps)
+            _, prior_, t_, z = built[id(coeffs)]
+            assert np.array_equal(out, newton_polish_reference(prior_, t_, z, g, steps))
+            n_checked[0] += 1
+            return out
+
+        monkeypatch.setattr(fp, "_coeffs_desc", recording_coeffs)
+        monkeypatch.setattr(fp, "_newton_polish", checked_polish)
+        dens = density(prior, t, n_nodes=201, refine_edges=False)
+        edges = np.array(dens.intervals).ravel()
+        # beyond both ends and in every gap: solved by homotopy
+        gaps = 0.5 * (edges[1:-1:2] + edges[2::2])
+        off = np.concatenate([[edges[0] - 1.0, edges[-1] + 1.0], gaps])
+        fp.hilbert(prior, t, off, dens=dens)
+        assert n_checked[0] > len(dens.intervals)
+
+
 class TestDensityInvariants:
     PRIORS = {
         "mp05": MP05,
@@ -333,7 +398,7 @@ class TestCubeIntegral:
         # independent scheme: composite midpoint on a uniform grid at 10x
         # the node count, density re-evaluated at the midpoints
         dens = density(MP05, 0.5, n_nodes=2001)
-        val = fp.cube_integral(dens)
+        val = dens.cube_integral()
         oracle = 0.0
         for l, u in dens.intervals:
             n = 20010

@@ -11,11 +11,23 @@ from quadnet import state_evolution as se
 from quadnet.state_evolution import ProblemParams
 
 
+def _record_density_builds(monkeypatch):
+    """Patch freeprob.density to append each t it builds to the returned list."""
+    ts = []
+    build = freeprob.density
+
+    def recording(prior, t, *args, **kwargs):
+        ts.append(t)
+        return build(prior, t, *args, **kwargs)
+
+    monkeypatch.setattr(freeprob, "density", recording)
+    return ts
+
+
 class TestProblemParams:
     def test_marchenko_pastur_derived_quantities(self):
         p = ProblemParams(alpha=0.3, kappa=0.5, delta=0.2)
         assert p.tilde_delta == pytest.approx(2 * 0.2 * 2.2 / 0.5)
-        assert p.lam == pytest.approx(0.2 * 2.2)
         assert p.q0 == pytest.approx(1 + 1 / 0.5)
         assert p.q_min == pytest.approx(1.0)
         assert p.mmse_max == pytest.approx(1.0)
@@ -121,6 +133,26 @@ class TestSolveQhat:
         monkeypatch.setattr(se, "_fixed_point_lhs_minus_rhs", step)
         with pytest.raises(se.NoConvergence, match="residual"):
             se.solve_qhat(ProblemParams(alpha=0.3, kappa=0.5), with_free_entropy=False)
+
+    @pytest.mark.parametrize(
+        "alpha,kappa,delta,status",
+        [
+            (0.3, 0.5, 0.1, "converged"),
+            (0.2, 0.5, 0.0, "converged"),
+            (0.45, 0.5, 0.0, "supercritical"),
+        ],
+    )
+    def test_each_point_built_once(self, monkeypatch, alpha, kappa, delta, status):
+        # brentq evaluates its bracket ends again and the residual check
+        # evaluates the root brentq returned; neither may rebuild a density
+        params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
+        reference = se.solve_qhat(params, with_free_entropy=False)
+        ts = _record_density_builds(monkeypatch)
+        fp = se.solve_qhat(params, with_free_entropy=False)
+        assert fp.status == status
+        assert len(ts) > 0
+        assert len(set(ts)) == len(ts)
+        assert repr(fp) == repr(reference)
 
     def test_threshold_scan_matches_closed_form(self):
         a_cross = se.threshold_alpha(0.5)
@@ -286,6 +318,19 @@ class TestFreeEntropy:
             - 0.25 / q_hat
         )
         assert abs(res) < 1e-9
+
+    def test_conjugate_points_built_once(self, monkeypatch):
+        params = ProblemParams(alpha=0.3, kappa=1.0, delta=0.1)
+        q = params.q_min + 0.4 * (params.q0 - params.q_min)
+        reference = se.free_entropy(params, q)
+        ts = _record_density_builds(monkeypatch)
+        value = se.free_entropy(params, q)
+        # the last build is the log potential at the conjugate root, which
+        # the inner solve may already have built
+        inner = ts[:-1]
+        assert len(inner) > 0
+        assert len(set(inner)) == len(inner)
+        assert value == reference
 
     def test_rate_vanishes_at_data_free_overlap(self):
         params = ProblemParams(alpha=0.3, kappa=1.0)
