@@ -1,28 +1,30 @@
 """Command-line front end: experiment orchestration and CSV emission.
 
-Each subcommand resolves its configuration from an optional flat JSON file
-(--config) overridden by flags, runs its grid through a worker pool, and
-writes one CSV whose first line is a commented JSON header carrying the
-resolved config, package version, and seeds.  Re-running with the same
-header settings reproduces the file byte for byte.
-
-Exit codes: 0 success, 1 numerical failure, 2 usage error.
+Each subcommand is a config dataclass whose fields are its flags and the keys
+accepted from a flat JSON file (--config; flags win).  Each writes one CSV
+whose first line is a commented JSON header holding the resolved config and
+the package version, so a rerun with the same header is byte-identical.  A
+cell that raises gets NaN values and its reason on stderr; the CSV is still
+written.  Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, gamp, gd, matdenoise, model, state_evolution
+from . import __version__, gamp, gd, matdenoise, model
 from .freeprob import PriorSpectrum
 from .state_evolution import ProblemParams, perfect_recovery_threshold, solve_qhat
 
 THREADS_ENV = "QUADNET_THREADS"
+NAN = float("nan")
 
 
 class UsageError(ValueError):
@@ -33,382 +35,348 @@ class NumericalFailure(RuntimeError):
     pass
 
 
+def _opt(default=None, help=None, **meta):
+    """A config field.  ``meta``: ``choices``, ``required``, ``raw`` (kept as
+    given, not converted) and ``echo=False`` (not in the CSV header)."""
+    return dataclasses.field(default=default, metadata={"help": help, **meta})
+
+
+@dataclasses.dataclass
+class _Command:
+    """A subcommand's ``grid()`` returns its header config and cell keys, and
+    ``cell(**key)`` one cell's values.  A row is the ``lead`` columns, from
+    the cell's key or else the config, then the ``values`` columns; values
+    past the last column are dropped."""
+
+    out: str = _opt(help="output CSV path (default stdout)", echo=False)
+    threads: int = _opt(help=f"worker pool size (env {THREADS_ENV} overrides)", echo=False)
+
+    def echo(self, **resolved):
+        """The fields not marked echo=False, updated with ``resolved``."""
+        fields = dataclasses.fields(self)
+        echo = {f.name: getattr(self, f.name) for f in fields if f.metadata.get("echo", True)}
+        return {**echo, **resolved}
+
+    def table(self):
+        """Header config, columns, formatted rows and the failed-cell count."""
+        header, keys = self.grid()
+        values, failed = _run_cells(self.cell, keys, len(self.values), self.threads)
+        columns = self.lead + self.values
+        rows = []
+        for key, v in zip(keys, values):
+            lead = [key[c] if c in key else getattr(self, c) for c in self.lead]
+            rows.append(tuple(map(_fmt, (*lead, *v)))[:len(columns)])
+        return header, columns, rows, sum(failed)
+
+
+@dataclasses.dataclass
+class _AlphaGrid(_Command):
+    alphas: list = _opt(help="explicit alpha list, comma or space separated")
+    alpha_min: float = _opt(help="first alpha of an even grid", echo=False)
+    alpha_max: float = _opt(help="last alpha of the even grid", echo=False)
+    alpha_steps: int = _opt(help="number of alphas in the even grid", echo=False)
+    delta: float = _opt(0.0, "label noise variance")
+
+
+@dataclasses.dataclass
+class SeCurve(_AlphaGrid):
+    """Asymptotic MMSE over an alpha grid per kappa."""
+
+    kappas: list = _opt(help="kappa list")
+
+    lead = ("alpha", "kappa", "delta")
+    values = ("mmse", "q", "q_hat")
+
+    def grid(self):
+        kappas, alphas = _grid(self, "kappa"), _grid(self, "alpha")
+        keys = [{"alpha": a, "kappa": k} for k in kappas for a in alphas]
+        return self.echo(kappas=kappas, alphas=alphas), keys
+
+    def cell(self, alpha, kappa):
+        """The phase-diagram cell; se-curve leaves out its last value."""
+        params = ProblemParams(alpha=alpha, kappa=kappa, delta=self.delta)
+        fp = solve_qhat(params, with_free_entropy=False)
+        return fp.mmse, fp.q, fp.q_hat, perfect_recovery_threshold(kappa)
+
+
+@dataclasses.dataclass
+class PhaseDiagram(SeCurve):
+    """MMSE over a (kappa, alpha) grid, with the perfect-recovery line."""
+
+    kappa_min: float = _opt(help="first kappa of an even grid", echo=False)
+    kappa_max: float = _opt(help="last kappa of the even grid", echo=False)
+    kappa_steps: int = _opt(help="number of kappas in the even grid", echo=False)
+
+    values = SeCurve.values + ("alpha_pr",)
+
+
+@dataclasses.dataclass
+class _Teacher(_AlphaGrid):
+    d: int = _opt(help="input dimension", required=True)
+    kappa: float = _opt(help="width ratio m/d", required=True)
+    seed: int = _opt(0, "base RNG seed")
+
+    def teacher(self, alpha, seed):
+        """A cell's problem, its state-evolution fixed point and its instance."""
+        params = ProblemParams(alpha=alpha, kappa=self.kappa, delta=self.delta)
+        fp = solve_qhat(params, with_free_entropy=False)
+        return params, fp, model.generate(d=self.d, kappa=self.kappa, alpha=alpha,
+                                          delta=self.delta, seed=seed)
+
+
+@dataclasses.dataclass
+class Gamp(_Teacher):
+    """Message-passing MSE vs the theory curve."""
+
+    n_seeds: int = _opt(8, "runs per alpha, seeded from --seed upwards")
+    max_iter: int = _opt(200, "iteration budget per run")
+    damping: float = _opt(gamp.GampOptions.damping, "least damping of the adaptive step")
+    init: str = _opt(gamp.GampOptions.init, "initial estimate", choices=("mean", "sample"))
+    center: bool = _opt(gamp.GampOptions.center, "recentre the residuals every iteration")
+
+    def grid(self):
+        if self.n_seeds < 1:
+            raise UsageError("n_seeds must be at least 1")
+        alphas = _grid(self, "alpha")
+        seeds = [self.seed + i for i in range(self.n_seeds)]
+        header = self.echo(alphas=alphas, seeds=seeds)
+        del header["seed"], header["n_seeds"]
+        return header, [{"alpha": a, "seed": s} for a in alphas for s in seeds]
+
+    def cell(self, alpha, seed):
+        params, fp, instance = self.teacher(alpha, seed)
+        opts = gamp.GampOptions(max_iter=self.max_iter, damping=self.damping, init=self.init,
+                                center=self.center, seed=seed, s_star=instance.S_star)
+        _, state = gamp.run(model.reduce(instance), params, opts)
+        mse = model.matrix_mse(state.S_hat, instance.S_star, self.kappa)
+        return mse, fp.mmse, state.iter, int(state.converged)
+
+    def table(self):
+        """Per-seed rows, with each alpha's mean and stderr over the seeds
+        that did not fail.  The key columns are written unformatted (repr,
+        not .12g), so earlier gamp CSVs rerun byte for byte."""
+        header, keys = self.grid()
+        values, failed = _run_cells(self.cell, keys, 4, self.threads)
+        rows = []
+        for start in range(0, len(keys), self.n_seeds):
+            runs = range(start, start + self.n_seeds)
+            summary = _mean_stderr([values[i][0] for i in runs if not failed[i]])
+            for i in runs:
+                mse, se_mmse, iters, converged = values[i]
+                rows.append((keys[i]["alpha"], self.kappa, self.delta, self.d, keys[i]["seed"],
+                             *map(_fmt, (mse, se_mmse, *summary, iters, converged)),
+                             int(failed[i])))
+        columns = ("alpha", "kappa", "delta", "d", "seed", "mse", "se_mmse",
+                   "mse_mean", "mse_stderr", "iters", "converged", "failed")
+        return header, columns, rows, sum(failed)
+
+
+@dataclasses.dataclass
+class DenoiseMc(_Command):
+    """Monte-Carlo denoiser MSE vs theory."""
+
+    kappas: list = _opt(help="kappa list")
+    deltas: list = _opt(help="noise variance list, all positive")
+    d: int = _opt(500, "matrix size")
+    reps: int = _opt(16, "Monte-Carlo draws per cell")
+    seed: int = _opt(0, "base RNG seed")
+
+    lead = ("kappa", "delta", "d", "reps")
+    values = ("mc_mse", "mc_stderr", "f_rie", "forms_gap")
+
+    def grid(self):
+        kappas, deltas = _grid(self, "kappa"), _grid(self, "delta")
+        if min(deltas) <= 0:
+            raise UsageError("deltas must be positive")
+        pairs = [(k, dl) for k in kappas for dl in deltas]
+        keys = [{"kappa": k, "delta": dl, "seed": self.seed + 1000 * i}
+                for i, (k, dl) in enumerate(pairs)]
+        return self.echo(kappas=kappas, deltas=deltas), keys
+
+    def cell(self, kappa, delta, seed):
+        spec = matdenoise.DenoiseSpec.create(PriorSpectrum.marchenko_pastur(kappa), delta)
+        theory = matdenoise.mmse(spec)
+        primary, secondary = matdenoise.mmse_forms(spec)
+        rng = np.random.default_rng(seed)
+        vals = []
+        for _ in range(self.reps):
+            S = matdenoise.sample_wishart(self.d, kappa, rng)
+            R = S + np.sqrt(delta) * matdenoise.sample_goe(self.d, rng)
+            vals.append(float(np.sum((matdenoise.denoise_matrix(spec, R) - S) ** 2)) / self.d)
+        return (*_mean_stderr(vals), theory, abs(primary - secondary))
+
+
+@dataclasses.dataclass
+class _Descent(_Teacher):
+    n_inits: int = _opt(1, "initializations per dataset")
+    learning_rate: float = _opt(help="step size (default: set by d)", raw=True)
+    l2: float = _opt(gd.GdConfig.l2, "weight decay")
+    max_steps: int = _opt(gd.GdConfig.max_steps, "step budget per run")
+    grad_tol: float = _opt(gd.GdConfig.grad_tol, "gradient-norm stop")
+    backtracking: bool = _opt(gd.GdConfig.backtracking, "halve the step until the loss falls")
+
+    def descent(self, seed, n_inits):
+        lr = self.learning_rate
+        return gd.GdConfig(learning_rate=None if lr is None else float(lr), l2=self.l2,
+                           max_steps=self.max_steps, grad_tol=self.grad_tol,
+                           n_inits=n_inits, seed=seed, backtracking=self.backtracking)
+
+
+@dataclasses.dataclass
+class Gd(_Descent):
+    """Gradient-descent baseline vs the theory curve."""
+
+    reps: int = _opt(1, "independent datasets per alpha")
+
+    lead = ("alpha", "kappa", "delta", "d", "rep")
+    values = ("gd_mse", "agd_mse", "dispersion", "mmse", "final_loss", "steps")
+
+    def grid(self):
+        alphas = _grid(self, "alpha")
+        keys = [{"alpha": a, "rep": rep, "seed": self.seed + 37 * rep + 9973 * i}
+                for i, a in enumerate(alphas) for rep in range(self.reps)]
+        return self.echo(alphas=alphas), keys
+
+    def cell(self, alpha, rep, seed):
+        """One dataset; ``rep`` only labels it."""
+        _, fp, instance = self.teacher(alpha, seed)
+        run_cfg = self.descent(seed, max(1, self.n_inits))
+        S_single, trace = gd.gd_run(instance, run_cfg)
+        agd_mse = dispersion = NAN
+        if self.n_inits >= 2:
+            S_bar, dispersion = gd.agd_run(instance, run_cfg)
+            agd_mse = model.matrix_mse(S_bar, instance.S_star, self.kappa)
+        return (model.matrix_mse(S_single, instance.S_star, self.kappa), agd_mse,
+                dispersion, fp.mmse, float(trace[-1]), len(trace) - 1)
+
+
+@dataclasses.dataclass
+class GdScan(_Descent):
+    """Trivialization scan over alpha."""
+
+    n_inits: int = _opt(4, "initializations per dataset")
+    n_datasets: int = _opt(1, "datasets per alpha")
+
+    def table(self):
+        """One scan over the whole grid: a failure is the command's, not a cell's."""
+        alphas = _grid(self, "alpha")
+        try:
+            result = gd.trivialization_scan(self.d, self.kappa, self.delta, alphas,
+                                            self.descent(self.seed, self.n_inits),
+                                            n_datasets=self.n_datasets)
+        except (gd.NotReached, gd.Diverged) as exc:
+            raise NumericalFailure(str(exc))
+        peak = max(result.dispersions)
+        rows = [(_fmt(a), _fmt(v), int(v < gd.ABS_THRESHOLD), int(v < gd.REL_THRESHOLD * peak))
+                for a, v in zip(result.alphas, result.dispersions)]
+        header = self.echo(alphas=alphas, alpha_t_abs=result.alpha_t_abs,
+                           alpha_t_rel=result.alpha_t_rel)
+        return header, ("alpha", "dispersion", "below_abs", "below_rel"), rows, 0
+
+
+COMMANDS = {"se-curve": SeCurve, "phase-diagram": PhaseDiagram, "gamp": Gamp,
+            "denoise-mc": DenoiseMc, "gd": Gd, "gd-scan": GdScan}
+
+
 def _float_list(value):
-    """None, a JSON list, or a comma/space separated string -> list or None."""
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    items = [t for t in str(value).replace(",", " ").split() if t]
-    return [float(t) for t in items]
+    """A JSON list or a comma/space separated string -> list of floats."""
+    items = value if isinstance(value, list) else str(value).replace(",", " ").split()
+    return [float(v) for v in items]
 
 
-def _grid(cfg, prefix):
-    """Grid from '<prefix>s' list or '<prefix>_min/_max/_steps'."""
-    explicit = cfg.get(prefix + "s")
-    if explicit is not None:
-        return _float_list(explicit)
-    lo, hi, steps = cfg.get(prefix + "_min"), cfg.get(prefix + "_max"), cfg.get(prefix + "_steps")
-    if lo is None and hi is None and steps is None:
-        return None
-    if lo is None or hi is None or steps is None:
-        raise UsageError(f"{prefix}_min/_max/_steps must be given together")
-    return list(np.linspace(float(lo), float(hi), int(steps)))
-
-
-def _resolve(args, known, defaults):
-    """File config + flag overrides; rejects unknown file keys."""
-    cfg = dict(defaults)
+def _resolve(args, cls):
+    """The config from the field defaults, the --config file and the flags."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    values = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                file_cfg = json.load(fh)
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(file_cfg, dict):
+        if not isinstance(values, dict):
             raise UsageError("config file must hold a flat JSON object")
-        unknown = sorted(set(file_cfg) - set(known))
+        unknown = sorted(set(values) - set(fields))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        cfg.update(file_cfg)
-    for key in known:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
-
-
-def _n_workers(cfg):
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
+    values = {k: v for k, v in values.items() if v is not None}  # null: the default
+    values.update({k: getattr(args, k) for k in fields if getattr(args, k) is not None})
+    for name, value in values.items():
+        kind = fields[name].type
+        if fields[name].metadata.get("raw"):
+            continue
         try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    return max(1, int(cfg.get("threads") or 1))
+            values[name] = _float_list(value) if kind is list else kind(value)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{name}: {exc}")
+    missing = [f"--{n}" for n, f in fields.items() if f.metadata.get("required")
+               and values.get(n) is None]
+    if missing:
+        raise UsageError("needs " + " and ".join(missing))
+    return cls(**values)
 
 
-def _run_pool(worker, tasks, n_workers):
-    """Order-preserving map over the task list."""
-    if n_workers <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, tasks))
+def _grid(cfg, prefix):
+    """The '<prefix>s' list, or the even grid '<prefix>_min/_max/_steps'."""
+    values = getattr(cfg, prefix + "s")
+    ends = [getattr(cfg, f"{prefix}_{end}", None) for end in ("min", "max", "steps")]
+    if values is None and None not in ends:
+        values = list(np.linspace(*ends))
+    elif values is None and ends != [None] * 3:
+        raise UsageError(f"{prefix}_min/_max/_steps must be given together")
+    if not values:
+        raise UsageError(f"needs a nonempty {prefix} grid")
+    return values
 
 
-def _write_csv(path, header_cfg, columns, rows):
-    header = {"config": header_cfg, "version": __version__}
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
+def _guarded(cell, key):
     try:
-        out.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        writer = csv.writer(out)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        return tuple(cell(**key)), None
+    except Exception as exc:  # reported by the runner; the other cells go on
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _run_cells(cell, keys, width, threads):
+    """Order-preserving map of ``cell(**key)`` over ``keys`` on a process pool.
+
+    A cell that raises gets ``width`` NaN values, and ``cell <key>:
+    <reason>`` goes to stderr.  Returns the value tuples and a failure flag
+    per key.
+    """
+    env = os.environ.get(THREADS_ENV)
+    try:
+        n_workers = max(1, int(env) if env is not None else threads or 1)
+    except ValueError:
+        raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
+    if n_workers <= 1 or len(keys) <= 1:
+        results = [_guarded(cell, key) for key in keys]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+            results = list(pool.map(_guarded, [cell] * len(keys), keys))
+    for key, (_, reason) in zip(keys, results):
+        if reason is not None:
+            label = " ".join(f"{k}={v}" for k, v in key.items())
+            print(f"cell {label}: {reason}", file=sys.stderr)
+    return ([(NAN,) * width if reason else values for values, reason in results],
+            [reason is not None for _, reason in results])
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return value
+    return format(value, ".12g") if isinstance(value, float) else value
 
 
-# ---------------------------------------------------------------- se-curve
-
-SE_KEYS = ("kappas", "alphas", "alpha_min", "alpha_max", "alpha_steps",
-           "delta", "out", "threads")
-
-
-def _se_cell(task):
-    kappa, alpha, delta = task
-    params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
-    fp = solve_qhat(params, with_free_entropy=False)
-    return (alpha, kappa, delta, fp.mmse, fp.q, fp.q_hat)
+def _mean_stderr(vals):
+    mean = float(np.mean(vals)) if vals else NAN
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else NAN
+    return mean, stderr
 
 
-def cmd_se_curve(args):
-    cfg = _resolve(args, SE_KEYS, {"delta": 0.0})
-    kappas = _float_list(cfg.get("kappas"))
-    alphas = _grid(cfg, "alpha")
-    if not kappas or not alphas:
-        raise UsageError("se-curve needs a nonempty kappa list and alpha grid")
-    delta = float(cfg["delta"])
-    tasks = [(k, a, delta) for k in kappas for a in alphas]
-    try:
-        rows = _run_pool(_se_cell, tasks, _n_workers(cfg))
-    except (state_evolution.NoConvergence, state_evolution.OutOfRange) as exc:
-        raise NumericalFailure(str(exc))
-    cfg_echo = {"kappas": kappas, "alphas": alphas, "delta": delta}
-    _write_csv(cfg.get("out"), cfg_echo,
-               ("alpha", "kappa", "delta", "mmse", "q", "q_hat"),
-               [tuple(_fmt(v) for v in r) for r in rows])
-
-
-# ------------------------------------------------------------ phase-diagram
-
-PHASE_KEYS = ("kappas", "kappa_min", "kappa_max", "kappa_steps",
-              "alphas", "alpha_min", "alpha_max", "alpha_steps",
-              "delta", "out", "threads")
-
-
-def _phase_cell(task):
-    kappa, alpha, delta = task
-    params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
-    fp = solve_qhat(params, with_free_entropy=False)
-    return (alpha, kappa, delta, fp.mmse, fp.q, fp.q_hat,
-            perfect_recovery_threshold(kappa))
-
-
-def cmd_phase_diagram(args):
-    cfg = _resolve(args, PHASE_KEYS, {"delta": 0.0})
-    kappas = _grid(cfg, "kappa")
-    alphas = _grid(cfg, "alpha")
-    if not kappas or not alphas:
-        raise UsageError("phase-diagram needs nonempty kappa and alpha grids")
-    delta = float(cfg["delta"])
-    tasks = [(k, a, delta) for k in kappas for a in alphas]
-    try:
-        rows = _run_pool(_phase_cell, tasks, _n_workers(cfg))
-    except (state_evolution.NoConvergence, state_evolution.OutOfRange) as exc:
-        raise NumericalFailure(str(exc))
-    cfg_echo = {"kappas": kappas, "alphas": alphas, "delta": delta}
-    _write_csv(cfg.get("out"), cfg_echo,
-               ("alpha", "kappa", "delta", "mmse", "q", "q_hat", "alpha_pr"),
-               [tuple(_fmt(v) for v in r) for r in rows])
-
-
-# ------------------------------------------------------------------- gamp
-
-GAMP_KEYS = ("d", "kappa", "delta", "alphas", "alpha_min", "alpha_max",
-             "alpha_steps", "n_seeds", "seed", "max_iter", "damping", "init",
-             "center", "out", "threads")
-
-
-def _gamp_cell(task):
-    d, kappa, delta, alpha, seed, max_iter, damping, init, center = task
-    params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
-    fp = solve_qhat(params, with_free_entropy=False)
-    instance = model.generate(d=d, kappa=kappa, alpha=alpha, delta=delta, seed=seed)
-    dataset = model.reduce(instance)
-    opts = gamp.GampOptions(max_iter=max_iter, damping=damping, init=init,
-                            center=center, seed=seed, s_star=instance.S_star)
-    try:
-        _, state = gamp.run(dataset, params, opts)
-        mse = model.matrix_mse(state.S_hat, instance.S_star, kappa)
-        return (alpha, seed, mse, fp.mmse, state.iter, int(state.converged), 0)
-    except Exception:  # per-seed failures flagged in the CSV, not fatal
-        return (alpha, seed, float("nan"), fp.mmse, 0, 0, 1)
-
-
-def cmd_gamp(args):
-    cfg = _resolve(args, GAMP_KEYS, {
-        "delta": 0.0, "n_seeds": 8, "seed": 0, "max_iter": 200,
-        "damping": gamp.GampOptions.damping, "init": gamp.GampOptions.init,
-        "center": gamp.GampOptions.center,
-    })
-    if cfg.get("d") is None or cfg.get("kappa") is None:
-        raise UsageError("gamp needs --d and --kappa")
-    alphas = _grid(cfg, "alpha")
-    if not alphas:
-        raise UsageError("gamp needs a nonempty alpha grid")
-    d, kappa, delta = int(cfg["d"]), float(cfg["kappa"]), float(cfg["delta"])
-    n_seeds, seed0 = int(cfg["n_seeds"]), int(cfg["seed"])
-    if n_seeds < 1:
-        raise UsageError("n_seeds must be at least 1")
-    seeds = [seed0 + i for i in range(n_seeds)]
-    tasks = [(d, kappa, delta, a, s, int(cfg["max_iter"]), float(cfg["damping"]),
-              str(cfg["init"]), bool(cfg["center"])) for a in alphas for s in seeds]
-    rows = _run_pool(_gamp_cell, tasks, _n_workers(cfg))
-    # cell-level mean/stderr over the non-failed seeds
-    out_rows = []
-    for i, alpha in enumerate(alphas):
-        cell = rows[i * n_seeds:(i + 1) * n_seeds]
-        good = [r[2] for r in cell if r[6] == 0]
-        mean = float(np.mean(good)) if good else float("nan")
-        stderr = float(np.std(good, ddof=1) / np.sqrt(len(good))) if len(good) > 1 else float("nan")
-        for alpha_r, seed, mse, se_mmse, iters, conv, failed in cell:
-            out_rows.append((alpha_r, kappa, delta, d, seed, _fmt(mse), _fmt(se_mmse),
-                             _fmt(mean), _fmt(stderr), iters, conv, failed))
-    cfg_echo = {"d": d, "kappa": kappa, "delta": delta, "alphas": alphas,
-                "seeds": seeds, "max_iter": int(cfg["max_iter"]),
-                "damping": float(cfg["damping"]), "init": str(cfg["init"]),
-                "center": bool(cfg["center"])}
-    _write_csv(cfg.get("out"), cfg_echo,
-               ("alpha", "kappa", "delta", "d", "seed", "mse", "se_mmse",
-                "mse_mean", "mse_stderr", "iters", "converged", "failed"),
-               out_rows)
-
-
-# -------------------------------------------------------------- denoise-mc
-
-DMC_KEYS = ("kappas", "deltas", "d", "reps", "seed", "out", "threads")
-
-
-def _dmc_cell(task):
-    kappa, delta, d, reps, seed = task
-    prior = PriorSpectrum.marchenko_pastur(kappa)
-    spec = matdenoise.DenoiseSpec.create(prior, delta)
-    theory = matdenoise.mmse(spec)
-    primary, secondary = matdenoise.mmse_forms(spec)
-    forms_gap = abs(primary - secondary)
-    rng = np.random.default_rng(seed)
-    vals = []
-    for _ in range(reps):
-        S = matdenoise.sample_wishart(d, kappa, rng)
-        R = S + np.sqrt(delta) * matdenoise.sample_goe(d, rng)
-        S_hat = matdenoise.denoise_matrix(spec, R)
-        vals.append(float(np.sum((S_hat - S) ** 2)) / d)
-    mc = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if reps > 1 else float("nan")
-    return (kappa, delta, d, reps, mc, stderr, theory, forms_gap)
-
-
-def cmd_denoise_mc(args):
-    cfg = _resolve(args, DMC_KEYS, {"d": 500, "reps": 16, "seed": 0})
-    kappas = _float_list(cfg.get("kappas"))
-    deltas = _float_list(cfg.get("deltas"))
-    if not kappas or not deltas:
-        raise UsageError("denoise-mc needs nonempty kappa and delta lists")
-    d, reps, seed0 = int(cfg["d"]), int(cfg["reps"]), int(cfg["seed"])
-    if min(deltas) <= 0:
-        raise UsageError("denoise-mc deltas must be positive")
-    tasks = [(k, dl, d, reps, seed0 + 1000 * i)
-             for i, (k, dl) in enumerate((k, dl) for k in kappas for dl in deltas)]
-    try:
-        rows = _run_pool(_dmc_cell, tasks, _n_workers(cfg))
-    except matdenoise.FormMismatch as exc:
-        raise NumericalFailure(str(exc))
-    cfg_echo = {"kappas": kappas, "deltas": deltas, "d": d, "reps": reps, "seed": seed0}
-    _write_csv(cfg.get("out"), cfg_echo,
-               ("kappa", "delta", "d", "reps", "mc_mse", "mc_stderr",
-                "f_rie", "forms_gap"),
-               [tuple(_fmt(v) for v in r) for r in rows])
-
-
-# --------------------------------------------------------------------- gd
-
-GD_KEYS = ("d", "kappa", "delta", "alphas", "alpha_min", "alpha_max",
-           "alpha_steps", "reps", "n_inits", "learning_rate", "l2",
-           "max_steps", "grad_tol", "backtracking", "seed", "out", "threads")
-
-
-def _gd_cell(task):
-    d, kappa, delta, alpha, rep, seed, n_inits, lr, l2, max_steps, grad_tol, backtracking = task
-    params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
-    fp = solve_qhat(params, with_free_entropy=False)
-    instance = model.generate(d=d, kappa=kappa, alpha=alpha, delta=delta, seed=seed)
-    cfg = gd.GdConfig(learning_rate=lr, l2=l2, max_steps=max_steps,
-                      grad_tol=grad_tol, n_inits=max(1, n_inits), seed=seed,
-                      backtracking=backtracking)
-    S_single, trace = gd.gd_run(instance, cfg)
-    gd_mse = model.matrix_mse(S_single, instance.S_star, kappa)
-    if n_inits >= 2:
-        S_bar, dispersion = gd.agd_run(instance, cfg)
-        agd_mse = model.matrix_mse(S_bar, instance.S_star, kappa)
-    else:
-        agd_mse, dispersion = float("nan"), float("nan")
-    return (alpha, kappa, delta, d, rep, gd_mse, agd_mse, dispersion,
-            fp.mmse, float(trace[-1]), len(trace) - 1)
-
-
-def cmd_gd(args):
-    cfg = _resolve(args, GD_KEYS, {
-        "delta": 0.0, "reps": 1, "n_inits": 1, "l2": 0.0,
-        "max_steps": 200000, "grad_tol": 1e-7, "backtracking": False, "seed": 0,
-    })
-    if cfg.get("d") is None or cfg.get("kappa") is None:
-        raise UsageError("gd needs --d and --kappa")
-    alphas = _grid(cfg, "alpha")
-    if not alphas:
-        raise UsageError("gd needs a nonempty alpha grid")
-    d, kappa, delta = int(cfg["d"]), float(cfg["kappa"]), float(cfg["delta"])
-    reps, seed0 = int(cfg["reps"]), int(cfg["seed"])
-    lr = cfg.get("learning_rate")
-    tasks = [(d, kappa, delta, a, rep, seed0 + 37 * rep + 9973 * i,
-              int(cfg["n_inits"]), float(lr) if lr is not None else None,
-              float(cfg["l2"]), int(cfg["max_steps"]), float(cfg["grad_tol"]),
-              bool(cfg["backtracking"]))
-             for i, a in enumerate(alphas) for rep in range(reps)]
-    try:
-        rows = _run_pool(_gd_cell, tasks, _n_workers(cfg))
-    except gd.Diverged as exc:
-        raise NumericalFailure(str(exc))
-    cfg_echo = {"d": d, "kappa": kappa, "delta": delta, "alphas": alphas,
-                "reps": reps, "n_inits": int(cfg["n_inits"]),
-                "learning_rate": lr, "l2": float(cfg["l2"]),
-                "max_steps": int(cfg["max_steps"]), "grad_tol": float(cfg["grad_tol"]),
-                "backtracking": bool(cfg["backtracking"]), "seed": seed0}
-    _write_csv(cfg.get("out"), cfg_echo,
-               ("alpha", "kappa", "delta", "d", "rep", "gd_mse", "agd_mse",
-                "dispersion", "mmse", "final_loss", "steps"),
-               [tuple(_fmt(v) for v in r) for r in rows])
-
-
-# ---------------------------------------------------------------- gd-scan
-
-SCAN_KEYS = ("d", "kappa", "delta", "alphas", "alpha_min", "alpha_max",
-             "alpha_steps", "n_inits", "n_datasets", "learning_rate", "l2",
-             "max_steps", "grad_tol", "backtracking", "seed", "out", "threads")
-
-
-def cmd_gd_scan(args):
-    cfg = _resolve(args, SCAN_KEYS, {
-        "delta": 0.0, "n_inits": 4, "n_datasets": 1, "l2": 0.0,
-        "max_steps": 200000, "grad_tol": 1e-7, "backtracking": False, "seed": 0,
-    })
-    if cfg.get("d") is None or cfg.get("kappa") is None:
-        raise UsageError("gd-scan needs --d and --kappa")
-    alphas = _grid(cfg, "alpha")
-    if not alphas:
-        raise UsageError("gd-scan needs a nonempty alpha grid")
-    lr = cfg.get("learning_rate")
-    run_cfg = gd.GdConfig(
-        learning_rate=float(lr) if lr is not None else None, l2=float(cfg["l2"]),
-        max_steps=int(cfg["max_steps"]), grad_tol=float(cfg["grad_tol"]),
-        n_inits=int(cfg["n_inits"]), seed=int(cfg["seed"]),
-        backtracking=bool(cfg["backtracking"]),
-    )
-    try:
-        result = gd.trivialization_scan(int(cfg["d"]), float(cfg["kappa"]),
-                                        float(cfg["delta"]), alphas, run_cfg,
-                                        n_datasets=int(cfg["n_datasets"]))
-    except gd.NotReached as exc:
-        raise NumericalFailure(str(exc))
-    except gd.Diverged as exc:
-        raise NumericalFailure(str(exc))
-    peak = max(result.dispersions)
-    rows = [
-        (_fmt(a), _fmt(v), int(v < gd.ABS_THRESHOLD), int(v < gd.REL_THRESHOLD * peak))
-        for a, v in zip(result.alphas, result.dispersions)
-    ]
-    cfg_echo = {"d": int(cfg["d"]), "kappa": float(cfg["kappa"]),
-                "delta": float(cfg["delta"]), "alphas": alphas,
-                "n_inits": int(cfg["n_inits"]), "n_datasets": int(cfg["n_datasets"]),
-                "learning_rate": lr, "l2": float(cfg["l2"]),
-                "max_steps": int(cfg["max_steps"]), "grad_tol": float(cfg["grad_tol"]),
-                "backtracking": bool(cfg["backtracking"]), "seed": int(cfg["seed"]),
-                "alpha_t_abs": result.alpha_t_abs, "alpha_t_rel": result.alpha_t_rel}
-    _write_csv(cfg.get("out"), cfg_echo,
-               ("alpha", "dispersion", "below_abs", "below_rel"), rows)
-
-
-# ------------------------------------------------------------------ parser
-
-def _add_common(sub):
-    sub.add_argument("--config", help="flat JSON config file")
-    sub.add_argument("--out", help="output CSV path (default stdout)")
-    sub.add_argument("--threads", type=int, help=f"worker pool size (env {THREADS_ENV} overrides)")
-    sub.add_argument("--seed", type=int, help="base RNG seed")
-
-
-def _add_alpha_grid(sub):
-    sub.add_argument("--alphas", help="explicit alpha list, comma or space separated")
-    sub.add_argument("--alpha-min", dest="alpha_min", type=float)
-    sub.add_argument("--alpha-max", dest="alpha_max", type=float)
-    sub.add_argument("--alpha-steps", dest="alpha_steps", type=int)
+def _write_csv(path, header_cfg, columns, rows):
+    to_file = path not in (None, "-")
+    with open(path, "w", newline="") if to_file else contextlib.nullcontext(sys.stdout) as out:
+        header = {"config": header_cfg, "version": __version__}
+        out.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        csv.writer(out).writerows([columns, *rows])
 
 
 def build_parser():
@@ -419,88 +387,36 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("se-curve", help="asymptotic MMSE over an alpha grid per kappa")
-    _add_common(p)
-    _add_alpha_grid(p)
-    p.add_argument("--kappas", help="kappa list")
-    p.add_argument("--delta", type=float)
-    p.set_defaults(func=cmd_se_curve)
-
-    p = subs.add_parser("phase-diagram", help="MMSE over a (kappa, alpha) grid")
-    _add_common(p)
-    _add_alpha_grid(p)
-    p.add_argument("--kappas", help="explicit kappa list")
-    p.add_argument("--kappa-min", dest="kappa_min", type=float)
-    p.add_argument("--kappa-max", dest="kappa_max", type=float)
-    p.add_argument("--kappa-steps", dest="kappa_steps", type=int)
-    p.add_argument("--delta", type=float)
-    p.set_defaults(func=cmd_phase_diagram)
-
-    p = subs.add_parser("gamp", help="message-passing MSE vs the theory curve")
-    _add_common(p)
-    _add_alpha_grid(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n-seeds", dest="n_seeds", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--damping", type=float)
-    p.add_argument("--init", choices=("mean", "sample"))
-    p.add_argument("--no-center", dest="center", action="store_false", default=None)
-    p.set_defaults(func=cmd_gamp)
-
-    p = subs.add_parser("denoise-mc", help="Monte-Carlo denoiser MSE vs theory")
-    _add_common(p)
-    p.add_argument("--kappas", help="kappa list")
-    p.add_argument("--deltas", help="noise level list")
-    p.add_argument("--d", type=int)
-    p.add_argument("--reps", type=int)
-    p.set_defaults(func=cmd_denoise_mc)
-
-    p = subs.add_parser("gd", help="gradient-descent baseline vs the theory curve")
-    _add_common(p)
-    _add_alpha_grid(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--reps", type=int, help="independent datasets per alpha")
-    p.add_argument("--n-inits", dest="n_inits", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
-    p.add_argument("--backtracking", action="store_true", default=None)
-    p.set_defaults(func=cmd_gd)
-
-    p = subs.add_parser("gd-scan", help="trivialization scan over alpha")
-    _add_common(p)
-    _add_alpha_grid(p)
-    p.add_argument("--d", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n-inits", dest="n_inits", type=int)
-    p.add_argument("--n-datasets", dest="n_datasets", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float)
-    p.add_argument("--backtracking", action="store_true", default=None)
-    p.set_defaults(func=cmd_gd_scan)
-
+    for name, cls in COMMANDS.items():
+        sub = subs.add_parser(name, help=cls.__doc__)
+        sub.add_argument("--config", help="flat JSON config file")
+        for f in dataclasses.fields(cls):
+            flag = "--" + f.name.replace("_", "-")
+            kw = {"dest": f.name, "default": None, "help": f.metadata["help"]}
+            if f.type is bool:  # a switch away from the default
+                flag = "--no-" + flag[2:] if f.default else flag
+                kw["action"] = "store_false" if f.default else "store_true"
+            else:
+                kw.update(type=None if f.type is list else f.type,
+                          choices=f.metadata.get("choices"))
+            sub.add_argument(flag, **kw)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        cfg = _resolve(args, COMMANDS[args.command])
+        header, columns, rows, n_failed = cfg.table()
+        _write_csv(cfg.out, header, columns, rows)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    if n_failed:
+        print(f"numerical failure: {n_failed} of {len(rows)} cells failed", file=sys.stderr)
         return 1
     return 0
 

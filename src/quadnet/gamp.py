@@ -214,13 +214,13 @@ def _variance_share(dataset: ReducedDataset) -> np.ndarray:
 def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None = None):
     """Iterate the message passing on a reduced dataset until the stop rule.
 
-    Returns ``(S_hat, state)``.  ``state.S_hat`` is the final iterate, the
-    algorithm's own output; ``state.converged`` says whether the
-    teacher-free stop rule fired with the residual check passing (see the
-    module docstring).  ``S_hat`` is the lowest-error iterate seen by the
-    trace metric: with ``s_star`` given it is picked with the teacher and
-    is a diagnostic only.  Raises ``Diverged`` when the trace metric exceeds
-    ``DIVERGENCE_FACTOR`` times its initial value for
+    Returns ``(S_hat, state)``, where ``S_hat`` is ``state.S_hat``, the
+    final iterate: the algorithm's own output, never picked with the
+    teacher.  ``state.converged`` says whether the teacher-free stop rule
+    fired with the residual check passing (see the module docstring).
+    ``s_star`` fills ``mse_trace`` with the teacher error in place of the
+    residual mean square m2.  Raises ``Diverged`` when the trace metric
+    exceeds ``DIVERGENCE_FACTOR`` times its initial value for
     ``DIVERGENCE_PATIENCE`` consecutive iterations.
     """
     opts = opts or GampOptions()
@@ -255,8 +255,6 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
     g_bar = A_bar = S_bar = None  # damped averages, set by the first step
     last = None  # state the last step was taken from, and its channel outputs
     fp_res = fp_prev = np.inf  # fixed-point residuals of the last two steps
-    best_S = S
-    best_err = np.inf
     n_over = 0
     for it in range(1, opts.max_iter + 1):
         undo = last is not None and beta > STEP_MIN and fp_res > fp_prev
@@ -302,10 +300,6 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         state.a_trace.append(A_bar)
         state.v_trace.append(c)
         state.c_trace.append(c_new)
-        if err < best_err:
-            best_err = err
-            best_S = S_new
-
         state.S_hat, state.c_hat = S_new, c_new
         state.V, state.A, state.R = c, A_bar, R
         state.iter = it
@@ -329,7 +323,7 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
             state.stop_reason, state.converged = "fixed_point", True
             break
 
-    return best_S, state
+    return state.S_hat, state
 
 
 def state_evolution_iterate(params: ProblemParams, q_init: float | None = None,

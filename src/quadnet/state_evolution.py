@@ -120,7 +120,6 @@ class SEFixedPoint:
     status : str
         "converged" for a bracketed root, "supercritical" when the map has
         no root below `QHAT_MAX` (noiseless perfect recovery, mmse 0).
-        `sweep` records a failed cell as "error: <message>".
     clipped : float
         How far the raw MMSE 2 alpha kappa / q_hat - kappa tilde_delta / 2
         was moved to land in [0, mmse_max].
@@ -393,29 +392,3 @@ def threshold_alpha(
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def sweep(grid, with_free_entropy: bool = True):
-    """Solve every cell of a ProblemParams list; failures are recorded inline.
-
-    Returns a list of SEFixedPoint in input order; cells whose solve raises
-    get a placeholder with status "error: ..." and NaN values so that the
-    rest of the sweep is unaffected.
-    """
-    out = []
-    for params in grid:
-        try:
-            out.append(solve_qhat(params, with_free_entropy=with_free_entropy))
-        except Exception as exc:
-            out.append(
-                SEFixedPoint(
-                    q=float("nan"),
-                    q_hat=float("nan"),
-                    mmse=float("nan"),
-                    free_entropy=float("nan"),
-                    iterations=0,
-                    residual=float("nan"),
-                    status=f"error: {exc}",
-                )
-            )
-    return out

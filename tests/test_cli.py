@@ -1,14 +1,18 @@
 """Tests for the command-line front end: configs, CSV contract, exit codes."""
 
 import csv
+import dataclasses
+import functools
 import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from quadnet import cli
+from quadnet import cli, state_evolution
+from quadnet.state_evolution import ProblemParams
 
 
 def run_cli(argv, capsys):
@@ -231,3 +235,89 @@ class TestGdCommands:
         header, rows = parse_csv(out)
         assert header["config"]["alpha_t_abs"] == 0.5
         assert rows[0]["below_abs"] == "1"
+
+
+class TestDeclarativeConfig:
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_flags_are_the_accepted_config_keys(self, name, tmp_path, capsys):
+        namespace = vars(cli.build_parser().parse_args([name]))
+        dests = set(namespace) - {"config", "func", "command"}
+        assert dests == {f.name for f in dataclasses.fields(cli.COMMANDS[name])}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: None for key in dests}))
+        rc, _, err = run_cli([name, "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert "unknown config keys" not in err
+
+
+FAILING_CELL = [
+    pytest.param(["phase-diagram", "--kappas", "0.5,1", "--alphas", "0.2,0.3"],
+                 ("mmse", "q", "q_hat", "alpha_pr"), id="phase-diagram"),
+    pytest.param(["gamp", "--d", "20", "--kappa", "1", "--alphas", "0.2,0.3",
+                  "--n-seeds", "1", "--max-iter", "2"],
+                 ("mse", "se_mmse", "mse_mean", "mse_stderr", "iters", "converged"), id="gamp"),
+    pytest.param(["gd", "--d", "20", "--kappa", "1", "--alphas", "0.2,0.3",
+                  "--max-steps", "20"],
+                 ("gd_mse", "agd_mse", "dispersion", "mmse", "final_loss", "steps"), id="gd"),
+]
+
+
+class TestFailedCell:
+    @pytest.mark.parametrize("argv,value_columns", FAILING_CELL)
+    def test_nan_row_reason_and_exit_1(self, argv, value_columns, capsys, monkeypatch):
+        rc, clean, _ = run_cli(argv, capsys)
+        assert rc == 0
+        solve_qhat = cli.solve_qhat
+
+        def fails_at_one_cell(params, **kwargs):
+            if (params.alpha, params.kappa) == (0.3, 1.0):
+                raise state_evolution.NoConvergence("injected")
+            return solve_qhat(params, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_qhat", fails_at_one_cell)
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 1
+        assert "Traceback" not in err
+        assert "alpha=0.3" in err and "NoConvergence: injected" in err
+        _, rows = parse_csv(out)
+        assert len(rows) == len(parse_csv(clean)[1]) == (4 if argv[0] == "phase-diagram" else 2)
+        lines, clean_lines = out.splitlines(), clean.splitlines()
+        assert lines[:2] == clean_lines[:2]
+        for row, line, clean_line in zip(rows, lines[2:], clean_lines[2:]):
+            if (row["alpha"], row["kappa"]) in (("0.3", "1"), ("0.3", "1.0")):
+                assert all(row[c] == "nan" for c in value_columns)
+                assert row.get("failed", "1") == "1"
+            else:
+                assert line == clean_line
+
+
+def _fixed_point(alpha, kappa, with_free_entropy):
+    fp = state_evolution.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa),
+                                    with_free_entropy=with_free_entropy)
+    return fp.mmse, fp.free_entropy, fp.status
+
+
+class TestRunner:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failures_are_kept_in_order(self, threads, capsys):
+        keys = [
+            {"alpha": 0.2, "kappa": 0.5},
+            {"alpha": 0.45, "kappa": 0.5},
+            # quadrature noise amplified by 1/alpha trips the overlap range
+            # check at such extreme sample ratios
+            {"alpha": 1e-6, "kappa": 0.5},
+        ]
+        cell = functools.partial(_fixed_point, with_free_entropy=False)
+        values, failed = cli._run_cells(cell, keys, 3, threads)
+        assert failed == [False, False, True]
+        assert values[0][2] == "converged"
+        assert values[1][2] == "supercritical"
+        assert all(math.isnan(v) for v in values[2])
+        assert math.isnan(values[0][1])
+        assert "cell alpha=1e-06 kappa=0.5: " in capsys.readouterr().err
+
+    def test_free_entropy_computed_when_requested(self):
+        cell = functools.partial(_fixed_point, with_free_entropy=True)
+        values, failed = cli._run_cells(cell, [{"alpha": 0.2, "kappa": 0.5}], 3, 1)
+        assert failed == [False]
+        assert np.isfinite(values[0][1])

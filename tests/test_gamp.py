@@ -93,11 +93,18 @@ class TestRunBasics:
         assert np.array_equal(S1, S2)
         assert st1.mse_trace == st2.mse_trace
 
-    def test_returns_best_iterate(self, tracked_run):
-        params, _, S_hat, state = tracked_run
-        inst = model.generate(d=200, kappa=0.5, alpha=0.3, delta=0.0, seed=11)
-        best = min(state.mse_trace)
-        assert model.matrix_mse(S_hat, inst.S_star, params.kappa) == pytest.approx(best)
+    def test_teacher_does_not_steer_the_run(self):
+        # s_star only fills mse_trace: the returned estimate, the iteration
+        # count and the stop reason must not depend on it
+        params = ProblemParams(alpha=0.3, kappa=0.5)
+        inst = model.generate(d=80, kappa=0.5, alpha=0.3, delta=0.0, seed=5)
+        dataset = model.reduce(inst)
+        S1, st1 = gamp.run(dataset, params, gamp.GampOptions(seed=5, s_star=inst.S_star))
+        S2, st2 = gamp.run(dataset, params, gamp.GampOptions(seed=5))
+        assert np.array_equal(S1, S2)
+        assert np.array_equal(S1, st1.S_hat)
+        assert st1.iter == st2.iter
+        assert st1.stop_reason == st2.stop_reason
 
     def test_option_validation(self):
         with pytest.raises(ValueError):

@@ -348,25 +348,3 @@ class TestFreeEntropy:
             se.free_entropy(params, params.q_min - 0.1)
         with pytest.raises(ValueError):
             se.free_entropy(params, params.q0 + 0.1)
-
-
-class TestSweep:
-    def test_errors_are_captured_in_order(self):
-        grid = [
-            ProblemParams(alpha=0.2, kappa=0.5),
-            ProblemParams(alpha=0.45, kappa=0.5),
-            # quadrature noise amplified by 1/alpha trips the overlap range
-            # check at such extreme sample ratios
-            ProblemParams(alpha=1e-6, kappa=0.5),
-        ]
-        out = se.sweep(grid, with_free_entropy=False)
-        assert len(out) == 3
-        assert out[0].status == "converged"
-        assert out[1].status == "supercritical"
-        assert out[2].status.startswith("error")
-        assert math.isnan(out[2].mmse)
-        assert math.isnan(out[0].free_entropy)
-
-    def test_free_entropy_computed_when_requested(self):
-        out = se.sweep([ProblemParams(alpha=0.2, kappa=0.5)], with_free_entropy=True)
-        assert np.isfinite(out[0].free_entropy)
