@@ -153,8 +153,7 @@ class Gamp(_Teacher):
 
     def table(self):
         """Per-seed rows, with each alpha's mean and stderr over the seeds
-        that did not fail.  The key columns are written unformatted (repr,
-        not .12g), so earlier gamp CSVs rerun byte for byte."""
+        that did not fail."""
         header, keys = self.grid()
         values, failed = _run_cells(self.cell, keys, 4, self.threads)
         rows = []
@@ -163,9 +162,9 @@ class Gamp(_Teacher):
             summary = _mean_stderr([values[i][0] for i in runs if not failed[i]])
             for i in runs:
                 mse, se_mmse, iters, converged = values[i]
-                rows.append((keys[i]["alpha"], self.kappa, self.delta, self.d, keys[i]["seed"],
-                             *map(_fmt, (mse, se_mmse, *summary, iters, converged)),
-                             int(failed[i])))
+                rows.append(tuple(map(_fmt, (keys[i]["alpha"], self.kappa, self.delta, self.d,
+                                             keys[i]["seed"], mse, se_mmse, *summary, iters,
+                                             converged, int(failed[i])))))
         columns = ("alpha", "kappa", "delta", "d", "seed", "mse", "se_mmse",
                    "mse_mean", "mse_stderr", "iters", "converged", "failed")
         return header, columns, rows, sum(failed)

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-8
-DEFAULT_NODES = 2001
+DEFAULT_NODES = 801
 
 _OMEGA = np.exp(2j * np.pi / 3)
 
@@ -390,7 +390,7 @@ def _homotopy_solve(prior, t, x, eps):
 
 
 def _grid_branch(prior, t, x, eps):
-    """Physical g on a dense grid spanning one support interval.
+    """Physical g at points x of one support interval, at height eps.
 
     Fast path: on the support the physical root has Im g = pi*rho, which is
     the admissible root of largest imaginary part.  Points where more than
@@ -513,7 +513,7 @@ def _has_nonreal_root(prior, t, x):
     return (roots.imag != 0.0).any(axis=1)
 
 
-def support_edges(prior: PriorSpectrum, t: float, refine: bool = True):
+def support_edges(prior: PriorSpectrum, t: float):
     """Support intervals of mu_t = prior (+) semicircle(t), t > 0.
 
     Candidate edges are the real critical values of the inverse map
@@ -524,13 +524,9 @@ def support_edges(prior: PriorSpectrum, t: float, refine: bool = True):
     support the physical g is non-real, so a region where every root is real
     is off it.  The test is made at real x: unlike a density probe at
     x + i*eps it needs no offset, and thin intervals such as the bulk near
-    zero (mass 1 - kappa at small kappa) are not lost.
-
-    With refine=True each surviving edge is confirmed by bisection on the
-    branch-collision indicator to absolute tolerance 1e-10.  With
-    refine=False the critical values are returned as they are.  They already
-    solve the edge equation to machine precision, so this only drops the
-    independent cross-check; hot loops that build many densities use it.
+    zero (mass 1 - kappa at small kappa) are not lost.  The edges are the
+    critical values themselves, which solve the edge equation to machine
+    precision.
 
     Returns
     -------
@@ -567,53 +563,14 @@ def support_edges(prior: PriorSpectrum, t: float, refine: bool = True):
             raise EdgeDetectionFailed(
                 f"inconsistent on/off pattern at t={t}: {edges}"
             )
-    refined = (
-        _refine_edges(prior, t, np.array([e for e, _ in edges]), zc)
-        if refine
-        else [e for e, _ in edges]
-    )
     intervals = tuple(
-        (refined[2 * i], refined[2 * i + 1]) for i in range(len(refined) // 2)
+        (edges[2 * i][0], edges[2 * i + 1][0]) for i in range(len(edges) // 2)
     )
     if prior.kind == "marchenko_pastur" and len(intervals) > 2:
         raise EdgeDetectionFailed(
             f"MP prior cannot have {len(intervals)} support intervals"
         )
     return intervals
-
-
-def _has_complex_pair(prior, t, x):
-    """Whether the branch polynomial at real z = x has a complex root pair.
-
-    Inside a window around a candidate edge that excludes every other
-    candidate this is an exact support indicator: branches collide and leave
-    the real axis precisely at the edge, and any other branch collision point
-    would be a candidate itself.  Unlike a density probe at x + i*eps it has
-    no offset bias.
-    """
-    roots = _all_roots(prior, t, np.asarray(x, dtype=complex))
-    return (roots.imag > 1e-7 * (1.0 + np.abs(roots))).any(axis=1)
-
-
-def _refine_edges(prior, t, e, zc):
-    """Bisection on the branch-collision indicator around all edges at once."""
-    gaps = np.diff(zc)
-    local = gaps.min() if gaps.size else 1.0
-    delta = np.minimum(1e-6 * (1.0 + np.abs(e)), 0.25 * local)
-    lo, hi = e - delta, e + delta
-    on = lambda x: _has_complex_pair(prior, t, x)
-    on_lo, on_hi = on(lo), on(hi)
-    # where the indicator does not flip across the window the candidate is
-    # already exact to machine precision; keep it as is
-    active = on_lo != on_hi
-    out = e.copy()
-    while np.any(active) and np.max(hi[active] - lo[active]) > 1e-10:
-        mid = 0.5 * (lo + hi)
-        same = on(mid[active]) == on_lo[active]
-        lo[active] = np.where(same, mid[active], lo[active])
-        hi[active] = np.where(same, hi[active], mid[active])
-    out[active] = 0.5 * (lo[active] + hi[active])
-    return out
 
 
 def _simpson_weights(n):
@@ -627,7 +584,7 @@ def _simpson_weights(n):
 
 @dataclasses.dataclass
 class SpectralDensity:
-    """Density of mu_t on its support, sampled on edge-refined grids.
+    """Density of mu_t on its support, sampled on edge-clustered grids.
 
     Per interval [l, u] the grid is x = l + (u - l) sin^2(theta) with theta
     uniform on [0, pi/2]; this clusters nodes at the square-root edges and
@@ -723,7 +680,6 @@ def density(
     t: float,
     n_nodes: int = DEFAULT_NODES,
     eps: float = DEFAULT_EPS,
-    refine_edges: bool = True,
 ) -> SpectralDensity:
     """Density of mu_t = prior (+) semicircle(t) on edge-adapted grids.
 
@@ -740,8 +696,6 @@ def density(
     ----------
     n_nodes : int
         Grid nodes per interval (odd; even values are bumped by one).
-    refine_edges : bool
-        Forwarded to `support_edges`; hot loops pass False.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -751,7 +705,7 @@ def density(
         if prior.kind != "marchenko_pastur":
             raise ValueError("t = 0 density is only available for the MP prior")
         return _mp_analytic_density(prior, n_nodes, eps)
-    intervals = support_edges(prior, t, refine=refine_edges)
+    intervals = support_edges(prior, t)
     xs, rhos, regs = [], [], []
     for l, u in intervals:
         theta = np.linspace(0.0, 0.5 * np.pi, n_nodes)
@@ -771,28 +725,61 @@ def density(
     )
 
 
-def hilbert(prior, t, lam, dens: SpectralDensity | None = None, eps: float = DEFAULT_EPS):
-    """Principal-value transform h(lam) = PV int rho(s)/(lam - s) ds.
+def _phi_prime(prior, t, g):
+    """phi'(g) = -t + 1/g^2 - sum_k p_k kappa a_k^2 / (kappa + g a_k)^2."""
+    out = 1.0 / g**2 - t
+    for a, p in prior.atoms:
+        out = out - p * prior.kappa * a * a / (prior.kappa + g * a) ** 2
+    return out
 
-    Equal to -Re g(lam + i*eps); valid at every real lam, on or off the
-    support.  When a SpectralDensity for the same (prior, t) is supplied its
-    stored grid is used inside the support and only off-support points are
-    solved fresh.
+
+def _real_branch(prior, t, x, eps):
+    """Physical g at real x off the support (vectorized).
+
+    There every root of P_x is real and g'(x) = int rho(s)/(s - x)^2 ds > 0,
+    so the physical g is a real root on which the inverse map phi increases.
+    Where that root is not unique, g is solved by homotopy at x + i*eps.
     """
+    coeffs = _coeffs_desc(prior, t, x)
+    roots = _all_roots(prior, t, x, coeffs)
+    with np.errstate(all="ignore"):
+        up = (np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots))) & (
+            _phi_prime(prior, t, roots.real) > 0.0
+        )
+    g = _newton_polish(coeffs, roots.real[np.arange(len(x)), np.argmax(up, axis=1)] + 0j)
+    unique = up.sum(axis=1) == 1
+    if not np.all(unique):
+        g[~unique] = _homotopy_solve(prior, t, x[~unique], eps)
+    return g
+
+
+def hilbert(prior, t, lam, dens: SpectralDensity | None = None, eps: float = DEFAULT_EPS):
+    """Principal-value transform h(lam) = PV int rho(s)/(lam - s) ds = -Re g,
+    solved at each eigenvalue lam, on or off the support.
+
+    On a support interval [l, u], g is the `_grid_branch` root at
+    lam + i*min(eps, 1e-5 (u - l)), the offset `density` uses on its grid.
+    Off the support it is the real root of `_real_branch`.  `dens`, a
+    density of the same (prior, t), only supplies the support intervals;
+    without it they are located here.
+    """
+    if dens is None:
+        dens = density(prior, t)
+    elif dens.prior != prior or dens.t != t:
+        raise ValueError("density does not match (prior, t)")
     lam = np.asarray(lam, dtype=float)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
-    out = np.empty(lam.shape)
-    if dens is not None:
-        vals = dens.interp(lam, dens.hilbert_on_grid())
-        inside = np.isfinite(vals)
-        out[inside] = vals[inside]
-    else:
-        inside = np.zeros(lam.shape, dtype=bool)
-    if np.any(~inside):
-        g = _homotopy_solve(prior, t, lam[~inside], eps)
-        out[~inside] = -g.real
-    return float(out[0]) if scalar else out
+    g = np.empty(lam.shape, dtype=complex)
+    off = np.ones(lam.shape, dtype=bool)
+    for l, u in dens.intervals:
+        on = (lam >= l) & (lam <= u)
+        if np.any(on):
+            g[on] = _grid_branch(prior, t, lam[on], min(eps, 1e-5 * (u - l)))
+            off &= ~on
+    if np.any(off):
+        g[off] = _real_branch(prior, t, lam[off], eps)
+    return float(-g.real[0]) if scalar else -g.real
 
 
 def log_potential(dens: SpectralDensity) -> float:
@@ -846,7 +833,7 @@ def log_potential(dens: SpectralDensity) -> float:
     return total
 
 
-def sigma_t_derivative(prior, t, n_nodes: int = DEFAULT_NODES) -> float:
+def sigma_t_derivative(prior, t) -> float:
     """d Sigma(mu_t) / dt = (2 pi^2 / 3) int rho_t^3.
 
     The identity follows from the Burgers evolution of the density under
@@ -855,4 +842,4 @@ def sigma_t_derivative(prior, t, n_nodes: int = DEFAULT_NODES) -> float:
     """
     if t <= 0:
         raise ValueError("sigma_t_derivative requires t > 0")
-    return (2.0 * np.pi**2 / 3.0) * density(prior, t, n_nodes=n_nodes).cube_integral()
+    return (2.0 * np.pi**2 / 3.0) * density(prior, t).cube_integral()

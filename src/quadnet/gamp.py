@@ -99,6 +99,8 @@ T_CEIL_FACTOR = 100.0
 # Division guard for g_out in the noiseless channel (tilde_delta = 0).
 V_FLOOR = 1e-10
 
+# Divergence guard: the residual mean square m2 stays above this factor times
+# its value expected at the initialization for this many iterations in a row.
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_PATIENCE = 20
 
@@ -116,7 +118,7 @@ RESIDUAL_RATIO_MAX = 3.0
 
 
 class Diverged(RuntimeError):
-    """The error trace grew an order of magnitude beyond its starting point."""
+    """The residual mean square grew an order of magnitude beyond its starting value."""
 
 
 @dataclasses.dataclass
@@ -218,10 +220,11 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
     final iterate: the algorithm's own output, never picked with the
     teacher.  ``state.converged`` says whether the teacher-free stop rule
     fired with the residual check passing (see the module docstring).
-    ``s_star`` fills ``mse_trace`` with the teacher error in place of the
-    residual mean square m2.  Raises ``Diverged`` when the trace metric
-    exceeds ``DIVERGENCE_FACTOR`` times its initial value for
-    ``DIVERGENCE_PATIENCE`` consecutive iterations.
+    ``s_star`` only fills ``mse_trace`` with the teacher error in place of
+    the residual mean square m2.  Raises ``Diverged`` when m2 exceeds
+    ``DIVERGENCE_FACTOR`` times its expected value at the initialization,
+    tilde_delta + c_hat^0, for ``DIVERGENCE_PATIENCE`` consecutive
+    iterations.
     """
     opts = opts or GampOptions()
     prior = params.prior
@@ -245,16 +248,12 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         R=S, iter=0, mse_trace=[], a_trace=[], v_trace=[], c_trace=[],
     )
 
-    def error_metric(S_cur, m2):
-        if opts.s_star is not None:
-            return matrix_mse(S_cur, opts.s_star, params.kappa)
-        return m2
-
     beta_max = 1.0 - opts.damping
     beta = beta_max
     g_bar = A_bar = S_bar = None  # damped averages, set by the first step
     last = None  # state the last step was taken from, and its channel outputs
     fp_res = fp_prev = np.inf  # fixed-point residuals of the last two steps
+    m2_start = td + c  # m2 expected at the initialization
     n_over = 0
     for it in range(1, opts.max_iter + 1):
         undo = last is not None and beta > STEP_MIN and fp_res > fp_prev
@@ -295,8 +294,9 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         S_new, c_new = _denoise_step(prior, t_lvl, R)
         fp_res = float(np.linalg.norm(S_new - S_bar))
 
-        err = error_metric(S_new, m2)
-        state.mse_trace.append(err)
+        state.mse_trace.append(
+            m2 if opts.s_star is None else matrix_mse(S_new, opts.s_star, params.kappa)
+        )
         state.a_trace.append(A_bar)
         state.v_trace.append(c)
         state.c_trace.append(c_new)
@@ -305,12 +305,12 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         state.iter = it
         S, c = S_new, c_new
 
-        if state.mse_trace[0] > 0 and err > DIVERGENCE_FACTOR * state.mse_trace[0]:
+        if m2_start > 0 and m2 > DIVERGENCE_FACTOR * m2_start:
             n_over += 1
             if n_over >= DIVERGENCE_PATIENCE:
                 raise Diverged(
-                    f"error {err:.3g} stayed above {DIVERGENCE_FACTOR:g}x the "
-                    f"initial {state.mse_trace[0]:.3g} for {n_over} iterations"
+                    f"residual mean square {m2:.3g} stayed above {DIVERGENCE_FACTOR:g}x"
+                    f" its starting value {m2_start:.3g} for {n_over} iterations"
                 )
         else:
             n_over = 0

@@ -14,7 +14,9 @@ per matrix entry (times d) is
     F_RIE(delta) = delta - (4 pi^2 / 3) delta^2 * int rho_delta^3,
 
 equivalently delta - 4 delta^2 * int rho_delta h_delta^2; both forms are
-computed and cross-checked on every call.
+computed and cross-checked on every call.  The shrinker solves h_delta at
+each eigenvalue (`freeprob.hilbert`); the error uses a density of rho_delta
+on `freeprob`'s default grid.
 """
 
 import dataclasses
@@ -23,8 +25,6 @@ import numpy as np
 
 from . import freeprob
 from .freeprob import PriorSpectrum, SpectralDensity
-
-DEFAULT_TABLE_NODES = 4001
 
 
 class EigenFailure(RuntimeError):
@@ -39,10 +39,8 @@ class FormMismatch(RuntimeError):
 class DenoiseSpec:
     """Prior + noise level, with the spectral density of the observation cached.
 
-    The cached density provides the interpolation table for the Hilbert
-    transform on the support (`shrink` is called once per eigenvalue inside
-    iterative algorithms); off-support eigenvalues fall back to direct
-    Stieltjes evaluation.
+    The cached density gives F_RIE (`mmse`) and the support intervals that
+    `shrink` hands to `freeprob.hilbert`, which solves h at each eigenvalue.
     """
 
     prior: PriorSpectrum
@@ -56,12 +54,10 @@ class DenoiseSpec:
             raise ValueError("cached density does not match (prior, delta)")
 
     @classmethod
-    def create(
-        cls, prior: PriorSpectrum, delta: float, n_nodes: int = DEFAULT_TABLE_NODES
-    ) -> "DenoiseSpec":
+    def create(cls, prior: PriorSpectrum, delta: float) -> "DenoiseSpec":
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        return cls(prior=prior, delta=delta, rho=freeprob.density(prior, delta, n_nodes=n_nodes))
+        return cls(prior=prior, delta=delta, rho=freeprob.density(prior, delta))
 
 
 def shrink(spec: DenoiseSpec, lam):
@@ -100,7 +96,7 @@ def mmse_forms(spec: DenoiseSpec) -> tuple[float, float]:
 
     Primary form: delta - (4 pi^2 / 3) delta^2 int rho^3.  Secondary form:
     delta - 4 delta^2 int rho h^2 with h the Hilbert transform on the grid.
-    Their agreement validates the quadrature and the h table at once.
+    Their agreement validates the quadrature and the h values on the grid.
     """
     delta = spec.delta
     rho = spec.rho

@@ -27,7 +27,6 @@ from scipy import optimize
 from . import freeprob
 from .freeprob import PriorSpectrum
 
-SOLVER_NODES = 801
 # q_hat beyond this is numerically indistinguishable from the perfect-recovery
 # fixed point at infinity (MMSE ~ 2 alpha kappa / q_hat < 1e-8)
 QHAT_MAX = 1e9
@@ -136,8 +135,7 @@ class SEFixedPoint:
 
 
 def _cube(prior, t):
-    dens = freeprob.density(prior, t, n_nodes=SOLVER_NODES, refine_edges=False)
-    return dens.cube_integral()
+    return freeprob.density(prior, t).cube_integral()
 
 
 def _fixed_point_lhs_minus_rhs(params, q_hat):
@@ -153,9 +151,9 @@ def _fixed_point_lhs_minus_rhs(params, q_hat):
 def _f_rie(prior, t):
     """Denoising error t - (4 pi^2 / 3) t^2 int mu_t^3 (resolvent route).
 
-    A deliberately separate implementation from `matdenoise.mmse`, which the
-    iterative state evolution uses; the two routes are cross-checked in the
-    tests.
+    Shares the density build with `matdenoise.mmse`, which the iterative
+    state evolution uses, but not its formula: `mmse` also checks the
+    Hilbert-transform form.  The two routes are cross-checked in the tests.
     """
     return t - (4.0 * np.pi**2 / 3.0) * t**2 * _cube(prior, t)
 
@@ -271,7 +269,7 @@ def _inner_conjugate(params, q):
     return 1.0 / math.exp(v_star)
 
 
-def overlap_rate(params: ProblemParams, q: float, n_nodes: int = SOLVER_NODES) -> float:
+def overlap_rate(params: ProblemParams, q: float) -> float:
     """I(q): the prior-side rate function of the overlap.
 
     inf over q_hat >= 0 of (Q0-q) q_hat/4 - Sigma(mu_{1/q_hat})/2
@@ -284,9 +282,7 @@ def overlap_rate(params: ProblemParams, q: float, n_nodes: int = SOLVER_NODES) -
     q = min(q, params.q0 - 1e-9 * span)
     q_hat = _inner_conjugate(params, q)
     t = 1.0 / q_hat
-    sigma = freeprob.log_potential(
-        freeprob.density(params.prior, t, n_nodes=n_nodes, refine_edges=False)
-    )
+    sigma = freeprob.log_potential(freeprob.density(params.prior, t))
     return (
         0.25 * (params.q0 - q) * q_hat
         - 0.5 * sigma
@@ -295,7 +291,7 @@ def overlap_rate(params: ProblemParams, q: float, n_nodes: int = SOLVER_NODES) -
     )
 
 
-def free_entropy(params: ProblemParams, q: float, n_nodes: int = SOLVER_NODES) -> float:
+def free_entropy(params: ProblemParams, q: float) -> float:
     """F(q) = I(q) - (alpha/2) log[tilde_delta + 2 (Q0 - q)].
 
     The asymptotic overlap is the maximizer of F over [q_min, Q0].  At the
@@ -310,7 +306,7 @@ def free_entropy(params: ProblemParams, q: float, n_nodes: int = SOLVER_NODES) -
     channel = -0.5 * params.alpha * math.log(
         params.tilde_delta + 2.0 * (params.q0 - q)
     )
-    return overlap_rate(params, q, n_nodes=n_nodes) + channel
+    return overlap_rate(params, q) + channel
 
 
 def perfect_recovery_threshold(kappa: float) -> float:

@@ -166,6 +166,16 @@ class TestGamp:
         assert float(cell[0]["mse_mean"]) == pytest.approx(mean, rel=1e-9)
         assert cell[0]["mse_stderr"] == cell[1]["mse_stderr"]
 
+    def test_key_columns_formatted_like_other_commands(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"d": 20, "kappa": 0.5, "alpha_min": 0.2, "alpha_max": 0.4,
+                                   "alpha_steps": 3, "n_seeds": 1, "max_iter": 2}))
+        rc, out, _ = run_cli(["gamp", "--config", str(cfg)], capsys)
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert [(r["alpha"], r["kappa"], r["delta"]) for r in rows] == [
+            ("0.2", "0.5", "0"), ("0.3", "0.5", "0"), ("0.4", "0.5", "0")]
+
 
 class TestDenoiseMc:
     def test_mc_close_to_theory_small_d(self, capsys):

@@ -199,10 +199,16 @@ class TestSupportEdges:
         assert np.max(np.abs(found - edges)) < (xs[1] - xs[0])
 
     def test_refinement_confirms_candidates(self):
+        # each edge is where the branch polynomial's roots leave the real
+        # axis: a non-real root just inside it and none just outside
         for prior, t in [(MP05, 0.5), (MP05, 0.01), (CP3, 0.05)]:
-            a = np.ravel(support_edges(prior, t, refine=True))
-            b = np.ravel(support_edges(prior, t, refine=False))
-            assert np.max(np.abs(a - b)) < 1e-9
+            for l, u in support_edges(prior, t):
+                for e, inward in ((l, 1.0), (u, -1.0)):
+                    step = 1e-9 * (1.0 + abs(e))
+                    inside, outside = fp._has_nonreal_root(
+                        prior, t, np.array([e + inward * step, e - inward * step])
+                    )
+                    assert inside and not outside, (prior, t, e)
 
     def test_multi_atom_prior_can_have_three_intervals(self):
         # kappa < 1 with well-separated atom values: a narrow bulk at zero
@@ -251,9 +257,9 @@ class TestSharedCoefficients:
 
         monkeypatch.setattr(fp, "_coeffs_desc", recording_coeffs)
         monkeypatch.setattr(fp, "_newton_polish", checked_polish)
-        dens = density(prior, t, n_nodes=201, refine_edges=False)
+        dens = density(prior, t, n_nodes=201)
         edges = np.array(dens.intervals).ravel()
-        # beyond both ends and in every gap: solved by homotopy
+        # beyond both ends and in every gap: solved off the support
         gaps = 0.5 * (edges[1:-1:2] + edges[2::2])
         off = np.concatenate([[edges[0] - 1.0, edges[-1] + 1.0], gaps])
         fp.hilbert(prior, t, off, dens=dens)
@@ -360,7 +366,7 @@ class TestDensityInvariants:
         off = []
         for prior in priors:
             for t in np.geomspace(1e-8, 10.0, 12):
-                mass = density(prior, t, n_nodes=401, refine_edges=False).mass()
+                mass = density(prior, t, n_nodes=401).mass()
                 if not abs(mass - 1.0) < 1e-2:
                     off.append((prior.kappa, prior.atoms, t, mass))
         assert not off, off
@@ -429,6 +435,13 @@ class TestHilbert:
         h = fp.hilbert(prior, t, lam, dens=dens)
         for i in range(len(lam)):
             assert h[i] == pytest.approx(pv_pairing_oracle(dens, lam[i]), abs=1e-4)
+
+    def test_rejects_density_of_another_prior_or_t(self):
+        dens = density(MP05, 0.25)
+        with pytest.raises(ValueError):
+            fp.hilbert(MP05, 0.5, 1.0, dens=dens)
+        with pytest.raises(ValueError):
+            fp.hilbert(MP20, 0.25, 1.0, dens=dens)
 
     def test_with_and_without_precomputed_density_agree(self):
         dens = density(MP05, 0.25, n_nodes=2001)

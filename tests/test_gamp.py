@@ -93,7 +93,7 @@ class TestRunBasics:
         assert np.array_equal(S1, S2)
         assert st1.mse_trace == st2.mse_trace
 
-    def test_teacher_does_not_steer_the_run(self):
+    def test_teacher_does_not_steer_the_run(self, monkeypatch):
         # s_star only fills mse_trace: the returned estimate, the iteration
         # count and the stop reason must not depend on it
         params = ProblemParams(alpha=0.3, kappa=0.5)
@@ -105,6 +105,23 @@ class TestRunBasics:
         assert np.array_equal(S1, st1.S_hat)
         assert st1.iter == st2.iter
         assert st1.stop_reason == st2.stop_reason
+
+        # nor whether the divergence guard fires
+        monkeypatch.setattr(gamp, "DIVERGENCE_FACTOR", 0.9)
+        monkeypatch.setattr(gamp, "DIVERGENCE_PATIENCE", 2)
+        params = ProblemParams(alpha=0.15, kappa=0.5)
+        inst = model.generate(d=60, kappa=0.5, alpha=0.15, delta=0.0, seed=9)
+        dataset = model.reduce(inst)
+
+        def outcome(s_star):
+            try:
+                S, st = gamp.run(dataset, params,
+                                 gamp.GampOptions(max_iter=10, seed=9, s_star=s_star))
+            except gamp.Diverged as exc:
+                return "diverged", str(exc)
+            return "returned", S.tobytes(), st.iter, st.stop_reason
+
+        assert outcome(inst.S_star) == outcome(None)
 
     def test_option_validation(self):
         with pytest.raises(ValueError):

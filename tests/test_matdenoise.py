@@ -11,14 +11,16 @@ import pytest
 from quadnet import freeprob as fp
 from quadnet import matdenoise as md
 from quadnet.freeprob import PriorSpectrum
+from quadnet.gamp import sample_prior
 
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
+CP3 = PriorSpectrum.compound_poisson(0.7, ((0.5, 0.3), (1.0, 0.4), (2.0, 0.3)))
 SEMICIRCLE_PRIOR = PriorSpectrum.compound_poisson(1.0, ((0.0, 1.0),))
 
 
 class TestDenoiseSpec:
     def test_create_caches_matching_density(self):
-        spec = md.DenoiseSpec.create(MP05, 0.5, n_nodes=801)
+        spec = md.DenoiseSpec.create(MP05, 0.5)
         assert spec.rho.t == 0.5
         assert spec.rho.prior == MP05
         assert spec.rho.mass() == pytest.approx(1.0, abs=1e-4)
@@ -77,6 +79,43 @@ class TestShrink:
             assert overlap == pytest.approx(md.shrink(spec, lam0), rel=0.05)
 
 
+class TestExactShrinker:
+    @pytest.mark.parametrize("d", [100, 500])
+    @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
+    def test_hilbert_matches_homotopy_at_every_eigenvalue(self, monkeypatch, prior, d):
+        # h is solved at each sampled eigenvalue, on the support and off it;
+        # the oracle is the homotopy from high in the upper half plane, at
+        # the offset hilbert uses.  MP priors never need the homotopy fallback
+        oracle = fp._homotopy_solve
+
+        def refuse(*args):
+            raise AssertionError("homotopy fallback used")
+
+        rng = np.random.default_rng(d)
+        n_off = 0
+        for delta in (0.05, 0.1, 0.5, 1.0):
+            S = sample_prior(prior, d, rng)
+            lam = np.linalg.eigvalsh(S + np.sqrt(delta) * md.sample_goe(d, rng))
+            spec = md.DenoiseSpec.create(prior, delta)
+            with monkeypatch.context() as m:
+                if prior.kind == "marchenko_pastur":
+                    m.setattr(fp, "_homotopy_solve", refuse)
+                h = fp.hilbert(prior, delta, lam, dens=spec.rho)
+            ref = np.empty_like(lam)
+            off = np.ones(lam.shape, dtype=bool)
+            for l, u in spec.rho.intervals:
+                on = (lam >= l) & (lam <= u)
+                off &= ~on
+                if np.any(on):
+                    eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+                    ref[on] = -oracle(prior, delta, lam[on], eps).real
+            if np.any(off):
+                ref[off] = -oracle(prior, delta, lam[off], fp.DEFAULT_EPS).real
+                n_off += int(off.sum())
+            assert np.max(np.abs(h - ref)) < 1e-8, delta
+        assert n_off > 0
+
+
 class TestDenoiseMatrix:
     def test_isotropic_matrix(self):
         spec = md.DenoiseSpec.create(MP05, 0.5)
@@ -122,7 +161,7 @@ class TestMmse:
     def test_monotone_and_bounded(self, kappa):
         prior = PriorSpectrum.marchenko_pastur(kappa)
         deltas = [0.01, 0.1, 0.5, 1.0, 2.0, 4.0]
-        vals = [md.mmse(md.DenoiseSpec.create(prior, d, n_nodes=801)) for d in deltas]
+        vals = [md.mmse(md.DenoiseSpec.create(prior, d)) for d in deltas]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         for d, v in zip(deltas, vals):
             assert 0.0 < v <= min(d, 1.0 / kappa) + 1e-9

@@ -309,9 +309,7 @@ class TestFreeEntropy:
         params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
         q = params.q_min + 0.4 * (params.q0 - params.q_min)
         q_hat = se._inner_conjugate(params, q)
-        dens = freeprob.density(
-            params.prior, 1.0 / q_hat, n_nodes=801, refine_edges=False
-        )
+        dens = freeprob.density(params.prior, 1.0 / q_hat)
         res = (
             0.25 * (params.q0 - q)
             + (np.pi**2 / 3.0) * dens.cube_integral() / q_hat**2
