@@ -741,11 +741,10 @@ def _real_branch(prior, t, x, eps):
     Where that root is not unique, g is solved by homotopy at x + i*eps.
     """
     coeffs = _coeffs_desc(prior, t, x)
-    roots = _all_roots(prior, t, x, coeffs)
+    # exactly real where real: see `_has_nonreal_root`
+    roots = _companion_roots(coeffs.real)
     with np.errstate(all="ignore"):
-        up = (np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots))) & (
-            _phi_prime(prior, t, roots.real) > 0.0
-        )
+        up = (roots.imag == 0.0) & (_phi_prime(prior, t, roots.real) > 0.0)
     g = _newton_polish(coeffs, roots.real[np.arange(len(x)), np.argmax(up, axis=1)] + 0j)
     unique = up.sum(axis=1) == 1
     if not np.all(unique):

@@ -230,7 +230,6 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
     prior = params.prior
     td = dataset.tilde_delta
     d, n = dataset.d, dataset.n
-    rng = np.random.default_rng(opts.seed)
     y = dataset.y_tilde
     share = _variance_share(dataset)
     # three sampling standard errors of a mean of n squared Gaussians
@@ -240,7 +239,8 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         S = prior_mean(prior, d)
         c = 2.0 * prior.variance
     else:
-        S = sample_prior(prior, d, rng)
+        # keyed stream so a shared seed never replays the teacher's weight draw
+        S = sample_prior(prior, d, np.random.default_rng([opts.seed, 0x4741]))
         c = 4.0 * prior.variance
 
     state = GampState(

@@ -65,8 +65,8 @@ class GdConfig:
 
 
 def _residual(W, X, y, m, d):
-    P = X @ W.T / np.sqrt(d)
-    return y - (P * P).sum(axis=1) / m, P
+    P = X @ (W.T / np.sqrt(d))
+    return y - np.einsum("ij,ij->i", P, P) / m, P
 
 
 def risk(W, instance: TeacherInstance, l2: float = 0.0) -> float:
@@ -78,7 +78,7 @@ def risk(W, instance: TeacherInstance, l2: float = 0.0) -> float:
 def risk_gradient(W, instance: TeacherInstance, l2: float = 0.0) -> np.ndarray:
     """dR/dW on the instance's dataset."""
     r, P = _residual(W, instance.X, instance.y, instance.m, instance.d)
-    grad = -(P * r[:, None]).T @ instance.X / (instance.m * np.sqrt(instance.d))
+    grad = (P * (r / (-instance.m * np.sqrt(instance.d)))[:, None]).T @ instance.X
     if l2:
         grad = grad + l2 * W
     return grad
@@ -89,7 +89,6 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
     cfg = cfg or GdConfig()
     m, d = instance.m, instance.d
     X, y = instance.X, instance.y
-    sq = np.sqrt(d)
     lr0 = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(d)
     # keyed stream so a shared seed never replays the teacher's weight draw
     rng = np.random.default_rng([cfg.seed, 0x4744])
@@ -105,7 +104,7 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
     trace = [loss]
     lr = lr0
     for _ in range(cfg.max_steps):
-        grad = -(P * r[:, None]).T @ X / (m * sq)
+        grad = (P * (r / (-m * np.sqrt(d)))[:, None]).T @ X
         if cfg.l2:
             grad = grad + cfg.l2 * W
         gnorm = float(np.linalg.norm(grad))

@@ -108,11 +108,10 @@ class SEFixedPoint:
     free_entropy : float
         F(q), NaN when the solve skipped it, inf past perfect recovery.
     iterations : int
-        Evaluation points of the fixed-point map visited by the bracket
-        search plus the `brentq` iterations.  This is not the number of
-        density builds: each point is evaluated once, and `brentq`'s two
-        endpoint evaluations are points the bracket search has already
-        built.
+        Points of the fixed-point map probed by the doubling-step bracket
+        search (`QHAT_MAX` itself included) plus the `brentq` iterations.
+        Not the number of density builds: each point is built once, and
+        `brentq`'s two endpoint evaluations are the search's last two probes.
     residual : float
         |lhs - rhs| of the fixed-point equation at the returned root
         (0 past perfect recovery).
@@ -158,43 +157,51 @@ def _f_rie(prior, t):
     return t - (4.0 * np.pi**2 / 3.0) * t**2 * _cube(prior, t)
 
 
+def _gallop(f, x, x_max=math.inf):
+    """Bracket the root of f, negative below it and positive above.
+
+    Exponential search (Bentley and Yao 1976): from x, probe in the direction
+    the sign of f points with steps 1, 2, 4, ..., upward probes clamped at
+    x_max.  Returns the last two probes (lo, hi), f(lo) <= 0 <= f(hi), or None
+    when f(x_max) < 0.  Ten doublings pass the float range of e^x.
+    """
+    f_x, prev, step = f(x), x, 1.0
+    down = f_x > 0.0
+    while (f_x > 0.0) if down else (f_x < 0.0):
+        if x == x_max:
+            return None
+        if step > 512.0:
+            raise NoConvergence(f"no sign change in 10 doubling steps, last probe {x}")
+        prev, x = x, (x - step if down else min(x + step, x_max))
+        f_x = f(x)
+        step *= 2.0
+    return (x, prev) if down else (prev, x)
+
+
 def solve_qhat(params: ProblemParams, with_free_entropy: bool = True) -> SEFixedPoint:
     """Solve the fixed-point equation for q_hat and assemble the MMSE.
 
-    The root is bracketed and solved in log q_hat starting from the
-    initialization q_hat = 2 alpha / Q0.  Each point of the map, one
-    density build, is evaluated once per call: the bracket ends handed to
-    `brentq` and the root checked for its residual are not rebuilt.  In the
-    noiseless supercritical regime (no root below QHAT_MAX) the
-    perfect-recovery fixed point is returned: q_hat = inf, MMSE = 0, q = Q0.
+    The root is bracketed in log q_hat by doubling steps from the
+    initialization q_hat = 2 alpha / Q0 up to QHAT_MAX, which is probed itself
+    (`_gallop`), and solved by `brentq`.  Each point of the map, one density
+    build, is evaluated once per call: the bracket ends handed to `brentq`
+    and the root checked for its residual are not rebuilt.  In the noiseless
+    supercritical regime (no root below QHAT_MAX) the perfect-recovery fixed
+    point is returned: q_hat = inf, MMSE = 0, q = Q0.  The free entropy takes
+    q_hat as the inner conjugate of q, which it is at the fixed point.
     """
     if not params.alpha > 0:
         raise ValueError("solve_qhat requires alpha > 0")
     # brentq evaluates the bracket ends again and the residual check the
-    # root brentq returns; the cache, local to this call, saves those builds
+    # root brentq returns; the cache, local to this call, saves those builds.
+    # g(q_hat -> 0) = -2 alpha < 0, so a sign change below always exists
     g = functools.cache(lambda u: _fixed_point_lhs_minus_rhs(params, math.exp(u)))
-    u0 = math.log(2.0 * params.alpha / params.q0)
-    evals = 0
-    lo, g_lo = u0, g(u0)
-    evals += 1
-    while g_lo > 0.0:
-        # g(q_hat -> 0) = -2 alpha < 0, so a sign change below always exists
-        lo -= 2.0
-        g_lo = g(lo)
-        evals += 1
-        if evals > 60:
-            raise NoConvergence("lower bracket expansion failed")
-    hi, g_hi = lo, g_lo
-    while g_hi < 0.0:
-        hi += 1.0
-        if hi > math.log(QHAT_MAX):
-            return _perfect_recovery_point(params, evals)
-        g_hi = g(hi)
-        evals += 1
-    if lo == hi:
-        lo = hi - 1.0
+    bracket = _gallop(g, math.log(2.0 * params.alpha / params.q0), math.log(QHAT_MAX))
+    evals = g.cache_info().currsize
+    if bracket is None:
+        return _perfect_recovery_point(params, evals)
     u_star, info = optimize.brentq(
-        g, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200, full_output=True
+        g, *bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200, full_output=True
     )
     if not info.converged:
         raise NoConvergence(f"brentq did not converge: {info.flag}")
@@ -215,7 +222,9 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = True) -> SEFixed
         )
     mmse = min(max(mmse_raw, 0.0), params.mmse_max)
     q = params.q0 - mmse / params.kappa
-    fe = free_entropy(params, q) if with_free_entropy else float("nan")
+    # the equation says F_RIE(1 / q_hat) = Q0 - q_raw: unclipped, q_hat is q's conjugate
+    conjugate = q_hat if q == q_raw else None
+    fe = _free_entropy(params, q, conjugate) if with_free_entropy else float("nan")
     return SEFixedPoint(
         q=q,
         q_hat=q_hat,
@@ -241,31 +250,13 @@ def _perfect_recovery_point(params, evals):
 
 def _inner_conjugate(params, q):
     """q_hat realizing the inner infimum of I(q): solves F_RIE(1/q_hat) = Q0 - q."""
-    target = params.q0 - q
-    # local to this call: brentq re-evaluates the bracket ends
+    target, var = params.q0 - q, params.q0 - params.q_min
+    # local to this call: brentq re-evaluates the bracket ends.  F_RIE is
+    # increasing in t from 0 to the prior variance, and at most var t / (var + t),
+    # the linear estimator's error, so the root lies above where that equals target
     g = functools.cache(lambda v: _f_rie(params.prior, math.exp(v)) - target)
-    v = math.log(max(target, 1e-12))
-    g_v = g(v)
-    lo, hi = v, v
-    g_lo = g_hi = g_v
-    n = 0
-    # F_RIE is increasing in t from 0 to the prior variance, so expand in the
-    # direction indicated by the sign
-    while g_lo > 0.0:
-        lo -= 1.0
-        g_lo = g(lo)
-        n += 1
-        if n > 80:
-            raise NoConvergence("inner conjugate bracket (low) failed")
-    while g_hi < 0.0:
-        hi += 1.0
-        g_hi = g(hi)
-        n += 1
-        if n > 80:
-            raise NoConvergence("inner conjugate bracket (high) failed")
-    if lo == hi:
-        return 1.0 / math.exp(lo)
-    v_star = optimize.brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    bracket = _gallop(g, math.log(max(target * var / (var - target), 1e-12)))
+    v_star = optimize.brentq(g, *bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200)
     return 1.0 / math.exp(v_star)
 
 
@@ -276,13 +267,18 @@ def overlap_rate(params: ProblemParams, q: float) -> float:
     - log(q_hat)/4 - 1/8, with Sigma the log potential.  Zero at q = q_min;
     the infimum is attained at the conjugate returned by the inner solve.
     """
+    return _overlap_rate(params, q)
+
+
+def _overlap_rate(params, q, q_hat=None):
+    """`overlap_rate`, taking q_hat as the conjugate of q when given."""
     span = params.q0 - params.q_min
     if q <= params.q_min + 1e-12 * span:
         return 0.0
     q = min(q, params.q0 - 1e-9 * span)
-    q_hat = _inner_conjugate(params, q)
-    t = 1.0 / q_hat
-    sigma = freeprob.log_potential(freeprob.density(params.prior, t))
+    if q_hat is None:
+        q_hat = _inner_conjugate(params, q)
+    sigma = freeprob.log_potential(freeprob.density(params.prior, 1.0 / q_hat))
     return (
         0.25 * (params.q0 - q) * q_hat
         - 0.5 * sigma
@@ -299,14 +295,20 @@ def free_entropy(params: ProblemParams, q: float) -> float:
     relative 1e-9 inside the boundary, which preserves the (in)finite-ness
     competition between the two terms.
     """
+    return _free_entropy(params, q)
+
+
+def _free_entropy(params, q, q_hat=None):
+    """`free_entropy`, taking q_hat as the conjugate of q when given."""
     if not (params.q_min - 1e-9 <= q <= params.q0 + 1e-9):
         raise ValueError(f"q={q} outside [{params.q_min}, {params.q0}]")
     span = params.q0 - params.q_min
-    q = min(max(q, params.q_min), params.q0 - 1e-9 * span)
+    q_in = min(max(q, params.q_min), params.q0 - 1e-9 * span)
     channel = -0.5 * params.alpha * math.log(
-        params.tilde_delta + 2.0 * (params.q0 - q)
+        params.tilde_delta + 2.0 * (params.q0 - q_in)
     )
-    return overlap_rate(params, q) + channel
+    # a q moved inside the boundary has a conjugate of its own
+    return _overlap_rate(params, q_in, q_hat if q_in == q else None) + channel
 
 
 def perfect_recovery_threshold(kappa: float) -> float:

@@ -443,6 +443,23 @@ class TestHilbert:
         with pytest.raises(ValueError):
             fp.hilbert(MP20, 0.25, 1.0, dens=dens)
 
+    def test_off_support_root_next_to_an_edge_is_real(self, monkeypatch):
+        # 0.1 beyond the right edge at kappa=0.001 two roots of P_lam lie
+        # 3e-6 apart; the physical one, phi' > 0, must come out real and
+        # need no homotopy (Cardano returns the pair as complex)
+        prior, t, lam = PriorSpectrum.marchenko_pastur(0.001), 0.178, 1064.35
+        dens = density(prior, t)
+        assert 0.0 < lam - dens.intervals[-1][1] < 0.11
+
+        def refuse(*args):
+            raise AssertionError("homotopy fallback used")
+
+        monkeypatch.setattr(fp, "_homotopy_solve", refuse)
+        roots = np.roots(fp._coeffs_desc(prior, t, lam)[0].real)
+        up = roots[(roots.imag == 0.0) & (fp._phi_prime(prior, t, roots.real) > 0.0)]
+        assert len(up) == 1
+        assert fp.hilbert(prior, t, lam, dens=dens) == pytest.approx(-up[0].real, rel=1e-12)
+
     def test_with_and_without_precomputed_density_agree(self):
         dens = density(MP05, 0.25, n_nodes=2001)
         lam = np.array([0.5, 1.0, 3.0, -2.0, 7.0])

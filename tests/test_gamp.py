@@ -143,6 +143,25 @@ class TestRunBasics:
         # sample init starts with the variance of an independent draw
         assert best["sample"] == pytest.approx(best["mean"], abs=0.03)
 
+    def test_sample_init_is_not_the_teacher(self, monkeypatch):
+        # the teacher and the run share one seed; the start must still be an
+        # independent draw, with error about twice the prior variance
+        params = ProblemParams(alpha=0.3, kappa=0.5)
+        inst = model.generate(d=60, kappa=0.5, alpha=0.3, delta=0.0, seed=21)
+        starts = []
+        draw = gamp.sample_prior
+
+        def recording(*args):
+            starts.append(draw(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(gamp, "sample_prior", recording)
+        opts = gamp.GampOptions(max_iter=1, seed=21, init="sample")
+        gamp.run(model.reduce(inst), params, opts)
+        assert len(starts) == 1
+        err = np.sum((starts[0] - inst.S_star) ** 2) / 60
+        assert err == pytest.approx(2.0 * params.prior.variance, rel=0.2)
+
     def test_no_data_regime_stays_at_prior_mean(self):
         # a single observation carries no usable signal; the estimate must
         # remain at the prior mean instead of amplifying channel noise

@@ -144,15 +144,24 @@ class TestSolveQhat:
     )
     def test_each_point_built_once(self, monkeypatch, alpha, kappa, delta, status):
         # brentq evaluates its bracket ends again and the residual check
-        # evaluates the root brentq returned; neither may rebuild a density
+        # evaluates the root brentq returned; neither may rebuild a density.
+        # Doubling steps reach QHAT_MAX in a few probes (unit steps took 22)
         params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
         reference = se.solve_qhat(params, with_free_entropy=False)
         ts = _record_density_builds(monkeypatch)
         fp = se.solve_qhat(params, with_free_entropy=False)
         assert fp.status == status
-        assert len(ts) > 0
+        assert 0 < len(ts) <= 8
         assert len(set(ts)) == len(ts)
         assert repr(fp) == repr(reference)
+
+    def test_se_curve_build_budget(self, monkeypatch):
+        # the README se-curve grid; unit-step brackets took 626 builds
+        ts = _record_density_builds(monkeypatch)
+        for kappa in (0.5, 1.0):
+            for alpha in np.linspace(0.05, 0.6, 23):
+                se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
+        assert len(ts) <= 400
 
     def test_threshold_scan_matches_closed_form(self):
         a_cross = se.threshold_alpha(0.5)
@@ -171,6 +180,32 @@ class TestSolveQhat:
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValueError):
             se.solve_qhat(ProblemParams(alpha=0.0, kappa=1.0))
+
+
+class TestGallop:
+    def test_doubling_steps_bracket_the_root(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return x - 100.0
+
+        assert se._gallop(f, 0.0) == (63.0, 127.0)
+        assert probes == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0]
+        assert se._gallop(f, 200.0) == (73.0, 137.0)
+        assert se._gallop(f, 100.0) == (100.0, 100.0)
+
+    def test_clamped_probe_is_the_last(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return -1.0
+
+        assert se._gallop(f, 0.0, x_max=50.0) is None
+        assert probes[-2:] == [31.0, 50.0]
+        with pytest.raises(se.NoConvergence):
+            se._gallop(f, 0.0)
 
 
 class TestFixedPointEquivalence:
@@ -329,6 +364,18 @@ class TestFreeEntropy:
         assert len(inner) > 0
         assert len(set(inner)) == len(inner)
         assert value == reference
+
+    def test_fixed_point_reuses_conjugate(self, monkeypatch):
+        # at the fixed point q_hat is the inner conjugate of q, so the free
+        # entropy costs one build (its log potential), not a second solve
+        params = ProblemParams(alpha=0.3, kappa=1.0, delta=0.1)
+        ts = _record_density_builds(monkeypatch)
+        se.solve_qhat(params, with_free_entropy=False)
+        n_without = len(ts)
+        fp = se.solve_qhat(params, with_free_entropy=True)
+        assert len(ts) - n_without <= n_without + 1
+        # the value of the separate inner solve
+        assert fp.free_entropy == pytest.approx(-0.09237861822531546, rel=1e-12)
 
     def test_rate_vanishes_at_data_free_overlap(self):
         params = ProblemParams(alpha=0.3, kappa=1.0)
