@@ -95,7 +95,7 @@ class SeCurve(_AlphaGrid):
     def cell(self, alpha, kappa):
         """The phase-diagram cell; se-curve leaves out its last value."""
         params = ProblemParams(alpha=alpha, kappa=kappa, delta=self.delta)
-        fp = solve_qhat(params, with_free_entropy=False)
+        fp = solve_qhat(params)
         return fp.mmse, fp.q, fp.q_hat, perfect_recovery_threshold(kappa)
 
 
@@ -119,7 +119,7 @@ class _Teacher(_AlphaGrid):
     def teacher(self, alpha, seed):
         """A cell's problem, its state-evolution fixed point and its instance."""
         params = ProblemParams(alpha=alpha, kappa=self.kappa, delta=self.delta)
-        fp = solve_qhat(params, with_free_entropy=False)
+        fp = solve_qhat(params)
         return params, fp, model.generate(d=self.d, kappa=self.kappa, alpha=alpha,
                                           delta=self.delta, seed=seed)
 
@@ -257,13 +257,13 @@ class GdScan(_Descent):
     n_datasets: int = _opt(1, "datasets per alpha")
 
     def table(self):
-        """One scan over the whole grid: a failure is the command's, not a cell's."""
+        """One scan of pool cells: a failure is the command's, not a cell's."""
         alphas = _grid(self, "alpha")
         try:
             result = gd.trivialization_scan(self.d, self.kappa, self.delta, alphas,
                                             self.descent(self.seed, self.n_inits),
-                                            n_datasets=self.n_datasets)
-        except (gd.NotReached, gd.Diverged) as exc:
+                                            n_datasets=self.n_datasets, map_cells=self.map_cells)
+        except gd.NotReached as exc:
             raise NumericalFailure(str(exc))
         peak = max(result.dispersions)
         rows = [(_fmt(a), _fmt(v), int(v < gd.ABS_THRESHOLD), int(v < gd.REL_THRESHOLD * peak))
@@ -271,6 +271,12 @@ class GdScan(_Descent):
         header = self.echo(alphas=alphas, alpha_t_abs=result.alpha_t_abs,
                            alpha_t_rel=result.alpha_t_rel)
         return header, ("alpha", "dispersion", "below_abs", "below_rel"), rows, 0
+
+    def map_cells(self, cell, keys):
+        values, failed = _run_cells(cell, keys, 1, self.threads)
+        if any(failed):
+            raise NumericalFailure(f"{sum(failed)} of {len(keys)} scan runs failed")
+        return values
 
 
 COMMANDS = {"se-curve": SeCurve, "phase-diagram": PhaseDiagram, "gamp": Gamp,

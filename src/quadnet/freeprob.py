@@ -781,54 +781,37 @@ def hilbert(prior, t, lam, dens: SpectralDensity | None = None, eps: float = DEF
     return float(-g.real[0]) if scalar else -g.real
 
 
+def _cumulative_simpson(f, h):
+    """Integrals of uniform samples f (odd count) from the first node to each
+    node, each step by the parabola of its Simpson panel."""
+    steps = np.empty(len(f) - 1)
+    steps[0::2] = 5.0 * f[:-1:2] + 8.0 * f[1::2] - f[2::2]
+    steps[1::2] = -f[:-2:2] + 8.0 * f[1::2] + 5.0 * f[2::2]
+    return np.concatenate([[0.0], np.cumsum(steps)]) * (h / 12.0)
+
+
 def log_potential(dens: SpectralDensity) -> float:
     """Sigma(mu) = E log|X - Y| with X, Y independent draws from mu.
 
-    The inner integral against the piecewise-linear density is done with the
-    exact antiderivative of (a + b y) log|x - y|, so the log singularity is
-    integrated analytically; the outer integral uses the edge-adapted Simpson
-    rule.  Only densities without an atom are supported (the atom would make
-    Sigma divergent).
+    Sigma = int rho U with U(x) = E log|x - Y|, whose derivative h = -Re g
+    is stored on the grid.  On [l, u], U(l) is one Simpson sum, its own
+    interval's log(x - l) taken as log(u - l) + 2 log sin(theta); U
+    further on is the cumulative Simpson integral in theta of
+    h (u - l) sin(2 theta).  O(N) in the grid size.  Densities with an atom
+    are rejected (Sigma diverges).
     """
     if dens.atom_mass_at_zero != 0.0:
         raise ValueError("log potential diverges for densities with an atom")
-    xl_list, xr_list, rl_list, rr_list = [], [], [], []
-    for xg, rg in zip(dens.x, dens.rho):
-        xl_list.append(xg[:-1])
-        xr_list.append(xg[1:])
-        rl_list.append(rg[:-1])
-        rr_list.append(rg[1:])
-    xl = np.concatenate(xl_list)
-    xr = np.concatenate(xr_list)
-    rl = np.concatenate(rl_list)
-    rr = np.concatenate(rr_list)
-    b = (rr - rl) / (xr - xl)
-
-    def xlog(u):
-        with np.errstate(all="ignore"):
-            v = u * np.log(np.abs(u))
-        return np.where(u == 0.0, 0.0, v)
-
-    def xxlog(u):
-        with np.errstate(all="ignore"):
-            v = 0.5 * u * u * np.log(np.abs(u)) - 0.25 * u * u
-        return np.where(u == 0.0, 0.0, v)
-
+    masses = [dens._weights(i) * r for i, r in enumerate(dens.rho)]
     total = 0.0
-    for i, (xg, rg) in enumerate(zip(dens.x, dens.rho)):
-        w = dens._weights(i)
-        kernel = np.empty(len(xg))
-        chunk = 128
-        for s in range(0, len(xg), chunk):
-            x0 = xg[s : s + chunk][:, None]
-            u1 = xl[None, :] - x0
-            u2 = xr[None, :] - x0
-            c0 = rl[None, :] + b[None, :] * (x0 - xl[None, :])
-            seg = c0 * (xlog(u2) - u2 - xlog(u1) + u1) + b[None, :] * (
-                xxlog(u2) - xxlog(u1)
-            )
-            kernel[s : s + chunk] = seg.sum(axis=1)
-        total += float(np.dot(w, rg * kernel))
+    for i, ((l, u), re_g) in enumerate(zip(dens.intervals, dens.re_g)):
+        theta = np.linspace(0.0, 0.5 * np.pi, len(re_g))
+        pot_l = float(np.dot(masses[i][1:], np.log(u - l) + 2.0 * np.log(np.sin(theta[1:]))))
+        for j, (x, m) in enumerate(zip(dens.x, masses)):
+            if j != i:
+                pot_l += float(np.dot(m, np.log(np.abs(x - l))))
+        dpot = -re_g * (u - l) * np.sin(2.0 * theta)
+        total += float(np.dot(masses[i], pot_l + _cumulative_simpson(dpot, theta[1])))
     return total
 
 

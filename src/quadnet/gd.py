@@ -14,6 +14,7 @@ drops to zero once all initializations reach the same function.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -168,31 +169,35 @@ class ScanResult:
     alpha_t_rel: float | None  # first alpha with dispersion < 1e-3 * max
 
 
-def trivialization_scan(d, kappa, delta, alpha_grid, cfg: GdConfig, n_datasets: int = 1):
+def _scan_cell(d, kappa, delta, cfg, alpha, index):
+    """(dispersion,) of averaged GD on the scan's dataset number `index`."""
+    instance = model.generate(d=d, kappa=kappa, alpha=alpha, delta=delta,
+                              seed=cfg.seed + 7919 * index + 1)
+    return agd_run(instance, dataclasses.replace(cfg, seed=cfg.seed + 104729 * index))[1:]
+
+
+def trivialization_scan(d, kappa, delta, alpha_grid, cfg: GdConfig, n_datasets: int = 1,
+                        map_cells=None):
     """Locate the sample complexity where the landscape trivializes.
 
     Scans the increasing alpha grid, measuring the dataset-averaged
     dispersion at each point, and reports the first grid point under each
     of the two cutoffs (absolute 1e-2, and 1e-3 relative to the scan
     maximum).  Raises NotReached when neither variant has a qualifying
-    point.
+    point.  `map_cells(cell, keys)`, an order-preserving map of
+    ``cell(**key)``, runs the (alpha, dataset) cells; default: in turn.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise ValueError("alpha_grid is empty")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha_grid must be strictly increasing")
-    dispersions = []
-    for j, alpha in enumerate(alphas):
-        vals = []
-        for rep in range(n_datasets):
-            data_seed = cfg.seed + 7919 * (j * n_datasets + rep) + 1
-            instance = model.generate(d=d, kappa=kappa, alpha=alpha, delta=delta,
-                                      seed=data_seed)
-            rep_cfg = dataclasses.replace(cfg, seed=cfg.seed + 104729 * (j * n_datasets + rep))
-            _, disp = agd_run(instance, rep_cfg)
-            vals.append(disp)
-        dispersions.append(float(np.mean(vals)))
+    keys = [{"alpha": a, "index": j * n_datasets + rep}
+            for j, a in enumerate(alphas) for rep in range(n_datasets)]
+    cell = functools.partial(_scan_cell, d, kappa, delta, cfg)
+    values = map_cells(cell, keys) if map_cells else [cell(**key) for key in keys]
+    dispersions = [float(np.mean([v for v, in values[j * n_datasets:(j + 1) * n_datasets]]))
+                   for j in range(len(alphas))]
     peak = max(dispersions)
     alpha_t_abs = next((a for a, v in zip(alphas, dispersions) if v < ABS_THRESHOLD), None)
     alpha_t_rel = next(

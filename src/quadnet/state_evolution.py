@@ -12,9 +12,9 @@ variance t.  Above the noiseless perfect-recovery threshold the equation has
 no root and the MMSE is exactly zero (q_hat = infinity).
 
 The free-entropy functional F(q) whose maximizer is the overlap q* is also
-provided; its inner conjugate solve, the fixed-point solver, and the iterative
-route in `gamp.state_evolution_iterate` are independent implementations whose
-agreement is asserted in the tests.
+provided, off the solver's default path; its inner conjugate solve, the
+fixed-point solver, and the iterative route in `gamp.state_evolution_iterate`
+are independent implementations whose agreement is asserted in the tests.
 """
 
 import dataclasses
@@ -178,7 +178,7 @@ def _gallop(f, x, x_max=math.inf):
     return (x, prev) if down else (prev, x)
 
 
-def solve_qhat(params: ProblemParams, with_free_entropy: bool = True) -> SEFixedPoint:
+def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixedPoint:
     """Solve the fixed-point equation for q_hat and assemble the MMSE.
 
     The root is bracketed in log q_hat by doubling steps from the
@@ -187,8 +187,9 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = True) -> SEFixed
     build, is evaluated once per call: the bracket ends handed to `brentq`
     and the root checked for its residual are not rebuilt.  In the noiseless
     supercritical regime (no root below QHAT_MAX) the perfect-recovery fixed
-    point is returned: q_hat = inf, MMSE = 0, q = Q0.  The free entropy takes
-    q_hat as the inner conjugate of q, which it is at the fixed point.
+    point is returned: q_hat = inf, MMSE = 0, q = Q0.  F(q) is NaN unless
+    `with_free_entropy`; it takes q_hat as the inner conjugate of q, which it
+    is at the fixed point, for one build more (a solve if the MMSE clipped).
     """
     if not params.alpha > 0:
         raise ValueError("solve_qhat requires alpha > 0")
@@ -369,23 +370,28 @@ def threshold_alpha(
 ) -> float:
     """Smallest alpha at which the solved MMSE drops below `level`.
 
-    Bisection over alpha; each probe is a full fixed-point solve.  Used to
-    locate the perfect-recovery transition from the solver itself, as an
-    independent check of the closed-form threshold.
+    Bisection over alpha.  The raw MMSE 2 alpha kappa / q_hat - kappa
+    tilde_delta / 2 falls as q_hat grows, so it is below `level` iff the
+    root lies above the q_level where it equals `level`.  Each probe is the
+    sign of the fixed-point map at q_level (clamped at `QHAT_MAX`), one
+    density build, which assumes the map increases in q_hat (checked on a
+    log grid for kappa 0.1-3; flat to 1e-12 at kappa 0.01).  Locates the
+    perfect-recovery transition as a check of the closed-form threshold.
     """
 
-    def mmse_at(alpha):
+    def below_level(alpha):
         p = ProblemParams(alpha=alpha, kappa=kappa, delta=delta, prior=prior)
-        return solve_qhat(p, with_free_entropy=False).mmse
+        q_level = 2.0 * alpha * kappa / (level + 0.5 * kappa * p.tilde_delta)
+        return _fixed_point_lhs_minus_rhs(p, min(q_level, QHAT_MAX)) < 0.0
 
     lo, hi = alpha_lo, alpha_hi
-    if mmse_at(hi) >= level:
+    if not below_level(hi):
         raise NoConvergence(f"MMSE still above {level} at alpha={hi}")
-    if mmse_at(lo) < level:
+    if below_level(lo):
         raise NoConvergence(f"MMSE already below {level} at alpha={lo}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mmse_at(mid) < level:
+        if below_level(mid):
             hi = mid
         else:
             lo = mid

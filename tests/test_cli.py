@@ -246,6 +246,29 @@ class TestGdCommands:
         assert header["config"]["alpha_t_abs"] == 0.5
         assert rows[0]["below_abs"] == "1"
 
+    def test_gd_scan_pool_writes_the_same_csv(self, tmp_path):
+        # each (alpha, dataset) run is a pool cell; the CSV does not depend
+        # on the pool size
+        args = ["gd-scan", "--d", "20", "--kappa", "0.5", "--delta", "0.0625",
+                "--alphas", "0.4,0.5", "--n-datasets", "2", "--n-inits", "2", "--l2", "0.3",
+                "--max-steps", "3000"]
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert cli.main(args + ["--threads", "1", "--out", str(serial)]) == 0
+        assert cli.main(args + ["--threads", "2", "--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_gd_scan_failed_run_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        rc, _, err = run_cli(
+            ["gd-scan", "--d", "30", "--kappa", "0.5", "--alphas", "0.3,0.4",
+             "--n-inits", "2", "--learning-rate", "100", "--max-steps", "50",
+             "--threads", "2", "--out", str(out)],
+            capsys,
+        )
+        assert rc == 1
+        assert "Diverged" in err and "numerical failure: 2 of 2 scan runs failed" in err
+        assert not out.exists()
+
 
 class TestDeclarativeConfig:
     @pytest.mark.parametrize("name", sorted(cli.COMMANDS))

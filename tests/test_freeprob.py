@@ -53,6 +53,47 @@ def pv_pairing_oracle(dens, lam):
     return float(np.trapezoid(f * u, np.log(u)))
 
 
+def log_potential_kernel(dens):
+    """Sigma(mu) by the O(N^2) double integral `fp.log_potential` replaced.
+
+    The inner integral against the piecewise-linear density uses the exact
+    antiderivative of (a + b y) log|x - y|, so the log singularity is
+    integrated analytically; the outer integral is the edge-adapted Simpson
+    rule.
+    """
+    xl = np.concatenate([xg[:-1] for xg in dens.x])
+    xr = np.concatenate([xg[1:] for xg in dens.x])
+    rl = np.concatenate([rg[:-1] for rg in dens.rho])
+    rr = np.concatenate([rg[1:] for rg in dens.rho])
+    b = (rr - rl) / (xr - xl)
+
+    def xlog(u):
+        with np.errstate(all="ignore"):
+            v = u * np.log(np.abs(u))
+        return np.where(u == 0.0, 0.0, v)
+
+    def xxlog(u):
+        with np.errstate(all="ignore"):
+            v = 0.5 * u * u * np.log(np.abs(u)) - 0.25 * u * u
+        return np.where(u == 0.0, 0.0, v)
+
+    total = 0.0
+    for i, (xg, rg) in enumerate(zip(dens.x, dens.rho)):
+        kernel = np.empty(len(xg))
+        chunk = 16  # rows per block; the row sums do not depend on it
+        for s in range(0, len(xg), chunk):
+            x0 = xg[s : s + chunk][:, None]
+            u1 = xl[None, :] - x0
+            u2 = xr[None, :] - x0
+            c0 = rl[None, :] + b[None, :] * (x0 - xl[None, :])
+            seg = c0 * (xlog(u2) - u2 - xlog(u1) + u1) + b[None, :] * (
+                xxlog(u2) - xxlog(u1)
+            )
+            kernel[s : s + chunk] = seg.sum(axis=1)
+        total += float(np.dot(dens._weights(i), rg * kernel))
+    return total
+
+
 def newton_polish_reference(prior, t, z, g, steps=2):
     """The Newton polish as it was before coefficients were shared.
 
@@ -484,6 +525,7 @@ class TestLogPotential:
             intervals=tuple((c * l, c * u) for l, u in dens.intervals),
             x=tuple(c * x for x in dens.x),
             rho=tuple(r / c for r in dens.rho),
+            re_g=tuple(g / c for g in dens.re_g),
         )
         assert fp.log_potential(scaled) - fp.log_potential(dens) == pytest.approx(
             np.log(c), abs=1e-5
@@ -497,6 +539,25 @@ class TestLogPotential:
     def test_atom_rejected(self):
         with pytest.raises(ValueError):
             fp.log_potential(density(MP05, 0.0))
+
+    CP3_WIDE = PriorSpectrum.compound_poisson(0.5, ((0.2, 0.3), (1.0, 0.4), (4.0, 0.3)))
+
+    @pytest.mark.parametrize(
+        "name,t,n_nodes",
+        [(n, t, 801) for n in sorted(TestDensityInvariants.PRIORS) for t in (0.1, 0.5, 2.0)]
+        + [("mp05", 0.01, 801), ("mp05", 1e-3, 801), ("cp3_wide", 0.05, 801),
+           # just after two intervals merge the 801-node density has mass
+           # 1 + 5.3e-6, which both routes carry (see the FOUND line on it in
+           # CHANGES.md); on 3201 nodes the density is accurate
+           ("cp3_wide", 0.1, 3201)],
+    )
+    def test_matches_kernel_oracle(self, name, t, n_nodes):
+        # within the O(N^2) kernel's own 801-vs-3201-node difference; the
+        # last four cases have two, two, three and two support intervals
+        prior = {**TestDensityInvariants.PRIORS, "cp3_wide": self.CP3_WIDE}[name]
+        reference = log_potential_kernel(density(prior, t, n_nodes=3201))
+        bound = abs(log_potential_kernel(density(prior, t)) - reference)
+        assert abs(fp.log_potential(density(prior, t, n_nodes=n_nodes)) - reference) <= bound
 
 
 class TestSigmaTDerivative:

@@ -24,6 +24,26 @@ def _record_density_builds(monkeypatch):
     return ts
 
 
+def _threshold_by_full_solve(kappa, delta=0.0, level=1e-3, tol=1e-3):
+    """`se.threshold_alpha` as it was, each bisection probe a full solve."""
+
+    def mmse_at(alpha):
+        return se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa, delta=delta)).mmse
+
+    lo, hi = 1e-3, 0.8
+    if mmse_at(hi) >= level:
+        raise se.NoConvergence(f"MMSE still above {level} at alpha={hi}")
+    if mmse_at(lo) < level:
+        raise se.NoConvergence(f"MMSE already below {level} at alpha={lo}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mmse_at(mid) < level:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 class TestProblemParams:
     def test_marchenko_pastur_derived_quantities(self):
         p = ProblemParams(alpha=0.3, kappa=0.5, delta=0.2)
@@ -166,6 +186,23 @@ class TestSolveQhat:
     def test_threshold_scan_matches_closed_form(self):
         a_cross = se.threshold_alpha(0.5)
         assert abs(a_cross - 0.375) < 0.01
+
+    @pytest.mark.parametrize("level", [1e-3, 1e-2])
+    @pytest.mark.parametrize("kappa", [0.01, 0.25, 0.5, 1.0, 2.0, 3.0])
+    def test_threshold_matches_full_solve_bisection(self, monkeypatch, kappa, level):
+        # the sign probe gives the full solve's answer at every bisection
+        # step, and builds one density per probe: 2 ends and 10 halvings
+        reference = _threshold_by_full_solve(kappa, level=level)
+        ts = _record_density_builds(monkeypatch)
+        assert se.threshold_alpha(kappa, level=level) == reference
+        assert len(ts) == 12
+
+    def test_threshold_raises_as_full_solve(self):
+        with pytest.raises(se.NoConvergence) as reference:
+            _threshold_by_full_solve(0.5, delta=0.01)
+        with pytest.raises(se.NoConvergence) as probed:
+            se.threshold_alpha(0.5, delta=0.01)
+        assert str(probed.value) == str(reference.value)
 
     def test_compound_prior_solves(self):
         prior = freeprob.PriorSpectrum.compound_poisson(
@@ -375,7 +412,7 @@ class TestFreeEntropy:
         fp = se.solve_qhat(params, with_free_entropy=True)
         assert len(ts) - n_without <= n_without + 1
         # the value of the separate inner solve
-        assert fp.free_entropy == pytest.approx(-0.09237861822531546, rel=1e-12)
+        assert fp.free_entropy == pytest.approx(se.free_entropy(params, fp.q), rel=1e-12)
 
     def test_rate_vanishes_at_data_free_overlap(self):
         params = ProblemParams(alpha=0.3, kappa=1.0)
