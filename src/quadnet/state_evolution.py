@@ -15,6 +15,7 @@ The free-entropy functional F(q) whose maximizer is the overlap q* is also
 provided, off the solver's default path; its inner conjugate solve, the
 fixed-point solver, and the iterative route in `gamp.state_evolution_iterate`
 are independent implementations whose agreement is asserted in the tests.
+Both root solves use Brent's method, implemented in this module (`_brentq`).
 """
 
 import dataclasses
@@ -22,7 +23,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import optimize
 
 from . import freeprob
 from .freeprob import PriorSpectrum
@@ -30,7 +30,7 @@ from .freeprob import PriorSpectrum
 # q_hat beyond this is numerically indistinguishable from the perfect-recovery
 # fixed point at infinity (MMSE ~ 2 alpha kappa / q_hat < 1e-8)
 QHAT_MAX = 1e9
-# |residual| above this at the bracketed root means brentq closed in on a
+# |residual| above this at the bracketed root means Brent closed in on a
 # jump of the fixed-point map, not a root (true roots reach ~1e-14)
 RESIDUAL_MAX = 1e-9
 
@@ -109,9 +109,9 @@ class SEFixedPoint:
         F(q), NaN when the solve skipped it, inf past perfect recovery.
     iterations : int
         Points of the fixed-point map probed by the doubling-step bracket
-        search (`QHAT_MAX` itself included) plus the `brentq` iterations.
+        search (`QHAT_MAX` itself included) plus the `_brentq` iterations.
         Not the number of density builds: each point is built once, and
-        `brentq`'s two endpoint evaluations are the search's last two probes.
+        Brent's two endpoint evaluations are the search's last two probes.
     residual : float
         |lhs - rhs| of the fixed-point equation at the returned root
         (0 past perfect recovery).
@@ -178,34 +178,90 @@ def _gallop(f, x, x_max=math.inf):
     return (x, prev) if down else (prev, x)
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter):
+    """Root of f between xa and xb by Brent's method: (root, iterations, converged).
+
+    A step-for-step port of the usual C brentq (Brent 1973, ch. 4), so roots
+    and iteration counts are that routine's; the tests check both.  Stops
+    unconverged at the first NaN of f, returning the point that gave it.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    for x, fx in ((xpre, fpre), (xcur, fcur)):
+        if math.isnan(fx) or fx == 0.0:
+            return x, 0, fx == 0.0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({xa!r}) = {fpre!r} and f({xb!r}) = {fcur!r} have one sign")
+    xblk = fblk = spre = scur = 0.0
+    for i in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, i, True
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            return xcur, i, False
+    return xcur, maxiter, False
+
+
+def _log_root(g, bracket, name):
+    """Root u of g(u = log x) in `bracket` and its Brent iterations; NoConvergence names x."""
+    root, iterations, converged = _brentq(g, *bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    if not converged:
+        raise NoConvergence(
+            f"Brent's method stopped after {iterations} iterations at"
+            f" {name}={math.exp(root)!r}, where the map is {g(root)!r}"
+        )
+    return root, iterations
+
+
 def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixedPoint:
     """Solve the fixed-point equation for q_hat and assemble the MMSE.
 
     The root is bracketed in log q_hat by doubling steps from the
     initialization q_hat = 2 alpha / Q0 up to QHAT_MAX, which is probed itself
-    (`_gallop`), and solved by `brentq`.  Each point of the map, one density
-    build, is evaluated once per call: the bracket ends handed to `brentq`
-    and the root checked for its residual are not rebuilt.  In the noiseless
-    supercritical regime (no root below QHAT_MAX) the perfect-recovery fixed
-    point is returned: q_hat = inf, MMSE = 0, q = Q0.  F(q) is NaN unless
-    `with_free_entropy`; it takes q_hat as the inner conjugate of q, which it
-    is at the fixed point, for one build more (a solve if the MMSE clipped).
+    (`_gallop`), and solved by the in-package Brent method (`_brentq`); a NaN
+    of the map or a Brent solve out of iterations raises NoConvergence naming
+    q_hat.  Each point of the map, one density build, is evaluated once per
+    call: the bracket ends handed to Brent and the root checked for its
+    residual are not rebuilt.  In the noiseless supercritical regime (no root
+    below QHAT_MAX) the perfect-recovery fixed point is returned: q_hat = inf,
+    MMSE = 0, q = Q0.  F(q) is NaN unless `with_free_entropy`; it takes q_hat
+    as the inner conjugate of q, which it is at the fixed point, for one build
+    more (a solve if the MMSE clipped).
     """
     if not params.alpha > 0:
         raise ValueError("solve_qhat requires alpha > 0")
-    # brentq evaluates the bracket ends again and the residual check the
-    # root brentq returns; the cache, local to this call, saves those builds.
+    # Brent evaluates the bracket ends again and the residual check the
+    # root Brent returns; the cache, local to this call, saves those builds.
     # g(q_hat -> 0) = -2 alpha < 0, so a sign change below always exists
     g = functools.cache(lambda u: _fixed_point_lhs_minus_rhs(params, math.exp(u)))
     bracket = _gallop(g, math.log(2.0 * params.alpha / params.q0), math.log(QHAT_MAX))
     evals = g.cache_info().currsize
-    if bracket is None:
-        return _perfect_recovery_point(params, evals)
-    u_star, info = optimize.brentq(
-        g, *bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200, full_output=True
-    )
-    if not info.converged:
-        raise NoConvergence(f"brentq did not converge: {info.flag}")
+    if bracket is None:  # the perfect-recovery fixed point
+        return SEFixedPoint(
+            q=params.q0, q_hat=math.inf, mmse=0.0, free_entropy=math.inf,
+            iterations=evals, residual=0.0, status="supercritical",
+        )
+    u_star, brent_iterations = _log_root(g, bracket, "q_hat")
     q_hat = math.exp(u_star)
     residual = abs(g(u_star))
     if residual > RESIDUAL_MAX:
@@ -231,33 +287,21 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixe
         q_hat=q_hat,
         mmse=mmse,
         free_entropy=fe,
-        iterations=evals + info.iterations,
+        iterations=evals + brent_iterations,
         residual=residual,
         clipped=abs(mmse - mmse_raw),
-    )
-
-
-def _perfect_recovery_point(params, evals):
-    return SEFixedPoint(
-        q=params.q0,
-        q_hat=float("inf"),
-        mmse=0.0,
-        free_entropy=float("inf"),
-        iterations=evals,
-        residual=0.0,
-        status="supercritical",
     )
 
 
 def _inner_conjugate(params, q):
     """q_hat realizing the inner infimum of I(q): solves F_RIE(1/q_hat) = Q0 - q."""
     target, var = params.q0 - q, params.q0 - params.q_min
-    # local to this call: brentq re-evaluates the bracket ends.  F_RIE is
+    # local to this call: Brent re-evaluates the bracket ends.  F_RIE is
     # increasing in t from 0 to the prior variance, and at most var t / (var + t),
     # the linear estimator's error, so the root lies above where that equals target
     g = functools.cache(lambda v: _f_rie(params.prior, math.exp(v)) - target)
     bracket = _gallop(g, math.log(max(target * var / (var - target), 1e-12)))
-    v_star = optimize.brentq(g, *bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+    v_star, _ = _log_root(g, bracket, "t")
     return 1.0 / math.exp(v_star)
 
 

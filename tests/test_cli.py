@@ -7,10 +7,14 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadnet
 from quadnet import cli, state_evolution
 from quadnet.state_evolution import ProblemParams
 
@@ -87,6 +91,22 @@ class TestPlumbing:
         rc, _, err = run_cli(["se-curve", "--kappas", "0.5", "--alphas", "0.2"], capsys)
         assert rc == 2
         assert cli.THREADS_ENV in err
+
+    def test_cold_import_loads_no_scipy(self):
+        # importing scipy.optimize took most of a cold `quadnet` start; the
+        # package needs numpy only
+        code = (
+            "import importlib, pkgutil, sys, quadnet, quadnet.cli\n"
+            "for m in pkgutil.iter_modules(quadnet.__path__):\n"
+            "    importlib.import_module('quadnet.' + m.name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(quadnet.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestSeCurve:

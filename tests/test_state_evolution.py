@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,8 +164,8 @@ class TestSolveQhat:
         ],
     )
     def test_each_point_built_once(self, monkeypatch, alpha, kappa, delta, status):
-        # brentq evaluates its bracket ends again and the residual check
-        # evaluates the root brentq returned; neither may rebuild a density.
+        # Brent evaluates its bracket ends again and the residual check
+        # evaluates the root Brent returned; neither may rebuild a density.
         # Doubling steps reach QHAT_MAX in a few probes (unit steps took 22)
         params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
         reference = se.solve_qhat(params, with_free_entropy=False)
@@ -243,6 +244,91 @@ class TestGallop:
         assert probes[-2:] == [31.0, 50.0]
         with pytest.raises(se.NoConvergence):
             se._gallop(f, 0.0)
+
+
+# (f, its root): smooth, kinked away from the root, cusped at it, and flat at it
+_BRENT_CASES = [
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0945514815423265),
+    (lambda x: math.tanh(3.0 * (x - 0.3)), 0.3),
+    (lambda x: x - 0.7 + 0.9 * abs(x - 0.2), 0.2 + 0.5 / 1.9),
+    (lambda x: math.copysign(abs(x - 0.4) ** 0.3, x - 0.4), 0.4),
+    (lambda x: (x - 0.45) ** 5, 0.45),
+]
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("xtol,rtol", [(1e-13, 8.9e-16), (2e-12, 4 * np.finfo(float).eps)])
+    def test_matches_reference_brentq(self, xtol, rtol):
+        # the solver is a port: same root to the bit, same iteration count
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(0)
+        for f, root in _BRENT_CASES:
+            for below, above, flip in zip(*rng.uniform(1e-6, 3.0, (2, 60)), rng.random(60) < 0.5):
+                a, b = root - below**2, root + above**2
+                if flip:
+                    a, b = b, a
+                ref, info = optimize.brentq(
+                    f, a, b, xtol=xtol, rtol=rtol, maxiter=200, full_output=True
+                )
+                assert se._brentq(f, a, b, xtol, rtol, 200) == (ref, info.iterations, True)
+
+    def test_same_sign_bracket_rejected(self):
+        with pytest.raises(ValueError, match="one sign"):
+            se._brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-13, 8.9e-16, 200)
+
+    def test_root_at_bracket_end_takes_no_iteration(self):
+        assert se._brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-13, 8.9e-16, 200) == (1.0, 0, True)
+
+    def test_budget_exhausted_is_unconverged(self):
+        f = _BRENT_CASES[0][0]
+        root, iterations, converged = se._brentq(f, 0.0, 3.0, 1e-13, 8.9e-16, 2)
+        assert (iterations, converged) == (2, False)
+        assert 0.0 < root < 3.0
+
+    def test_nan_stops_at_its_probe(self):
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return math.nan if abs(x - 1.0) < 0.5 else x - 1.0
+
+        root, _, converged = se._brentq(f, -3.0, 4.0, 1e-13, 8.9e-16, 200)
+        assert not converged
+        assert root == probes[-1] and abs(root - 1.0) < 0.5
+
+    def test_solves_out_of_iterations_raise(self, monkeypatch):
+        brentq = se._brentq
+        monkeypatch.setattr(
+            se, "_brentq", lambda *args, **kwargs: brentq(*args, **{**kwargs, "maxiter": 2})
+        )
+        params = ProblemParams(alpha=0.3, kappa=0.5, delta=0.1)
+        with pytest.raises(se.NoConvergence, match="after 2 iterations at q_hat="):
+            se.solve_qhat(params)
+        with pytest.raises(se.NoConvergence, match="after 2 iterations at t="):
+            se.free_entropy(params, 1.5)
+
+    def test_nan_map_raises_naming_the_probe(self, monkeypatch):
+        # NaN only within 1% of the root in log scale, where Brent's probes
+        # land and the doubling-step search's do not
+        params = ProblemParams(alpha=0.3, kappa=0.5, delta=0.1)
+        fp = se.solve_qhat(params)
+        fixed_point, f_rie = se._fixed_point_lhs_minus_rhs, se._f_rie
+        near = lambda x, x_star: abs(math.log(x / x_star)) < 0.01
+        monkeypatch.setattr(
+            se, "_fixed_point_lhs_minus_rhs",
+            lambda p, q_hat: math.nan if near(q_hat, fp.q_hat) else fixed_point(p, q_hat),
+        )
+        monkeypatch.setattr(
+            se, "_f_rie", lambda prior, t: math.nan if near(t, 1.0 / fp.q_hat) else f_rie(prior, t)
+        )
+        for solve, name, x_star in (
+            (lambda: se.solve_qhat(params), "q_hat", fp.q_hat),
+            (lambda: se.free_entropy(params, fp.q), "t", 1.0 / fp.q_hat),
+        ):
+            with pytest.raises(se.NoConvergence, match="where the map is nan") as info:
+                solve()
+            named = re.search(rf" {name}=(\S+),", str(info.value)).group(1)
+            assert near(float(named), x_star)
 
 
 class TestFixedPointEquivalence:
