@@ -28,6 +28,7 @@ MP prior (solved in closed form), degree 2 + #atoms for the general prior
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -42,7 +43,6 @@ __all__ = [
     "support_edges",
     "hilbert",
     "log_potential",
-    "sigma_t_derivative",
 ]
 
 DEFAULT_EPS = 1e-8
@@ -608,19 +608,18 @@ class SpectralDensity:
     re_g: tuple
     atom_mass_at_zero: float = 0.0
 
-    def _weights(self, i):
-        l, u = self.intervals[i]
-        n = len(self.x[i])
-        theta = np.linspace(0.0, 0.5 * np.pi, n)
-        h = theta[1] - theta[0]
-        return _simpson_weights(n) * h * (u - l) * np.sin(2.0 * theta)
+    @functools.cached_property
+    def weights(self):
+        """Per-interval quadrature weights in x, Simpson's rule in theta."""
+        out = []
+        for (l, u), x in zip(self.intervals, self.x):
+            theta = np.linspace(0.0, 0.5 * np.pi, len(x))
+            out.append(_simpson_weights(len(x)) * theta[1] * (u - l) * np.sin(2.0 * theta))
+        return tuple(out)
 
     def integrate(self, values_per_interval):
         """Sum_i int values_i(x) dx over the support intervals."""
-        out = 0.0
-        for i, v in enumerate(values_per_interval):
-            out += float(np.dot(self._weights(i), v))
-        return out
+        return sum(float(np.dot(w, v)) for w, v in zip(self.weights, values_per_interval))
 
     def mass(self):
         return self.integrate(self.rho) + self.atom_mass_at_zero
@@ -635,20 +634,24 @@ class SpectralDensity:
         """int rho(x)^3 dx over the continuous part."""
         return self.integrate([r**3 for r in self.rho])
 
+    def cube_integral_dt(self):
+        """d/dt of `cube_integral`: 2 int rho^3 Re[1/phi'(g)] dx, g = re_g + i pi rho.
+
+        The semicircular flow obeys the Burgers equation d_t g = g d_z g
+        (Biane 1997), so d_t rho = d_x(rho Re g) on the real axis; two
+        integrations by parts and dg/dz = 1/phi'(g) give the identity.  One
+        more quadrature on the stored grid, no build.
+        """
+        vals = []
+        for r, rg in zip(self.rho, self.re_g):
+            with np.errstate(all="ignore"):
+                v = r**3 * np.real(1.0 / _phi_prime(self.prior, self.t, rg + 1j * np.pi * r))
+            vals.append(np.where(np.isfinite(v), v, 0.0))
+        return 2.0 * self.integrate(vals)
+
     def hilbert_on_grid(self):
         """h(x) = PV int rho(s)/(x - s) ds = -Re g on the stored grid."""
         return tuple(-rg for rg in self.re_g)
-
-    def interp(self, lam, values_per_interval, outside=np.nan):
-        """Piecewise-linear interpolation of per-interval node values at lam;
-        points outside every interval get `outside`."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        out = np.full(lam.shape, outside, dtype=float)
-        for (l, u), xg, vg in zip(self.intervals, self.x, values_per_interval):
-            m = (lam >= l) & (lam <= u)
-            if np.any(m):
-                out[m] = np.interp(lam[m], xg, vg)
-        return out
 
 
 def _mp_analytic_density(prior, n_nodes, eps):
@@ -802,7 +805,7 @@ def log_potential(dens: SpectralDensity) -> float:
     """
     if dens.atom_mass_at_zero != 0.0:
         raise ValueError("log potential diverges for densities with an atom")
-    masses = [dens._weights(i) * r for i, r in enumerate(dens.rho)]
+    masses = [w * r for w, r in zip(dens.weights, dens.rho)]
     total = 0.0
     for i, ((l, u), re_g) in enumerate(zip(dens.intervals, dens.re_g)):
         theta = np.linspace(0.0, 0.5 * np.pi, len(re_g))
@@ -813,15 +816,3 @@ def log_potential(dens: SpectralDensity) -> float:
         dpot = -re_g * (u - l) * np.sin(2.0 * theta)
         total += float(np.dot(masses[i], pot_l + _cumulative_simpson(dpot, theta[1])))
     return total
-
-
-def sigma_t_derivative(prior, t) -> float:
-    """d Sigma(mu_t) / dt = (2 pi^2 / 3) int rho_t^3.
-
-    The identity follows from the Burgers evolution of the density under
-    semicircular flow; validated against finite differences of
-    `log_potential` in the tests.
-    """
-    if t <= 0:
-        raise ValueError("sigma_t_derivative requires t > 0")
-    return (2.0 * np.pi**2 / 3.0) * density(prior, t).cube_integral()

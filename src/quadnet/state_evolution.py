@@ -15,11 +15,12 @@ The free-entropy functional F(q) whose maximizer is the overlap q* is also
 provided, off the solver's default path; its inner conjugate solve, the
 fixed-point solver, and the iterative route in `gamp.state_evolution_iterate`
 are independent implementations whose agreement is asserted in the tests.
-Both root solves use Brent's method, implemented in this module (`_brentq`).
+Both root solves take safeguarded Newton steps in log scale (`_newton`).  A
+map's slope costs no extra build: the t-derivative of int mu_t^3 is one
+more quadrature on the density the map's value is read from.
 """
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from .freeprob import PriorSpectrum
 # q_hat beyond this is numerically indistinguishable from the perfect-recovery
 # fixed point at infinity (MMSE ~ 2 alpha kappa / q_hat < 1e-8)
 QHAT_MAX = 1e9
-# |residual| above this at the bracketed root means Brent closed in on a
+# |residual| above this where the root solve stopped means it closed in on a
 # jump of the fixed-point map, not a root (true roots reach ~1e-14)
 RESIDUAL_MAX = 1e-9
 
@@ -108,10 +109,8 @@ class SEFixedPoint:
     free_entropy : float
         F(q), NaN when the solve skipped it, inf past perfect recovery.
     iterations : int
-        Points of the fixed-point map probed by the doubling-step bracket
-        search (`QHAT_MAX` itself included) plus the `_brentq` iterations.
-        Not the number of density builds: each point is built once, and
-        Brent's two endpoint evaluations are the search's last two probes.
+        Points of the fixed-point map evaluated by the root solve, `QHAT_MAX`
+        included when probed; each is one density build.
     residual : float
         |lhs - rhs| of the fixed-point equation at the returned root
         (0 past perfect recovery).
@@ -133,137 +132,115 @@ class SEFixedPoint:
     clipped: float = 0.0
 
 
-def _cube(prior, t):
-    return freeprob.density(prior, t).cube_integral()
+# K in F_RIE(t) = t - K t^2 int mu_t^3
+_K = 4.0 * np.pi**2 / 3.0
 
 
-def _fixed_point_lhs_minus_rhs(params, q_hat):
-    """Residual of the scalar fixed-point equation at q_hat."""
+def _fixed_point_map(params, q_hat):
+    """Fixed-point map G = lhs - rhs at q_hat, its slope dG/dlog q_hat, and
+    the density at t = 1/q_hat that gives both.
+
+    With C = int mu_t^3, dG/dlog q_hat = tilde_delta q_hat / 2 + K (t C + t^2 C').
+    """
     t = 1.0 / q_hat
-    return (
-        (1.0 - 2.0 * params.alpha)
-        + 0.5 * params.tilde_delta * q_hat
-        - (4.0 * np.pi**2 / 3.0) / q_hat * _cube(params.prior, t)
-    )
+    dens = freeprob.density(params.prior, t)
+    cube, cube_dt = dens.cube_integral(), dens.cube_integral_dt()
+    value = (1.0 - 2.0 * params.alpha) + 0.5 * params.tilde_delta * q_hat - _K / q_hat * cube
+    slope = 0.5 * params.tilde_delta * q_hat + _K * (t * cube + t * t * cube_dt)
+    return value, slope, dens
 
 
 def _f_rie(prior, t):
-    """Denoising error t - (4 pi^2 / 3) t^2 int mu_t^3 (resolvent route).
+    """Denoising error F_RIE(t) = t - K t^2 int mu_t^3 (resolvent route), its
+    slope t dF_RIE/dt = t (1 - 2 K t C - K t^2 C') and the density at t.
 
     Shares the density build with `matdenoise.mmse`, which the iterative
     state evolution uses, but not its formula: `mmse` also checks the
     Hilbert-transform form.  The two routes are cross-checked in the tests.
     """
-    return t - (4.0 * np.pi**2 / 3.0) * t**2 * _cube(prior, t)
+    dens = freeprob.density(prior, t)
+    cube, cube_dt = dens.cube_integral(), dens.cube_integral_dt()
+    return t - _K * t**2 * cube, t * (1.0 - 2.0 * _K * t * cube - _K * t * t * cube_dt), dens
 
 
-def _gallop(f, x, x_max=math.inf):
-    """Bracket the root of f, negative below it and positive above.
+def _newton(f, x, name, x_max=math.inf, maxiter=100):
+    """Root of an increasing f by safeguarded Newton steps, as rtsafe does
+    (Press et al., Numerical Recipes, 3rd ed., sec. 9.4).
 
-    Exponential search (Bentley and Yao 1976): from x, probe in the direction
-    the sign of f points with steps 1, 2, 4, ..., upward probes clamped at
-    x_max.  Returns the last two probes (lo, hi), f(lo) <= 0 <= f(hi), or None
-    when f(x_max) < 0.  Ten doublings pass the float range of e^x.
+    f(x) returns (value, slope, payload); x is the log of `name`.  Every
+    point f has seen narrows the bracket (lo, hi), f(lo) < 0 < f(hi).  While
+    one end is open, steps are capped at 2, 4, 8, ... and clamped at x_max,
+    which is probed itself.  Once both ends are known a step that leaves the
+    bracket, or a slope that is not positive and finite, is replaced by
+    bisection.  Stops when the next step or the bracket is below
+    1e-13 + 8.9e-16 |x|, and at x_max when f(x_max) < 0, returning the last
+    point f evaluated: (x, value, payload, evaluations).  A NaN of f or an
+    exhausted budget raises NoConvergence naming the point.
     """
-    f_x, prev, step = f(x), x, 1.0
-    down = f_x > 0.0
-    while (f_x > 0.0) if down else (f_x < 0.0):
-        if x == x_max:
-            return None
-        if step > 512.0:
-            raise NoConvergence(f"no sign change in 10 doubling steps, last probe {x}")
-        prev, x = x, (x - step if down else min(x + step, x_max))
-        f_x = f(x)
-        step *= 2.0
-    return (x, prev) if down else (prev, x)
-
-
-def _brentq(f, xa, xb, xtol, rtol, maxiter):
-    """Root of f between xa and xb by Brent's method: (root, iterations, converged).
-
-    A step-for-step port of the usual C brentq (Brent 1973, ch. 4), so roots
-    and iteration counts are that routine's; the tests check both.  Stops
-    unconverged at the first NaN of f, returning the point that gave it.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    for x, fx in ((xpre, fpre), (xcur, fcur)):
-        if math.isnan(fx) or fx == 0.0:
-            return x, 0, fx == 0.0
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(f"f({xa!r}) = {fpre!r} and f({xb!r}) = {fcur!r} have one sign")
-    xblk = fblk = spre = scur = 0.0
-    for i in range(1, maxiter + 1):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, i, True
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            return xcur, i, False
-    return xcur, maxiter, False
-
-
-def _log_root(g, bracket, name):
-    """Root u of g(u = log x) in `bracket` and its Brent iterations; NoConvergence names x."""
-    root, iterations, converged = _brentq(g, *bracket, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    if not converged:
-        raise NoConvergence(
-            f"Brent's method stopped after {iterations} iterations at"
-            f" {name}={math.exp(root)!r}, where the map is {g(root)!r}"
-        )
-    return root, iterations
+    lo, hi, cap = -math.inf, math.inf, 2.0
+    for evals in range(1, maxiter + 1):
+        fx, slope, payload = f(x)
+        if math.isnan(fx):
+            break
+        if fx < 0.0:
+            lo = x
+        elif fx > 0.0:
+            hi = x
+        else:
+            return x, fx, payload, evals
+        tol = 1e-13 + 8.9e-16 * abs(x)
+        if hi - lo < tol or (x == x_max and fx < 0.0):
+            return x, fx, payload, evals
+        step = -fx / slope if 0.0 < slope < math.inf else math.nan
+        if abs(step) < tol:
+            return x, fx, payload, evals
+        if math.isinf(hi - lo):  # one-sided: a capped step the way f's sign points
+            new = min(x + math.copysign(min(cap, abs(step)), -fx), x_max)  # NaN: the cap
+            cap *= 2.0
+        else:
+            new = x + step
+            if not lo < new < hi:  # also when step is NaN
+                new = 0.5 * (lo + hi)
+        if evals < maxiter:  # a spent budget names the last point evaluated
+            x = new
+    raise NoConvergence(
+        f"Newton's method stopped after {evals} iterations at"
+        f" {name}={math.exp(x)!r}, where the map is {fx!r}"
+    )
 
 
 def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixedPoint:
     """Solve the fixed-point equation for q_hat and assemble the MMSE.
 
-    The root is bracketed in log q_hat by doubling steps from the
-    initialization q_hat = 2 alpha / Q0 up to QHAT_MAX, which is probed itself
-    (`_gallop`), and solved by the in-package Brent method (`_brentq`); a NaN
-    of the map or a Brent solve out of iterations raises NoConvergence naming
-    q_hat.  Each point of the map, one density build, is evaluated once per
-    call: the bracket ends handed to Brent and the root checked for its
-    residual are not rebuilt.  In the noiseless supercritical regime (no root
-    below QHAT_MAX) the perfect-recovery fixed point is returned: q_hat = inf,
-    MMSE = 0, q = Q0.  F(q) is NaN unless `with_free_entropy`; it takes q_hat
-    as the inner conjugate of q, which it is at the fixed point, for one build
-    more (a solve if the MMSE clipped).
+    The root is found in u = log q_hat by safeguarded Newton steps
+    (`_newton`) from the initialization q_hat = 2 alpha / Q0, with the
+    slope of the map taken from the same density build as its value
+    (`freeprob.SpectralDensity.cube_integral_dt`).  Steps are bounded by
+    QHAT_MAX, which is probed itself; a NaN of the map or an exhausted
+    budget raises NoConvergence naming q_hat.  Each point of the map is one
+    density build, and the root returned is a point already built.  In the
+    noiseless supercritical regime (no root below QHAT_MAX) the
+    perfect-recovery fixed point is returned: q_hat = inf, MMSE = 0, q = Q0.
+    F(q) is NaN unless `with_free_entropy`; it takes q_hat as the inner
+    conjugate of q, which it is at the fixed point, and the root's density
+    for its log potential, so it costs no build (a solve if the MMSE
+    clipped).
     """
     if not params.alpha > 0:
         raise ValueError("solve_qhat requires alpha > 0")
-    # Brent evaluates the bracket ends again and the residual check the
-    # root Brent returns; the cache, local to this call, saves those builds.
-    # g(q_hat -> 0) = -2 alpha < 0, so a sign change below always exists
-    g = functools.cache(lambda u: _fixed_point_lhs_minus_rhs(params, math.exp(u)))
-    bracket = _gallop(g, math.log(2.0 * params.alpha / params.q0), math.log(QHAT_MAX))
-    evals = g.cache_info().currsize
-    if bracket is None:  # the perfect-recovery fixed point
+    # G(q_hat -> 0) = -2 alpha < 0, so a sign change below always exists
+    u_max = math.log(QHAT_MAX)
+    u, g_u, dens, evals = _newton(
+        lambda u: _fixed_point_map(params, math.exp(u)),
+        math.log(2.0 * params.alpha / params.q0), "q_hat", u_max,
+    )
+    if u == u_max and g_u < 0.0:  # the perfect-recovery fixed point
         return SEFixedPoint(
             q=params.q0, q_hat=math.inf, mmse=0.0, free_entropy=math.inf,
             iterations=evals, residual=0.0, status="supercritical",
         )
-    u_star, brent_iterations = _log_root(g, bracket, "q_hat")
-    q_hat = math.exp(u_star)
-    residual = abs(g(u_star))
+    q_hat = math.exp(u)
+    residual = abs(g_u)
     if residual > RESIDUAL_MAX:
         raise NoConvergence(
             f"bracketed sign change at q_hat={q_hat} is not a root: residual"
@@ -280,29 +257,33 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixe
     mmse = min(max(mmse_raw, 0.0), params.mmse_max)
     q = params.q0 - mmse / params.kappa
     # the equation says F_RIE(1 / q_hat) = Q0 - q_raw: unclipped, q_hat is q's conjugate
-    conjugate = q_hat if q == q_raw else None
+    conjugate = (q_hat, dens) if q == q_raw else None
     fe = _free_entropy(params, q, conjugate) if with_free_entropy else float("nan")
     return SEFixedPoint(
         q=q,
         q_hat=q_hat,
         mmse=mmse,
         free_entropy=fe,
-        iterations=evals + brent_iterations,
+        iterations=evals,
         residual=residual,
         clipped=abs(mmse - mmse_raw),
     )
 
 
-def _inner_conjugate(params, q):
-    """q_hat realizing the inner infimum of I(q): solves F_RIE(1/q_hat) = Q0 - q."""
+def _inner_conjugate(params, q, with_density=False):
+    """q_hat realizing the inner infimum of I(q): solves F_RIE(1/q_hat) = Q0 - q
+    in v = log t.  Returns (q_hat, density at t) when `with_density`."""
     target, var = params.q0 - q, params.q0 - params.q_min
-    # local to this call: Brent re-evaluates the bracket ends.  F_RIE is
-    # increasing in t from 0 to the prior variance, and at most var t / (var + t),
-    # the linear estimator's error, so the root lies above where that equals target
-    g = functools.cache(lambda v: _f_rie(params.prior, math.exp(v)) - target)
-    bracket = _gallop(g, math.log(max(target * var / (var - target), 1e-12)))
-    v_star, _ = _log_root(g, bracket, "t")
-    return 1.0 / math.exp(v_star)
+
+    def g(v):
+        f_rie, slope, dens = _f_rie(params.prior, math.exp(v))
+        return f_rie - target, slope, dens
+
+    # F_RIE is increasing in t from 0 to the prior variance, and at most
+    # var t / (var + t), the linear estimator's error, so the root lies
+    # above where that equals target
+    v, _, dens, _ = _newton(g, math.log(max(target * var / (var - target), 1e-12)), "t")
+    return (1.0 / math.exp(v), dens) if with_density else 1.0 / math.exp(v)
 
 
 def overlap_rate(params: ProblemParams, q: float) -> float:
@@ -315,18 +296,16 @@ def overlap_rate(params: ProblemParams, q: float) -> float:
     return _overlap_rate(params, q)
 
 
-def _overlap_rate(params, q, q_hat=None):
-    """`overlap_rate`, taking q_hat as the conjugate of q when given."""
+def _overlap_rate(params, q, conjugate=None):
+    """`overlap_rate`, taking conjugate = (q_hat, density at t = 1/q_hat) of q when given."""
     span = params.q0 - params.q_min
     if q <= params.q_min + 1e-12 * span:
         return 0.0
     q = min(q, params.q0 - 1e-9 * span)
-    if q_hat is None:
-        q_hat = _inner_conjugate(params, q)
-    sigma = freeprob.log_potential(freeprob.density(params.prior, 1.0 / q_hat))
+    q_hat, dens = conjugate or _inner_conjugate(params, q, with_density=True)
     return (
         0.25 * (params.q0 - q) * q_hat
-        - 0.5 * sigma
+        - 0.5 * freeprob.log_potential(dens)
         - 0.25 * math.log(q_hat)
         - 0.125
     )
@@ -343,8 +322,8 @@ def free_entropy(params: ProblemParams, q: float) -> float:
     return _free_entropy(params, q)
 
 
-def _free_entropy(params, q, q_hat=None):
-    """`free_entropy`, taking q_hat as the conjugate of q when given."""
+def _free_entropy(params, q, conjugate=None):
+    """`free_entropy`, taking conjugate = (q_hat, its density) of q when given."""
     if not (params.q_min - 1e-9 <= q <= params.q0 + 1e-9):
         raise ValueError(f"q={q} outside [{params.q_min}, {params.q0}]")
     span = params.q0 - params.q_min
@@ -353,7 +332,7 @@ def _free_entropy(params, q, q_hat=None):
         params.tilde_delta + 2.0 * (params.q0 - q_in)
     )
     # a q moved inside the boundary has a conjugate of its own
-    return _overlap_rate(params, q_in, q_hat if q_in == q else None) + channel
+    return _overlap_rate(params, q_in, conjugate if q_in == q else None) + channel
 
 
 def perfect_recovery_threshold(kappa: float) -> float:
@@ -426,7 +405,7 @@ def threshold_alpha(
     def below_level(alpha):
         p = ProblemParams(alpha=alpha, kappa=kappa, delta=delta, prior=prior)
         q_level = 2.0 * alpha * kappa / (level + 0.5 * kappa * p.tilde_delta)
-        return _fixed_point_lhs_minus_rhs(p, min(q_level, QHAT_MAX)) < 0.0
+        return _fixed_point_map(p, min(q_level, QHAT_MAX))[0] < 0.0
 
     lo, hi = alpha_lo, alpha_hi
     if not below_level(hi):

@@ -16,6 +16,8 @@ from quadnet import state_evolution as se
 from quadnet.freeprob import PriorSpectrum, density
 from quadnet.state_evolution import ProblemParams, solve_qhat
 
+from oracles import interp, sigma_t_derivative
+
 
 def _check(failures, ok, label):
     if not ok:
@@ -240,7 +242,7 @@ def _pv_oracle(dens, lam):
     u = np.geomspace(1e-8, max(lam - lo, hi - lam) + 1.0, 6000)
 
     def rho_at(pts):
-        v = dens.interp(pts, dens.rho)
+        v = interp(dens, pts, dens.rho)
         return np.where(np.isfinite(v), v, 0.0)
 
     f = (rho_at(lam - u) - rho_at(lam + u)) / u
@@ -284,7 +286,7 @@ def test_density_property_grid():
                 freeprob.log_potential(density(prior, t + dt))
                 - freeprob.log_potential(density(prior, t - dt))
             ) / (2.0 * dt)
-            an = freeprob.sigma_t_derivative(prior, t)
+            an = sigma_t_derivative(prior, t)
             _check(
                 failures,
                 abs(an - fd) / abs(fd) < 1e-3,

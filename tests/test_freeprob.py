@@ -17,6 +17,8 @@ import pytest
 from quadnet import freeprob as fp
 from quadnet.freeprob import PriorSpectrum, density, support_edges, stieltjes
 
+from oracles import interp, sigma_t_derivative
+
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
 MP10 = PriorSpectrum.marchenko_pastur(1.0)
 MP20 = PriorSpectrum.marchenko_pastur(2.0)
@@ -45,7 +47,7 @@ def pv_pairing_oracle(dens, lam):
     u = np.geomspace(1e-8, max(lam - lo, hi - lam) + 1.0, 6000)
 
     def rho_at(pts):
-        v = dens.interp(pts, dens.rho)
+        v = interp(dens, pts, dens.rho)
         return np.where(np.isfinite(v), v, 0.0)
 
     f = (rho_at(lam - u) - rho_at(lam + u)) / u
@@ -90,7 +92,7 @@ def log_potential_kernel(dens):
                 xxlog(u2) - xxlog(u1)
             )
             kernel[s : s + chunk] = seg.sum(axis=1)
-        total += float(np.dot(dens._weights(i), rg * kernel))
+        total += float(np.dot(dens.weights[i], rg * kernel))
     return total
 
 
@@ -338,7 +340,7 @@ class TestDensityInvariants:
         # kappa < 1 at small t: a narrow bulk near zero carries ~ 1 - kappa,
         # the wide bulk carries ~ kappa
         dens = density(MP05, 0.01)
-        masses = [float(np.dot(dens._weights(i), dens.rho[i])) for i in range(2)]
+        masses = [float(np.dot(dens.weights[i], dens.rho[i])) for i in range(2)]
         assert masses[0] == pytest.approx(0.5, abs=0.01)
         assert masses[1] == pytest.approx(0.5, abs=0.01)
         assert dens.intervals[0][1] - dens.intervals[0][0] < 0.5
@@ -455,6 +457,22 @@ class TestCubeIntegral:
             oracle += float(np.sum(np.maximum(g.imag / np.pi, 0.0) ** 3) * h)
         assert val == pytest.approx(oracle, rel=1e-5)
 
+    # cp3_wide at t = 0.1 is left out: just after two of its intervals merge
+    # the grid's quadrature error (the FOUND line on it in CHANGES.md) puts
+    # the difference 8.7e-7 off
+    @pytest.mark.parametrize("t", [0.01, 0.5, 2.0])
+    @pytest.mark.parametrize("name", ["mp05", "mp20", "cp3_wide"])
+    def test_t_derivative_matches_central_difference(self, name, t):
+        # the Burgers identity agrees with the differences to 3e-11-2e-10;
+        # h = 1e-5 t keeps their own O(h^2) error near 1e-10
+        prior = {"mp05": MP05, "mp20": MP20, "cp3_wide": TestLogPotential.CP3_WIDE}[name]
+        h = 1e-5 * t
+        fd = (
+            density(prior, t + h, n_nodes=3201).cube_integral()
+            - density(prior, t - h, n_nodes=3201).cube_integral()
+        ) / (2.0 * h)
+        assert density(prior, t, n_nodes=3201).cube_integral_dt() == pytest.approx(fd, rel=1e-8)
+
 
 class TestHilbert:
     def test_symmetric_density_vanishes_at_center(self):
@@ -563,13 +581,13 @@ class TestLogPotential:
 class TestSigmaTDerivative:
     def test_semicircle_analytic(self):
         t = 0.7
-        assert fp.sigma_t_derivative(SEMICIRCLE_PRIOR, t) == pytest.approx(
+        assert sigma_t_derivative(SEMICIRCLE_PRIOR, t) == pytest.approx(
             0.5 / t, rel=1e-4
         )
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
     def test_matches_finite_difference(self, t):
-        an = fp.sigma_t_derivative(MP05, t)
+        an = sigma_t_derivative(MP05, t)
         dt = 1e-3
         fd = (
             fp.log_potential(density(MP05, t + dt))
@@ -578,7 +596,7 @@ class TestSigmaTDerivative:
         assert an == pytest.approx(fd, rel=1e-3)
 
     def test_matches_finite_difference_square_aspect(self):
-        an = fp.sigma_t_derivative(MP10, 0.3)
+        an = sigma_t_derivative(MP10, 0.3)
         dt = 1e-3
         fd = (
             fp.log_potential(density(MP10, 0.3 + dt))
@@ -588,8 +606,8 @@ class TestSigmaTDerivative:
 
     def test_large_t_limit(self):
         t = 1e3
-        assert fp.sigma_t_derivative(MP05, t) == pytest.approx(0.5 / t, rel=1e-2)
+        assert sigma_t_derivative(MP05, t) == pytest.approx(0.5 / t, rel=1e-2)
 
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):
-            fp.sigma_t_derivative(MP05, 0.0)
+            sigma_t_derivative(MP05, 0.0)

@@ -150,8 +150,8 @@ class TestSolveQhat:
         assert fp.mmse == 0.0
 
     def test_sign_change_at_a_jump_is_not_a_root(self, monkeypatch):
-        step = lambda params, q_hat: -1.0 if q_hat < 10.0 else 1.0
-        monkeypatch.setattr(se, "_fixed_point_lhs_minus_rhs", step)
+        step = lambda params, q_hat: (-1.0 if q_hat < 10.0 else 1.0, 0.0, None)
+        monkeypatch.setattr(se, "_fixed_point_map", step)
         with pytest.raises(se.NoConvergence, match="residual"):
             se.solve_qhat(ProblemParams(alpha=0.3, kappa=0.5), with_free_entropy=False)
 
@@ -183,6 +183,15 @@ class TestSolveQhat:
             for alpha in np.linspace(0.05, 0.6, 23):
                 se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
         assert len(ts) <= 400
+
+    def test_se_curve_newton_build_budget(self, monkeypatch):
+        # the same grid: Newton steps with the exact slope took 284 builds,
+        # the doubling-step bracket and Brent's method 373
+        ts = _record_density_builds(monkeypatch)
+        for kappa in (0.5, 1.0):
+            for alpha in np.linspace(0.05, 0.6, 23):
+                se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
+        assert len(ts) <= 312
 
     def test_threshold_scan_matches_closed_form(self):
         a_cross = se.threshold_alpha(0.5)
@@ -220,86 +229,82 @@ class TestSolveQhat:
             se.solve_qhat(ProblemParams(alpha=0.0, kappa=1.0))
 
 
-class TestGallop:
-    def test_doubling_steps_bracket_the_root(self):
-        probes = []
+class TestNewton:
+    @staticmethod
+    def recording(probes, value, slope=0.5):
+        """f for `se._newton` that appends each x it is called at to probes."""
 
         def f(x):
             probes.append(x)
-            return x - 100.0
+            return value(x), slope, None
 
-        assert se._gallop(f, 0.0) == (63.0, 127.0)
-        assert probes == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0]
-        assert se._gallop(f, 200.0) == (73.0, 137.0)
-        assert se._gallop(f, 100.0) == (100.0, 100.0)
+        return f
 
-    def test_clamped_probe_is_the_last(self):
+    def test_one_sided_steps_are_capped(self):
+        # Newton's step to the root is capped at 2, 4, 8, ... until the cap
+        # (64 from 62) no longer binds
         probes = []
+        f = self.recording(probes, lambda x: 0.5 * (x - 100.0))
+        assert se._newton(f, 0.0, "x") == (100.0, 0.0, None, 7)
+        assert probes == [0.0, 2.0, 6.0, 14.0, 30.0, 62.0, 100.0]
+        probes.clear()
+        assert se._newton(f, 200.0, "x")[0] == 100.0
+        assert probes[:3] == [200.0, 198.0, 194.0]
 
-        def f(x):
-            probes.append(x)
-            return -1.0
-
-        assert se._gallop(f, 0.0, x_max=50.0) is None
-        assert probes[-2:] == [31.0, 50.0]
-        with pytest.raises(se.NoConvergence):
-            se._gallop(f, 0.0)
-
-
-# (f, its root): smooth, kinked away from the root, cusped at it, and flat at it
-_BRENT_CASES = [
-    (lambda x: x**3 - 2.0 * x - 5.0, 2.0945514815423265),
-    (lambda x: math.tanh(3.0 * (x - 0.3)), 0.3),
-    (lambda x: x - 0.7 + 0.9 * abs(x - 0.2), 0.2 + 0.5 / 1.9),
-    (lambda x: math.copysign(abs(x - 0.4) ** 0.3, x - 0.4), 0.4),
-    (lambda x: (x - 0.45) ** 5, 0.45),
-]
-
-
-class TestBrentq:
-    @pytest.mark.parametrize("xtol,rtol", [(1e-13, 8.9e-16), (2e-12, 4 * np.finfo(float).eps)])
-    def test_matches_reference_brentq(self, xtol, rtol):
-        # the solver is a port: same root to the bit, same iteration count
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(0)
-        for f, root in _BRENT_CASES:
-            for below, above, flip in zip(*rng.uniform(1e-6, 3.0, (2, 60)), rng.random(60) < 0.5):
-                a, b = root - below**2, root + above**2
-                if flip:
-                    a, b = b, a
-                ref, info = optimize.brentq(
-                    f, a, b, xtol=xtol, rtol=rtol, maxiter=200, full_output=True
-                )
-                assert se._brentq(f, a, b, xtol, rtol, 200) == (ref, info.iterations, True)
-
-    def test_same_sign_bracket_rejected(self):
-        with pytest.raises(ValueError, match="one sign"):
-            se._brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-13, 8.9e-16, 200)
-
-    def test_root_at_bracket_end_takes_no_iteration(self):
-        assert se._brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-13, 8.9e-16, 200) == (1.0, 0, True)
-
-    def test_budget_exhausted_is_unconverged(self):
-        f = _BRENT_CASES[0][0]
-        root, iterations, converged = se._brentq(f, 0.0, 3.0, 1e-13, 8.9e-16, 2)
-        assert (iterations, converged) == (2, False)
-        assert 0.0 < root < 3.0
-
-    def test_nan_stops_at_its_probe(self):
+    def test_x_max_is_probed_and_ends_the_search(self):
         probes = []
+        f = self.recording(probes, lambda x: 0.5 * (x - 100.0))
+        assert se._newton(f, 0.0, "x", x_max=50.0) == (50.0, -25.0, None, 6)
+        assert probes == [0.0, 2.0, 6.0, 14.0, 30.0, 50.0]
 
-        def f(x):
-            probes.append(x)
-            return math.nan if abs(x - 1.0) < 0.5 else x - 1.0
+    def test_step_leaving_the_bracket_bisects(self):
+        # slope 1/4 of the true one: the step from 2 goes to -2, outside (0, 2)
+        probes = []
+        f = self.recording(probes, lambda x: x - 1.0, slope=0.25)
+        assert se._newton(f, 0.0, "x") == (1.0, 0.0, None, 3)
+        assert probes == [0.0, 2.0, 1.0]
 
-        root, _, converged = se._brentq(f, -3.0, 4.0, 1e-13, 8.9e-16, 200)
-        assert not converged
-        assert root == probes[-1] and abs(root - 1.0) < 0.5
+    @pytest.mark.parametrize("slope", [0.0, -1.0, math.inf, math.nan])
+    def test_slope_not_positive_and_finite_bisects(self, slope):
+        # one-sided the step is the cap, bracketed it is the midpoint
+        probes = []
+        f = self.recording(probes, lambda x: x - 1.0, slope=slope)
+        assert se._newton(f, 0.0, "x") == (1.0, 0.0, None, 3)
+        assert probes == [0.0, 2.0, 1.0]
+
+    def test_jump_ends_at_its_narrowed_bracket(self):
+        # no root: the bracket closes on the jump well inside the budget,
+        # and the point returned was evaluated there
+        probes = []
+        f = self.recording(probes, lambda x: -1.0 if x < 0.3 else 1.0, slope=0.0)
+        x, value, _, evals = se._newton(f, 0.0, "x")
+        assert abs(value) == 1.0 and x == probes[-1]
+        assert abs(x - 0.3) < 1e-12
+        assert evals == len(probes) < 60
+
+    def test_budget_exhausted_raises(self):
+        probes = []
+        f = self.recording(probes, lambda x: x - 1.0, slope=0.0)
+        with pytest.raises(se.NoConvergence) as info:
+            se._newton(f, 0.3, "x", maxiter=2)
+        assert probes == [0.3, 2.3]
+        assert str(info.value) == (
+            f"Newton's method stopped after 2 iterations at x={math.exp(2.3)!r},"
+            f" where the map is {2.3 - 1.0!r}"
+        )
+
+    def test_nan_raises_naming_its_probe(self):
+        probes = []
+        f = self.recording(probes, lambda x: math.nan if x > 1.5 else x - 5.0)
+        with pytest.raises(se.NoConvergence) as info:
+            se._newton(f, 0.0, "x")
+        assert probes == [0.0, 2.0]
+        assert f"at x={math.exp(2.0)!r}, where the map is nan" in str(info.value)
 
     def test_solves_out_of_iterations_raise(self, monkeypatch):
-        brentq = se._brentq
+        newton = se._newton
         monkeypatch.setattr(
-            se, "_brentq", lambda *args, **kwargs: brentq(*args, **{**kwargs, "maxiter": 2})
+            se, "_newton", lambda *args, **kwargs: newton(*args, **{**kwargs, "maxiter": 2})
         )
         params = ProblemParams(alpha=0.3, kappa=0.5, delta=0.1)
         with pytest.raises(se.NoConvergence, match="after 2 iterations at q_hat="):
@@ -308,18 +313,19 @@ class TestBrentq:
             se.free_entropy(params, 1.5)
 
     def test_nan_map_raises_naming_the_probe(self, monkeypatch):
-        # NaN only within 1% of the root in log scale, where Brent's probes
-        # land and the doubling-step search's do not
+        # NaN only within 1% of the root in log scale, where Newton's last
+        # probes land and its first do not
         params = ProblemParams(alpha=0.3, kappa=0.5, delta=0.1)
         fp = se.solve_qhat(params)
-        fixed_point, f_rie = se._fixed_point_lhs_minus_rhs, se._f_rie
+        fixed_point, f_rie = se._fixed_point_map, se._f_rie
         near = lambda x, x_star: abs(math.log(x / x_star)) < 0.01
+        nan = (math.nan, math.nan, None)
         monkeypatch.setattr(
-            se, "_fixed_point_lhs_minus_rhs",
-            lambda p, q_hat: math.nan if near(q_hat, fp.q_hat) else fixed_point(p, q_hat),
+            se, "_fixed_point_map",
+            lambda p, q_hat: nan if near(q_hat, fp.q_hat) else fixed_point(p, q_hat),
         )
         monkeypatch.setattr(
-            se, "_f_rie", lambda prior, t: math.nan if near(t, 1.0 / fp.q_hat) else f_rie(prior, t)
+            se, "_f_rie", lambda prior, t: nan if near(t, 1.0 / fp.q_hat) else f_rie(prior, t)
         )
         for solve, name, x_star in (
             (lambda: se.solve_qhat(params), "q_hat", fp.q_hat),
@@ -329,6 +335,49 @@ class TestBrentq:
                 solve()
             named = re.search(rf" {name}=(\S+),", str(info.value)).group(1)
             assert near(float(named), x_star)
+
+    def test_matches_reference_brentq(self):
+        # Brent's method on the same map in log q_hat (xtol 1e-13, rtol
+        # 8.9e-16) finds the same root; past the threshold, the map is
+        # negative at QHAT_MAX
+        optimize = pytest.importorskip("scipy.optimize")
+        for delta in (0.0, 0.1):
+            for kappa in (0.15, 0.45, 0.75, 1.05, 1.35, 1.85):
+                for alpha in (0.07, 0.33):
+                    params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
+                    fp = se.solve_qhat(params)
+                    g = lambda u: se._fixed_point_map(params, math.exp(u))[0]
+                    if fp.status == "supercritical":
+                        assert g(math.log(se.QHAT_MAX)) < 0.0
+                        continue
+                    u = math.log(fp.q_hat)
+                    root = optimize.brentq(g, u - 1.0, u + 1.0, xtol=1e-13, rtol=8.9e-16)
+                    assert math.exp(root) == pytest.approx(fp.q_hat, rel=1e-12, abs=0.0)
+
+
+class TestMapSlopes:
+    """Each map's slope, read off the density its value comes from, against
+    central differences of the value in log scale."""
+
+    H = 1e-5
+
+    @pytest.mark.parametrize("q_hat", [0.05, 1.0, 30.0, 2000.0])
+    @pytest.mark.parametrize("alpha,kappa,delta", [(0.3, 0.5, 0.1), (0.2, 2.0, 0.0)])
+    def test_fixed_point_map(self, alpha, kappa, delta, q_hat):
+        params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
+        value = lambda u: se._fixed_point_map(params, math.exp(u))[0]
+        u = math.log(q_hat)
+        fd = (value(u + self.H) - value(u - self.H)) / (2.0 * self.H)
+        assert se._fixed_point_map(params, q_hat)[1] == pytest.approx(fd, rel=1e-7)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 20.0])
+    @pytest.mark.parametrize("kappa", [0.5, 2.0])
+    def test_f_rie(self, kappa, t):
+        prior = freeprob.PriorSpectrum.marchenko_pastur(kappa)
+        value = lambda v: se._f_rie(prior, math.exp(v))[0]
+        v = math.log(t)
+        fd = (value(v + self.H) - value(v - self.H)) / (2.0 * self.H)
+        assert se._f_rie(prior, t)[1] == pytest.approx(fd, rel=1e-7)
 
 
 class TestFixedPointEquivalence:
@@ -481,11 +530,10 @@ class TestFreeEntropy:
         reference = se.free_entropy(params, q)
         ts = _record_density_builds(monkeypatch)
         value = se.free_entropy(params, q)
-        # the last build is the log potential at the conjugate root, which
-        # the inner solve may already have built
-        inner = ts[:-1]
-        assert len(inner) > 0
-        assert len(set(inner)) == len(inner)
+        # the log potential reads the density of the conjugate root, which
+        # the inner solve has built
+        assert len(ts) > 0
+        assert len(set(ts)) == len(ts)
         assert value == reference
 
     def test_fixed_point_reuses_conjugate(self, monkeypatch):
