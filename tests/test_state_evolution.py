@@ -336,10 +336,14 @@ class TestNewton:
             named = re.search(rf" {name}=(\S+),", str(info.value)).group(1)
             assert near(float(named), x_star)
 
-    def test_matches_reference_brentq(self):
-        # Brent's method on the same map in log q_hat (xtol 1e-13, rtol
-        # 8.9e-16) finds the same root; past the threshold, the map is
-        # negative at QHAT_MAX
+
+class TestBrentq:
+    """solve_qhat's Newton roots against scipy's Brent reference."""
+
+    @pytest.mark.parametrize("xtol,rtol", [(1e-13, 8.9e-16), (2e-12, 4 * np.finfo(float).eps)])
+    def test_matches_reference_brentq(self, xtol, rtol):
+        # Brent's method on the same map in log q_hat finds the same root, to
+        # its own xtol; past the threshold, the map is negative at QHAT_MAX
         optimize = pytest.importorskip("scipy.optimize")
         for delta in (0.0, 0.1):
             for kappa in (0.15, 0.45, 0.75, 1.05, 1.35, 1.85):
@@ -351,9 +355,9 @@ class TestNewton:
                         assert g(math.log(se.QHAT_MAX)) < 0.0
                         continue
                     u = math.log(fp.q_hat)
-                    root = optimize.brentq(g, u - 1.0, u + 1.0, xtol=1e-13, rtol=8.9e-16)
-                    assert math.exp(root) == pytest.approx(fp.q_hat, rel=1e-12, abs=0.0)
-
+                    root = optimize.brentq(g, u - 1.0, u + 1.0, xtol=xtol, rtol=rtol)
+                    rel = max(1e-12, 2 * xtol)
+                    assert math.exp(root) == pytest.approx(fp.q_hat, rel=rel, abs=0.0)
 
 class TestMapSlopes:
     """Each map's slope, read off the density its value comes from, against
