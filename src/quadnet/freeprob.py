@@ -4,9 +4,9 @@ The measures handled here are the asymptotic eigenvalue laws of
 S + sqrt(t) * GOE, where S is a sample-covariance-type matrix whose limiting
 law is a (generalized) Marchenko-Pastur distribution with aspect ratio kappa.
 Everything downstream (matrix denoising, state evolution, message passing)
-consumes the objects built here: Stieltjes transforms, densities on adaptive
-grids, support edges, Hilbert transforms, and the log potential
-Sigma(mu) = E log|X - Y|.
+consumes the objects built here: Stieltjes transforms, densities on
+edge-clustered grids, support edges, Hilbert transforms, and the log
+potential Sigma(mu) = E log|X - Y|.
 
 Conventions
 -----------
@@ -21,8 +21,12 @@ Adding a semicircle of variance t adds t*s, so g solves the self-consistency
     z = -t*g + R(-g) - 1/g ,
 
 which is polynomial in g after clearing denominators: a cubic for the plain
-MP prior (solved in closed form), degree 2 + #atoms for the general prior
-(solved via companion matrices).
+MP prior, degree 2 + #atoms for the general prior (solved via companion
+matrices).  The MP cubic is solved in closed form.  On the support, at real
+x, its coefficients are real and the physical g is the upper member of its
+one complex-conjugate root pair (real Cardano, then Newton's method at
+x + i*eps); at the support edges and at complex z all three roots come from
+complex Cardano.
 """
 
 from __future__ import annotations
@@ -35,10 +39,8 @@ import numpy as np
 __all__ = [
     "PriorSpectrum",
     "SpectralDensity",
-    "StieltjesSolution",
     "NoAdmissibleRoot",
     "EdgeDetectionFailed",
-    "stieltjes",
     "density",
     "support_edges",
     "hilbert",
@@ -149,24 +151,9 @@ class PriorSpectrum:
         return out
 
 
-@dataclasses.dataclass(frozen=True)
-class StieltjesSolution:
-    """Admissible solution g(z) of the self-consistency equation at one z."""
-
-    z: complex
-    g: complex
-    t: float
-    residual: float
-
-
 # =======================
 # polynomial root finding
 # =======================
-
-
-def _selfcons(prior, t, z, g):
-    """Residual F(g) = z + t g + 1/g - R(-g); zero at every branch of g(z)."""
-    return z + t * g + 1.0 / g - prior.r_transform(-g)
 
 
 def _coeffs_desc(prior, t, z):
@@ -302,7 +289,12 @@ def _companion_roots(coeffs_desc):
     return np.linalg.eigvals(comp)
 
 
-def _all_roots(prior, t, z, coeffs=None):
+def _inverted(t, z):
+    """Whether the roots at the points z are solved in w = 1/g (see `_all_roots`)."""
+    return t != 0.0 and t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
+
+
+def _all_roots(prior, t, z, coeffs=None, invert=None):
     """All branches of g(z), shape (M, deg).  z is a complex array.
 
     Callers that also polish the roots pass coeffs = `_coeffs_desc(prior, t,
@@ -311,11 +303,12 @@ def _all_roots(prior, t, z, coeffs=None):
     ill-conditioned; in that regime the reversed polynomial in w = 1/g is
     well-scaled, so solve that and invert.  The huge spurious branch then
     comes out as w ~ 0 (inaccurate/inf), which is harmless because it is
-    never the admissible pick.
+    never the admissible pick.  `invert` defaults to `_inverted(t, z)`.
     """
     if coeffs is None:
         coeffs = _coeffs_desc(prior, t, z)
-    invert = t != 0.0 and t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
+    if invert is None:
+        invert = _inverted(t, z)
     if invert:
         coeffs = coeffs[:, ::-1]
     if prior.kind == "marchenko_pastur":
@@ -389,71 +382,79 @@ def _homotopy_solve(prior, t, x, eps):
     return g
 
 
+def _real_cubic_pair(c):
+    """Upper member of the non-real root pair of the real cubics
+    c[:, 0] y^3 + c[:, 1] y^2 + c[:, 2] y + c[:, 3], and the real root, by
+    real Cardano.
+
+    With y = s - b/3 the cubic is s^3 + p s + q; where its discriminant
+    q^2/4 + p^3/27 is positive it has one real root a + v - b/3, a the real
+    cube root of -q/2 - sign(q) sqrt(disc) (no cancellation) and
+    v = -p/(3a), and the pair -(a + v)/2 - b/3 +- i sqrt(3)/2 |a - v|.  NaN
+    where all three roots are real.  The pair loses digits to the
+    discriminant's cancellation when the real root is much the larger.
+    """
+    b = c[:, 1] / c[:, 0]
+    cc = c[:, 2] / c[:, 0]
+    b3 = b / 3.0
+    p = cc - b * b3
+    hq = b3 * cc / 2.0 - b3 * b3 * b3 - 0.5 * c[:, 3] / c[:, 0]  # -q/2
+    with np.errstate(all="ignore"):
+        a = np.cbrt(hq + np.copysign(np.sqrt(hq * hq + p * p * p / 27.0), hq))
+        v = -p / (3.0 * a)
+    g = np.empty(len(b), dtype=complex)
+    g.real = -0.5 * (a + v) - b3
+    g.imag = 0.5 * np.sqrt(3.0) * np.abs(a - v)
+    return g, a + v - b3
+
+
 def _grid_branch(prior, t, x, eps):
     """Physical g at points x of one support interval, at height eps.
 
-    Fast path: on the support the physical root has Im g = pi*rho, which is
-    the admissible root of largest imaginary part.  Points where more than
-    one root lies in the upper half plane (spurious branch pairs near gaps
-    and branch collisions) are re-solved by homotopy, which is unambiguous.
+    Marchenko-Pastur prior, t > 0: at real x the cubic P_x has real
+    coefficients, and on the support the physical g(x + i0) is the upper
+    member of its one non-real root pair (`_real_cubic_pair`).  The pair is
+    taken from the reversed cubic in w = 1/g, or from P_x itself where the
+    real root is the larger in w: Cardano loses the pair's digits when the
+    real root dominates.  Newton's method at x + i*eps then moves g to the
+    offset, which needs the move eps / |phi'(g)| to be small next to the
+    pair's half-gap Im g.  Nodes without a pair, or where the pair has
+    (nearly) collided, which are the support edges and points within about
+    eps of them, take the general path: the admissible root at x + i*eps of
+    largest imaginary part, which on the support has Im g = pi*rho.  Points
+    where more than one root lies in the upper half plane (spurious branch
+    pairs near gaps and branch collisions) are re-solved by homotopy, which
+    is unambiguous.
     """
     z = x + 1j * eps
     coeffs = _coeffs_desc(prior, t, z)
-    roots = _all_roots(prior, t, z, coeffs)
-    im = roots.imag
-    g = roots[np.arange(len(x)), np.argmax(im, axis=1)]
-    n_adm = (im > 1e-13).sum(axis=1)
-    ambiguous = n_adm > 1
-    if np.any(ambiguous):
-        g[ambiguous] = _homotopy_solve(prior, t, x[ambiguous], eps)
-    g = _newton_polish(coeffs, g, steps=2)
-    return g
+    if prior.kind == "marchenko_pastur" and t != 0.0:
+        # the real part of the coefficients at x + i*eps is P_x's
+        w, real = _real_cubic_pair(coeffs.real[:, ::-1])
+        with np.errstate(all="ignore"):
+            g = w / (w * w.conjugate()).real
+            swap = np.abs(real) > np.abs(w)
+            if np.any(swap):
+                g[swap] = _real_cubic_pair(coeffs.real[swap])[0]
+            rest = ~(eps < 1e-3 * g.imag * np.abs(_phi_prime(prior, t, g)))  # also NaN
+    else:
+        g = np.empty(len(x), dtype=complex)
+        rest = np.ones(len(x), dtype=bool)
+    if np.any(rest):
+        # the orientation the whole interval would take
+        roots = _all_roots(prior, t, z[rest], coeffs[rest], _inverted(t, z))
+        im = roots.imag
+        gr = roots[np.arange(len(roots)), np.argmax(im, axis=1)]
+        ambiguous = (im > 1e-13).sum(axis=1) > 1
+        if np.any(ambiguous):
+            gr[ambiguous] = _homotopy_solve(prior, t, x[rest][ambiguous], eps)
+        g[rest] = gr
+    return _newton_polish(coeffs, g, steps=2)
 
 
 # ==================
 # public operations
 # ==================
-
-
-def stieltjes(prior: PriorSpectrum, t: float, z: complex, eps: float = DEFAULT_EPS):
-    """Admissible Stieltjes transform g(z) of mu_t at a single point z.
-
-    Parameters
-    ----------
-    prior : PriorSpectrum
-    t : float
-        Variance of the added semicircle part, t >= 0.
-    z : complex
-        Evaluation point with Im z > 0.
-
-    Returns
-    -------
-    StieltjesSolution
-        Carries g, the offset actually used, and the self-consistency
-        residual |z + t g - R(-g) + 1/g|.
-    """
-    z = complex(z)
-    if z.imag <= 0:
-        raise ValueError("stieltjes requires Im z > 0")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    g = _homotopy_solve(prior, t, np.array([z.real]), z.imag)[0]
-    # the residual mixes terms of size |z| and O(1); finish with Newton in
-    # extended precision so cancellation noise stays below the 1e-10 contract
-    # even at |z| ~ 1e6
-    zl = np.clongdouble(z)
-    gl = np.clongdouble(g)
-    coeffs = _coeffs_desc(prior, t, np.array([z]))[0].astype(np.clongdouble)
-    for _ in range(3):
-        p = np.clongdouble(0.0)
-        dp = np.clongdouble(0.0)
-        for c in coeffs:
-            dp = dp * gl + p
-            p = p * gl + c
-        if dp != 0.0:
-            gl = gl - p / dp
-    res = abs(_selfcons(prior, np.longdouble(t), zl, gl))
-    return StieltjesSolution(z=z, g=complex(gl), t=t, residual=float(res))
 
 
 def _phi(prior, t, g):
@@ -573,13 +574,20 @@ def support_edges(prior: PriorSpectrum, t: float):
     return intervals
 
 
-def _simpson_weights(n):
+@functools.lru_cache(maxsize=8)
+def _sin2_grid(n):
+    """sin^2(theta) at n uniform theta in [0, pi/2], and the weights of
+    Simpson's rule in theta for int_0^1 f(s) ds, s = sin^2(theta): one
+    interval [l, u] maps them by x = l + (u - l) s and (u - l) w."""
     if n < 3 or n % 2 == 0:
         raise ValueError("Simpson rule needs an odd number of nodes >= 3")
+    theta = np.linspace(0.0, 0.5 * np.pi, n)
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / 3.0
+    s2, w = np.sin(theta) ** 2, w / 3.0 * theta[1] * np.sin(2.0 * theta)
+    s2.flags.writeable = w.flags.writeable = False
+    return s2, w
 
 
 @dataclasses.dataclass
@@ -611,11 +619,7 @@ class SpectralDensity:
     @functools.cached_property
     def weights(self):
         """Per-interval quadrature weights in x, Simpson's rule in theta."""
-        out = []
-        for (l, u), x in zip(self.intervals, self.x):
-            theta = np.linspace(0.0, 0.5 * np.pi, len(x))
-            out.append(_simpson_weights(len(x)) * theta[1] * (u - l) * np.sin(2.0 * theta))
-        return tuple(out)
+        return tuple((u - l) * _sin2_grid(len(x))[1] for (l, u), x in zip(self.intervals, self.x))
 
     def integrate(self, values_per_interval):
         """Sum_i int values_i(x) dx over the support intervals."""
@@ -660,8 +664,7 @@ def _mp_analytic_density(prior, n_nodes, eps):
     kappa = prior.kappa
     lam_m = (1.0 - kappa**-0.5) ** 2
     lam_p = (1.0 + kappa**-0.5) ** 2
-    theta = np.linspace(0.0, 0.5 * np.pi, n_nodes)
-    x = lam_m + (lam_p - lam_m) * np.sin(theta) ** 2
+    x = lam_m + (lam_p - lam_m) * _sin2_grid(n_nodes)[0]
     with np.errstate(all="ignore"):
         rho = kappa * np.sqrt(np.maximum((lam_p - x) * (x - lam_m), 0.0)) / (2 * np.pi * x)
     rho = np.where(np.isfinite(rho), rho, 0.0)
@@ -710,9 +713,9 @@ def density(
         return _mp_analytic_density(prior, n_nodes, eps)
     intervals = support_edges(prior, t)
     xs, rhos, regs = [], [], []
+    s2 = _sin2_grid(n_nodes)[0]
     for l, u in intervals:
-        theta = np.linspace(0.0, 0.5 * np.pi, n_nodes)
-        x = l + (u - l) * np.sin(theta) ** 2
+        x = l + (u - l) * s2
         g = _grid_branch(prior, t, x, min(eps, 1e-5 * (u - l)))
         xs.append(x)
         rhos.append(np.maximum(g.imag / np.pi, 0.0))

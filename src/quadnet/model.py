@@ -18,7 +18,6 @@ operations go through the matrix-free identities on X rows.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 
@@ -84,11 +83,6 @@ class ReducedDataset:
         out = self.X.T @ (np.asarray(g)[:, None] * self.X)
         out[np.diag_indices_from(out)] -= np.sum(g)
         return out / np.sqrt(self.d)
-
-    def z_matrix(self, i) -> np.ndarray:
-        """Materialize a single Z_i (tests and diagnostics only)."""
-        x = self.X[i]
-        return (np.outer(x, x) - np.eye(self.d)) / np.sqrt(self.d)
 
 
 def labels(W, a, X, delta, rng) -> np.ndarray:
@@ -178,44 +172,3 @@ def matrix_mse(S_hat, S_star, kappa: float) -> float:
         raise ValueError(f"shape mismatch: {S_hat.shape} vs {np.shape(S_star)}")
     diff = S_hat - S_star
     return kappa * float(np.sum(diff * diff)) / S_hat.shape[0]
-
-
-def save_instance(path, instance: TeacherInstance):
-    """Binary dump: X, y, S* spectrum, and a JSON metadata record."""
-    meta = {
-        "d": instance.d,
-        "m": instance.m,
-        "n": instance.n,
-        "delta": instance.delta,
-        "seed": instance.seed,
-        "kappa": instance.kappa,
-        "alpha": instance.alpha,
-    }
-    np.savez_compressed(
-        path,
-        X=instance.X,
-        y=instance.y,
-        W_star=instance.W_star,
-        a=instance.a,
-        s_star_eigenvalues=np.linalg.eigvalsh(instance.S_star),
-        meta=np.bytes_(json.dumps(meta, sort_keys=True).encode()),
-    )
-
-
-def load_instance(path) -> TeacherInstance:
-    with np.load(path) as f:
-        meta = json.loads(bytes(f["meta"]).decode())
-        W = f["W_star"]
-        a = f["a"]
-        return TeacherInstance(
-            d=meta["d"],
-            m=meta["m"],
-            n=meta["n"],
-            W_star=W,
-            a=a,
-            S_star=(W.T * a) @ W / meta["m"],
-            X=f["X"],
-            y=f["y"],
-            delta=meta["delta"],
-            seed=meta["seed"],
-        )

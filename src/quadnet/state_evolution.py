@@ -209,12 +209,32 @@ def _newton(f, x, name, x_max=math.inf, maxiter=100):
     )
 
 
+def _qhat_start(params):
+    """Root of the fixed-point map with int mu_t^3 taken from a semicircle of
+    variance V + t, V = Q0 - q_min: then K t C = 1 / (V q_hat + 1), and the
+    root solves (tilde_delta V / 2) q_hat^2 + ((1 - 2 alpha) V +
+    tilde_delta / 2) q_hat - 2 alpha = 0.  The semicircle is the linear
+    estimator's law, as in `_inner_conjugate`'s start.  Clamped into
+    (0, QHAT_MAX]: noiseless at alpha >= 1/2 there is no root.
+    """
+    var = params.q0 - params.q_min
+    a = 0.5 * params.tilde_delta * var
+    b = (1.0 - 2.0 * params.alpha) * var + 0.5 * params.tilde_delta
+    disc = math.sqrt(b * b + 8.0 * a * params.alpha)
+    if b > 0.0:  # the form without cancellation
+        q_hat = 4.0 * params.alpha / (b + disc)
+    else:
+        q_hat = (disc - b) / (2.0 * a) if a > 0.0 else math.inf
+    return min(q_hat, QHAT_MAX)
+
+
 def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixedPoint:
     """Solve the fixed-point equation for q_hat and assemble the MMSE.
 
     The root is found in u = log q_hat by safeguarded Newton steps
-    (`_newton`) from the initialization q_hat = 2 alpha / Q0, with the
-    slope of the map taken from the same density build as its value
+    (`_newton`) from the root of the map with a semicircle in place of mu_t
+    (`_qhat_start`), with the slope of the map taken from the same density
+    build as its value
     (`freeprob.SpectralDensity.cube_integral_dt`).  Steps are bounded by
     QHAT_MAX, which is probed itself; a NaN of the map or an exhausted
     budget raises NoConvergence naming q_hat.  Each point of the map is one
@@ -232,7 +252,7 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixe
     u_max = math.log(QHAT_MAX)
     u, g_u, dens, evals = _newton(
         lambda u: _fixed_point_map(params, math.exp(u)),
-        math.log(2.0 * params.alpha / params.q0), "q_hat", u_max,
+        math.log(_qhat_start(params)), "q_hat", u_max,
     )
     if u == u_max and g_u < 0.0:  # the perfect-recovery fixed point
         return SEFixedPoint(

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from quadnet import freeprob as fp
-from quadnet.freeprob import PriorSpectrum, density, support_edges, stieltjes
+from quadnet.freeprob import PriorSpectrum, density, support_edges
 
-from oracles import interp, sigma_t_derivative
+from oracles import interp, sigma_t_derivative, stieltjes
 
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
 MP10 = PriorSpectrum.marchenko_pastur(1.0)
@@ -272,6 +272,64 @@ class TestSupportEdges:
             support_edges(MP05, 0.0)
         with pytest.raises(ValueError):
             support_edges(MP05, -1.0)
+
+
+class TestRealCubicPair:
+    # the small t solve the general path in w = 1/g, the large t in g: both
+    # sides of the `_inverted` guard
+    TS = np.geomspace(1e-6, 10.0, 8)
+
+    @staticmethod
+    def _points(dens):
+        """Per interval: the grid, then points 1e-16..1e-3 widths inside each
+        edge, where eigenvalues can land for `hilbert`."""
+        h = np.geomspace(1e-16, 1e-3, 14)
+        for (l, u), x in zip(dens.intervals, dens.x):
+            yield l, u, np.concatenate([x, l + h * (u - l), u - h * (u - l)]), x[[0, -1]]
+
+    @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
+    def test_matches_general_path_node_by_node(self, monkeypatch, kappa):
+        # the Marchenko-Pastur pair root against the companion-matrix path of
+        # the same cubic (the unit-atom compound-Poisson prior).  The points
+        # the pair route hands to the general path are recorded: they must
+        # include both end nodes of every interval, where the pair collides
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        handed = []
+        all_roots = fp._all_roots
+
+        def recording(prior, t, z, *args):
+            if prior is mp:
+                handed.extend(z.real)
+            return all_roots(prior, t, z, *args)
+
+        monkeypatch.setattr(fp, "_all_roots", recording)
+        inverted = set()
+        for t in self.TS:
+            for l, u, x, ends in self._points(density(mp, t, n_nodes=401)):
+                eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+                inverted.add(fp._inverted(t, x + 1j * eps))
+                handed.clear()
+                g = fp._grid_branch(mp, t, x, eps)
+                assert np.isin(ends, handed).all()
+                pair = ~np.isin(x, handed)
+                g_cp = fp._grid_branch(cp, t, x[pair], eps)
+                # against extended precision the companion path is off by up
+                # to 2e-13 next to an edge, the pair by 5e-14
+                assert np.max(np.abs(g[pair] - g_cp) / np.abs(g_cp)) < 1e-12, (t, l, u)
+        assert inverted == {False, True}
+
+    @pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
+    def test_matches_extended_precision_stieltjes(self, kappa):
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        for t in self.TS:
+            dens = density(mp, t, n_nodes=401)
+            for (l, u), x in zip(dens.intervals, dens.x):
+                x = x[1:-1:50]
+                eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+                ref = np.array([stieltjes(mp, t, complex(xi, eps)).g for xi in x])
+                g = fp._grid_branch(mp, t, x, eps)
+                assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-13, (t, l, u)
 
 
 class TestSharedCoefficients:

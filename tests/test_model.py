@@ -1,9 +1,58 @@
 """Tests for teacher data generation, the matrix reduction, and metrics."""
 
+import json
+
 import numpy as np
 import pytest
 
 from quadnet import model
+
+
+def z_matrix(red, i):
+    """Materialize a single Z_i = (x_i x_i^T - I)/sqrt(d) of a reduced dataset."""
+    x = red.X[i]
+    return (np.outer(x, x) - np.eye(red.d)) / np.sqrt(red.d)
+
+
+def save_instance(path, instance):
+    """Binary dump: X, y, S* spectrum, and a JSON metadata record."""
+    meta = {
+        "d": instance.d,
+        "m": instance.m,
+        "n": instance.n,
+        "delta": instance.delta,
+        "seed": instance.seed,
+        "kappa": instance.kappa,
+        "alpha": instance.alpha,
+    }
+    np.savez_compressed(
+        path,
+        X=instance.X,
+        y=instance.y,
+        W_star=instance.W_star,
+        a=instance.a,
+        s_star_eigenvalues=np.linalg.eigvalsh(instance.S_star),
+        meta=np.bytes_(json.dumps(meta, sort_keys=True).encode()),
+    )
+
+
+def load_instance(path):
+    with np.load(path) as f:
+        meta = json.loads(bytes(f["meta"]).decode())
+        W = f["W_star"]
+        a = f["a"]
+        return model.TeacherInstance(
+            d=meta["d"],
+            m=meta["m"],
+            n=meta["n"],
+            W_star=W,
+            a=a,
+            S_star=(W.T * a) @ W / meta["m"],
+            X=f["X"],
+            y=f["y"],
+            delta=meta["delta"],
+            seed=meta["seed"],
+        )
 
 
 class TestGenerate:
@@ -123,7 +172,7 @@ class TestReduce:
         S = rng.standard_normal((30, 30))
         S = S + S.T
         dense = np.array(
-            [np.trace(red.z_matrix(i) @ S) for i in range(red.n)]
+            [np.trace(z_matrix(red, i) @ S) for i in range(red.n)]
         )
         np.testing.assert_allclose(red.trace_products(S), dense, atol=1e-12)
 
@@ -131,7 +180,7 @@ class TestReduce:
         inst = model.generate(d=30, kappa=0.7, alpha=0.5, delta=0.1, seed=5)
         red = model.reduce(inst)
         g = np.random.default_rng(1).standard_normal(red.n)
-        dense = sum(gi * red.z_matrix(i) for i, gi in enumerate(g))
+        dense = sum(gi * z_matrix(red, i) for i, gi in enumerate(g))
         np.testing.assert_allclose(red.weighted_sum(g), dense, atol=1e-12)
 
     def test_trace_against_independent_matrix_is_centered(self):
@@ -168,8 +217,8 @@ class TestExport:
     def test_round_trip(self, tmp_path):
         inst = model.generate(d=20, kappa=0.5, alpha=0.3, delta=0.1, seed=42)
         path = tmp_path / "instance.npz"
-        model.save_instance(path, inst)
-        back = model.load_instance(path)
+        save_instance(path, inst)
+        back = load_instance(path)
         assert back.d == inst.d and back.m == inst.m and back.n == inst.n
         assert back.delta == inst.delta and back.seed == inst.seed
         np.testing.assert_array_equal(back.X, inst.X)
@@ -179,7 +228,7 @@ class TestExport:
     def test_spectrum_is_stored_sorted(self, tmp_path):
         inst = model.generate(d=20, kappa=0.5, alpha=0.3, seed=42)
         path = tmp_path / "instance.npz"
-        model.save_instance(path, inst)
+        save_instance(path, inst)
         with np.load(path) as f:
             evals = f["s_star_eigenvalues"]
         assert np.all(np.diff(evals) >= 0)

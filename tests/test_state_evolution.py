@@ -193,6 +193,37 @@ class TestSolveQhat:
                 se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
         assert len(ts) <= 312
 
+    def test_se_curve_semicircle_start_build_budget(self):
+        # the same grid from the semicircle start: 195 map points, against
+        # 284 from q_hat = 2 alpha / Q0, with every status as it was
+        fps = [
+            se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
+            for kappa in (0.5, 1.0)
+            for alpha in np.linspace(0.05, 0.6, 23)
+        ]
+        statuses = "".join(fp.status[0] for fp in fps)
+        assert statuses == "c" * 14 + "s" * 9 + "c" * 18 + "s" * 5
+        assert sum(fp.iterations for fp in fps) <= 195
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.25, math.nextafter(0.5, 0.0), 0.5, 0.6])
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_semicircle_start_in_range(self, alpha, delta):
+        p = ProblemParams(alpha=alpha, kappa=0.1, delta=delta)
+        start = se._qhat_start(p)
+        assert 0.0 < start <= se.QHAT_MAX
+        if start < se.QHAT_MAX:
+            # a root of the map with K int mu_t^3 = 1 / (Q0 - q_min + t)
+            value = (1 - 2 * alpha) + 0.5 * p.tilde_delta * start - 1 / (1 + (p.q0 - p.q_min) * start)
+            assert abs(value) < 1e-12
+
+    def test_start_clamped_below_the_noiseless_threshold_alpha(self):
+        # a README phase-diagram cell one ulp below alpha = 1/2: unclamped, its
+        # semicircle start is q_hat = 9.0e14, where the density build at
+        # t = 1.1e-15 raises NoAdmissibleRoot
+        fp = se.solve_qhat(ProblemParams(alpha=0.49999999999999994, kappa=0.1, delta=0.0))
+        assert fp.status == "supercritical"
+        assert fp.mmse == 0.0
+
     def test_threshold_scan_matches_closed_form(self):
         a_cross = se.threshold_alpha(0.5)
         assert abs(a_cross - 0.375) < 0.01
