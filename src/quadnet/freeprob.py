@@ -25,8 +25,10 @@ MP prior, degree 2 + #atoms for the general prior (solved via companion
 matrices).  The MP cubic is solved in closed form.  On the support, at real
 x, its coefficients are real and the physical g is the upper member of its
 one complex-conjugate root pair (real Cardano, then Newton's method at
-x + i*eps); at the support edges and at complex z all three roots come from
-complex Cardano.
+x + i*eps).  At the support edges, where the pair collides, g starts from
+the square-root law at the edge's critical point of the inverse map and
+Newton's method runs in extended precision.  At complex z away from the
+support grid (the homotopy) all three roots come from complex Cardano.
 """
 
 from __future__ import annotations
@@ -294,21 +296,20 @@ def _inverted(t, z):
     return t != 0.0 and t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
 
 
-def _all_roots(prior, t, z, coeffs=None, invert=None):
+def _all_roots(prior, t, z, coeffs=None):
     """All branches of g(z), shape (M, deg).  z is a complex array.
 
     Callers that also polish the roots pass coeffs = `_coeffs_desc(prior, t,
     z)`, so it is built once.  For t much smaller than the other coefficient
     scales the leading (t g^3) term makes the direct root formulas
-    ill-conditioned; in that regime the reversed polynomial in w = 1/g is
-    well-scaled, so solve that and invert.  The huge spurious branch then
-    comes out as w ~ 0 (inaccurate/inf), which is harmless because it is
-    never the admissible pick.  `invert` defaults to `_inverted(t, z)`.
+    ill-conditioned; in that regime (`_inverted`) the reversed polynomial in
+    w = 1/g is well-scaled, so solve that and invert.  The huge spurious
+    branch then comes out as w ~ 0 (inaccurate/inf), which is harmless
+    because it is never the admissible pick.
     """
     if coeffs is None:
         coeffs = _coeffs_desc(prior, t, z)
-    if invert is None:
-        invert = _inverted(t, z)
+    invert = _inverted(t, z)
     if invert:
         coeffs = coeffs[:, ::-1]
     if prior.kind == "marchenko_pastur":
@@ -382,74 +383,157 @@ def _homotopy_solve(prior, t, x, eps):
     return g
 
 
-def _real_cubic_pair(c):
-    """Upper member of the non-real root pair of the real cubics
-    c[:, 0] y^3 + c[:, 1] y^2 + c[:, 2] y + c[:, 3], and the real root, by
+def _real_cubic_pair(c3, c2, c1, c0):
+    """Real and imaginary part of the upper member of the non-real root pair
+    of the real cubics c3 y^3 + c2 y^2 + c1 y + c0, and the real root, by
     real Cardano.
 
-    With y = s - b/3 the cubic is s^3 + p s + q; where its discriminant
-    q^2/4 + p^3/27 is positive it has one real root a + v - b/3, a the real
-    cube root of -q/2 - sign(q) sqrt(disc) (no cancellation) and
-    v = -p/(3a), and the pair -(a + v)/2 - b/3 +- i sqrt(3)/2 |a - v|.  NaN
-    where all three roots are real.  The pair loses digits to the
-    discriminant's cancellation when the real root is much the larger.
+    The coefficients broadcast; c2 is an array.  With y = s - b/3 the cubic
+    is s^3 + p s + q; where its discriminant q^2/4 + p^3/27 is positive it
+    has one real root a + v - b/3, a the real cube root of
+    -q/2 - sign(q) sqrt(disc) (no cancellation) and v = -p/(3a), and the
+    pair -(a + v)/2 - b/3 +- i sqrt(3)/2 |a - v|.  NaN where all three roots
+    are real (the caller ignores the invalid-value warning).  The pair loses
+    digits to the discriminant's cancellation when the real root is much
+    the larger.
     """
-    b = c[:, 1] / c[:, 0]
-    cc = c[:, 2] / c[:, 0]
+    b = c2 / c3
+    cc = c1 / c3
     b3 = b / 3.0
     p = cc - b * b3
-    hq = b3 * cc / 2.0 - b3 * b3 * b3 - 0.5 * c[:, 3] / c[:, 0]  # -q/2
-    with np.errstate(all="ignore"):
-        a = np.cbrt(hq + np.copysign(np.sqrt(hq * hq + p * p * p / 27.0), hq))
-        v = -p / (3.0 * a)
-    g = np.empty(len(b), dtype=complex)
-    g.real = -0.5 * (a + v) - b3
-    g.imag = 0.5 * np.sqrt(3.0) * np.abs(a - v)
-    return g, a + v - b3
+    hq = b3 * cc / 2.0 - b3 * b3 * b3 - 0.5 * c0 / c3  # -q/2
+    a = np.cbrt(hq + np.copysign(np.sqrt(hq * hq + p * p * p / 27.0), hq))
+    v = p / (-3.0 * a)
+    s = a + v
+    return -0.5 * s - b3, 0.5 * np.sqrt(3.0) * np.abs(a - v), s - b3
 
 
-def _grid_branch(prior, t, x, eps):
-    """Physical g at points x of one support interval, at height eps.
+def _grid_branch(prior, t, x, eps, edges=None):
+    """Physical g at points x of the support, at height eps.
 
-    Marchenko-Pastur prior, t > 0: at real x the cubic P_x has real
-    coefficients, and on the support the physical g(x + i0) is the upper
-    member of its one non-real root pair (`_real_cubic_pair`).  The pair is
-    taken from the reversed cubic in w = 1/g, or from P_x itself where the
-    real root is the larger in w: Cardano loses the pair's digits when the
-    real root dominates.  Newton's method at x + i*eps then moves g to the
-    offset, which needs the move eps / |phi'(g)| to be small next to the
-    pair's half-gap Im g.  Nodes without a pair, or where the pair has
-    (nearly) collided, which are the support edges and points within about
-    eps of them, take the general path: the admissible root at x + i*eps of
-    largest imaginary part, which on the support has Im g = pi*rho.  Points
-    where more than one root lies in the upper half plane (spurious branch
-    pairs near gaps and branch collisions) are re-solved by homotopy, which
-    is unambiguous.
+    Marchenko-Pastur prior, t > 0 (`_mp_branch`): the pair root at real x,
+    moved to the offset by Newton's method, and the square-root law next to
+    the support edges (`edges` as in `_edge_start`).  Otherwise (compound
+    Poisson, or t = 0) the admissible root at x + i*eps of largest imaginary
+    part, which on the support has Im g = pi*rho; points where more than one
+    root lies in the upper half plane (spurious branch pairs near gaps and
+    branch collisions) are re-solved by homotopy, which is unambiguous.
     """
+    if prior.kind == "marchenko_pastur" and t != 0.0:
+        return _mp_branch(prior, t, x, eps, edges)
     z = x + 1j * eps
     coeffs = _coeffs_desc(prior, t, z)
-    if prior.kind == "marchenko_pastur" and t != 0.0:
-        # the real part of the coefficients at x + i*eps is P_x's
-        w, real = _real_cubic_pair(coeffs.real[:, ::-1])
-        with np.errstate(all="ignore"):
-            g = w / (w * w.conjugate()).real
-            swap = np.abs(real) > np.abs(w)
-            if np.any(swap):
-                g[swap] = _real_cubic_pair(coeffs.real[swap])[0]
-            rest = ~(eps < 1e-3 * g.imag * np.abs(_phi_prime(prior, t, g)))  # also NaN
-    else:
-        g = np.empty(len(x), dtype=complex)
-        rest = np.ones(len(x), dtype=bool)
-    if np.any(rest):
-        # the orientation the whole interval would take
-        roots = _all_roots(prior, t, z[rest], coeffs[rest], _inverted(t, z))
-        im = roots.imag
-        gr = roots[np.arange(len(roots)), np.argmax(im, axis=1)]
-        ambiguous = (im > 1e-13).sum(axis=1) > 1
-        if np.any(ambiguous):
-            gr[ambiguous] = _homotopy_solve(prior, t, x[rest][ambiguous], eps)
-        g[rest] = gr
+    roots = _all_roots(prior, t, z, coeffs)
+    im = roots.imag
+    g = roots[np.arange(len(roots)), np.argmax(im, axis=1)]
+    ambiguous = (im > 1e-13).sum(axis=1) > 1
+    if np.any(ambiguous):
+        g[ambiguous] = _homotopy_solve(prior, t, x[ambiguous], eps)
     return _newton_polish(coeffs, g, steps=2)
+
+
+def _mp_branch(prior, t, x, eps, edges=None):
+    """Physical g at points x of the support of MP (+) semicircle(t), t > 0,
+    at height eps.
+
+    At real x the cubic P_x has real coefficients, and on the support the
+    physical g(x + i0) is the upper member of its one non-real root pair
+    (`_real_cubic_pair`).  The pair is taken from the reversed cubic in
+    w = 1/g, or from P_x itself where the real root is the larger in w:
+    Cardano loses the pair's digits when the real root dominates.  Two plain
+    Newton steps on P_z, z = x + i*eps, then move g to the offset.  The
+    first is the move i eps / phi'(g); it needs to be small next to the
+    pair's half-gap Im g.  A node whose first step did not lower |P_z| takes
+    the safeguarded `_newton_polish` from the pair root instead.
+
+    Nodes without a pair, or where the first step is not small, are the
+    support edges and points within about 1e3 eps of them.  Their second
+    step starts from `_edge_start` instead, and three more follow in
+    extended precision (`np.clongdouble`) on the same double coefficients:
+    next to an edge a last-bit change of P_z moves the root by about 1e-12
+    relative.  Where those did not lower |P_z| below the start's, the
+    safeguarded polish takes over from the start, also in extended
+    precision.
+    """
+    kappa = prior.kappa
+    # P_z's coefficients t, zc1, zc2, kappa, as `_coeffs_desc` builds them;
+    # their real parts c1, c2 are P_x's
+    zc1 = x + complex(t * kappa, eps)
+    zc2 = x * kappa + 1.0 + complex(-kappa, eps * kappa)
+    c1, c2 = zc1.real, zc2.real
+    with np.errstate(all="ignore"):
+        # the pair member w in w = 1/g gives g = w / |w|^2
+        re, im, real = _real_cubic_pair(kappa, c2, c1, t)
+        ww = re * re + im * im
+        g = np.empty(len(x), dtype=complex)
+        g.real = re / ww
+        g.imag = im / ww
+        swap = real * real > ww
+        if swap.any():
+            # where the real root r dominates, Cardano loses the pair's
+            # digits; Vieta's formulas give it from r: |w|^2 = -t / (kappa r)
+            # and r (w + conj w) + |w|^2 = c1 / kappa
+            r = real[swap]
+            ww = -t / (kappa * r)
+            re = (c1[swap] / kappa - ww) / (2.0 * r)
+            im = np.sqrt(ww - re * re)
+            g[swap] = (re + 1j * im) / ww
+        p, dp = _cubic_horner(t, zc1, zc2, kappa, g)
+        step = p / dp
+        near = ~(np.abs(step) < 1e-3 * g.imag)  # also NaN
+        gz = g - step
+        edge = near.nonzero()[0]
+        if len(edge):
+            start = _edge_start(prior, t, x[edge], eps, edges)
+            gz[edge] = start
+        p1, dp = _cubic_horner(t, zc1, zc2, kappa, gz)
+        gz = gz - p1 / dp
+        redo = ~((np.abs(p1) < np.abs(p)) | near)
+    if redo.any():
+        gz[redo] = _newton_polish(_coeffs_desc(prior, t, x[redo] + 1j * eps), g[redo])
+    if len(edge):
+        zc1 = zc1[edge].astype(np.clongdouble)
+        zc2 = zc2[edge].astype(np.clongdouble)
+        ge = gz[edge].astype(np.clongdouble)
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                p, dp = _cubic_horner(t, zc1, zc2, kappa, ge)
+                ge = ge - p / dp
+            # |P_z| before the last step against the start's
+            redo = ~(np.abs(p) < np.abs(p1[edge]))
+        if redo.any():
+            coeffs = _coeffs_desc(prior, t, x[edge[redo]] + 1j * eps).astype(np.clongdouble)
+            ge[redo] = _newton_polish(coeffs, start[redo].astype(np.clongdouble), steps=4)
+        gz[edge] = ge
+    return gz
+
+
+def _cubic_horner(t, c1, c2, kappa, g):
+    """P and P' at g of P = t g^3 + c1 g^2 + c2 g + kappa, by Horner's rule
+    in `_newton_polish`'s order, in the dtype of c1 and g."""
+    tg = t * g
+    p = tg + c1
+    dp = tg + p
+    p = p * g + c2
+    dp = dp * g + p
+    return p * g + kappa, dp
+
+
+def _edge_start(prior, t, x, eps, edges=None):
+    """Start of Newton's method at points x within about 1e3 eps of a
+    support edge, for the root at z = x + i*eps: the square-root law
+    g_c + sqrt(2 (z - x_e) / phi''(g_c)), Im >= 0, at the nearest edge
+    x_e = phi(g_c), where phi'(g_c) = 0 (Biane 1997).  `edges` is
+    (x_e, g_c), two sequences over the edges to choose from; by default
+    every edge of the support (`_support`).
+    """
+    if edges is None:
+        support = _support(prior, t)
+        edges = [e for iv, _ in support for e in iv], [c for _, cs in support for c in cs]
+    xe, gc = np.asarray(edges[0]), np.asarray(edges[1])
+    k = np.abs(x[:, None] - xe).argmin(axis=1)
+    h = np.sqrt(2.0 * ((x - xe[k]) + 1j * eps) / _phi_second(prior, gc)[k])
+    return gc[k] + np.where(h.imag < 0.0, -h, h)
 
 
 # ==================
@@ -462,29 +546,44 @@ def _phi(prior, t, g):
     return -t * g + prior.r_transform(-g) - 1.0 / g
 
 
-def _edge_candidates(prior, t):
-    """Real critical points of phi and their images z = phi(g).
-
-    phi'(g) = 0 cleared of denominators is a polynomial of degree
-    2 + 2 * #atoms; every support edge is among its real critical values.
-    """
+@functools.lru_cache(maxsize=64)
+def _critical_terms(prior):
+    """The prior's parts of phi'(g) = 0 cleared of denominators: Pi(g)^2 with
+    Pi(g) = prod_k (kappa + a_k g), and per atom p_k kappa a_k^2 Pi_k(g)^2,
+    Pi_k without its own factor (ascending coefficients)."""
     kappa = prior.kappa
     pi = np.array([1.0])
     for a, _ in prior.atoms:
         pi = np.convolve(pi, [kappa, a])
-    pi2 = np.convolve(pi, pi)
-    deg = len(pi2) + 2
-    poly = np.zeros(deg)
-    poly[2 : 2 + len(pi2)] -= t * pi2
-    poly[: len(pi2)] += pi2
+    terms = []
     for i, (a, p) in enumerate(prior.atoms):
         pi_no = np.array([1.0])
         for j, (aj, _) in enumerate(prior.atoms):
             if j != i:
                 pi_no = np.convolve(pi_no, [kappa, aj])
-        pin2 = np.convolve(pi_no, pi_no)
-        poly[2 : 2 + len(pin2)] -= p * kappa * a**2 * pin2
-    roots = np.roots(poly[::-1])
+        terms.append(p * kappa * a**2 * np.convolve(pi_no, pi_no))
+    return np.convolve(pi, pi), tuple(terms)
+
+
+def _edge_candidates(prior, t):
+    """Real critical points g_c of phi and their images z = phi(g_c), as
+    (z, g_c) sorted by z, collided values kept once.
+
+    phi'(g) = 0 cleared of denominators is a polynomial of degree
+    2 + 2 * #atoms; every support edge is among its real critical values.
+    """
+    kappa = prior.kappa
+    pi2, atom_terms = _critical_terms(prior)
+    poly = np.zeros(len(pi2) + 2)
+    poly[2:] -= t * pi2
+    poly[: len(pi2)] += pi2
+    for term in atom_terms:
+        poly[2 : 2 + len(term)] -= term
+    # np.roots: atoms at zero leave top coefficients at zero
+    poly = poly[np.flatnonzero(poly)[-1] :: -1]
+    companion = np.diag(np.ones(len(poly) - 2), -1)
+    companion[0] = -poly[1:] / poly[0]
+    roots = np.linalg.eigvals(companion)
     real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))].real
     # drop critical points sitting on poles of phi
     keep = np.abs(real) > 1e-12
@@ -495,13 +594,16 @@ def _edge_candidates(prior, t):
     if real.size == 0:
         raise EdgeDetectionFailed(f"no real critical points for t={t}")
     zc = _phi(prior, t, real)
-    zc = np.sort(zc[np.isfinite(zc)])
+    finite = np.isfinite(zc)
+    order = np.argsort(zc[finite])
+    zc, gc = zc[finite][order], real[finite][order]
     # dedupe collisions
-    out = [zc[0]]
-    for v in zc[1:]:
-        if v - out[-1] > 1e-11 * (1.0 + abs(v)):
-            out.append(v)
-    return np.array(out)
+    out = [0]
+    values = zc.tolist()
+    for i in range(1, len(values)):
+        if values[i] - values[out[-1]] > 1e-11 * (1.0 + abs(values[i])):
+            out.append(i)
+    return zc[out], gc[out]
 
 
 def _has_nonreal_root(prior, t, x):
@@ -533,13 +635,19 @@ def support_edges(prior: PriorSpectrum, t: float):
     -------
     tuple of (left, right) pairs, ascending.
     """
+    return tuple(interval for interval, _ in _support(prior, t))
+
+
+def _support(prior, t):
+    """`support_edges` with the critical point of phi at each edge:
+    ((l, u), (g_c(l), g_c(u))) per interval."""
     if t <= 0:
         raise ValueError("support_edges requires t > 0 (t = 0 edges are analytic)")
-    zc = _edge_candidates(prior, t)
+    zc, gc = _edge_candidates(prior, t)
     if len(zc) == 2:
         # a bounded nonempty support with exactly two candidates is a single
         # interval; no classification needed
-        edges = [(zc[0], True), (zc[1], False)]
+        edges = [0, 1]
     else:
         span = max(zc[-1] - zc[0], 1.0)
         mids = np.concatenate(
@@ -554,24 +662,23 @@ def support_edges(prior: PriorSpectrum, t: float):
             raise EdgeDetectionFailed(
                 "support appears unbounded; edge candidates are wrong"
             )
-        edges = []
-        for i in range(len(zc)):
-            if on[i] != on[i + 1]:
-                edges.append((zc[i], bool(on[i + 1])))  # True: left edge
+        # where the count changes; left and right edges alternate
+        edges = [i for i in range(len(zc)) if on[i] != on[i + 1]]
         if len(edges) % 2 != 0 or any(
-            edges[i][1] == edges[i + 1][1] for i in range(len(edges) - 1)
+            on[edges[i] + 1] == on[edges[i + 1] + 1] for i in range(len(edges) - 1)
         ):
             raise EdgeDetectionFailed(
-                f"inconsistent on/off pattern at t={t}: {edges}"
+                f"inconsistent on/off pattern at t={t}: "
+                f"{[(zc[i], bool(on[i + 1])) for i in edges]}"
             )
-    intervals = tuple(
-        (edges[2 * i][0], edges[2 * i + 1][0]) for i in range(len(edges) // 2)
+    support = tuple(
+        ((zc[i], zc[j]), (gc[i], gc[j])) for i, j in zip(edges[::2], edges[1::2])
     )
-    if prior.kind == "marchenko_pastur" and len(intervals) > 2:
+    if prior.kind == "marchenko_pastur" and len(support) > 2:
         raise EdgeDetectionFailed(
-            f"MP prior cannot have {len(intervals)} support intervals"
+            f"MP prior cannot have {len(support)} support intervals"
         )
-    return intervals
+    return support
 
 
 @functools.lru_cache(maxsize=8)
@@ -605,6 +712,8 @@ class SpectralDensity:
         Grid, density, and Re g(x + i eps) (the negative Hilbert transform).
     atom_mass_at_zero : float
         Only nonzero for the t = 0 Marchenko-Pastur law with kappa < 1.
+    critical : tuple of (g_c(l), g_c(u))
+        Per interval, the critical points of phi at its edges (t > 0 only).
     """
 
     prior: PriorSpectrum
@@ -615,6 +724,7 @@ class SpectralDensity:
     rho: tuple
     re_g: tuple
     atom_mass_at_zero: float = 0.0
+    critical: tuple = ()
 
     @functools.cached_property
     def weights(self):
@@ -711,12 +821,12 @@ def density(
         if prior.kind != "marchenko_pastur":
             raise ValueError("t = 0 density is only available for the MP prior")
         return _mp_analytic_density(prior, n_nodes, eps)
-    intervals = support_edges(prior, t)
+    support = _support(prior, t)
     xs, rhos, regs = [], [], []
     s2 = _sin2_grid(n_nodes)[0]
-    for l, u in intervals:
+    for (l, u), critical in support:
         x = l + (u - l) * s2
-        g = _grid_branch(prior, t, x, min(eps, 1e-5 * (u - l)))
+        g = _grid_branch(prior, t, x, min(eps, 1e-5 * (u - l)), ((l, u), critical))
         xs.append(x)
         rhos.append(np.maximum(g.imag / np.pi, 0.0))
         regs.append(g.real)
@@ -724,10 +834,11 @@ def density(
         prior=prior,
         t=t,
         eps=eps,
-        intervals=intervals,
+        intervals=tuple(interval for interval, _ in support),
         x=tuple(xs),
         rho=tuple(rhos),
         re_g=tuple(regs),
+        critical=tuple(critical for _, critical in support),
     )
 
 
@@ -736,6 +847,14 @@ def _phi_prime(prior, t, g):
     out = 1.0 / g**2 - t
     for a, p in prior.atoms:
         out = out - p * prior.kappa * a * a / (prior.kappa + g * a) ** 2
+    return out
+
+
+def _phi_second(prior, g):
+    """phi''(g) = -2/g^3 + sum_k 2 p_k kappa a_k^3 / (kappa + g a_k)^3."""
+    out = -2.0 / g**3
+    for a, p in prior.atoms:
+        out = out + 2.0 * p * prior.kappa * a**3 / (prior.kappa + g * a) ** 3
     return out
 
 
@@ -765,8 +884,8 @@ def hilbert(prior, t, lam, dens: SpectralDensity | None = None, eps: float = DEF
     On a support interval [l, u], g is the `_grid_branch` root at
     lam + i*min(eps, 1e-5 (u - l)), the offset `density` uses on its grid.
     Off the support it is the real root of `_real_branch`.  `dens`, a
-    density of the same (prior, t), only supplies the support intervals;
-    without it they are located here.
+    density of the same (prior, t), only supplies the support intervals and
+    the critical points at their edges; without it they are located here.
     """
     if dens is None:
         dens = density(prior, t)
@@ -777,10 +896,11 @@ def hilbert(prior, t, lam, dens: SpectralDensity | None = None, eps: float = DEF
     lam = np.atleast_1d(lam)
     g = np.empty(lam.shape, dtype=complex)
     off = np.ones(lam.shape, dtype=bool)
-    for l, u in dens.intervals:
+    for (l, u), critical in zip(dens.intervals, dens.critical or [None] * len(dens.intervals)):
         on = (lam >= l) & (lam <= u)
         if np.any(on):
-            g[on] = _grid_branch(prior, t, lam[on], min(eps, 1e-5 * (u - l)))
+            edges = None if critical is None else ((l, u), critical)
+            g[on] = _grid_branch(prior, t, lam[on], min(eps, 1e-5 * (u - l)), edges)
             off &= ~on
     if np.any(off):
         g[off] = _real_branch(prior, t, lam[off], eps)

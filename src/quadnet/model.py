@@ -88,14 +88,14 @@ class ReducedDataset:
 def labels(W, a, X, delta, rng) -> np.ndarray:
     """Labels of Eq-form (1/m) sum_k a_k [(w_k.x)/sqrt(d) + sqrt(delta) z]^2.
 
-    The per-unit noise draw consumes the stream even when delta = 0 so that
-    instances with the same seed share X, W, and noise across delta values.
+    The per-unit noise z is drawn only when delta > 0.  It is the last draw
+    of `generate`, so instances with the same seed share X and W across
+    delta values, and the noise across positive ones.
     """
     m, d = W.shape
     pre = X @ W.T / np.sqrt(d)
-    z = rng.standard_normal(pre.shape)
     if delta > 0:
-        pre = pre + np.sqrt(delta) * z
+        pre = pre + np.sqrt(delta) * rng.standard_normal(pre.shape)
     return pre**2 @ np.asarray(a) / m
 
 

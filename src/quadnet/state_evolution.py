@@ -136,17 +136,23 @@ class SEFixedPoint:
 _K = 4.0 * np.pi**2 / 3.0
 
 
+def _map_value(params, q_hat):
+    """Fixed-point map G = lhs - rhs at q_hat, with C = int mu_t^3 and the
+    density at t = 1/q_hat that give it."""
+    dens = freeprob.density(params.prior, 1.0 / q_hat)
+    cube = dens.cube_integral()
+    return (1.0 - 2.0 * params.alpha) + 0.5 * params.tilde_delta * q_hat - _K / q_hat * cube, cube, dens
+
+
 def _fixed_point_map(params, q_hat):
     """Fixed-point map G = lhs - rhs at q_hat, its slope dG/dlog q_hat, and
     the density at t = 1/q_hat that gives both.
 
     With C = int mu_t^3, dG/dlog q_hat = tilde_delta q_hat / 2 + K (t C + t^2 C').
     """
+    value, cube, dens = _map_value(params, q_hat)
     t = 1.0 / q_hat
-    dens = freeprob.density(params.prior, t)
-    cube, cube_dt = dens.cube_integral(), dens.cube_integral_dt()
-    value = (1.0 - 2.0 * params.alpha) + 0.5 * params.tilde_delta * q_hat - _K / q_hat * cube
-    slope = 0.5 * params.tilde_delta * q_hat + _K * (t * cube + t * t * cube_dt)
+    slope = 0.5 * params.tilde_delta * q_hat + _K * (t * cube + t * t * dens.cube_integral_dt())
     return value, slope, dens
 
 
@@ -417,15 +423,16 @@ def threshold_alpha(
     tilde_delta / 2 falls as q_hat grows, so it is below `level` iff the
     root lies above the q_level where it equals `level`.  Each probe is the
     sign of the fixed-point map at q_level (clamped at `QHAT_MAX`), one
-    density build, which assumes the map increases in q_hat (checked on a
-    log grid for kappa 0.1-3; flat to 1e-12 at kappa 0.01).  Locates the
-    perfect-recovery transition as a check of the closed-form threshold.
+    density build and no slope (`_map_value`), which assumes the map
+    increases in q_hat (checked on a log grid for kappa 0.1-3; flat to 1e-12
+    at kappa 0.01).  Locates the perfect-recovery transition as a check of
+    the closed-form threshold.
     """
 
     def below_level(alpha):
         p = ProblemParams(alpha=alpha, kappa=kappa, delta=delta, prior=prior)
         q_level = 2.0 * alpha * kappa / (level + 0.5 * kappa * p.tilde_delta)
-        return _fixed_point_map(p, min(q_level, QHAT_MAX))[0] < 0.0
+        return _map_value(p, min(q_level, QHAT_MAX))[0] < 0.0
 
     lo, hi = alpha_lo, alpha_hi
     if not below_level(hi):

@@ -71,17 +71,24 @@ def stieltjes(prior, t, z, eps=freeprob.DEFAULT_EPS):
     g = freeprob._homotopy_solve(prior, t, np.array([z.real]), z.imag)[0]
     # the residual mixes terms of size |z| and O(1); finish with Newton in
     # extended precision so cancellation noise stays below the 1e-10 contract
-    # even at |z| ~ 1e6
+    # even at |z| ~ 1e6.  The iterate of least |P| over 30 steps is kept:
+    # next to a square-root edge, where the root pair has nearly collided,
+    # the homotopy can end 1e-4 off and Newton needs about six steps
     zl = np.clongdouble(z)
     gl = np.clongdouble(g)
     coeffs = freeprob._coeffs_desc(prior, t, np.array([z]))[0].astype(np.clongdouble)
-    for _ in range(3):
+    best = np.inf
+    for _ in range(30):
         p = np.clongdouble(0.0)
         dp = np.clongdouble(0.0)
         for c in coeffs:
             dp = dp * gl + p
             p = p * gl + c
-        if dp != 0.0:
-            gl = gl - p / dp
+        if abs(p) < best:
+            best, g_best = abs(p), gl
+        if dp == 0.0:
+            break
+        gl = gl - p / dp
+    gl = g_best
     res = abs(_selfcons(prior, np.longdouble(t), zl, gl))
     return StieltjesSolution(z=z, g=complex(gl), t=t, residual=float(res))

@@ -275,7 +275,7 @@ class TestSupportEdges:
 
 
 class TestRealCubicPair:
-    # the small t solve the general path in w = 1/g, the large t in g: both
+    # the small t solve the companion path in w = 1/g, the large t in g: both
     # sides of the `_inverted` guard
     TS = np.geomspace(1e-6, 10.0, 8)
 
@@ -291,19 +291,19 @@ class TestRealCubicPair:
     def test_matches_general_path_node_by_node(self, monkeypatch, kappa):
         # the Marchenko-Pastur pair root against the companion-matrix path of
         # the same cubic (the unit-atom compound-Poisson prior).  The points
-        # the pair route hands to the general path are recorded: they must
+        # the pair route hands to the edge path are recorded: they must
         # include both end nodes of every interval, where the pair collides
         mp = PriorSpectrum.marchenko_pastur(kappa)
         cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
         handed = []
-        all_roots = fp._all_roots
+        edge_start = fp._edge_start
 
-        def recording(prior, t, z, *args):
+        def recording(prior, t, x, *args):
             if prior is mp:
-                handed.extend(z.real)
-            return all_roots(prior, t, z, *args)
+                handed.extend(x)
+            return edge_start(prior, t, x, *args)
 
-        monkeypatch.setattr(fp, "_all_roots", recording)
+        monkeypatch.setattr(fp, "_edge_start", recording)
         inverted = set()
         for t in self.TS:
             for l, u, x, ends in self._points(density(mp, t, n_nodes=401)):
@@ -319,6 +319,23 @@ class TestRealCubicPair:
                 assert np.max(np.abs(g[pair] - g_cp) / np.abs(g_cp)) < 1e-12, (t, l, u)
         assert inverted == {False, True}
 
+    @pytest.mark.parametrize("kappa", [3e-4, 1e-3])
+    @pytest.mark.parametrize("t", [1e-9, 1e-7])
+    def test_real_root_dominant_pair_matches_companion_path(self, kappa, t):
+        # at tiny kappa t most grid nodes have a real root that dominates the
+        # pair in w = 1/g, where the pair comes from Vieta's formulas; from
+        # Cardano in w they were 5e-2 off.  Against 40 digits the pair route
+        # is off by up to 6e-13 here and the companion path by 1.4e-12
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        dens = density(mp, t, n_nodes=401)
+        for (l, u), critical, x in zip(dens.intervals, dens.critical, dens.x):
+            x = x[1:-1]
+            eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+            g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
+            g_cp = fp._grid_branch(cp, t, x, eps)
+            assert np.max(np.abs(g - g_cp) / np.abs(g_cp)) < 1e-11, (l, u)
+
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
     def test_matches_extended_precision_stieltjes(self, kappa):
         mp = PriorSpectrum.marchenko_pastur(kappa)
@@ -331,14 +348,89 @@ class TestRealCubicPair:
                 g = fp._grid_branch(mp, t, x, eps)
                 assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-13, (t, l, u)
 
+    @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
+    def test_edge_points_match_extended_precision_stieltjes(self, kappa):
+        # the end nodes of the density's grid and the points 1e-16..1e-3
+        # widths inside each edge take the edge path: a start from the
+        # square-root law, then Newton's method in extended precision.  The
+        # points are solved as `hilbert` solves them, with the interval's
+        # edges and critical points
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        for t in self.TS:
+            dens = density(mp, t, n_nodes=401)
+            for (l, u), critical, xg, rho, re_g, (_, _, x, _) in zip(
+                dens.intervals, dens.critical, dens.x, dens.rho, dens.re_g, self._points(dens)
+            ):
+                eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+                x = x[len(xg):]
+                g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
+                ends = re_g[[0, -1]] + 1j * np.pi * rho[[0, -1]]
+                g = np.concatenate([ends, g])
+                x = np.concatenate([xg[[0, -1]], x])
+                ref = np.array([stieltjes(mp, t, complex(xi, eps)).g for xi in x])
+                assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12, (t, l, u)
+                h = fp.hilbert(mp, t, x[2:], dens=dens)
+                assert np.max(np.abs(h + ref[2:].real) / np.abs(ref[2:])) < 1e-12, (t, l, u)
+
+    @pytest.mark.parametrize("prior,t", [(MP05, 0.5), (MP05, 1e-3)], ids=["one", "two"])
+    def test_steps_that_do_not_lower_the_residual_fall_back(self, monkeypatch, prior, t):
+        # the plain Newton passes report every residual after their first
+        # point as NaN: every node then takes the safeguarded polish, from
+        # the pair root in double precision or from the edge start in
+        # extended precision, and lands on the same root
+        dens = density(prior, t, n_nodes=201)
+        horner, polish = fp._cubic_horner, fp._newton_polish
+        polished = []
+
+        def failing(t_, c1, c2, kappa, g):
+            p, dp = horner(t_, c1, c2, kappa, g)
+            if failing.calls:
+                p = np.full_like(p, np.nan)
+            failing.calls += 1
+            return p, dp
+
+        def recording(coeffs, g, steps=2):
+            polished.append((coeffs.dtype, len(g)))
+            return polish(coeffs, g, steps)
+
+        monkeypatch.setattr(fp, "_cubic_horner", failing)
+        monkeypatch.setattr(fp, "_newton_polish", recording)
+        for (l, u), critical, xg, rho, re_g in zip(
+            dens.intervals, dens.critical, dens.x, dens.rho, dens.re_g
+        ):
+            failing.calls = 0
+            polished.clear()
+            g = fp._grid_branch(prior, t, xg, min(fp.DEFAULT_EPS, 1e-5 * (u - l)), ((l, u), critical))
+            assert sorted(polished) == sorted([(np.dtype(complex), len(xg) - 2), (np.dtype(np.clongdouble), 2)])
+            ref = re_g + 1j * np.pi * rho
+            assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "kappa,t,inside", [(0.361, 0.00562, 0.0), (0.211, 0.001, 8.7e-7)]
+    )
+    def test_right_edge_cases_once_off(self, kappa, t, inside):
+        # the right end node of MP(0.361) at t = 0.00562 had rho 3% low, and
+        # 8.7e-7 inside the right edge of MP(0.211) at t = 0.001 g was off by
+        # 1.9e-4 relative, on the complex-Cardano path the edges once took
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        dens = density(mp, t)
+        (l, u), critical = dens.intervals[-1], dens.critical[-1]
+        eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+        x = dens.x[-1][-1] - inside
+        g = fp._grid_branch(mp, t, np.array([x]), eps, ((l, u), critical))[0]
+        if inside == 0.0:
+            assert g == dens.re_g[-1][-1] + 1j * np.pi * dens.rho[-1][-1]
+        ref = stieltjes(mp, t, complex(x, eps)).g
+        assert abs(g - ref) / abs(ref) < 1e-12
+
 
 class TestSharedCoefficients:
     @pytest.mark.parametrize("t", [1e-9, 1e-5, 1e-2, 0.5, 2.0])
     @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
     def test_polish_matches_reference(self, monkeypatch, prior, t):
-        # every polish on the density and off-support Hilbert paths gets
-        # coefficients built for its own (prior, t, z) and gives the bits of
-        # the reference polish that rebuilds them
+        # every polish and Newton step on the density and off-support
+        # Hilbert paths gets coefficients built for its own (prior, t, z); a
+        # polish gives the bits of the reference polish that rebuilds them
         built = {}
         coeffs_desc, polish = fp._coeffs_desc, fp._newton_polish
 
@@ -356,8 +448,26 @@ class TestSharedCoefficients:
             n_checked[0] += 1
             return out
 
+        # the Marchenko-Pastur branch builds its Newton steps' coefficients
+        # from x itself: the columns of `_coeffs_desc` at its points
+        branch_coeffs = []
+        mp_branch, horner = fp._mp_branch, fp._cubic_horner
+
+        def recording_branch(prior_, t_, x, eps, edges=None):
+            branch_coeffs.append(coeffs_desc(prior_, t_, x + 1j * eps))
+            return mp_branch(prior_, t_, x, eps, edges)
+
+        def checked_horner(t_, c1, c2, kappa, g):
+            c = branch_coeffs[-1]
+            assert t_ == c[0, 0] and kappa == c[0, 3]
+            assert np.isin(c1, c[:, 1]).all() and np.isin(c2, c[:, 2]).all()
+            n_checked[0] += 1
+            return horner(t_, c1, c2, kappa, g)
+
         monkeypatch.setattr(fp, "_coeffs_desc", recording_coeffs)
         monkeypatch.setattr(fp, "_newton_polish", checked_polish)
+        monkeypatch.setattr(fp, "_mp_branch", recording_branch)
+        monkeypatch.setattr(fp, "_cubic_horner", checked_horner)
         dens = density(prior, t, n_nodes=201)
         edges = np.array(dens.intervals).ravel()
         # beyond both ends and in every gap: solved off the support

@@ -100,6 +100,22 @@ class TestGenerate:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.W_star, b.W_star)
 
+    @pytest.mark.parametrize("second_layer", [None, ((1.0, 0.5), (-1.0, 0.5))])
+    def test_noiseless_labels_draw_no_noise(self, second_layer):
+        # the noise is the last draw, and delta = 0 skips it: the teacher
+        # and the inputs are shared across delta, and the noiseless labels
+        # are the plain quadratic form
+        kw = dict(d=30, kappa=0.5, alpha=0.2, seed=9, second_layer=second_layer)
+        base = model.generate(delta=0.0, **kw)
+        for delta in (0.1, 1.0):
+            other = model.generate(delta=delta, **kw)
+            assert np.array_equal(other.X, base.X)
+            assert np.array_equal(other.W_star, base.W_star)
+            assert np.array_equal(other.a, base.a)
+        W, X = base.W_star, base.X
+        y = (X @ W.T / np.sqrt(base.d)) ** 2 @ base.a / base.m
+        assert np.array_equal(base.y, y)
+
     def test_memory_budget(self):
         with pytest.raises(model.DimensionOverflow):
             model.generate(d=50, kappa=0.5, alpha=0.5, memory_budget=1000)
