@@ -439,10 +439,10 @@ def _mp_branch(prior, t, x, eps, edges=None):
     At real x the cubic P_x has real coefficients, and on the support the
     physical g(x + i0) is the upper member of its one non-real root pair
     (`_real_cubic_pair`).  The pair is taken from the reversed cubic in
-    w = 1/g, or from P_x itself where the real root is the larger in w:
-    Cardano loses the pair's digits when the real root dominates.  Two plain
-    Newton steps on P_z, z = x + i*eps, then move g to the offset.  The
-    first is the move i eps / phi'(g); it needs to be small next to the
+    w = 1/g; where the real root is the larger in w, Cardano loses the
+    pair's digits, and Vieta's formulas give the pair from the real root.
+    Two plain Newton steps on P_z, z = x + i*eps, then move g to the offset.
+    The first is the move i eps / phi'(g); it needs to be small next to the
     pair's half-gap Im g.  A node whose first step did not lower |P_z| takes
     the safeguarded `_newton_polish` from the pair root instead.
 
@@ -470,9 +470,9 @@ def _mp_branch(prior, t, x, eps, edges=None):
         g.imag = im / ww
         swap = real * real > ww
         if swap.any():
-            # where the real root r dominates, Cardano loses the pair's
-            # digits; Vieta's formulas give it from r: |w|^2 = -t / (kappa r)
-            # and r (w + conj w) + |w|^2 = c1 / kappa
+            # Vieta's formulas with the real root r, which Cardano gets
+            # right where it dominates: |w|^2 = -t / (kappa r) and
+            # r (w + conj w) + |w|^2 = c1 / kappa
             r = real[swap]
             ww = -t / (kappa * r)
             re = (c1[swap] / kappa - ww) / (2.0 * r)

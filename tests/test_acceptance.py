@@ -69,10 +69,11 @@ def test_aspect_ratio_limits():
 
     small_kappa_mmse is the kappa -> 0 limit, so the narrow block checks it
     as a limit: at fixed alpha/kappa the gap to it must shrink as kappa goes
-    0.01 -> 0.003 -> 0.001, and be within the gate at the smallest kappa.
+    0.01 -> 0.003 -> 0.001 -> 0.0003, and be within the gate at the smallest
+    kappa.
     """
     failures = []
-    narrow_kappas = (0.01, 0.003, 0.001)
+    narrow_kappas = (0.01, 0.003, 0.001, 3e-4)
     for alpha_tilde in (0.6, 0.8, 1.2):
         lim = se.small_kappa_mmse(alpha_tilde)
         gaps = [

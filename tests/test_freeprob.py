@@ -406,22 +406,26 @@ class TestRealCubicPair:
             assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12
 
     @pytest.mark.parametrize(
-        "kappa,t,inside", [(0.361, 0.00562, 0.0), (0.211, 0.001, 8.7e-7)]
+        "kappa,t,h",
+        [(np.geomspace(0.1, 2.0, 8)[3], 10**-2.25, 0.0), (np.geomspace(0.1, 2.0, 5)[1], 1e-3, 1e-7)],
+        ids=["mp0.361-end-node", "mp0.211-inside"],
     )
-    def test_right_edge_cases_once_off(self, kappa, t, inside):
-        # the right end node of MP(0.361) at t = 0.00562 had rho 3% low, and
-        # 8.7e-7 inside the right edge of MP(0.211) at t = 0.001 g was off by
-        # 1.9e-4 relative, on the complex-Cardano path the edges once took
+    def test_right_edge_cases_complex_cardano_missed(self, kappa, t, h):
+        # on the complex-Cardano path the edges once took, the right end
+        # node of MP(0.361) at t = 0.00562 had rho 3% low, and the point
+        # 1e-7 widths (8.7e-7) inside the right edge of MP(0.211) at
+        # t = 0.001, solved with the other near-edge points, was 1.9e-4 off
         mp = PriorSpectrum.marchenko_pastur(kappa)
-        dens = density(mp, t)
+        dens = density(mp, t, n_nodes=401)
         (l, u), critical = dens.intervals[-1], dens.critical[-1]
         eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-        x = dens.x[-1][-1] - inside
-        g = fp._grid_branch(mp, t, np.array([x]), eps, ((l, u), critical))[0]
-        if inside == 0.0:
-            assert g == dens.re_g[-1][-1] + 1j * np.pi * dens.rho[-1][-1]
-        ref = stieltjes(mp, t, complex(x, eps)).g
-        assert abs(g - ref) / abs(ref) < 1e-12
+        hs = np.geomspace(1e-16, 1e-3, 14)
+        x = np.concatenate([dens.x[-1][[-1]], u - hs * (u - l)])
+        g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
+        assert g[0] == dens.re_g[-1][-1] + 1j * np.pi * dens.rho[-1][-1]
+        i = 0 if h == 0.0 else 1 + int(np.argmin(np.abs(np.log(hs / h))))
+        ref = stieltjes(mp, t, complex(x[i], eps)).g
+        assert abs(g[i] - ref) / abs(ref) < 1e-12
 
 
 class TestSharedCoefficients:
@@ -562,6 +566,18 @@ class TestDensityInvariants:
         # wide; both intervals must be found and their masses kept
         dens = density(PriorSpectrum.marchenko_pastur(3e-4), 0.5211524781096064, n_nodes=801)
         assert len(dens.intervals) == 2
+        assert dens.mass() == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("t", [1e-9, 1e-10])
+    def test_bulk_at_zero_at_tiny_kappa_and_t(self, t):
+        # at kappa t ~ 1e-13 the build once lost 1.7e-3 of the bulk at zero
+        # (t = 1e-9) or raised NoAdmissibleRoot (t = 1e-10); what is left is
+        # the offset's smearing, 2.5e-5 of the bulk's mass
+        kappa = 3e-4
+        dens = density(PriorSpectrum.marchenko_pastur(kappa), t)
+        assert len(dens.intervals) == 2
+        bulk = float(np.dot(dens.weights[0], dens.rho[0]))
+        assert bulk == pytest.approx(1.0 - kappa, rel=1e-4)
         assert dens.mass() == pytest.approx(1.0, abs=1e-4)
 
     def test_mass_over_kappa_and_t_grid(self):

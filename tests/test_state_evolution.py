@@ -224,6 +224,14 @@ class TestSolveQhat:
         assert fp.status == "supercritical"
         assert fp.mmse == 0.0
 
+    def test_tiny_kappa_above_the_threshold_is_supercritical(self):
+        # alpha = 1.2 kappa at kappa = 3e-4 probes t down to 1e-9, where the
+        # density's bulk at zero once lost 1.7e-3 of its mass and the map
+        # changed sign near q_hat = 2.9e8: NoConvergence instead of this
+        fp = se.solve_qhat(ProblemParams(alpha=1.2 * 3e-4, kappa=3e-4))
+        assert fp.status == "supercritical"
+        assert fp.mmse == 0.0
+
     def test_threshold_scan_matches_closed_form(self):
         a_cross = se.threshold_alpha(0.5)
         assert abs(a_cross - 0.375) < 0.01
