@@ -421,6 +421,13 @@ def _grid_branch(prior, t, x, eps, edges=None):
     """
     if prior.kind == "marchenko_pastur" and t != 0.0:
         return _mp_branch(prior, t, x, eps, edges)
+    return _admissible_root(prior, t, x, eps)
+
+
+def _admissible_root(prior, t, x, eps):
+    """The root at x + i*eps of largest imaginary part, re-solved by
+    homotopy where another root is also in the upper half plane, and
+    polished (see `_grid_branch`)."""
     z = x + 1j * eps
     coeffs = _coeffs_desc(prior, t, z)
     roots = _all_roots(prior, t, z, coeffs)
@@ -447,13 +454,12 @@ def _mp_branch(prior, t, x, eps, edges=None):
     the safeguarded `_newton_polish` from the pair root instead.
 
     Nodes without a pair, or where the first step is not small, are the
-    support edges and points within about 1e3 eps of them.  Their second
-    step starts from `_edge_start` instead, and three more follow in
-    extended precision (`np.clongdouble`) on the same double coefficients:
-    next to an edge a last-bit change of P_z moves the root by about 1e-12
-    relative.  Where those did not lower |P_z| below the start's, the
-    safeguarded polish takes over from the start, also in extended
-    precision.
+    support edges and points within about 1e3 eps of them (farther next to
+    a cusp, where two intervals are about to merge).  Their second step
+    starts from `_edge_start` instead, and more follow in extended
+    precision (`_extended_newton`): next to an edge a last-bit change of
+    P_z moves the root by about 1e-12 relative.  Where those do not converge
+    to a root in the upper half plane, the start is `_admissible_root`.
     """
     kappa = prior.kappa
     # P_z's coefficients t, zc1, zc2, kappa, as `_coeffs_desc` builds them;
@@ -484,8 +490,7 @@ def _mp_branch(prior, t, x, eps, edges=None):
         gz = g - step
         edge = near.nonzero()[0]
         if len(edge):
-            start = _edge_start(prior, t, x[edge], eps, edges)
-            gz[edge] = start
+            gz[edge] = _edge_start(prior, t, x[edge], eps, g[edge], edges)
         p1, dp = _cubic_horner(t, zc1, zc2, kappa, gz)
         gz = gz - p1 / dp
         redo = ~((np.abs(p1) < np.abs(p)) | near)
@@ -494,18 +499,30 @@ def _mp_branch(prior, t, x, eps, edges=None):
     if len(edge):
         zc1 = zc1[edge].astype(np.clongdouble)
         zc2 = zc2[edge].astype(np.clongdouble)
-        ge = gz[edge].astype(np.clongdouble)
-        with np.errstate(all="ignore"):
-            for _ in range(3):
-                p, dp = _cubic_horner(t, zc1, zc2, kappa, ge)
-                ge = ge - p / dp
-            # |P_z| before the last step against the start's
-            redo = ~(np.abs(p) < np.abs(p1[edge]))
-        if redo.any():
-            coeffs = _coeffs_desc(prior, t, x[edge[redo]] + 1j * eps).astype(np.clongdouble)
-            ge[redo] = _newton_polish(coeffs, start[redo].astype(np.clongdouble), steps=4)
+        ge, ok = _extended_newton(t, zc1, zc2, kappa, gz[edge])
+        if not ok.all():
+            bad = ~ok
+            start = _admissible_root(prior, t, x[edge[bad]], eps)
+            ge[bad] = _extended_newton(t, zc1[bad], zc2[bad], kappa, start)[0]
         gz[edge] = ge
     return gz
+
+
+def _extended_newton(t, c1, c2, kappa, g):
+    """Newton steps from g on P = t g^3 + c1 g^2 + c2 g + kappa in extended
+    precision (the coefficients are `np.clongdouble`), until every step is
+    below 1e-11 |g| with Im g > 0, at most eight.  Returns g and where that
+    holds."""
+    g = g.astype(np.clongdouble)
+    with np.errstate(all="ignore"):
+        for _ in range(8):
+            p, dp = _cubic_horner(t, c1, c2, kappa, g)
+            step = p / dp
+            g = g - step
+            ok = (np.abs(step) < 1e-11 * np.abs(g)) & (g.imag > 0.0)
+            if ok.all():
+                break
+    return g.astype(complex), ok
 
 
 def _cubic_horner(t, c1, c2, kappa, g):
@@ -519,21 +536,36 @@ def _cubic_horner(t, c1, c2, kappa, g):
     return p * g + kappa, dp
 
 
-def _edge_start(prior, t, x, eps, edges=None):
+def _edge_start(prior, t, x, eps, g, edges=None):
     """Start of Newton's method at points x within about 1e3 eps of a
-    support edge, for the root at z = x + i*eps: the square-root law
-    g_c + sqrt(2 (z - x_e) / phi''(g_c)), Im >= 0, at the nearest edge
-    x_e = phi(g_c), where phi'(g_c) = 0 (Biane 1997).  `edges` is
+    support edge, for the root at z = x + i*eps.
+
+    g is the pair root at x (not finite where there is none).  Near an edge
+    phi'(g) is small, so the move h from g0 solves the quadratic
+    phi''/2 h^2 + phi' h = z - phi(g0), the root with the larger Im, rather
+    than h = (z - phi(g0)) / phi'.  g0 is the pair root, where phi(g0) = x,
+    or, where there is no pair, the critical point g_c of the nearest edge
+    x_e = phi(g_c); there phi'(g_c) = 0 and the start is the square-root law
+    g_c + sqrt(2 (z - x_e) / phi''(g_c)) (Biane 1997).  `edges` is
     (x_e, g_c), two sequences over the edges to choose from; by default
     every edge of the support (`_support`).
     """
-    if edges is None:
-        support = _support(prior, t)
-        edges = [e for iv, _ in support for e in iv], [c for _, cs in support for c in cs]
-    xe, gc = np.asarray(edges[0]), np.asarray(edges[1])
-    k = np.abs(x[:, None] - xe).argmin(axis=1)
-    h = np.sqrt(2.0 * ((x - xe[k]) + 1j * eps) / _phi_second(prior, gc)[k])
-    return gc[k] + np.where(h.imag < 0.0, -h, h)
+    r = np.full(len(x), 1j * eps)
+    nopair = ~np.isfinite(g)
+    if nopair.any():
+        if edges is None:
+            support = _support(prior, t)
+            edges = [e for iv, _ in support for e in iv], [c for _, cs in support for c in cs]
+        xe, gc = np.asarray(edges[0]), np.asarray(edges[1])
+        xn = x[nopair]
+        k = np.abs(xn[:, None] - xe).argmin(axis=1)
+        g[nopair] = gc[k]
+        r[nopair] += xn - xe[k]
+    d1 = _phi_prime(prior, t, g)
+    d2 = _phi_second(prior, g)
+    s = np.sqrt(d1 * d1 + 2.0 * r * d2)
+    h1, h2 = 2.0 * r / (d1 + s), 2.0 * r / (d1 - s)
+    return g + np.where(h2.imag > h1.imag, h2, h1)
 
 
 # ==================
@@ -579,7 +611,8 @@ def _edge_candidates(prior, t):
     poly[: len(pi2)] += pi2
     for term in atom_terms:
         poly[2 : 2 + len(term)] -= term
-    # np.roots: atoms at zero leave top coefficients at zero
+    # np.roots' companion matrix, without the zero top coefficients that
+    # atoms at zero leave
     poly = poly[np.flatnonzero(poly)[-1] :: -1]
     companion = np.diag(np.ones(len(poly) - 2), -1)
     companion[0] = -poly[1:] / poly[0]

@@ -336,6 +336,20 @@ class TestRealCubicPair:
             g_cp = fp._grid_branch(cp, t, x, eps)
             assert np.max(np.abs(g - g_cp) / np.abs(g_cp)) < 1e-11, (l, u)
 
+    @pytest.mark.parametrize("kappa,t", [(0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)])
+    def test_just_before_a_merge_matches_companion_path(self, kappa, t):
+        # two intervals 1e-11 apart: next to this cusp the square-root law at
+        # the nearest edge is no start for the near-edge nodes (up to 9e-2
+        # off when taken), but the quadratic about the pair root is
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        dens, dens_cp = density(mp, t), density(cp, t)
+        assert len(dens.intervals) == 2
+        for rho, re_g, rho_cp, re_g_cp in zip(dens.rho, dens.re_g, dens_cp.rho, dens_cp.re_g):
+            g = (re_g + 1j * np.pi * rho)[1:-1]
+            g_cp = (re_g_cp + 1j * np.pi * rho_cp)[1:-1]
+            assert np.max(np.abs(g - g_cp) / np.abs(g_cp)) < 1e-11
+
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
     def test_matches_extended_precision_stieltjes(self, kappa):
         mp = PriorSpectrum.marchenko_pastur(kappa)
@@ -373,35 +387,41 @@ class TestRealCubicPair:
                 assert np.max(np.abs(h + ref[2:].real) / np.abs(ref[2:])) < 1e-12, (t, l, u)
 
     @pytest.mark.parametrize("prior,t", [(MP05, 0.5), (MP05, 1e-3)], ids=["one", "two"])
-    def test_steps_that_do_not_lower_the_residual_fall_back(self, monkeypatch, prior, t):
-        # the plain Newton passes report every residual after their first
-        # point as NaN: every node then takes the safeguarded polish, from
-        # the pair root in double precision or from the edge start in
-        # extended precision, and lands on the same root
+    def test_steps_that_fail_fall_back(self, monkeypatch, prior, t):
+        # the second plain Newton step reports NaN residuals and the first
+        # extended-precision pass converges nowhere: every interior node
+        # then takes the safeguarded polish from its pair root, and the end
+        # nodes restart from the admissible root; both land on the same roots
         dens = density(prior, t, n_nodes=201)
-        horner, polish = fp._cubic_horner, fp._newton_polish
+        horner, polish, newton = fp._cubic_horner, fp._newton_polish, fp._extended_newton
         polished = []
 
-        def failing(t_, c1, c2, kappa, g):
+        def failing_horner(t_, c1, c2, kappa, g):
             p, dp = horner(t_, c1, c2, kappa, g)
-            if failing.calls:
+            failing_horner.calls += 1
+            if failing_horner.calls == 2:
                 p = np.full_like(p, np.nan)
-            failing.calls += 1
             return p, dp
 
+        def failing_newton(t_, c1, c2, kappa, g):
+            g, ok = newton(t_, c1, c2, kappa, g)
+            failing_newton.calls += 1
+            return g, ok & (failing_newton.calls > 1)
+
         def recording(coeffs, g, steps=2):
-            polished.append((coeffs.dtype, len(g)))
+            polished.append(len(g))
             return polish(coeffs, g, steps)
 
-        monkeypatch.setattr(fp, "_cubic_horner", failing)
+        monkeypatch.setattr(fp, "_cubic_horner", failing_horner)
+        monkeypatch.setattr(fp, "_extended_newton", failing_newton)
         monkeypatch.setattr(fp, "_newton_polish", recording)
         for (l, u), critical, xg, rho, re_g in zip(
             dens.intervals, dens.critical, dens.x, dens.rho, dens.re_g
         ):
-            failing.calls = 0
             polished.clear()
+            failing_horner.calls = failing_newton.calls = 0
             g = fp._grid_branch(prior, t, xg, min(fp.DEFAULT_EPS, 1e-5 * (u - l)), ((l, u), critical))
-            assert sorted(polished) == sorted([(np.dtype(complex), len(xg) - 2), (np.dtype(np.clongdouble), 2)])
+            assert polished == [len(xg) - 2, 2] and failing_newton.calls == 2
             ref = re_g + 1j * np.pi * rho
             assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12
 
