@@ -510,7 +510,8 @@ def _mp_branch(prior, t, x, eps, edges=None):
 
 def _extended_newton(t, c1, c2, kappa, g):
     """Newton steps from g on P = t g^3 + c1 g^2 + c2 g + kappa in extended
-    precision (the coefficients are `np.clongdouble`), until every step is
+    precision (the coefficients are `np.clongdouble`, 80-bit on x86 and
+    plain double where the platform has no wider type), until every step is
     below 1e-11 |g| with Im g > 0, at most eight.  Returns g and where that
     holds."""
     g = g.astype(np.clongdouble)
