@@ -27,8 +27,9 @@ x, its coefficients are real and the physical g is the upper member of its
 one complex-conjugate root pair (real Cardano, then Newton's method at
 x + i*eps).  At the support edges, where the pair collides, g starts from
 the square-root law at the edge's critical point of the inverse map and
-Newton's method runs in extended precision.  At complex z away from the
-support grid (the homotopy) all three roots come from complex Cardano.
+Newton's method runs in extended precision.  Complex Cardano gives all
+three roots at complex z: in the homotopy, and for edge nodes where that
+Newton's method does not converge.
 """
 
 from __future__ import annotations
@@ -412,8 +413,8 @@ def _grid_branch(prior, t, x, eps, edges=None):
     """Physical g at points x of the support, at height eps.
 
     Marchenko-Pastur prior, t > 0 (`_mp_branch`): the pair root at real x,
-    moved to the offset by Newton's method, and the square-root law next to
-    the support edges (`edges` as in `_edge_start`).  Otherwise (compound
+    moved to the offset by Newton's method, with the start of `_edge_start`
+    next to the support edges (`edges` as there).  Otherwise (compound
     Poisson, or t = 0) the admissible root at x + i*eps of largest imaginary
     part, which on the support has Im g = pi*rho; points where more than one
     root lies in the upper half plane (spurious branch pairs near gaps and
