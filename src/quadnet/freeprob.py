@@ -21,15 +21,15 @@ Adding a semicircle of variance t adds t*s, so g solves the self-consistency
     z = -t*g + R(-g) - 1/g ,
 
 which is polynomial in g after clearing denominators: a cubic for the plain
-MP prior, degree 2 + #atoms for the general prior (solved via companion
-matrices).  The MP cubic is solved in closed form.  On the support, at real
-x, its coefficients are real and the physical g is the upper member of its
-one complex-conjugate root pair (real Cardano, then Newton's method at
-x + i*eps).  At the support edges, where the pair collides, g starts from
-the square-root law at the edge's critical point of the inverse map and
-Newton's method runs in extended precision.  Complex Cardano gives all
-three roots at complex z: in the homotopy, and for edge nodes where that
-Newton's method does not converge.
+MP prior, degree 2 + #atoms for the general prior.  Every density here has
+t > 0.  The one general root solver is the companion matrix: its eigenvalues
+give all branches of g at complex z for every prior, in the compound-Poisson
+density, the off-support Hilbert transform and the homotopy.  For the MP
+prior on the support, at real x, the cubic's coefficients are real and the
+physical g is the upper member of its one complex-conjugate root pair (real
+Cardano, then Newton's method at x + i*eps).  At the support edges, where
+the pair collides, g starts from the square-root law at the edge's critical
+point of the inverse map and Newton's method runs in extended precision.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ __all__ = [
 
 DEFAULT_EPS = 1e-8
 DEFAULT_NODES = 801
-
-_OMEGA = np.exp(2j * np.pi / 3)
-
 
 class NoAdmissibleRoot(RuntimeError):
     """No root of the self-consistency polynomial lies in the upper half plane."""
@@ -81,10 +78,11 @@ class PriorSpectrum:
         Atom law of the diagonal variance profile D.  The default single atom
         (1, 1) gives the plain Marchenko-Pastur law of parameter kappa.
     kind : str
-        Either ``"marchenko_pastur"`` or ``"compound_poisson"``.  The two kinds
-        select independent root-finding code paths (closed-form cubic vs
-        companion matrices); with atoms ((1, 1),) they describe the same
-        measure, which is exercised as a cross-check in the tests.
+        Either ``"marchenko_pastur"`` or ``"compound_poisson"``.  Both kinds
+        share the companion-matrix solver; on the support the
+        Marchenko-Pastur kind takes its own real-pair path (`_mp_branch`)
+        instead.  With atoms ((1, 1),) they describe the same measure, which
+        the tests use to check one path against the other.
     """
 
     kappa: float
@@ -160,7 +158,11 @@ class PriorSpectrum:
 
 
 def _coeffs_desc(prior, t, z):
-    """Descending coefficients of the cleared polynomial P_z(g), shape (M, D+1)."""
+    """Descending coefficients of the cleared polynomial P_z(g), shape (M, D+1).
+
+    t = 0 (one degree less) is kept for the closed-form t = 0 checks of the
+    tests' Stieltjes oracle; densities are only built at t > 0.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if prior.kind == "marchenko_pastur":
         kappa = prior.kappa
@@ -191,7 +193,7 @@ def _newton_polish(coeffs, g, steps=2):
     """Safeguarded Newton steps on the cleared polynomial (Horner form).
 
     coeffs is `_coeffs_desc(prior, t, z)` at the points of g.  Stable where
-    the analytic root formulas lose the small root (large |z|, tiny t).
+    the eigenvalue solve loses the small root (large |z|, tiny t).
     Steps are only accepted when they reduce |P|: near collided root pairs
     (square-root edges) plain Newton stalls at the pair midpoint and would
     otherwise corrupt an already-accurate root.
@@ -216,43 +218,6 @@ def _newton_polish(coeffs, g, steps=2):
         p0 = np.where(better, p1, p0)
         dp0 = np.where(better, dp1, dp0)
     return g
-
-
-def _cardano(c3, c2, c1, c0):
-    """All three roots of c3 g^3 + c2 g^2 + c1 g + c0 with complex coefficients.
-
-    Vectorized over the coefficient arrays; returns shape (..., 3).
-    """
-    b = c2 / c3
-    c = c1 / c3
-    d = c0 / c3
-    p = c - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    s = np.sqrt(0.25 * q * q + p**3 / 27.0 + 0j)
-    u3a = -0.5 * q + s
-    u3b = -0.5 * q - s
-    u3 = np.where(np.abs(u3a) >= np.abs(u3b), u3a, u3b)
-    u = u3 ** (1.0 / 3.0)
-    # triple-root degeneracy: fall back to a tiny offset, Newton cleans it up
-    u = np.where(np.abs(u) < 1e-100, 1e-100 + 0j, u)
-    roots = []
-    for k in range(3):
-        w = u * _OMEGA**k
-        roots.append(w - p / (3.0 * w) - b / 3.0)
-    return np.stack(roots, axis=-1)
-
-
-def _quadratic(c2, c1, c0):
-    """Both roots of c2 g^2 + c1 g + c0, stable in complex arithmetic."""
-    disc = np.sqrt(c1 * c1 - 4.0 * c2 * c0 + 0j)
-    # pick the sign that avoids cancellation in c1 + disc
-    flip = np.real(np.conj(c1) * disc) < 0.0
-    disc = np.where(flip, -disc, disc)
-    qq = -0.5 * (c1 + disc)
-    with np.errstate(all="ignore"):
-        r1 = np.where(np.abs(c2) > 0, qq / c2, -c0 / c1)
-        r2 = np.where(np.abs(qq) > 0, c0 / qq, r1)
-    return np.stack([r1, r2], axis=-1)
 
 
 def _poly_ab(prior, t):
@@ -298,28 +263,21 @@ def _inverted(t, z):
 
 
 def _all_roots(prior, t, z, coeffs=None):
-    """All branches of g(z), shape (M, deg).  z is a complex array.
+    """All branches of g(z), shape (M, deg), as companion-matrix eigenvalues.
+    z is a complex array.
 
     Callers that also polish the roots pass coeffs = `_coeffs_desc(prior, t,
     z)`, so it is built once.  For t much smaller than the other coefficient
-    scales the leading (t g^3) term makes the direct root formulas
-    ill-conditioned; in that regime (`_inverted`) the reversed polynomial in
-    w = 1/g is well-scaled, so solve that and invert.  The huge spurious
-    branch then comes out as w ~ 0 (inaccurate/inf), which is harmless
-    because it is never the admissible pick.
+    scales the leading (t g^3) term makes the direct solve ill-conditioned;
+    in that regime (`_inverted`) the reversed polynomial in w = 1/g is
+    well-scaled, so solve that and invert.  The huge spurious branch then
+    comes out as w ~ 0 (inaccurate/inf), which is harmless because it is
+    never the admissible pick.
     """
     if coeffs is None:
         coeffs = _coeffs_desc(prior, t, z)
     invert = _inverted(t, z)
-    if invert:
-        coeffs = coeffs[:, ::-1]
-    if prior.kind == "marchenko_pastur":
-        if t != 0.0:
-            roots = _cardano(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2], coeffs[:, 3])
-        else:
-            roots = _quadratic(coeffs[:, 0], coeffs[:, 1], coeffs[:, 2])
-    else:
-        roots = _companion_roots(coeffs)
+    roots = _companion_roots(coeffs[:, ::-1] if invert else coeffs)
     if invert:
         with np.errstate(all="ignore"):
             roots = 1.0 / roots
@@ -410,25 +368,30 @@ def _real_cubic_pair(c3, c2, c1, c0):
 
 
 def _grid_branch(prior, t, x, eps, edges=None):
-    """Physical g at points x of the support, at height eps.
+    """Physical g at points x of the support of mu_t, t > 0, at height eps.
 
-    Marchenko-Pastur prior, t > 0 (`_mp_branch`): the pair root at real x,
-    moved to the offset by Newton's method, with the start of `_edge_start`
-    next to the support edges (`edges` as there).  Otherwise (compound
-    Poisson, or t = 0) the admissible root at x + i*eps of largest imaginary
-    part, which on the support has Im g = pi*rho; points where more than one
-    root lies in the upper half plane (spurious branch pairs near gaps and
-    branch collisions) are re-solved by homotopy, which is unambiguous.
+    Marchenko-Pastur prior (`_mp_branch`): the pair root at real x, moved to
+    the offset by Newton's method, with the start of `_edge_start` next to
+    the support edges (`edges` as there).  Compound-Poisson prior
+    (`_admissible_root`): the companion-matrix root at x + i*eps of largest
+    imaginary part.
     """
-    if prior.kind == "marchenko_pastur" and t != 0.0:
+    if prior.kind == "marchenko_pastur":
         return _mp_branch(prior, t, x, eps, edges)
     return _admissible_root(prior, t, x, eps)
 
 
 def _admissible_root(prior, t, x, eps):
-    """The root at x + i*eps of largest imaginary part, re-solved by
-    homotopy where another root is also in the upper half plane, and
-    polished (see `_grid_branch`)."""
+    """Physical g at points x of the support at height eps, for any prior.
+
+    The root at x + i*eps of largest imaginary part among the companion
+    roots (`_all_roots`), which on the support has Im g = pi*rho.  Points
+    where more than one root lies in the upper half plane (spurious branch
+    pairs near gaps and branch collisions) are re-solved by homotopy, which
+    is unambiguous.  Two safeguarded Newton steps polish the result.  It is
+    the compound-Poisson grid path, and the start of the Marchenko-Pastur
+    edge nodes where `_extended_newton` does not converge from `_edge_start`.
+    """
     z = x + 1j * eps
     coeffs = _coeffs_desc(prior, t, z)
     roots = _all_roots(prior, t, z, coeffs)
@@ -745,10 +708,8 @@ class SpectralDensity:
     intervals : tuple of (l, u)
     x, rho, re_g : tuples of arrays, one per interval
         Grid, density, and Re g(x + i eps) (the negative Hilbert transform).
-    atom_mass_at_zero : float
-        Only nonzero for the t = 0 Marchenko-Pastur law with kappa < 1.
     critical : tuple of (g_c(l), g_c(u))
-        Per interval, the critical points of phi at its edges (t > 0 only).
+        Per interval, the critical points of phi at its edges.
     """
 
     prior: PriorSpectrum
@@ -758,8 +719,7 @@ class SpectralDensity:
     x: tuple
     rho: tuple
     re_g: tuple
-    atom_mass_at_zero: float = 0.0
-    critical: tuple = ()
+    critical: tuple
 
     @functools.cached_property
     def weights(self):
@@ -771,7 +731,7 @@ class SpectralDensity:
         return sum(float(np.dot(w, v)) for w, v in zip(self.weights, values_per_interval))
 
     def mass(self):
-        return self.integrate(self.rho) + self.atom_mass_at_zero
+        return self.integrate(self.rho)
 
     def mean(self):
         return self.integrate([r * x for r, x in zip(self.rho, self.x)])
@@ -803,41 +763,18 @@ class SpectralDensity:
         return tuple(-rg for rg in self.re_g)
 
 
-def _mp_analytic_density(prior, n_nodes, eps):
-    """t = 0 closed form: bulk kappa sqrt((l+ - x)(x - l-))/(2 pi x) plus a
-    point mass max(1 - kappa, 0) at zero."""
-    kappa = prior.kappa
-    lam_m = (1.0 - kappa**-0.5) ** 2
-    lam_p = (1.0 + kappa**-0.5) ** 2
-    x = lam_m + (lam_p - lam_m) * _sin2_grid(n_nodes)[0]
-    with np.errstate(all="ignore"):
-        rho = kappa * np.sqrt(np.maximum((lam_p - x) * (x - lam_m), 0.0)) / (2 * np.pi * x)
-    rho = np.where(np.isfinite(rho), rho, 0.0)
-    g = _grid_branch(prior, 0.0, x, eps)
-    return SpectralDensity(
-        prior=prior,
-        t=0.0,
-        eps=eps,
-        intervals=((lam_m, lam_p),),
-        x=(x,),
-        rho=(rho,),
-        re_g=(g.real,),
-        atom_mass_at_zero=max(1.0 - kappa, 0.0),
-    )
-
-
 def density(
     prior: PriorSpectrum,
     t: float,
     n_nodes: int = DEFAULT_NODES,
     eps: float = DEFAULT_EPS,
 ) -> SpectralDensity:
-    """Density of mu_t = prior (+) semicircle(t) on edge-adapted grids.
+    """Density of mu_t = prior (+) semicircle(t), t > 0, on edge-adapted grids.
 
-    For t > 0 the support is located with `support_edges` and the admissible
-    Stieltjes branch is evaluated at x + i*eps on each interval.  t = 0 falls
-    back to the closed-form Marchenko-Pastur density (prior kind must be MP;
-    the generalized law has no closed form at t = 0).
+    The support is located with `_support` and the physical Stieltjes branch
+    (`_grid_branch`) is evaluated at x + i*eps on each interval.  t = 0 is
+    rejected: every caller builds at t = 1/q_hat > 0 or a positive noise
+    level.
 
     On intervals narrower than eps / 1e-5 the offset is lowered to 1e-5 times
     the interval width, so that very thin bulks (t well below 1e-6) are not
@@ -848,14 +785,10 @@ def density(
     n_nodes : int
         Grid nodes per interval (odd; even values are bumped by one).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t > 0:
+        raise ValueError(f"density requires t > 0, got {t}")
     if n_nodes % 2 == 0:
         n_nodes += 1
-    if t == 0.0:
-        if prior.kind != "marchenko_pastur":
-            raise ValueError("t = 0 density is only available for the MP prior")
-        return _mp_analytic_density(prior, n_nodes, eps)
     support = _support(prior, t)
     xs, rhos, regs = [], [], []
     s2 = _sin2_grid(n_nodes)[0]
@@ -931,11 +864,10 @@ def hilbert(prior, t, lam, dens: SpectralDensity | None = None, eps: float = DEF
     lam = np.atleast_1d(lam)
     g = np.empty(lam.shape, dtype=complex)
     off = np.ones(lam.shape, dtype=bool)
-    for (l, u), critical in zip(dens.intervals, dens.critical or [None] * len(dens.intervals)):
+    for (l, u), critical in zip(dens.intervals, dens.critical):
         on = (lam >= l) & (lam <= u)
         if np.any(on):
-            edges = None if critical is None else ((l, u), critical)
-            g[on] = _grid_branch(prior, t, lam[on], min(eps, 1e-5 * (u - l)), edges)
+            g[on] = _grid_branch(prior, t, lam[on], min(eps, 1e-5 * (u - l)), ((l, u), critical))
             off &= ~on
     if np.any(off):
         g[off] = _real_branch(prior, t, lam[off], eps)
@@ -958,11 +890,8 @@ def log_potential(dens: SpectralDensity) -> float:
     is stored on the grid.  On [l, u], U(l) is one Simpson sum, its own
     interval's log(x - l) taken as log(u - l) + 2 log sin(theta); U
     further on is the cumulative Simpson integral in theta of
-    h (u - l) sin(2 theta).  O(N) in the grid size.  Densities with an atom
-    are rejected (Sigma diverges).
+    h (u - l) sin(2 theta).  O(N) in the grid size.
     """
-    if dens.atom_mass_at_zero != 0.0:
-        raise ValueError("log potential diverges for densities with an atom")
     masses = [w * r for w, r in zip(dens.weights, dens.rho)]
     total = 0.0
     for i, ((l, u), re_g) in enumerate(zip(dens.intervals, dens.re_g)):

@@ -65,21 +65,19 @@ class GdConfig:
             raise ValueError("n_inits must be at least 1")
 
 
-def _residual(W, X, y, m, d):
+def _loss(W, X, y, l2):
+    """R(W) on the dataset (X, y), with the residuals r and P = X W^T / sqrt(d)
+    that `_gradient` reuses."""
+    m, d = W.shape
     P = X @ (W.T / np.sqrt(d))
-    return y - np.einsum("ij,ij->i", P, P) / m, P
+    r = y - np.einsum("ij,ij->i", P, P) / m
+    return 0.25 * float(r @ r) + 0.5 * l2 * float(np.sum(W * W)), r, P
 
 
-def risk(W, instance: TeacherInstance, l2: float = 0.0) -> float:
-    """R(W) on the instance's dataset."""
-    r, _ = _residual(W, instance.X, instance.y, instance.m, instance.d)
-    return 0.25 * float(r @ r) + 0.5 * l2 * float(np.sum(W * W))
-
-
-def risk_gradient(W, instance: TeacherInstance, l2: float = 0.0) -> np.ndarray:
-    """dR/dW on the instance's dataset."""
-    r, P = _residual(W, instance.X, instance.y, instance.m, instance.d)
-    grad = (P * (r / (-instance.m * np.sqrt(instance.d)))[:, None]).T @ instance.X
+def _gradient(W, X, r, P, l2):
+    """dR/dW from `_loss`'s residuals r and products P at W."""
+    m, d = W.shape
+    grad = (P * (r / (-m * np.sqrt(d)))[:, None]).T @ X
     if l2:
         grad = grad + l2 * W
     return grad
@@ -95,26 +93,19 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
     rng = np.random.default_rng([cfg.seed, 0x4744])
     W = rng.standard_normal((m, d))
 
-    def eval_at(Wc):
-        r, P = _residual(Wc, X, y, m, d)
-        loss = 0.25 * float(r @ r) + 0.5 * cfg.l2 * float(np.sum(Wc * Wc))
-        return loss, r, P
-
-    loss, r, P = eval_at(W)
+    loss, r, P = _loss(W, X, y, cfg.l2)
     loss0 = loss
     trace = [loss]
     lr = lr0
     for _ in range(cfg.max_steps):
-        grad = (P * (r / (-m * np.sqrt(d)))[:, None]).T @ X
-        if cfg.l2:
-            grad = grad + cfg.l2 * W
+        grad = _gradient(W, X, r, P, cfg.l2)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.grad_tol:
             break
         if cfg.backtracking:
             for _ in range(MAX_BACKTRACKS):
                 W_new = W - lr * grad
-                loss_new, r_new, P_new = eval_at(W_new)
+                loss_new, r_new, P_new = _loss(W_new, X, y, cfg.l2)
                 if loss_new <= loss:
                     break
                 lr *= 0.5
@@ -123,7 +114,7 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
             lr = min(lr * 1.3, lr0)
         else:
             W_new = W - lr * grad
-            loss_new, r_new, P_new = eval_at(W_new)
+            loss_new, r_new, P_new = _loss(W_new, X, y, cfg.l2)
         W, loss, r, P = W_new, loss_new, r_new, P_new
         trace.append(loss)
         if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(loss0, 1e-300):

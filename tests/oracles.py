@@ -34,6 +34,38 @@ def interp(dens, lam, values_per_interval, outside=np.nan):
     return out
 
 
+def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES, eps=freeprob.DEFAULT_EPS):
+    """The t = 0 Marchenko-Pastur law in closed form: (density, atom mass).
+
+    Bulk rho = kappa sqrt((l+ - x)(x - l-)) / (2 pi x) on [l-, l+],
+    l+- = (1 +- kappa^-1/2)^2, on `freeprob.density`'s sin^2 grid, with
+    Re g = -(kappa x + 1 - kappa) / (2 x), the real part of the roots of
+    x g^2 + (kappa x + 1 - kappa) g + kappa; the two roots meet at the
+    edges, so Re g there is the edge's critical point.  The point mass
+    max(1 - kappa, 0) at zero is returned next to the density, which only
+    carries the bulk.
+    """
+    kappa = prior.kappa
+    lam_m = (1.0 - kappa**-0.5) ** 2
+    lam_p = (1.0 + kappa**-0.5) ** 2
+    x = lam_m + (lam_p - lam_m) * freeprob._sin2_grid(n_nodes)[0]
+    with np.errstate(all="ignore"):
+        rho = kappa * np.sqrt(np.maximum((lam_p - x) * (x - lam_m), 0.0)) / (2 * np.pi * x)
+        re_g = -(kappa * x + 1.0 - kappa) / (2.0 * x)
+    rho = np.where(np.isfinite(rho), rho, 0.0)
+    dens = freeprob.SpectralDensity(
+        prior=prior,
+        t=0.0,
+        eps=eps,
+        intervals=((lam_m, lam_p),),
+        x=(x,),
+        rho=(rho,),
+        re_g=(re_g,),
+        critical=((re_g[0], re_g[-1]),),
+    )
+    return dens, max(1.0 - kappa, 0.0)
+
+
 def sigma_t_derivative(prior, t):
     """d Sigma(mu_t) / dt = (2 pi^2 / 3) int rho_t^3.
 

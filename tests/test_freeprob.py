@@ -17,7 +17,7 @@ import pytest
 from quadnet import freeprob as fp
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
-from oracles import interp, sigma_t_derivative, stieltjes
+from oracles import interp, mp_density_t0, sigma_t_derivative, stieltjes
 
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
 MP10 = PriorSpectrum.marchenko_pastur(1.0)
@@ -198,6 +198,24 @@ class TestStieltjes:
         for x in (-5.0, 0.05, 1.0, 6.5):
             sol = stieltjes(MP05, 0.1, x + 1e-12j)
             assert sol.residual < 1e-10
+
+    def test_upper_root_in_bulk_at_zero_at_tiny_kappa_and_t(self):
+        # at kappa t = 3e-13 the oracle's homotopy once ended on the
+        # conjugate or spurious branch at 4 of these 230 nodes (Im g < 0, up
+        # to 1.0 relative off the density); every 7th node of both intervals
+        kappa, t = 3e-4, 1e-9
+        prior = PriorSpectrum.marchenko_pastur(kappa)
+        dens = density(prior, t)
+        assert len(dens.intervals) == 2
+        off = []
+        for (l, u), x, rho, re_g in zip(dens.intervals, dens.x, dens.rho, dens.re_g):
+            eps = min(dens.eps, 1e-5 * (u - l))
+            for i in range(1, len(x) - 1, 7):
+                g = stieltjes(prior, t, complex(x[i], eps)).g
+                ref = re_g[i] + 1j * np.pi * rho[i]
+                if not (g.imag > 0.0 and abs(g - ref) <= 1e-12 * abs(ref)):
+                    off.append((float(x[i]), g, ref))
+        assert not off, off
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -547,21 +565,35 @@ class TestDensityInvariants:
             assert np.max(np.abs(a - b)) < 1e-8
 
     def test_t_zero_marchenko_pastur_with_atom(self):
-        dens = density(MP05, 0.0)
-        assert dens.atom_mass_at_zero == pytest.approx(0.5)
+        dens, atom = mp_density_t0(MP05)
+        assert atom == pytest.approx(0.5)
         assert dens.integrate(dens.rho) == pytest.approx(0.5, abs=1e-6)
         ((l, u),) = dens.intervals
         assert l == pytest.approx((1.0 - 0.5**-0.5) ** 2)
         assert u == pytest.approx((1.0 + 0.5**-0.5) ** 2)
-        dens2 = density(MP20, 0.0)
-        assert dens2.atom_mass_at_zero == 0.0
-        assert dens2.mass() == pytest.approx(1.0, abs=1e-6)
+        dens2, atom2 = mp_density_t0(MP20)
+        assert atom2 == 0.0
+        assert dens2.mass() + atom2 == pytest.approx(1.0, abs=1e-6)
 
-    def test_t_zero_compound_poisson_rejected(self):
-        with pytest.raises(ValueError):
-            density(CP3, 0.0)
-        with pytest.raises(ValueError):
-            density(MP05, -0.5)
+    @pytest.mark.parametrize("prior", [MP05, MP20], ids=["mp05", "mp2"])
+    def test_t_zero_closed_form_re_g_matches_stieltjes(self, prior):
+        # the closed-form Re g of the t = 0 oracle against the root solve of
+        # the quadratic at x + i eps, at interior nodes; eps = 1e-12 keeps
+        # the offset's own move of g, eps pi rho'(x), below the tolerance
+        dens, _ = mp_density_t0(prior)
+        for i in np.linspace(20, len(dens.x[0]) - 21, 9).astype(int):
+            x, re_g = dens.x[0][i], dens.re_g[0][i]
+            g = stieltjes(prior, 0.0, complex(x, 1e-12)).g
+            assert g.real == pytest.approx(re_g, rel=1e-9)
+            assert g.imag / np.pi == pytest.approx(dens.rho[0][i], rel=1e-9)
+
+    @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
+    def test_requires_positive_t(self, prior):
+        # densities are built at t = 1/q_hat > 0 only; t = 0, the law with
+        # an atom at zero, is the tests' closed-form oracle
+        for t in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                density(prior, t)
 
     def test_branch_selection_matches_continuation(self):
         # where spurious upper-half-plane roots exist (near the gap of a
@@ -757,10 +789,6 @@ class TestLogPotential:
         a = fp.log_potential(density(MP05, 0.5, n_nodes=501))
         b = fp.log_potential(density(MP05, 0.5, n_nodes=2001))
         assert a == pytest.approx(b, abs=1e-4)
-
-    def test_atom_rejected(self):
-        with pytest.raises(ValueError):
-            fp.log_potential(density(MP05, 0.0))
 
     CP3_WIDE = PriorSpectrum.compound_poisson(0.5, ((0.2, 0.3), (1.0, 0.4), (4.0, 0.3)))
 

@@ -12,7 +12,8 @@ class TestGradient:
         inst = model.generate(d=10, kappa=1.2, alpha=0.3, delta=0.1, seed=3)
         rng = np.random.default_rng(0)
         W = rng.standard_normal((inst.m, inst.d))
-        grad = gd.risk_gradient(W, inst, l2)
+        _, r, P = gd._loss(W, inst.X, inst.y, l2)
+        grad = gd._gradient(W, inst.X, r, P, l2)
         fd = np.zeros_like(W)
         h = 1e-5
         for i in range(W.shape[0]):
@@ -21,7 +22,8 @@ class TestGradient:
                 up[i, j] += h
                 down = W.copy()
                 down[i, j] -= h
-                fd[i, j] = (gd.risk(up, inst, l2) - gd.risk(down, inst, l2)) / (2 * h)
+                fd[i, j] = (gd._loss(up, inst.X, inst.y, l2)[0]
+                            - gd._loss(down, inst.X, inst.y, l2)[0]) / (2 * h)
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert rel < 1e-5
 
