@@ -30,12 +30,16 @@ physical g is the upper member of its one complex-conjugate root pair (real
 Cardano, then Newton's method at x + i*eps).  At the support edges, where
 the pair collides, g starts from the square-root law at the edge's critical
 point of the inverse map and Newton's method runs in extended precision.
+Each density also keeps dg/dz = 1/phi'(g) at its nodes from the build, for
+the t-derivative of int rho^3.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -367,18 +371,27 @@ def _real_cubic_pair(c3, c2, c1, c0):
     return -0.5 * s - b3, 0.5 * np.sqrt(3.0) * np.abs(a - v), s - b3
 
 
-def _grid_branch(prior, t, x, eps, edges=None):
-    """Physical g at points x of the support of mu_t, t > 0, at height eps.
+def _grid_branch(prior, t, x, eps, edges):
+    """Physical g at points x of the support of mu_t, t > 0, at height eps:
+    the first output of `_grid_slope`."""
+    return _grid_slope(prior, t, x, eps, edges)[0]
+
+
+def _grid_slope(prior, t, x, eps, edges):
+    """Physical g at points x of the support of mu_t, t > 0, at height eps,
+    and dg/dz = 1/phi'(g) there.
 
     Marchenko-Pastur prior (`_mp_branch`): the pair root at real x, moved to
     the offset by Newton's method, with the start of `_edge_start` next to
-    the support edges (`edges` as there).  Compound-Poisson prior
-    (`_admissible_root`): the companion-matrix root at x + i*eps of largest
-    imaginary part.
+    the support edges; `edges` is the interval's ((l, u), (g_c(l), g_c(u))).
+    Compound-Poisson prior (`_admissible_root`): the companion-matrix root at
+    x + i*eps of largest imaginary part, and phi' evaluated there.
     """
     if prior.kind == "marchenko_pastur":
         return _mp_branch(prior, t, x, eps, edges)
-    return _admissible_root(prior, t, x, eps)
+    g = _admissible_root(prior, t, x, eps)
+    with np.errstate(all="ignore"):
+        return g, 1.0 / _phi_prime(prior, t, g)
 
 
 def _admissible_root(prior, t, x, eps):
@@ -403,9 +416,9 @@ def _admissible_root(prior, t, x, eps):
     return _newton_polish(coeffs, g, steps=2)
 
 
-def _mp_branch(prior, t, x, eps, edges=None):
+def _mp_branch(prior, t, x, eps, edges):
     """Physical g at points x of the support of MP (+) semicircle(t), t > 0,
-    at height eps.
+    at height eps, and dg/dz there.
 
     At real x the cubic P_x has real coefficients, and on the support the
     physical g(x + i0) is the upper member of its one non-real root pair
@@ -420,10 +433,14 @@ def _mp_branch(prior, t, x, eps, edges=None):
     Nodes without a pair, or where the first step is not small, are the
     support edges and points within about 1e3 eps of them (farther next to
     a cusp, where two intervals are about to merge).  Their second step
-    starts from `_edge_start` instead, and more follow in extended
-    precision (`_extended_newton`): next to an edge a last-bit change of
-    P_z moves the root by about 1e-12 relative.  Where those do not converge
-    to a root in the upper half plane, the start is `_admissible_root`.
+    starts from `_edge_start` instead (`edges` as there), and more follow
+    in extended precision (`_extended_newton`): next to an edge a last-bit
+    change of P_z moves the root by about 1e-12 relative.  Where those do
+    not converge to a root in the upper half plane, the start is
+    `_admissible_root`.
+
+    Since P_z(g) = g (g + kappa) (z - phi(g)), dg/dz = 1/phi'(g) is
+    -g (g + kappa) / P_z'(g) at the root.
     """
     kappa = prior.kappa
     # P_z's coefficients t, zc1, zc2, kappa, as `_coeffs_desc` builds them;
@@ -458,36 +475,43 @@ def _mp_branch(prior, t, x, eps, edges=None):
         p1, dp = _cubic_horner(t, zc1, zc2, kappa, gz)
         gz = gz - p1 / dp
         redo = ~((np.abs(p1) < np.abs(p)) | near)
-    if redo.any():
-        gz[redo] = _newton_polish(_coeffs_desc(prior, t, x[redo] + 1j * eps), g[redo])
-    if len(edge):
-        zc1 = zc1[edge].astype(np.clongdouble)
-        zc2 = zc2[edge].astype(np.clongdouble)
-        ge, ok = _extended_newton(t, zc1, zc2, kappa, gz[edge])
-        if not ok.all():
-            bad = ~ok
-            start = _admissible_root(prior, t, x[edge[bad]], eps)
-            ge[bad] = _extended_newton(t, zc1[bad], zc2[bad], kappa, start)[0]
-        gz[edge] = ge
-    return gz
+        if redo.any():
+            gz[redo] = _newton_polish(_coeffs_desc(prior, t, x[redo] + 1j * eps), g[redo])
+        if len(edge):
+            ze1, ze2 = zc1[edge], zc2[edge]
+            ge, ok = _extended_newton(t, ze1, ze2, kappa, gz[edge])
+            if not ok.all():
+                bad = ~ok
+                start = _admissible_root(prior, t, x[edge[bad]], eps)
+                ge[bad] = _extended_newton(t, ze1[bad], ze2[bad], kappa, start)[0]
+            gz[edge] = ge
+        mdp = gz * (-3.0 * t)  # -P_z'(gz), in place
+        mdp -= zc1
+        mdp -= zc1
+        mdp *= gz
+        mdp -= zc2
+        return gz, (gz + kappa) * gz / mdp
 
 
 def _extended_newton(t, c1, c2, kappa, g):
     """Newton steps from g on P = t g^3 + c1 g^2 + c2 g + kappa in extended
-    precision (the coefficients are `np.clongdouble`, 80-bit on x86 and
-    plain double where the platform has no wider type), until every step is
-    below 1e-11 |g| with Im g > 0, at most eight.  Returns g and where that
-    holds."""
-    g = g.astype(np.clongdouble)
-    with np.errstate(all="ignore"):
+    precision (`np.clongdouble`, 80-bit on x86 and plain double where the
+    platform has no wider type; the coefficients are given in double), node
+    by node until the step is below 1e-11 |g| with Im g > 0, at most eight.
+    Returns g and where that holds.  The nodes are few, mostly the two end
+    nodes of an interval, so each is iterated as numpy scalars."""
+    out = np.empty(len(g), dtype=complex)
+    ok = np.zeros(len(g), dtype=bool)
+    for i, (a1, a2, gi) in enumerate(np.array([c1, c2, g], dtype=np.clongdouble).T):
         for _ in range(8):
-            p, dp = _cubic_horner(t, c1, c2, kappa, g)
+            p, dp = _cubic_horner(t, a1, a2, kappa, gi)
             step = p / dp
-            g = g - step
-            ok = (np.abs(step) < 1e-11 * np.abs(g)) & (g.imag > 0.0)
-            if ok.all():
+            gi = gi - step
+            if abs(step) < 1e-11 * abs(gi) and gi.imag > 0.0:
+                ok[i] = True
                 break
-    return g.astype(complex), ok
+        out[i] = gi
+    return out, ok
 
 
 def _cubic_horner(t, c1, c2, kappa, g):
@@ -501,7 +525,7 @@ def _cubic_horner(t, c1, c2, kappa, g):
     return p * g + kappa, dp
 
 
-def _edge_start(prior, t, x, eps, g, edges=None):
+def _edge_start(prior, t, x, eps, g, edges):
     """Start of Newton's method at points x within about 1e3 eps of a
     support edge, for the root at z = x + i*eps.
 
@@ -512,25 +536,23 @@ def _edge_start(prior, t, x, eps, g, edges=None):
     or, where there is no pair, the critical point g_c of the nearest edge
     x_e = phi(g_c); there phi'(g_c) = 0 and the start is the square-root law
     g_c + sqrt(2 (z - x_e) / phi''(g_c)) (Biane 1997).  `edges` is
-    (x_e, g_c), two sequences over the edges to choose from; by default
-    every edge of the support (`_support`).
+    (x_e, g_c), two sequences over the edges to choose from: the
+    interval's ((l, u), (g_c(l), g_c(u))).  The points are few, so each is
+    taken as numpy scalars.
     """
-    r = np.full(len(x), 1j * eps)
-    nopair = ~np.isfinite(g)
-    if nopair.any():
-        if edges is None:
-            support = _support(prior, t)
-            edges = [e for iv, _ in support for e in iv], [c for _, cs in support for c in cs]
-        xe, gc = np.asarray(edges[0]), np.asarray(edges[1])
-        xn = x[nopair]
-        k = np.abs(xn[:, None] - xe).argmin(axis=1)
-        g[nopair] = gc[k]
-        r[nopair] += xn - xe[k]
-    d1 = _phi_prime(prior, t, g)
-    d2 = _phi_second(prior, g)
-    s = np.sqrt(d1 * d1 + 2.0 * r * d2)
-    h1, h2 = 2.0 * r / (d1 + s), 2.0 * r / (d1 - s)
-    return g + np.where(h2.imag > h1.imag, h2, h1)
+    xe, gc = edges
+    start = np.empty(len(x), dtype=complex)
+    for i, (xi, g0) in enumerate(zip(x, g)):
+        r = 1j * eps
+        if not cmath.isfinite(g0):
+            k = min(range(len(xe)), key=lambda j: abs(xi - xe[j]))
+            g0, r = gc[k] + 0j, r + (xi - xe[k])
+        d1 = _phi_prime(prior, t, g0)
+        d2 = _phi_second(prior, g0)
+        s = cmath.sqrt(d1 * d1 + 2.0 * r * d2)
+        h1, h2 = 2.0 * r / (d1 + s), 2.0 * r / (d1 - s)
+        start[i] = g0 + (h2 if h2.imag > h1.imag else h1)
+    return start
 
 
 # ==================
@@ -544,22 +566,41 @@ def _phi(prior, t, g):
 
 
 @functools.lru_cache(maxsize=64)
-def _critical_terms(prior):
-    """The prior's parts of phi'(g) = 0 cleared of denominators: Pi(g)^2 with
-    Pi(g) = prod_k (kappa + a_k g), and per atom p_k kappa a_k^2 Pi_k(g)^2,
-    Pi_k without its own factor (ascending coefficients)."""
+def _critical_poly(prior):
+    """The prior's parts of phi'(g) = 0 cleared of denominators,
+    Pi^2 - t g^2 Pi^2 - sum_k p_k kappa a_k^2 g^2 Pi_k^2 with
+    Pi(g) = prod_k (kappa + a_k g) and Pi_k without its own factor.
+
+    Returns the descending coefficients of Pi^2, of g^2 Pi^2 and of each
+    atom's term, cut below the t term's leading coefficient (atoms at zero
+    leave zero top coefficients); the companion matrix of that degree with
+    its first row left zero; and the poles of phi, g = 0 and -kappa / a_k.
+    """
     kappa = prior.kappa
     pi = np.array([1.0])
     for a, _ in prior.atoms:
         pi = np.convolve(pi, [kappa, a])
+    pi2 = np.convolve(pi, pi)
+    top = np.flatnonzero(pi2)[-1] + 2
+
+    def desc(coeffs, shift):
+        out = np.zeros(len(pi2) + 2)
+        out[shift : shift + len(coeffs)] = coeffs
+        out = out[top::-1].copy()
+        out.flags.writeable = False
+        return out
+
     terms = []
     for i, (a, p) in enumerate(prior.atoms):
         pi_no = np.array([1.0])
         for j, (aj, _) in enumerate(prior.atoms):
             if j != i:
                 pi_no = np.convolve(pi_no, [kappa, aj])
-        terms.append(p * kappa * a**2 * np.convolve(pi_no, pi_no))
-    return np.convolve(pi, pi), tuple(terms)
+        terms.append(desc(p * kappa * a**2 * np.convolve(pi_no, pi_no), 2))
+    companion = np.diag(np.ones(top - 1), -1)
+    companion.flags.writeable = False
+    poles = (0.0, *(-kappa / a for a, _ in prior.atoms if a > 0))
+    return desc(pi2, 0), desc(pi2, 2), tuple(terms), companion, poles
 
 
 def _edge_candidates(prior, t):
@@ -567,41 +608,38 @@ def _edge_candidates(prior, t):
     (z, g_c) sorted by z, collided values kept once.
 
     phi'(g) = 0 cleared of denominators is a polynomial of degree
-    2 + 2 * #atoms; every support edge is among its real critical values.
+    2 + 2 * #atoms (`_critical_poly`); every support edge is among its real
+    critical values.  Its few real roots are sifted as Python floats.
     """
-    kappa = prior.kappa
-    pi2, atom_terms = _critical_terms(prior)
-    poly = np.zeros(len(pi2) + 2)
-    poly[2:] -= t * pi2
-    poly[: len(pi2)] += pi2
-    for term in atom_terms:
-        poly[2 : 2 + len(term)] -= term
-    # np.roots' companion matrix, without the zero top coefficients that
-    # atoms at zero leave
-    poly = poly[np.flatnonzero(poly)[-1] :: -1]
-    companion = np.diag(np.ones(len(poly) - 2), -1)
+    pi2, tpart, terms, companion, poles = _critical_poly(prior)
+    poly = pi2 - t * tpart
+    for term in terms:
+        poly -= term
+    # np.roots' companion matrix
+    companion = companion.copy()
     companion[0] = -poly[1:] / poly[0]
-    roots = np.linalg.eigvals(companion)
-    real = roots[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))].real
-    # drop critical points sitting on poles of phi
-    keep = np.abs(real) > 1e-12
-    for a, _ in prior.atoms:
-        if a > 0:
-            keep &= np.abs(real + kappa / a) > 1e-12
-    real = real[keep]
-    if real.size == 0:
+    candidates = []
+    for root in np.linalg.eigvals(companion).tolist():
+        # real, and not on a pole of phi
+        if abs(root.imag) <= 1e-8 * (1.0 + abs(root)) and all(
+            abs(root.real - pole) > 1e-12 for pole in poles
+        ):
+            try:
+                zc = _phi(prior, t, root.real)
+            except ZeroDivisionError:  # a denominator rounded to zero: a pole
+                continue
+            if math.isfinite(zc):
+                candidates.append((zc, root.real))
+    if not candidates:
         raise EdgeDetectionFailed(f"no real critical points for t={t}")
-    zc = _phi(prior, t, real)
-    finite = np.isfinite(zc)
-    order = np.argsort(zc[finite])
-    zc, gc = zc[finite][order], real[finite][order]
+    candidates.sort()
     # dedupe collisions
-    out = [0]
-    values = zc.tolist()
-    for i in range(1, len(values)):
-        if values[i] - values[out[-1]] > 1e-11 * (1.0 + abs(values[i])):
-            out.append(i)
-    return zc[out], gc[out]
+    out = candidates[:1]
+    for zc, gc in candidates[1:]:
+        if zc - out[-1][0] > 1e-11 * (1.0 + abs(zc)):
+            out.append((zc, gc))
+    zc, gc = zip(*out)
+    return np.array(zc), np.array(gc)
 
 
 def _has_nonreal_root(prior, t, x):
@@ -710,6 +748,8 @@ class SpectralDensity:
         Grid, density, and Re g(x + i eps) (the negative Hilbert transform).
     critical : tuple of (g_c(l), g_c(u))
         Per interval, the critical points of phi at its edges.
+    dgdz : tuple of complex arrays, one per interval
+        dg/dz = 1/phi'(g) at the grid's g(x + i eps), from the build.
     """
 
     prior: PriorSpectrum
@@ -720,6 +760,7 @@ class SpectralDensity:
     rho: tuple
     re_g: tuple
     critical: tuple
+    dgdz: tuple
 
     @functools.cached_property
     def weights(self):
@@ -744,19 +785,14 @@ class SpectralDensity:
         return self.integrate([r**3 for r in self.rho])
 
     def cube_integral_dt(self):
-        """d/dt of `cube_integral`: 2 int rho^3 Re[1/phi'(g)] dx, g = re_g + i pi rho.
+        """d/dt of `cube_integral`: 2 int rho^3 Re(dg/dz) dx, dg/dz = 1/phi'(g).
 
         The semicircular flow obeys the Burgers equation d_t g = g d_z g
         (Biane 1997), so d_t rho = d_x(rho Re g) on the real axis; two
         integrations by parts and dg/dz = 1/phi'(g) give the identity.  One
-        more quadrature on the stored grid, no build.
+        more quadrature with the build's dg/dz (`dgdz`), no build.
         """
-        vals = []
-        for r, rg in zip(self.rho, self.re_g):
-            with np.errstate(all="ignore"):
-                v = r**3 * np.real(1.0 / _phi_prime(self.prior, self.t, rg + 1j * np.pi * r))
-            vals.append(np.where(np.isfinite(v), v, 0.0))
-        return 2.0 * self.integrate(vals)
+        return 2.0 * self.integrate([r**3 * dz.real for r, dz in zip(self.rho, self.dgdz)])
 
     def hilbert_on_grid(self):
         """h(x) = PV int rho(s)/(x - s) ds = -Re g on the stored grid."""
@@ -772,9 +808,9 @@ def density(
     """Density of mu_t = prior (+) semicircle(t), t > 0, on edge-adapted grids.
 
     The support is located with `_support` and the physical Stieltjes branch
-    (`_grid_branch`) is evaluated at x + i*eps on each interval.  t = 0 is
-    rejected: every caller builds at t = 1/q_hat > 0 or a positive noise
-    level.
+    and its z-derivative (`_grid_slope`) are evaluated at x + i*eps on each
+    interval.  t = 0 is rejected: every caller builds at t = 1/q_hat > 0 or
+    a positive noise level.
 
     On intervals narrower than eps / 1e-5 the offset is lowered to 1e-5 times
     the interval width, so that very thin bulks (t well below 1e-6) are not
@@ -790,14 +826,15 @@ def density(
     if n_nodes % 2 == 0:
         n_nodes += 1
     support = _support(prior, t)
-    xs, rhos, regs = [], [], []
+    xs, rhos, regs, dgdzs = [], [], [], []
     s2 = _sin2_grid(n_nodes)[0]
     for (l, u), critical in support:
         x = l + (u - l) * s2
-        g = _grid_branch(prior, t, x, min(eps, 1e-5 * (u - l)), ((l, u), critical))
+        g, dgdz = _grid_slope(prior, t, x, min(eps, 1e-5 * (u - l)), ((l, u), critical))
         xs.append(x)
         rhos.append(np.maximum(g.imag / np.pi, 0.0))
         regs.append(g.real)
+        dgdzs.append(dgdz)
     return SpectralDensity(
         prior=prior,
         t=t,
@@ -807,6 +844,7 @@ def density(
         rho=tuple(rhos),
         re_g=tuple(regs),
         critical=tuple(critical for _, critical in support),
+        dgdz=tuple(dgdzs),
     )
 
 

@@ -15,9 +15,11 @@ The free-entropy functional F(q) whose maximizer is the overlap q* is also
 provided, off the solver's default path; its inner conjugate solve, the
 fixed-point solver, and the iterative route in `gamp.state_evolution_iterate`
 are independent implementations whose agreement is asserted in the tests.
-Both root solves take safeguarded Newton steps in log scale (`_newton`).  A
-map's slope costs no extra build: the t-derivative of int mu_t^3 is one
-more quadrature on the density the map's value is read from.
+Both root solves work in log scale (`_newton`): safeguarded Newton steps
+until the root is bracketed, then steps to the root of the cubic Hermite
+interpolant through the last two points.  A map's slope costs no extra
+build: the t-derivative of int mu_t^3 is one more quadrature on the density
+the map's value is read from, with the dg/dz that its build stored.
 """
 
 import dataclasses
@@ -169,16 +171,45 @@ def _f_rie(prior, t):
     return t - _K * t**2 * cube, t * (1.0 - 2.0 * _K * t * cube - _K * t * t * cube_dt), dens
 
 
+def _hermite_step(x0, f0, d0, x1, f1, d1, step):
+    """Step from x1 to the root of the cubic Hermite interpolant through
+    (x0, f0, d0) and (x1, f1, d1), values and slopes, found by Newton's
+    method on the cubic from the Newton step `step`; NaN where that does not
+    converge in eight iterations."""
+    h = x0 - x1
+    secant = (f0 - f1) / h
+    # H(x1 + u) = f1 + d1 u + c2 u^2 + c3 u^3
+    c2 = (3.0 * secant - 2.0 * d1 - d0) / h
+    c3 = (d0 + d1 - 2.0 * secant) / (h * h)
+    u = step
+    for _ in range(8):
+        dh = d1 + u * (2.0 * c2 + 3.0 * u * c3)
+        if dh == 0.0:
+            break
+        du = (f1 + u * (d1 + u * (c2 + u * c3))) / dh
+        u -= du
+        if abs(du) <= 1e-12 * abs(u):
+            return u
+    return math.nan
+
+
 def _newton(f, x, name, x_max=math.inf, maxiter=100):
-    """Root of an increasing f by safeguarded Newton steps, as rtsafe does
-    (Press et al., Numerical Recipes, 3rd ed., sec. 9.4).
+    """Root of an increasing f by safeguarded Newton and Hermite steps, with
+    the safeguards of rtsafe (Press et al., Numerical Recipes, 3rd ed.,
+    sec. 9.4).
 
     f(x) returns (value, slope, payload); x is the log of `name`.  Every
     point f has seen narrows the bracket (lo, hi), f(lo) < 0 < f(hi).  While
-    one end is open, steps are capped at 2, 4, 8, ... and clamped at x_max,
-    which is probed itself.  Once both ends are known a step that leaves the
-    bracket, or a slope that is not positive and finite, is replaced by
-    bisection.  Stops when the next step or the bracket is below
+    one end is open, Newton steps are capped at 2, 4, 8, ... and clamped at
+    x_max, which is probed itself.  Once both ends are known the step goes
+    to the root of the cubic Hermite interpolant through the last two points
+    and their slopes (`_hermite_step`), which converges with order
+    1 + sqrt(3) against Newton's 2 (Traub, Iterative Methods for the
+    Solution of Equations, 1964, ch. 6).  Where that root leaves the
+    bracket, is more than twice the Newton step away or needs a slope that
+    is not positive and finite, the Newton step is taken; where that
+    leaves the bracket too, or the slope is not positive and finite,
+    bisection.  Stops when the Newton step or the bracket is below
     1e-13 + 8.9e-16 |x|, and at x_max when f(x_max) < 0, returning the last
     point f evaluated: (x, value, payload, evaluations).  A NaN of f or an
     exhausted budget raises NoConvergence naming the point.
@@ -203,10 +234,15 @@ def _newton(f, x, name, x_max=math.inf, maxiter=100):
         if math.isinf(hi - lo):  # one-sided: a capped step the way f's sign points
             new = min(x + math.copysign(min(cap, abs(step)), -fx), x_max)  # NaN: the cap
             cap *= 2.0
-        else:
+        else:  # bracketed, so prev holds the point before this one
             new = x + step
+            if 0.0 < prev[2] < math.inf and not math.isnan(step):
+                hermite = x + _hermite_step(*prev, x, fx, slope, step)
+                if lo < hermite < hi and abs(hermite - x) <= 2.0 * abs(step):
+                    new = hermite
             if not lo < new < hi:  # also when step is NaN
                 new = 0.5 * (lo + hi)
+        prev = x, fx, slope
         if evals < maxiter:  # a spent budget names the last point evaluated
             x = new
     raise NoConvergence(
@@ -237,10 +273,10 @@ def _qhat_start(params):
 def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixedPoint:
     """Solve the fixed-point equation for q_hat and assemble the MMSE.
 
-    The root is found in u = log q_hat by safeguarded Newton steps
-    (`_newton`) from the root of the map with a semicircle in place of mu_t
-    (`_qhat_start`), with the slope of the map taken from the same density
-    build as its value
+    The root is found in u = log q_hat by safeguarded Newton and Hermite
+    steps (`_newton`) from the root of the map with a semicircle in place of
+    mu_t (`_qhat_start`), with the slope of the map taken from the same
+    density build as its value
     (`freeprob.SpectralDensity.cube_integral_dt`).  Steps are bounded by
     QHAT_MAX, which is probed itself; a NaN of the map or an exhausted
     budget raises NoConvergence naming q_hat.  Each point of the map is one

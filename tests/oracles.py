@@ -53,6 +53,8 @@ def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES, eps=freeprob.DEFAULT_EP
         rho = kappa * np.sqrt(np.maximum((lam_p - x) * (x - lam_m), 0.0)) / (2 * np.pi * x)
         re_g = -(kappa * x + 1.0 - kappa) / (2.0 * x)
     rho = np.where(np.isfinite(rho), rho, 0.0)
+    with np.errstate(all="ignore"):
+        dgdz = 1.0 / freeprob._phi_prime(prior, 0.0, re_g + 1j * np.pi * rho)
     dens = freeprob.SpectralDensity(
         prior=prior,
         t=0.0,
@@ -62,8 +64,22 @@ def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES, eps=freeprob.DEFAULT_EP
         rho=(rho,),
         re_g=(re_g,),
         critical=((re_g[0], re_g[-1]),),
+        dgdz=(dgdz,),
     )
     return dens, max(1.0 - kappa, 0.0)
+
+
+def cube_integral_dt(dens):
+    """d/dt of int rho^3 by 2 int rho^3 Re[1/phi'(g)] dx, with phi'
+    evaluated again at the stored g = re_g + i pi rho and the integrand
+    taken as zero where it is not finite: the reference for
+    `SpectralDensity.cube_integral_dt`, which reads dg/dz off the build."""
+    vals = []
+    for r, rg in zip(dens.rho, dens.re_g):
+        with np.errstate(all="ignore"):
+            v = r**3 * np.real(1.0 / freeprob._phi_prime(dens.prior, dens.t, rg + 1j * np.pi * r))
+        vals.append(np.where(np.isfinite(v), v, 0.0))
+    return 2.0 * dens.integrate(vals)
 
 
 def sigma_t_derivative(prior, t):

@@ -17,7 +17,7 @@ import pytest
 from quadnet import freeprob as fp
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
-from oracles import interp, mp_density_t0, sigma_t_derivative, stieltjes
+from oracles import cube_integral_dt, interp, mp_density_t0, sigma_t_derivative, stieltjes
 
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
 MP10 = PriorSpectrum.marchenko_pastur(1.0)
@@ -324,14 +324,15 @@ class TestRealCubicPair:
         monkeypatch.setattr(fp, "_edge_start", recording)
         inverted = set()
         for t in self.TS:
-            for l, u, x, ends in self._points(density(mp, t, n_nodes=401)):
+            dens = density(mp, t, n_nodes=401)
+            for critical, (l, u, x, ends) in zip(dens.critical, self._points(dens)):
                 eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
                 inverted.add(fp._inverted(t, x + 1j * eps))
                 handed.clear()
-                g = fp._grid_branch(mp, t, x, eps)
+                g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
                 assert np.isin(ends, handed).all()
                 pair = ~np.isin(x, handed)
-                g_cp = fp._grid_branch(cp, t, x[pair], eps)
+                g_cp = fp._grid_branch(cp, t, x[pair], eps, ((l, u), critical))
                 # against extended precision the companion path is off by up
                 # to 2e-13 next to an edge, the pair by 5e-14
                 assert np.max(np.abs(g[pair] - g_cp) / np.abs(g_cp)) < 1e-12, (t, l, u)
@@ -351,7 +352,7 @@ class TestRealCubicPair:
             x = x[1:-1]
             eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
             g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
-            g_cp = fp._grid_branch(cp, t, x, eps)
+            g_cp = fp._grid_branch(cp, t, x, eps, ((l, u), critical))
             assert np.max(np.abs(g - g_cp) / np.abs(g_cp)) < 1e-11, (l, u)
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)])
@@ -373,11 +374,11 @@ class TestRealCubicPair:
         mp = PriorSpectrum.marchenko_pastur(kappa)
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
-            for (l, u), x in zip(dens.intervals, dens.x):
+            for (l, u), critical, x in zip(dens.intervals, dens.critical, dens.x):
                 x = x[1:-1:50]
                 eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
                 ref = np.array([stieltjes(mp, t, complex(xi, eps)).g for xi in x])
-                g = fp._grid_branch(mp, t, x, eps)
+                g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
                 assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-13, (t, l, u)
 
     @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
@@ -685,11 +686,11 @@ class TestCubeIntegral:
         dens = density(MP05, 0.5, n_nodes=2001)
         val = dens.cube_integral()
         oracle = 0.0
-        for l, u in dens.intervals:
+        for (l, u), critical in zip(dens.intervals, dens.critical):
             n = 20010
             h = (u - l) / n
             xm = l + (np.arange(n) + 0.5) * h
-            g = fp._grid_branch(MP05, 0.5, xm, dens.eps)
+            g = fp._grid_branch(MP05, 0.5, xm, dens.eps, ((l, u), critical))
             oracle += float(np.sum(np.maximum(g.imag / np.pi, 0.0) ** 3) * h)
         assert val == pytest.approx(oracle, rel=1e-5)
 
@@ -708,6 +709,20 @@ class TestCubeIntegral:
             - density(prior, t - h, n_nodes=3201).cube_integral()
         ) / (2.0 * h)
         assert density(prior, t, n_nodes=3201).cube_integral_dt() == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-2, 0.3, 5.0])
+    @pytest.mark.parametrize(
+        "prior",
+        [PriorSpectrum.marchenko_pastur(k) for k in (0.1, 0.5, 1.0, 2.0)] + [CP3],
+        ids=["mp0.1", "mp0.5", "mp1", "mp2", "cp3"],
+    )
+    def test_t_derivative_matches_complex_phi_prime_oracle(self, prior, t):
+        # dg/dz from the build (for MP, -g (g + kappa) / P_z'(g)) against
+        # 1/phi'(g) evaluated again at the stored g; they agree to about
+        # 4e-16.  MP(0.1) at every t, MP(0.5) at t <= 1e-2 and CP3 at 1e-4
+        # have two support intervals
+        dens = density(prior, t)
+        assert dens.cube_integral_dt() == pytest.approx(cube_integral_dt(dens), rel=1e-10, abs=0.0)
 
 
 class TestHilbert:

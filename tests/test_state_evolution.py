@@ -1,5 +1,6 @@
 """Tests for the state-evolution fixed point and its closed-form limits."""
 
+import contextlib
 import dataclasses
 import math
 import re
@@ -205,6 +206,20 @@ class TestSolveQhat:
         assert statuses == "c" * 14 + "s" * 9 + "c" * 18 + "s" * 5
         assert sum(fp.iterations for fp in fps) <= 195
 
+    @pytest.mark.parametrize("delta,budget,n_super", [(0.1, 380, 0), (0.0, 398, 30)])
+    def test_phase_diagram_build_budget(self, delta, budget, n_super):
+        # the theory benchmark's 8 x 12 grid: Hermite steps once bracketed
+        # take 375 map points at delta = 0.1 and 390 at delta = 0, against
+        # 456 and 398 with Newton steps alone; the statuses do not change
+        fps = [
+            se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa, delta=delta))
+            for kappa in np.linspace(0.1, 2.0, 8)
+            for alpha in np.linspace(0.02, 0.6, 12)
+        ]
+        assert sum(fp.status == "supercritical" for fp in fps) == n_super
+        assert all(fp.status in ("converged", "supercritical") for fp in fps)
+        assert sum(fp.iterations for fp in fps) <= budget
+
     @pytest.mark.parametrize("alpha", [1e-3, 0.25, math.nextafter(0.5, 0.0), 0.5, 0.6])
     @pytest.mark.parametrize("delta", [0.0, 0.1])
     def test_semicircle_start_in_range(self, alpha, delta):
@@ -271,11 +286,12 @@ class TestSolveQhat:
 class TestNewton:
     @staticmethod
     def recording(probes, value, slope=0.5):
-        """f for `se._newton` that appends each x it is called at to probes."""
+        """f for `se._newton` that appends each x it is called at to probes;
+        slope is a number or a function of x."""
 
         def f(x):
             probes.append(x)
-            return value(x), slope, None
+            return value(x), slope(x) if callable(slope) else slope, None
 
         return f
 
@@ -320,6 +336,60 @@ class TestNewton:
         assert abs(value) == 1.0 and x == probes[-1]
         assert abs(x - 0.3) < 1e-12
         assert evals == len(probes) < 60
+
+    def test_hermite_steps_take_fewer_probes_than_newton(self, monkeypatch):
+        # exp(x) - 2 with its exact slope, bracketed at the third probe: the
+        # steps to the Hermite interpolant's root need 8 probes, Newton's
+        # steps alone 10, and both stop within the tolerance of log 2
+        def solve():
+            probes = []
+            f = self.recording(probes, lambda x: math.exp(x) - 2.0, slope=math.exp)
+            x, _, _, evals = se._newton(f, -3.0, "x")
+            assert evals == len(probes)
+            return x, evals
+
+        x, evals = solve()
+        monkeypatch.setattr(se, "_hermite_step", lambda *args: math.nan)
+        x_newton, evals_newton = solve()
+        assert evals < evals_newton
+        for root in (x, x_newton):
+            assert abs(root - math.log(2.0)) < 1e-13 + 8.9e-16 * math.log(2.0)
+
+    def test_hermite_step_solves_a_cubic(self):
+        # the Hermite interpolant of a cubic is the cubic itself: from the
+        # points 0 and 2 of (x - 1)(x^2 + 1), the step from 2 goes to its root
+        step = se._hermite_step(0.0, -1.0, 1.0, 2.0, 5.0, 9.0, -5.0 / 9.0)
+        assert step == pytest.approx(-1.0, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "slope,hermite,probe",
+        [
+            (4.0, -0.3, 1.7),  # inside (0, 2), within twice Newton's -0.25: taken
+            (4.0, -0.6, 1.75),  # more than twice Newton's step: Newton's
+            (0.8, -2.5, 0.75),  # outside the bracket: Newton's -1.25
+            (0.25, -2.5, 1.0),  # outside, and Newton's -4 too: bisection
+            (0.8, math.nan, 0.75),  # no Hermite root: Newton's
+        ],
+    )
+    def test_hermite_step_guards(self, monkeypatch, slope, hermite, probe):
+        # bracketed by the probes 0 and 2; the step from 2 is the Hermite
+        # step where the guards let it through, else Newton's, else the midpoint
+        probes, calls = [], []
+        f = self.recording(probes, lambda x: x - 1.0, slope=lambda x: 0.5 if x < 1.0 else slope)
+        monkeypatch.setattr(se, "_hermite_step", lambda *args: calls.append(args) or hermite)
+        with contextlib.suppress(se.NoConvergence):
+            se._newton(f, 0.0, "x", maxiter=3)
+        assert probes == [0.0, 2.0, probe]
+        assert calls[0] == (0.0, -1.0, 0.5, 2.0, 1.0, slope, -1.0 / slope)
+
+    def test_hermite_step_needs_both_slopes(self, monkeypatch):
+        # the slope at the first probe is 0: no Hermite step from 2, Newton's
+        probes, calls = [], []
+        f = self.recording(probes, lambda x: x - 1.0, slope=lambda x: 0.0 if x < 1.0 else 0.8)
+        monkeypatch.setattr(se, "_hermite_step", lambda *args: calls.append(args) or -0.3)
+        with contextlib.suppress(se.NoConvergence):
+            se._newton(f, 0.0, "x", maxiter=3)
+        assert probes == [0.0, 2.0, 0.75] and not calls
 
     def test_budget_exhausted_raises(self):
         probes = []

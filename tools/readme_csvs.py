@@ -1,0 +1,72 @@
+"""Run the `quadnet` commands of README.md and print the sha256 of each CSV.
+
+Each `quadnet ...` command of README's sh blocks runs with `--threads 1`
+in a temporary directory, with the package taken from this checkout's
+`src/`.  One line per command goes to standard output,
+`<command> <csv name> <sha256>`, and its wall time to standard error.
+Command names given as arguments limit the run to those commands:
+
+    python3 tools/readme_csvs.py
+    python3 tools/readme_csvs.py se-curve phase-diagram
+
+A command that exits nonzero is reported with its exit code; the CSV it
+still wrote is hashed.  The exit status is 1 if any command failed.
+"""
+
+import argparse
+import hashlib
+import os
+import pathlib
+import re
+import shlex
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def readme_commands(text):
+    """Argument lists of the `quadnet ...` lines of the sh blocks in text,
+    continuation lines joined, without the leading `quadnet`."""
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["quadnet"]:
+                commands.append(words[1:])
+    return commands
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("commands", nargs="*", help="command names to run (default: all)")
+    args = ap.parse_args(argv)
+    commands = readme_commands((ROOT / "README.md").read_text())
+    unknown = set(args.commands) - {c[0] for c in commands}
+    if unknown:
+        ap.error(f"not a README command: {', '.join(sorted(unknown))}")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in commands:
+            if args.commands and command[0] not in args.commands:
+                continue
+            out = command[command.index("--out") + 1]
+            start = time.perf_counter()
+            code = subprocess.run(
+                [sys.executable, "-m", "quadnet.cli", *command, "--threads", "1"],
+                cwd=tmp, env=env,
+            ).returncode
+            print(f"{command[0]}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+            csv = pathlib.Path(tmp) / out
+            digest = hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else "-"
+            print(f"{command[0]} {out} {digest}" + (f" exit={code}" if code else ""), flush=True)
+            failed |= code != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
