@@ -22,9 +22,14 @@ Adding a semicircle of variance t adds t*s, so g solves the self-consistency
 
 which is polynomial in g after clearing denominators: a cubic for the plain
 MP prior, degree 2 + #atoms for the general prior.  Every density here has
-t > 0.  The one general root solver is the companion matrix: its eigenvalues
-give all branches of g at complex z for every prior, in the compound-Poisson
-density, the off-support Hilbert transform and the homotopy.  For the MP
+t > 0.  On the real line the picture is Biane's (1997): off the support g is
+real and increasing in x with phi(g) = x, phi(g) = -t*g + R(-g) - 1/g, and
+the support edges are critical values of phi, left edges at its local maxima
+and right edges at its local minima.  So the sign of phi'' at the critical
+points sorts the support, and off it g is a Newton solve on the arc of phi
+between the neighbouring edges' critical points.  On the support the
+general root solver is the companion matrix, whose eigenvalues give all
+branches of g at complex z, for the compound-Poisson density.  For the MP
 prior on the support, at real x, the cubic's coefficients are real and the
 physical g is the upper member of its one complex-conjugate root pair (real
 Cardano, then Newton's method at x + i*eps).  At the support edges, where
@@ -36,6 +41,7 @@ the t-derivative of int rho^3.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import dataclasses
 import functools
@@ -46,7 +52,6 @@ import numpy as np
 __all__ = [
     "PriorSpectrum",
     "SpectralDensity",
-    "NoAdmissibleRoot",
     "EdgeDetectionFailed",
     "density",
     "support_edges",
@@ -56,10 +61,6 @@ __all__ = [
 
 DEFAULT_EPS = 1e-8
 DEFAULT_NODES = 801
-
-class NoAdmissibleRoot(RuntimeError):
-    """No root of the self-consistency polynomial lies in the upper half plane."""
-
 
 class EdgeDetectionFailed(RuntimeError):
     """Support-edge candidates could not be classified into intervals."""
@@ -127,26 +128,18 @@ class PriorSpectrum:
     # --- moments -----------------------------------------------------------
 
     @property
-    def mean_atom(self) -> float:
-        """m_a = E[a], first moment of the variance profile."""
+    def mean(self) -> float:
+        """E[a], the first moment of the variance profile."""
         return sum(a * p for a, p in self.atoms)
 
     @property
-    def second_moment_atom(self) -> float:
-        """c_a = E[a^2]."""
-        return sum(a * a * p for a, p in self.atoms)
-
-    @property
-    def mean(self) -> float:
-        return self.mean_atom
-
-    @property
     def variance(self) -> float:
-        return self.second_moment_atom / self.kappa
+        """E[a^2] / kappa."""
+        return sum(a * a * p for a, p in self.atoms) / self.kappa
 
     @property
     def second_moment(self) -> float:
-        return self.mean_atom**2 + self.second_moment_atom / self.kappa
+        return self.mean**2 + self.variance
 
     def r_transform(self, s):
         """R(s) = sum_k p_k kappa a_k / (kappa - s a_k)."""
@@ -162,23 +155,15 @@ class PriorSpectrum:
 
 
 def _coeffs_desc(prior, t, z):
-    """Descending coefficients of the cleared polynomial P_z(g), shape (M, D+1).
-
-    t = 0 (one degree less) is kept for the closed-form t = 0 checks of the
-    tests' Stieltjes oracle; densities are only built at t > 0.
-    """
+    """Descending coefficients of the cleared polynomial P_z(g), shape (M, D+1)."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if prior.kind == "marchenko_pastur":
         kappa = prior.kappa
         one = np.ones_like(z)
-        if t != 0.0:
-            cols = [t * one, z + t * kappa, z * kappa + 1.0 - kappa, kappa * one]
-        else:
-            cols = [z, z * kappa + 1.0 - kappa, kappa * one]
+        cols = [t * one, z + t * kappa, z * kappa + 1.0 - kappa, kappa * one]
         return np.stack(cols, axis=-1)
     acoef, bcoef = _poly_ab(prior, t)
-    deg = len(acoef) - 1 if t != 0.0 else len(bcoef) - 1
-    acoef = acoef[: deg + 1]  # top entries vanish when t = 0
+    deg = len(acoef) - 1
     # atoms at zero lower the degree: top coefficients are exact zeros then
     while (
         deg > 1
@@ -234,8 +219,7 @@ def _poly_ab(prior, t):
     bcoef = np.concatenate([[0.0], pi])  # g * Pi(g)
     deg = len(pi) + 2
     acoef = np.zeros(deg)
-    if t != 0.0:
-        acoef[2 : 2 + len(pi)] += t * pi
+    acoef[2 : 2 + len(pi)] += t * pi
     acoef[: len(pi)] += pi
     for i, (a, p) in enumerate(prior.atoms):
         pi_no = np.array([1.0])
@@ -263,23 +247,20 @@ def _companion_roots(coeffs_desc):
 
 def _inverted(t, z):
     """Whether the roots at the points z are solved in w = 1/g (see `_all_roots`)."""
-    return t != 0.0 and t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
+    return t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
 
 
-def _all_roots(prior, t, z, coeffs=None):
-    """All branches of g(z), shape (M, deg), as companion-matrix eigenvalues.
-    z is a complex array.
+def _all_roots(t, z, coeffs):
+    """All branches of g(z), shape (M, deg), as companion-matrix eigenvalues
+    of coeffs = `_coeffs_desc(prior, t, z)` at the complex points z.
 
-    Callers that also polish the roots pass coeffs = `_coeffs_desc(prior, t,
-    z)`, so it is built once.  For t much smaller than the other coefficient
-    scales the leading (t g^3) term makes the direct solve ill-conditioned;
-    in that regime (`_inverted`) the reversed polynomial in w = 1/g is
-    well-scaled, so solve that and invert.  The huge spurious branch then
-    comes out as w ~ 0 (inaccurate/inf), which is harmless because it is
-    never the admissible pick.
+    For t much smaller than the other coefficient scales the leading (t g^3)
+    term makes the direct solve ill-conditioned; in that regime
+    (`_inverted`) the reversed polynomial in w = 1/g is well-scaled, so
+    solve that and invert.  The huge spurious branch then comes out as
+    w ~ 0 (inaccurate/inf), which is harmless because it is never the
+    admissible pick.
     """
-    if coeffs is None:
-        coeffs = _coeffs_desc(prior, t, z)
     invert = _inverted(t, z)
     roots = _companion_roots(coeffs[:, ::-1] if invert else coeffs)
     if invert:
@@ -287,63 +268,6 @@ def _all_roots(prior, t, z, coeffs=None):
             roots = 1.0 / roots
         roots = np.where(np.isfinite(roots), roots, -1e100 - 1e100j)
     return roots
-
-
-def _homotopy_solve(prior, t, x, eps):
-    """Physical branch of g at z = x + i*eps for real x (vectorized).
-
-    Follows the root from high in the upper half plane, where g ~ -1/z is
-    unambiguous, down to the requested offset, always taking the admissible
-    root closest to the previous level and polishing with Newton.  Robust on
-    and off the support, including inside spectral gaps where spurious
-    branches of the polynomial can also lie in the upper half plane.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    scale = 1.0 + np.sqrt(prior.second_moment + max(t, 0.0)) + np.abs(x)
-    top = np.maximum(10.0 * scale, 2.0 * eps)
-    n_steps = int(
-        max(20, 4 * np.ceil(np.log10(top.max() / eps)))
-    )
-    ladder = np.exp(
-        np.linspace(np.log(top), np.full_like(top, np.log(eps)), n_steps)
-    )
-    g = -1.0 / (x + 1j * top)
-    rows = np.arange(len(x))
-    for k in range(n_steps):
-        z = x + 1j * ladder[k]
-        coeffs = _coeffs_desc(prior, t, z)
-        roots = _all_roots(prior, t, z, coeffs)
-        dist = np.abs(roots - g[:, None])
-        # exclude clearly lower-half-plane roots; roots within roundoff of the
-        # real axis (off-support points at small heights) are left to the
-        # closest-to-previous rule, which is what resolves them correctly
-        adm = roots.imag > -1e-6 * (1.0 + np.abs(roots))
-        dist_adm = np.where(adm, dist, np.inf)
-        pick = np.argmin(dist_adm, axis=1)
-        none = ~np.isfinite(dist_adm[rows, pick])
-        if np.any(none):
-            pick[none] = np.argmin(dist[none], axis=1)
-        g = roots[rows, pick]
-        g = _newton_polish(coeffs, g, steps=1)
-    g = _newton_polish(_coeffs_desc(prior, t, x + 1j * eps), g, steps=2)
-    # at square-root edges the physical root and its conjugate collide as the
-    # height shrinks; if polishing landed on the lower partner, flip to the
-    # conjugate root (same Re, which is all a collision point determines)
-    neg = g.imag < 0.0
-    if np.any(neg):
-        roots = _all_roots(prior, t, x[neg] + 1j * eps)
-        sub = np.arange(int(neg.sum()))
-        cand = roots[sub, np.argmin(np.abs(roots - np.conj(g[neg])[:, None]), axis=1)]
-        near = np.abs(cand - np.conj(g[neg])) < 1e-5 * (1.0 + np.abs(g[neg]))
-        gn = g[neg]
-        gn[near] = cand[near]
-        g[neg] = gn
-    bad = g.imag < -1e-6 * (1.0 + np.abs(g))
-    if np.any(bad):
-        raise NoAdmissibleRoot(
-            f"homotopy ended in the lower half plane at x={x[bad][:3]} (t={t})"
-        )
-    return g
 
 
 def _real_cubic_pair(c3, c2, c1, c0):
@@ -398,21 +322,18 @@ def _admissible_root(prior, t, x, eps):
     """Physical g at points x of the support at height eps, for any prior.
 
     The root at x + i*eps of largest imaginary part among the companion
-    roots (`_all_roots`), which on the support has Im g = pi*rho.  Points
-    where more than one root lies in the upper half plane (spurious branch
-    pairs near gaps and branch collisions) are re-solved by homotopy, which
-    is unambiguous.  Two safeguarded Newton steps polish the result.  It is
-    the compound-Poisson grid path, and the start of the Marchenko-Pastur
-    edge nodes where `_extended_newton` does not converge from `_edge_start`.
+    roots (`_all_roots`), which on the support has Im g = pi*rho, polished
+    by two safeguarded Newton steps.  It is the compound-Poisson grid path,
+    and the start of the Marchenko-Pastur edge nodes where
+    `_extended_newton` does not converge from `_edge_start`.  The tests
+    check the pick against the root continued down from high in the upper
+    half plane (`tests/oracles.py`), which stays unambiguous where a second
+    root also lies in the upper half plane.
     """
     z = x + 1j * eps
     coeffs = _coeffs_desc(prior, t, z)
-    roots = _all_roots(prior, t, z, coeffs)
-    im = roots.imag
-    g = roots[np.arange(len(roots)), np.argmax(im, axis=1)]
-    ambiguous = (im > 1e-13).sum(axis=1) > 1
-    if np.any(ambiguous):
-        g[ambiguous] = _homotopy_solve(prior, t, x[ambiguous], eps)
+    roots = _all_roots(t, z, coeffs)
+    g = roots[np.arange(len(roots)), np.argmax(roots.imag, axis=1)]
     return _newton_polish(coeffs, g, steps=2)
 
 
@@ -642,30 +563,22 @@ def _edge_candidates(prior, t):
     return np.array(zc), np.array(gc)
 
 
-def _has_nonreal_root(prior, t, x):
-    """Whether the real branch polynomial P_x(g) has a non-real root, per x.
-
-    Needs no tolerance: LAPACK returns each real eigenvalue of a real
-    companion matrix with imaginary part exactly zero.
-    """
-    roots = _companion_roots(_coeffs_desc(prior, t, x).real)
-    return (roots.imag != 0.0).any(axis=1)
-
-
 def support_edges(prior: PriorSpectrum, t: float):
     """Support intervals of mu_t = prior (+) semicircle(t), t > 0.
 
-    Candidate edges are the real critical values of the inverse map
-    z = phi(g) (Biane 1997).  Roots of the real branch polynomial P_x(g)
-    collide on the real axis only at such values, so the number of non-real
-    roots is constant between consecutive candidates; each region is
-    classified by that count at its midpoint (`_has_nonreal_root`).  On the
-    support the physical g is non-real, so a region where every root is real
-    is off it.  The test is made at real x: unlike a density probe at
-    x + i*eps it needs no offset, and thin intervals such as the bulk near
-    zero (mass 1 - kappa at small kappa) are not lost.  The edges are the
-    critical values themselves, which solve the edge equation to machine
-    precision.
+    Candidate edges are the real critical values x_c = phi(g_c) of the
+    inverse map z = phi(g) (`_edge_candidates`).  Off the support g is real
+    and increasing in x with phi(g) = x (Biane 1997), so every gap is an
+    increasing arc of phi from the critical point of its left edge to that
+    of its right one: the support's right edges are local minima of phi
+    (phi''(g_c) > 0) and its left edges local maxima (phi''(g_c) < 0).  The
+    regions beyond the outer candidates are off the support, and a region
+    between two consecutive candidates is a gap exactly when phi'' is
+    positive at the left one and negative at the right one; every other
+    region is on it.  Thin intervals such as the bulk near zero (mass
+    1 - kappa at small kappa) are found like any other, and the edges are
+    the critical values themselves, which solve the edge equation to
+    machine precision.
 
     Returns
     -------
@@ -680,36 +593,15 @@ def _support(prior, t):
     if t <= 0:
         raise ValueError("support_edges requires t > 0 (t = 0 edges are analytic)")
     zc, gc = _edge_candidates(prior, t)
-    if len(zc) == 2:
-        # a bounded nonempty support with exactly two candidates is a single
-        # interval; no classification needed
-        edges = [0, 1]
-    else:
-        span = max(zc[-1] - zc[0], 1.0)
-        mids = np.concatenate(
-            [
-                [zc[0] - 0.1 * span - 1.0],
-                0.5 * (zc[1:] + zc[:-1]),
-                [zc[-1] + 0.1 * span + 1.0],
-            ]
-        )
-        on = _has_nonreal_root(prior, t, mids)
-        if on[0] or on[-1]:
-            raise EdgeDetectionFailed(
-                "support appears unbounded; edge candidates are wrong"
-            )
-        # where the count changes; left and right edges alternate
-        edges = [i for i in range(len(zc)) if on[i] != on[i + 1]]
-        if len(edges) % 2 != 0 or any(
-            on[edges[i] + 1] == on[edges[i + 1] + 1] for i in range(len(edges) - 1)
-        ):
-            raise EdgeDetectionFailed(
-                f"inconsistent on/off pattern at t={t}: "
-                f"{[(zc[i], bool(on[i + 1])) for i in edges]}"
-            )
+    curv = [_phi_second(prior, g) for g in gc.tolist()]
+    # on[k]: whether the region between candidates k - 1 and k is on the support
+    on = [False, *(not c0 > 0.0 > c1 for c0, c1 in zip(curv, curv[1:])), False]
+    edges = [i for i in range(len(zc)) if on[i] != on[i + 1]]
     support = tuple(
         ((zc[i], zc[j]), (gc[i], gc[j])) for i, j in zip(edges[::2], edges[1::2])
     )
+    if not support:
+        raise EdgeDetectionFailed(f"no support interval among the edge candidates at t={t}")
     if prior.kind == "marchenko_pastur" and len(support) > 2:
         raise EdgeDetectionFailed(
             f"MP prior cannot have {len(support)} support intervals"
@@ -773,12 +665,6 @@ class SpectralDensity:
 
     def mass(self):
         return self.integrate(self.rho)
-
-    def mean(self):
-        return self.integrate([r * x for r, x in zip(self.rho, self.x)])
-
-    def second_moment(self):
-        return self.integrate([r * x * x for r, x in zip(self.rho, self.x)])
 
     def cube_integral(self):
         """int rho(x)^3 dx over the continuous part."""
@@ -864,52 +750,79 @@ def _phi_second(prior, g):
     return out
 
 
-def _real_branch(prior, t, x, eps):
-    """Physical g at real x off the support (vectorized).
+def _real_branch(prior, t, x, dens):
+    """Physical g at points x off the support of the density dens.
 
-    There every root of P_x is real and g'(x) = int rho(s)/(s - x)^2 ds > 0,
-    so the physical g is a real root on which the inverse map phi increases.
-    Where that root is not unique, g is solved by homotopy at x + i*eps.
+    Off the support g is real and increasing in x, and phi(g) = x (Biane
+    1997).  So g lies on the increasing arc of phi between the critical
+    points of the neighbouring edges (`SpectralDensity.critical`):
+    (g_c(u_i), g_c(l_(i+1))) in a gap, (0, g_c(l_1)) left of the support
+    and (g_c(u_n), 0) right of it, 0 being a pole of phi.  There phi(g) = x
+    is solved by Newton's method in extended precision (`np.longdouble`, as
+    in `_extended_newton`) from the square-root law at the nearest edge
+    x_e, g_c + sign(x - x_e) sqrt(2 (x - x_e) / phi''(g_c)), as in
+    `_edge_start`.  A start or step that leaves the bracket is replaced by
+    its midpoint, and each iterate narrows the bracket by the sign of
+    phi(g) - x.  Iteration stops at a step below 1e-14 |g|, or once the
+    steps, below 1e-8 |g|, no longer shrink: next to an edge, where phi'
+    vanishes, roundoff in phi moves the root by more than that.  The points
+    are few, so each is iterated as scalars.
     """
-    coeffs = _coeffs_desc(prior, t, x)
-    # exactly real where real: see `_has_nonreal_root`
-    roots = _companion_roots(coeffs.real)
-    with np.errstate(all="ignore"):
-        up = (roots.imag == 0.0) & (_phi_prime(prior, t, roots.real) > 0.0)
-    g = _newton_polish(coeffs, roots.real[np.arange(len(x)), np.argmax(up, axis=1)] + 0j)
-    unique = up.sum(axis=1) == 1
-    if not np.all(unique):
-        g[~unique] = _homotopy_solve(prior, t, x[~unique], eps)
-    return g
+    edges = [e for interval in dens.intervals for e in interval]
+    crit = [0.0, *(g for pair in dens.critical for g in pair), 0.0]
+    out = np.empty(len(x))
+    for i, xi in enumerate(x.tolist()):
+        k = bisect.bisect(edges, xi)  # even off the support
+        lo, hi = crit[k], crit[k + 1]
+        e = k - 1 if k == len(edges) or (k > 0 and xi - edges[k - 1] < edges[k] - xi) else k
+        d = xi - edges[e]
+        r = 2.0 * d / _phi_second(prior, crit[e + 1])
+        g = crit[e + 1] + math.copysign(math.sqrt(max(r, 0.0)), d)
+        g, xi = np.longdouble(g), np.longdouble(xi)
+        prev = math.inf
+        for _ in range(100):
+            if not lo < g < hi:
+                g = 0.5 * (lo + hi)
+            f = _phi(prior, t, g) - xi
+            if f < 0.0:
+                lo = g
+            elif f > 0.0:
+                hi = g
+            step = f / _phi_prime(prior, t, g)
+            g -= step
+            if abs(step) <= 1e-14 * abs(g) or prev <= abs(step) <= 1e-8 * abs(g):
+                break
+            prev = abs(step)
+        out[i] = float(g)
+    return out
 
 
-def hilbert(prior, t, lam, dens: SpectralDensity | None = None, eps: float = DEFAULT_EPS):
+def hilbert(prior, t, lam, dens: SpectralDensity):
     """Principal-value transform h(lam) = PV int rho(s)/(lam - s) ds = -Re g,
     solved at each eigenvalue lam, on or off the support.
 
+    dens is a density of the same (prior, t); it supplies the support
+    intervals, the critical points of phi at their edges and the offset.
     On a support interval [l, u], g is the `_grid_branch` root at
-    lam + i*min(eps, 1e-5 (u - l)), the offset `density` uses on its grid.
-    Off the support it is the real root of `_real_branch`.  `dens`, a
-    density of the same (prior, t), only supplies the support intervals and
-    the critical points at their edges; without it they are located here.
+    lam + i*min(dens.eps, 1e-5 (u - l)), the offset `density` uses on its
+    grid.  Off the support it is the real g of `_real_branch`.
     """
-    if dens is None:
-        dens = density(prior, t)
-    elif dens.prior != prior or dens.t != t:
+    if dens.prior != prior or dens.t != t:
         raise ValueError("density does not match (prior, t)")
     lam = np.asarray(lam, dtype=float)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
-    g = np.empty(lam.shape, dtype=complex)
+    g = np.empty(lam.shape)
     off = np.ones(lam.shape, dtype=bool)
     for (l, u), critical in zip(dens.intervals, dens.critical):
         on = (lam >= l) & (lam <= u)
         if np.any(on):
-            g[on] = _grid_branch(prior, t, lam[on], min(eps, 1e-5 * (u - l)), ((l, u), critical))
+            edges = ((l, u), critical)
+            g[on] = _grid_branch(prior, t, lam[on], min(dens.eps, 1e-5 * (u - l)), edges).real
             off &= ~on
     if np.any(off):
-        g[off] = _real_branch(prior, t, lam[off], eps)
-    return float(-g.real[0]) if scalar else -g.real
+        g[off] = _real_branch(prior, t, lam[off], dens)
+    return float(-g[0]) if scalar else -g
 
 
 def _cumulative_simpson(f, h):

@@ -22,6 +22,107 @@ def _selfcons(prior, t, z, g):
     return z + t * g + 1.0 / g - prior.r_transform(-g)
 
 
+def coeffs_desc(prior, t, z):
+    """`freeprob._coeffs_desc`, also at t = 0: there the Marchenko-Pastur
+    cubic's leading coefficient t vanishes and the polynomial is the
+    quadratic below it.  The compound-Poisson coefficients already drop
+    their vanishing top entries."""
+    coeffs = freeprob._coeffs_desc(prior, t, z)
+    return coeffs[:, 1:] if t == 0.0 and prior.kind == "marchenko_pastur" else coeffs
+
+
+def all_roots(t, z, coeffs):
+    """`freeprob._all_roots`, also at t = 0, where the roots are solved in g
+    (the polynomial in w = 1/g is only needed for small positive t)."""
+    if t == 0.0:
+        return freeprob._companion_roots(coeffs)
+    return freeprob._all_roots(t, z, coeffs)
+
+
+def has_nonreal_root(prior, t, x):
+    """Whether the real branch polynomial P_x(g) has a non-real root, per x.
+
+    Needs no tolerance: LAPACK returns each real eigenvalue of a real
+    companion matrix with imaginary part exactly zero.
+    """
+    roots = freeprob._companion_roots(coeffs_desc(prior, t, x).real)
+    return (roots.imag != 0.0).any(axis=1)
+
+
+def root_count_support(prior, t):
+    """Support intervals of mu_t, t > 0, by counting non-real roots: the
+    reference for the phi'' rule of `freeprob.support_edges`.
+
+    Roots of P_x(g) collide on the real axis only at critical values of phi,
+    so the number of non-real roots is constant between consecutive edge
+    candidates (`freeprob._edge_candidates`).  Each region, the two beyond
+    the outer candidates included, is classified by `has_nonreal_root` at
+    its midpoint: on the support the physical g is non-real, and a region
+    where every root is real is off it.
+    """
+    zc, _ = freeprob._edge_candidates(prior, t)
+    span = max(zc[-1] - zc[0], 1.0)
+    mids = np.concatenate(
+        [[zc[0] - 0.1 * span - 1.0], 0.5 * (zc[1:] + zc[:-1]), [zc[-1] + 0.1 * span + 1.0]]
+    )
+    on = has_nonreal_root(prior, t, mids)
+    edges = [i for i in range(len(zc)) if on[i] != on[i + 1]]
+    return tuple((zc[i], zc[j]) for i, j in zip(edges[::2], edges[1::2]))
+
+
+def homotopy_solve(prior, t, x, eps):
+    """Physical branch of g at z = x + i*eps for real x (vectorized), t >= 0.
+
+    Follows the root from high in the upper half plane, where g ~ -1/z is
+    unambiguous, down to the requested offset, always taking the admissible
+    root closest to the previous level and polishing with Newton.  Robust on
+    and off the support, including inside spectral gaps where spurious
+    branches of the polynomial can also lie in the upper half plane.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    scale = 1.0 + np.sqrt(prior.second_moment + t) + np.abs(x)
+    top = np.maximum(10.0 * scale, 2.0 * eps)
+    n_steps = int(max(20, 4 * np.ceil(np.log10(top.max() / eps))))
+    ladder = np.exp(np.linspace(np.log(top), np.full_like(top, np.log(eps)), n_steps))
+    g = -1.0 / (x + 1j * top)
+    rows = np.arange(len(x))
+    for k in range(n_steps):
+        z = x + 1j * ladder[k]
+        coeffs = coeffs_desc(prior, t, z)
+        roots = all_roots(t, z, coeffs)
+        dist = np.abs(roots - g[:, None])
+        # exclude clearly lower-half-plane roots; roots within roundoff of the
+        # real axis (off-support points at small heights) are left to the
+        # closest-to-previous rule, which is what resolves them correctly
+        adm = roots.imag > -1e-6 * (1.0 + np.abs(roots))
+        dist_adm = np.where(adm, dist, np.inf)
+        pick = np.argmin(dist_adm, axis=1)
+        none = ~np.isfinite(dist_adm[rows, pick])
+        if np.any(none):
+            pick[none] = np.argmin(dist[none], axis=1)
+        g = roots[rows, pick]
+        g = freeprob._newton_polish(coeffs, g, steps=1)
+    z = x + 1j * eps
+    coeffs = coeffs_desc(prior, t, z)
+    g = freeprob._newton_polish(coeffs, g, steps=2)
+    # at square-root edges the physical root and its conjugate collide as the
+    # height shrinks; if polishing landed on the lower partner, flip to the
+    # conjugate root (same Re, which is all a collision point determines)
+    neg = g.imag < 0.0
+    if np.any(neg):
+        roots = all_roots(t, z[neg], coeffs[neg])
+        sub = np.arange(int(neg.sum()))
+        cand = roots[sub, np.argmin(np.abs(roots - np.conj(g[neg])[:, None]), axis=1)]
+        near = np.abs(cand - np.conj(g[neg])) < 1e-5 * (1.0 + np.abs(g[neg]))
+        gn = g[neg]
+        gn[near] = cand[near]
+        g[neg] = gn
+    bad = g.imag < -1e-6 * (1.0 + np.abs(g))
+    if np.any(bad):
+        raise RuntimeError(f"homotopy ended in the lower half plane at x={x[bad][:3]} (t={t})")
+    return g
+
+
 def interp(dens, lam, values_per_interval, outside=np.nan):
     """Piecewise-linear interpolation of per-interval node values of `dens`
     at lam; points outside every support interval get `outside`."""
@@ -116,7 +217,7 @@ def stieltjes(prior, t, z, eps=freeprob.DEFAULT_EPS):
         raise ValueError("stieltjes requires Im z > 0")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    g = freeprob._homotopy_solve(prior, t, np.array([z.real]), z.imag)[0]
+    g = homotopy_solve(prior, t, np.array([z.real]), z.imag)[0]
     # the residual mixes terms of size |z| and O(1); finish with Newton in
     # extended precision so cancellation noise stays below the 1e-10 contract
     # even at |z| ~ 1e6.  The iterate of least |P| over 30 steps is kept:
@@ -124,7 +225,7 @@ def stieltjes(prior, t, z, eps=freeprob.DEFAULT_EPS):
     # the homotopy can end 1e-4 off and Newton needs about six steps
     zl = np.clongdouble(z)
     gl = np.clongdouble(g)
-    coeffs = freeprob._coeffs_desc(prior, t, np.array([z]))[0].astype(np.clongdouble)
+    coeffs = coeffs_desc(prior, t, np.array([z]))[0].astype(np.clongdouble)
     best = np.inf
     for _ in range(30):
         p = np.clongdouble(0.0)

@@ -262,7 +262,7 @@ def test_density_property_grid():
             tag = f"prior#{pi} t={t}"
             dens = density(prior, t)
             _check(failures, abs(dens.mass() - 1.0) < 1e-4, f"{tag}: mass {dens.mass():.6f}")
-            m2 = dens.second_moment()
+            m2 = dens.integrate([r * x * x for r, x in zip(dens.rho, dens.x)])
             want = prior.second_moment + t
             _check(
                 failures,

@@ -17,7 +17,16 @@ import pytest
 from quadnet import freeprob as fp
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
-from oracles import cube_integral_dt, interp, mp_density_t0, sigma_t_derivative, stieltjes
+from oracles import (
+    cube_integral_dt,
+    has_nonreal_root,
+    homotopy_solve,
+    interp,
+    mp_density_t0,
+    root_count_support,
+    sigma_t_derivative,
+    stieltjes,
+)
 
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
 MP10 = PriorSpectrum.marchenko_pastur(1.0)
@@ -180,7 +189,7 @@ class TestStieltjes:
         # on-support point: of the three branches of the cleared cubic only
         # one lies in the upper half plane
         z = np.array([1.0 + 1e-8j])
-        roots = fp._all_roots(MP05, 0.1, z)[0]
+        roots = fp._all_roots(0.1, z, fp._coeffs_desc(MP05, 0.1, z))[0]
         assert (roots.imag > 1e-12).sum() == 1
         sol = stieltjes(MP05, 0.1, 1.0 + 1e-8j)
         assert sol.g.imag > 0
@@ -251,7 +260,7 @@ class TestSupportEdges:
         # fine uniform grid and compare against the reported edges
         intervals = support_edges(MP05, 0.01)
         xs = np.linspace(-0.3, 6.2, 6500)
-        g = fp._homotopy_solve(MP05, 0.01, xs, 1e-9)
+        g = homotopy_solve(MP05, 0.01, xs, 1e-9)
         on = g.imag / np.pi > 1e-6
         flips = np.flatnonzero(on[1:] != on[:-1])
         found = 0.5 * (xs[flips] + xs[flips + 1])
@@ -266,7 +275,7 @@ class TestSupportEdges:
             for l, u in support_edges(prior, t):
                 for e, inward in ((l, 1.0), (u, -1.0)):
                     step = 1e-9 * (1.0 + abs(e))
-                    inside, outside = fp._has_nonreal_root(
+                    inside, outside = has_nonreal_root(
                         prior, t, np.array([e + inward * step, e - inward * step])
                     )
                     assert inside and not outside, (prior, t, e)
@@ -281,9 +290,45 @@ class TestSupportEdges:
         assert np.all(np.diff(flat) > 0)
         dens = density(prior, 0.001, n_nodes=801)
         assert dens.mass() == pytest.approx(1.0, abs=1e-4)
-        assert dens.second_moment() == pytest.approx(
+        assert dens.integrate([r * x * x for r, x in zip(dens.rho, dens.x)]) == pytest.approx(
             prior.second_moment + 0.001, rel=1e-3
         )
+
+    @pytest.mark.parametrize(
+        "t,n_candidates,n_intervals",
+        [(0.0351199750753887, 3, 1), (0.0351199750683647, 4, 2)],
+        ids=["merged", "split"],
+    )
+    def test_merge_of_two_intervals(self, t, n_candidates, n_intervals):
+        # MP(0.5)'s bulk at zero meets the main bulk near t = 0.03512: just
+        # after, the collided candidates are kept once and the odd one out
+        # lies inside the merged interval; just before, the gap between the
+        # two middle candidates is an increasing arc of phi
+        assert len(fp._edge_candidates(MP05, t)[0]) == n_candidates
+        assert len(support_edges(MP05, t)) == n_intervals
+
+    MERGES = [
+        (MP05, t) for t in (0.0351199750753887, 0.035119975071870695, 0.0351199750683647)
+    ] + [(PriorSpectrum.marchenko_pastur(0.95), 5.398127249281708e-06)]
+
+    @pytest.mark.parametrize(
+        "prior",
+        [PriorSpectrum.marchenko_pastur(k) for k in (3e-4, 0.05, 0.3, 0.5, 0.95, 2.0)]
+        + [
+            CP3,
+            PriorSpectrum.compound_poisson(0.2, ((1.0, 0.5), (10.0, 0.5))),
+            PriorSpectrum.compound_poisson(0.5, ((0.2, 0.3), (1.0, 0.4), (4.0, 0.3))),
+        ],
+        ids=["mp3e-4", "mp0.05", "mp0.3", "mp0.5", "mp0.95", "mp2", "cp3", "cp2_wide", "cp3_wide"],
+    )
+    def test_matches_root_count_classification(self, prior):
+        # the phi'' rule against the count of non-real roots of P_x between
+        # consecutive candidates, edges bit for bit, over t from 1e-9 to 10
+        # and, for MP(0.5) and MP(0.95), next to a merge of two intervals
+        ts = list(np.geomspace(1e-9, 10.0, 21))
+        ts += [t for p, t in self.MERGES if p == prior]
+        for t in ts:
+            assert support_edges(prior, t) == root_count_support(prior, t), t
 
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):
@@ -471,9 +516,10 @@ class TestSharedCoefficients:
     @pytest.mark.parametrize("t", [1e-9, 1e-5, 1e-2, 0.5, 2.0])
     @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
     def test_polish_matches_reference(self, monkeypatch, prior, t):
-        # every polish and Newton step on the density and off-support
-        # Hilbert paths gets coefficients built for its own (prior, t, z); a
-        # polish gives the bits of the reference polish that rebuilds them
+        # every polish and Newton step on the density and Hilbert paths
+        # gets coefficients built for its own (prior, t, z); a polish gives
+        # the bits of the reference polish that rebuilds them.  Off the
+        # support `hilbert` takes neither
         built = {}
         coeffs_desc, polish = fp._coeffs_desc, fp._newton_polish
 
@@ -513,10 +559,12 @@ class TestSharedCoefficients:
         monkeypatch.setattr(fp, "_cubic_horner", checked_horner)
         dens = density(prior, t, n_nodes=201)
         edges = np.array(dens.intervals).ravel()
-        # beyond both ends and in every gap: solved off the support
+        # beyond both ends and in every gap: solved off the support; the
+        # middle of every interval: solved on it
         gaps = 0.5 * (edges[1:-1:2] + edges[2::2])
-        off = np.concatenate([[edges[0] - 1.0, edges[-1] + 1.0], gaps])
-        fp.hilbert(prior, t, off, dens=dens)
+        mids = 0.5 * (edges[::2] + edges[1::2])
+        lam = np.concatenate([[edges[0] - 1.0, edges[-1] + 1.0], gaps, mids])
+        fp.hilbert(prior, t, lam, dens=dens)
         assert n_checked[0] > len(dens.intervals)
 
 
@@ -535,8 +583,10 @@ class TestDensityInvariants:
         prior = self.PRIORS[name]
         dens = density(prior, t, n_nodes=801)
         assert dens.mass() == pytest.approx(1.0, abs=1e-4)
-        assert dens.mean() == pytest.approx(prior.mean, abs=1e-3)
-        assert dens.second_moment() == pytest.approx(prior.second_moment + t, abs=1e-3)
+        mean = dens.integrate([r * x for r, x in zip(dens.rho, dens.x)])
+        assert mean == pytest.approx(prior.mean, abs=1e-3)
+        second_moment = dens.integrate([r * x * x for r, x in zip(dens.rho, dens.x)])
+        assert second_moment == pytest.approx(prior.second_moment + t, abs=1e-3)
 
     @pytest.mark.parametrize("name", sorted(PRIORS))
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
@@ -604,7 +654,7 @@ class TestDensityInvariants:
         for i in range(2):
             idx = np.linspace(5, len(dens.x[i]) - 6, 12).astype(int)
             x = dens.x[i][idx]
-            g_cont = fp._homotopy_solve(MP05, 0.01, x, min(dens.eps, 1e-5 * np.diff(dens.intervals[i])[0]))
+            g_cont = homotopy_solve(MP05, 0.01, x, min(dens.eps, 1e-5 * np.diff(dens.intervals[i])[0]))
             assert np.max(np.abs(dens.rho[i][idx] - g_cont.imag / np.pi)) < 1e-7
 
     def test_very_thin_bulk_keeps_mass(self):
@@ -727,11 +777,13 @@ class TestCubeIntegral:
 
 class TestHilbert:
     def test_symmetric_density_vanishes_at_center(self):
-        assert abs(fp.hilbert(SEMICIRCLE_PRIOR, 1.0, 0.0)) < 1e-8
+        dens = density(SEMICIRCLE_PRIOR, 1.0)
+        assert abs(fp.hilbert(SEMICIRCLE_PRIOR, 1.0, 0.0, dens)) < 1e-8
 
     def test_far_tail_is_one_over_lambda(self):
         lam = 1e4
-        assert fp.hilbert(MP05, 0.5, lam) == pytest.approx(1.0 / lam, abs=1e-7)
+        dens = density(MP05, 0.5)
+        assert fp.hilbert(MP05, 0.5, lam, dens) == pytest.approx(1.0 / lam, abs=1e-7)
 
     @pytest.mark.parametrize(
         "prior,t", [(MP05, 0.25), (MP20, 0.5), (CP3, 0.3)], ids=["mp05", "mp2", "cp3"]
@@ -753,29 +805,38 @@ class TestHilbert:
         with pytest.raises(ValueError):
             fp.hilbert(MP20, 0.25, 1.0, dens=dens)
 
-    def test_off_support_root_next_to_an_edge_is_real(self, monkeypatch):
+    def test_off_support_root_next_to_an_edge_is_real(self):
         # 0.1 beyond the right edge at kappa=0.001 two roots of P_lam lie
-        # 3e-6 apart; the physical one, phi' > 0, must come out real and
-        # need no homotopy (Cardano returns the pair as complex)
+        # 3e-6 apart; the physical one, phi' > 0, must come out real
+        # (Cardano returns the pair as complex)
         prior, t, lam = PriorSpectrum.marchenko_pastur(0.001), 0.178, 1064.35
         dens = density(prior, t)
         assert 0.0 < lam - dens.intervals[-1][1] < 0.11
-
-        def refuse(*args):
-            raise AssertionError("homotopy fallback used")
-
-        monkeypatch.setattr(fp, "_homotopy_solve", refuse)
         roots = np.roots(fp._coeffs_desc(prior, t, lam)[0].real)
         up = roots[(roots.imag == 0.0) & (fp._phi_prime(prior, t, roots.real) > 0.0)]
         assert len(up) == 1
         assert fp.hilbert(prior, t, lam, dens=dens) == pytest.approx(-up[0].real, rel=1e-12)
 
-    def test_with_and_without_precomputed_density_agree(self):
-        dens = density(MP05, 0.25, n_nodes=2001)
-        lam = np.array([0.5, 1.0, 3.0, -2.0, 7.0])
-        a = fp.hilbert(MP05, 0.25, lam, dens=dens)
-        b = fp.hilbert(MP05, 0.25, lam)
-        np.testing.assert_allclose(a, b, atol=2e-6)
+    @pytest.mark.parametrize(
+        "prior,t,lam,h",
+        [
+            # 1.1e-8 beyond the right edge; the companion roots' increasing
+            # real root was not unique here and the homotopy fallback's
+            # answer was 2.8e-7 off
+            (PriorSpectrum.marchenko_pastur(0.011171617133750799), 4.3051315171957884e-07,
+             109.43477068247854, 0.01010366512772891180625544320832116014912),
+            # 6.9e-9 beyond the right edge 6.8631233582; the polished
+            # companion root was 3.1e-7 off
+            (CP3, 1e-8, 6.86312336505784, 0.2367613647102786122270421722890642270967),
+        ],
+        ids=["mp0.0112", "cp3"],
+    )
+    def test_off_support_next_to_an_edge_matches_40_digits(self, prior, t, lam, h):
+        # h is -g at the root of phi(g) = lam on its increasing arc, solved
+        # to 40 digits (mpmath findroot)
+        dens = density(prior, t)
+        assert lam > dens.intervals[-1][1]
+        assert fp.hilbert(prior, t, lam, dens) == pytest.approx(h, rel=1e-11)
 
 
 class TestLogPotential:

@@ -13,6 +13,8 @@ from quadnet import matdenoise as md
 from quadnet.freeprob import PriorSpectrum
 from quadnet.gamp import sample_prior
 
+from oracles import homotopy_solve
+
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
 CP3 = PriorSpectrum.compound_poisson(0.7, ((0.5, 0.3), (1.0, 0.4), (2.0, 0.3)))
 SEMICIRCLE_PRIOR = PriorSpectrum.compound_poisson(1.0, ((0.0, 1.0),))
@@ -82,25 +84,17 @@ class TestShrink:
 class TestExactShrinker:
     @pytest.mark.parametrize("d", [100, 500])
     @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
-    def test_hilbert_matches_homotopy_at_every_eigenvalue(self, monkeypatch, prior, d):
+    def test_hilbert_matches_homotopy_at_every_eigenvalue(self, prior, d):
         # h is solved at each sampled eigenvalue, on the support and off it;
         # the oracle is the homotopy from high in the upper half plane, at
-        # the offset hilbert uses.  MP priors never need the homotopy fallback
-        oracle = fp._homotopy_solve
-
-        def refuse(*args):
-            raise AssertionError("homotopy fallback used")
-
+        # the offset hilbert uses
         rng = np.random.default_rng(d)
         n_off = 0
         for delta in (0.05, 0.1, 0.5, 1.0):
             S = sample_prior(prior, d, rng)
             lam = np.linalg.eigvalsh(S + np.sqrt(delta) * md.sample_goe(d, rng))
             spec = md.DenoiseSpec.create(prior, delta)
-            with monkeypatch.context() as m:
-                if prior.kind == "marchenko_pastur":
-                    m.setattr(fp, "_homotopy_solve", refuse)
-                h = fp.hilbert(prior, delta, lam, dens=spec.rho)
+            h = fp.hilbert(prior, delta, lam, dens=spec.rho)
             ref = np.empty_like(lam)
             off = np.ones(lam.shape, dtype=bool)
             for l, u in spec.rho.intervals:
@@ -108,9 +102,9 @@ class TestExactShrinker:
                 off &= ~on
                 if np.any(on):
                     eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-                    ref[on] = -oracle(prior, delta, lam[on], eps).real
+                    ref[on] = -homotopy_solve(prior, delta, lam[on], eps).real
             if np.any(off):
-                ref[off] = -oracle(prior, delta, lam[off], fp.DEFAULT_EPS).real
+                ref[off] = -homotopy_solve(prior, delta, lam[off], fp.DEFAULT_EPS).real
                 n_off += int(off.sum())
             assert np.max(np.abs(h - ref)) < 1e-8, delta
         assert n_off > 0
