@@ -761,12 +761,14 @@ def _real_branch(prior, t, x, dens):
     is solved by Newton's method in extended precision (`np.longdouble`, as
     in `_extended_newton`) from the square-root law at the nearest edge
     x_e, g_c + sign(x - x_e) sqrt(2 (x - x_e) / phi''(g_c)), as in
-    `_edge_start`.  A start or step that leaves the bracket is replaced by
-    its midpoint, and each iterate narrows the bracket by the sign of
-    phi(g) - x.  Iteration stops at a step below 1e-14 |g|, or once the
-    steps, below 1e-8 |g|, no longer shrink: next to an edge, where phi'
-    vanishes, roundoff in phi moves the root by more than that.  The points
-    are few, so each is iterated as scalars.
+    `_edge_start`.  Where that start leaves an outer bracket, x is far from
+    the support and the start is the tail g ~ -1/(x - mean) instead.  A
+    start or step that leaves the bracket is replaced by its midpoint, and
+    each iterate narrows the bracket by the sign of phi(g) - x.  Iteration
+    stops at a step below 1e-14 |g|, or once the steps, below 1e-8 |g|, no
+    longer shrink: next to an edge, where phi' vanishes, roundoff in phi
+    moves the root by more than that.  The points are few, so each is
+    iterated as scalars.
     """
     edges = [e for interval in dens.intervals for e in interval]
     crit = [0.0, *(g for pair in dens.critical for g in pair), 0.0]
@@ -778,6 +780,8 @@ def _real_branch(prior, t, x, dens):
         d = xi - edges[e]
         r = 2.0 * d / _phi_second(prior, crit[e + 1])
         g = crit[e + 1] + math.copysign(math.sqrt(max(r, 0.0)), d)
+        if not lo < g < hi and k in (0, len(edges)):
+            g = -1.0 / (xi - prior.mean)
         g, xi = np.longdouble(g), np.longdouble(xi)
         prev = math.inf
         for _ in range(100):

@@ -20,6 +20,11 @@ until the root is bracketed, then steps to the root of the cubic Hermite
 interpolant through the last two points.  A map's slope costs no extra
 build: the t-derivative of int mu_t^3 is one more quadrature on the density
 the map's value is read from, with the dg/dz that its build stored.
+Noiseless, the fixed-point map tends to 1 - 2 alpha - w0^2 as q_hat grows,
+w0 the prior's mass at zero (2 (alpha_pr - alpha) for the MP prior).  Where
+that limit is not positive the solve starts at QHAT_MAX; below it the
+solve fits the map's flattening near perfect recovery in its one-sided
+steps and stops at the map's rounding.
 """
 
 import dataclasses
@@ -112,7 +117,9 @@ class SEFixedPoint:
         F(q), NaN when the solve skipped it, inf past perfect recovery.
     iterations : int
         Points of the fixed-point map evaluated by the root solve, `QHAT_MAX`
-        included when probed; each is one density build.
+        included when probed; each is one density build.  A noiseless cell
+        past the map's limit (`_noiseless_limit`) that is supercritical
+        takes one, `QHAT_MAX` itself.
     residual : float
         |lhs - rhs| of the fixed-point equation at the returned root
         (0 past perfect recovery).
@@ -193,7 +200,7 @@ def _hermite_step(x0, f0, d0, x1, f1, d1, step):
     return math.nan
 
 
-def _newton(f, x, name, x_max=math.inf, maxiter=100):
+def _newton(f, x, name, x_max=math.inf, maxiter=100, _saturating=None):
     """Root of an increasing f by safeguarded Newton and Hermite steps, with
     the safeguards of rtsafe (Press et al., Numerical Recipes, 3rd ed.,
     sec. 9.4).
@@ -213,8 +220,17 @@ def _newton(f, x, name, x_max=math.inf, maxiter=100):
     1e-13 + 8.9e-16 |x|, and at x_max when f(x_max) < 0, returning the last
     point f evaluated: (x, value, payload, evaluations).  A NaN of f or an
     exhausted budget raises NoConvergence naming the point.
+
+    `_saturating` is None for the steps and stops above.  A number s says
+    that f flattens like a - b exp(-x) for large x, as the noiseless
+    fixed-point map does in x = log q_hat, with terms of size s.  Then a
+    one-sided step from f < 0 goes to the root of that model fitted to f's
+    value and slope, x - log(1 + f/f'), wherever the fitted a = f + f' is
+    positive (the capped step otherwise), and the search also stops once
+    |f| <= 4 ulp(s), the rounding of f's terms.
     """
     lo, hi, cap = -math.inf, math.inf, 2.0
+    f_tol = 4.0 * math.ulp(_saturating) if _saturating else 0.0
     for evals in range(1, maxiter + 1):
         fx, slope, payload = f(x)
         if math.isnan(fx):
@@ -223,16 +239,18 @@ def _newton(f, x, name, x_max=math.inf, maxiter=100):
             lo = x
         elif fx > 0.0:
             hi = x
-        else:
-            return x, fx, payload, evals
         tol = 1e-13 + 8.9e-16 * abs(x)
-        if hi - lo < tol or (x == x_max and fx < 0.0):
+        if abs(fx) <= f_tol or hi - lo < tol or (x == x_max and fx < 0.0):
             return x, fx, payload, evals
         step = -fx / slope if 0.0 < slope < math.inf else math.nan
         if abs(step) < tol:
             return x, fx, payload, evals
-        if math.isinf(hi - lo):  # one-sided: a capped step the way f's sign points
-            new = min(x + math.copysign(min(cap, abs(step)), -fx), x_max)  # NaN: the cap
+        if math.isinf(hi - lo):  # one-sided
+            if _saturating and fx < 0.0 < fx + slope < math.inf:
+                # the root of a - b exp(-x) with f's value and slope, a = fx + slope
+                new = min(x - math.log1p(fx / slope), x_max)
+            else:  # a capped step the way f's sign points
+                new = min(x + math.copysign(min(cap, abs(step)), -fx), x_max)  # NaN: the cap
             cap *= 2.0
         else:  # bracketed, so prev holds the point before this one
             new = x + step
@@ -251,14 +269,27 @@ def _newton(f, x, name, x_max=math.inf, maxiter=100):
     )
 
 
+def _noiseless_limit(params):
+    """1 - 2 alpha - w0^2, the noiseless fixed-point map's limit as q_hat
+    grows, w0 = max(0, 1 - kappa sum_{a_k > 0} p_k) the prior's mass at zero:
+    as t -> 0 that atom spreads into a semicircle of variance t w0, whose
+    K t int rho^3 is w0^2, and the rest of mu_t adds O(t) to K t C."""
+    w0 = max(0.0, 1.0 - params.kappa * sum(p for a, p in params.prior.atoms if a > 0))
+    return 1.0 - 2.0 * params.alpha - w0 * w0
+
+
 def _qhat_start(params):
     """Root of the fixed-point map with int mu_t^3 taken from a semicircle of
     variance V + t, V = Q0 - q_min: then K t C = 1 / (V q_hat + 1), and the
     root solves (tilde_delta V / 2) q_hat^2 + ((1 - 2 alpha) V +
     tilde_delta / 2) q_hat - 2 alpha = 0.  The semicircle is the linear
     estimator's law, as in `_inner_conjugate`'s start.  Clamped into
-    (0, QHAT_MAX]: noiseless at alpha >= 1/2 there is no root.
+    (0, QHAT_MAX].  Noiseless, QHAT_MAX itself wherever the map's limit
+    (`_noiseless_limit`) is not positive, alpha >= alpha_pr for the MP
+    prior: no root can exist there, and the map's sign at QHAT_MAX decides.
     """
+    if params.delta == 0.0 and _noiseless_limit(params) <= 0.0:
+        return QHAT_MAX
     var = params.q0 - params.q_min
     a = 0.5 * params.tilde_delta * var
     b = (1.0 - 2.0 * params.alpha) * var + 0.5 * params.tilde_delta
@@ -266,7 +297,7 @@ def _qhat_start(params):
     if b > 0.0:  # the form without cancellation
         q_hat = 4.0 * params.alpha / (b + disc)
     else:
-        q_hat = (disc - b) / (2.0 * a) if a > 0.0 else math.inf
+        q_hat = (disc - b) / (2.0 * a)
     return min(q_hat, QHAT_MAX)
 
 
@@ -283,6 +314,12 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixe
     density build, and the root returned is a point already built.  In the
     noiseless supercritical regime (no root below QHAT_MAX) the
     perfect-recovery fixed point is returned: q_hat = inf, MMSE = 0, q = Q0.
+    Noiseless, the map tends to 1 - 2 alpha - w0^2 as q_hat grows: where
+    that is not positive the solve starts at QHAT_MAX, one build when the
+    map is negative there.  Below it the map is about a - b / q_hat for
+    large q_hat, and the one-sided steps go to that model's root fitted to
+    the map's value and slope; the solve stops once |G| is within 4 ulp of
+    max(1, 2 alpha), the size of its terms (K t C = 1 - 2 alpha - G).
     F(q) is NaN unless `with_free_entropy`; it takes q_hat as the inner
     conjugate of q, which it is at the fixed point, and the root's density
     for its log potential, so it costs no build (a solve if the MMSE
@@ -295,6 +332,7 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixe
     u, g_u, dens, evals = _newton(
         lambda u: _fixed_point_map(params, math.exp(u)),
         math.log(_qhat_start(params)), "q_hat", u_max,
+        _saturating=max(1.0, 2.0 * params.alpha) if params.delta == 0.0 else None,
     )
     if u == u_max and g_u < 0.0:  # the perfect-recovery fixed point
         return SEFixedPoint(

@@ -798,6 +798,26 @@ class TestHilbert:
         for i in range(len(lam)):
             assert h[i] == pytest.approx(pv_pairing_oracle(dens, lam[i]), abs=1e-4)
 
+    @pytest.mark.parametrize("x", [1e4, -1e4])
+    def test_far_off_support_starts_from_the_tail(self, monkeypatch, x):
+        # the square-root start at the nearest edge lands outside the outer
+        # bracket; bisecting toward the pole at 0 took 17 (x = 1e4) and 20
+        # (x = -1e4) evaluations of phi, the start -1/(x - mean) takes 2.
+        # The oracle is g = -sum_n m_n / x^(n+1) with the moments of mu_t
+        # from its free cumulants 1, 1/kappa + t, 1/kappa^2, 1/kappa^3
+        t, kappa = 0.1, MP05.kappa
+        c1, c2, c3, c4 = 1.0, 1.0 / kappa + t, 1.0 / kappa**2, 1.0 / kappa**3
+        moments = (1.0, c1, c2 + c1**2, c3 + 3 * c1 * c2 + c1**3,
+                   c4 + 4 * c1 * c3 + 2 * c2**2 + 6 * c1**2 * c2 + c1**4)
+        series = -sum(m / x ** (n + 1) for n, m in enumerate(moments))
+        dens = density(MP05, t)
+        calls = []
+        phi = fp._phi
+        monkeypatch.setattr(fp, "_phi", lambda *args: calls.append(args) or phi(*args))
+        g = fp._real_branch(MP05, t, np.array([x]), dens)[0]
+        assert len(calls) <= 4
+        assert g == pytest.approx(series, rel=1e-14)
+
     def test_rejects_density_of_another_prior_or_t(self):
         dens = density(MP05, 0.25)
         with pytest.raises(ValueError):

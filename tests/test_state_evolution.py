@@ -162,20 +162,68 @@ class TestSolveQhat:
             (0.3, 0.5, 0.1, "converged"),
             (0.2, 0.5, 0.0, "converged"),
             (0.45, 0.5, 0.0, "supercritical"),
+            (0.4782, 0.2069, 0.0, "supercritical"),
         ],
     )
     def test_each_point_built_once(self, monkeypatch, alpha, kappa, delta, status):
         # Brent evaluates its bracket ends again and the residual check
         # evaluates the root Brent returned; neither may rebuild a density.
-        # Doubling steps reach QHAT_MAX in a few probes (unit steps took 22)
+        # Noiseless past alpha_pr the map's limit 1 - 2 alpha - w0^2 is
+        # negative, so the solve starts at QHAT_MAX and builds only there;
+        # walking the flat map up to it took 5 builds at both cells
         params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
         reference = se.solve_qhat(params, with_free_entropy=False)
         ts = _record_density_builds(monkeypatch)
         fp = se.solve_qhat(params, with_free_entropy=False)
         assert fp.status == status
-        assert 0 < len(ts) <= 8
+        assert len(ts) == 1 if status == "supercritical" else 0 < len(ts) <= 8
         assert len(set(ts)) == len(ts)
         assert repr(fp) == repr(reference)
+
+    def test_readme_phase_diagram_noiseless_build_budget(self):
+        # README's 20 x 30 grid at delta = 0: 2380 map points and up to 22 per
+        # cell from the semicircle start with capped one-sided steps; 1929 and
+        # 9 with the start at QHAT_MAX, the fitted step and the ulp stop
+        fps = [
+            se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
+            for kappa in np.linspace(0.1, 2.0, 20)
+            for alpha in np.linspace(0.02, 0.6, 30)
+        ]
+        iterations = [fp.iterations for fp in fps]
+        assert sum(fp.status == "supercritical" for fp in fps) == 186
+        assert all(fp.status in ("converged", "supercritical") for fp in fps)
+        assert sum(iterations) <= 1950 and max(iterations) <= 12
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            freeprob.PriorSpectrum.marchenko_pastur(0.3),
+            freeprob.PriorSpectrum.marchenko_pastur(1.5),
+            freeprob.PriorSpectrum.compound_poisson(0.7, ((0.5, 0.5), (2.0, 0.5))),
+            freeprob.PriorSpectrum.compound_poisson(0.6, ((0.0, 0.3), (1.0, 0.7))),
+        ],
+        ids=["mp0.3", "mp1.5", "cp0.7", "cp0.6-zero-atom"],
+    )
+    def test_noiseless_map_tends_to_its_limit(self, prior):
+        # the prior's mass at zero, w0 = max(0, 1 - kappa sum_{a > 0} p),
+        # spreads into a semicircle with K t int rho^3 = w0^2; at q_hat = 1e6
+        # the map is 9.9e-6, 4.5e-6, 3.3e-7 and 7.1e-6 off the limit
+        w0 = max(0.0, 1.0 - prior.kappa * sum(p for a, p in prior.atoms if a > 0))
+        p = ProblemParams(alpha=0.3, kappa=prior.kappa, prior=prior)
+        limit = 1.0 - 2.0 * p.alpha - w0**2
+        assert se._noiseless_limit(p) == pytest.approx(limit, abs=1e-15)
+        assert abs(se._map_value(p, 1e6)[0] - limit) < 2e-5
+
+    @pytest.mark.parametrize("kappa", [0.2, 0.5, 0.9])
+    def test_noiseless_start_at_qhat_max_past_the_threshold(self, kappa):
+        # for the MP prior the limit is 2 (alpha_pr - alpha)
+        a_pr = se.perfect_recovery_threshold(kappa)
+        for alpha, delta, at_max in ((a_pr + 1e-3, 0.0, True), (a_pr - 1e-3, 0.0, False),
+                                     (a_pr + 1e-3, 0.1, False)):
+            p = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
+            assert (se._qhat_start(p) == se.QHAT_MAX) == at_max
+        p = ProblemParams(alpha=a_pr - 1e-3, kappa=kappa)
+        assert se._noiseless_limit(p) == pytest.approx(2e-3, rel=1e-9)
 
     def test_se_curve_build_budget(self, monkeypatch):
         # the README se-curve grid; unit-step brackets took 626 builds
@@ -311,6 +359,36 @@ class TestNewton:
         f = self.recording(probes, lambda x: 0.5 * (x - 100.0))
         assert se._newton(f, 0.0, "x", x_max=50.0) == (50.0, -25.0, None, 6)
         assert probes == [0.0, 2.0, 6.0, 14.0, 30.0, 50.0]
+
+    def test_saturating_step_fits_the_exponential(self):
+        # f = 1 - 4 exp(-x) is its own fit a - b exp(-x): from 0 the fitted
+        # step lands on the root log 4, where Newton's step goes to 0.75
+        probes = []
+        f = self.recording(probes, lambda x: 1.0 - 4.0 * math.exp(-x), slope=lambda x: 4.0 * math.exp(-x))
+        x, value, _, evals = se._newton(f, 0.0, "x", _saturating=1.0)
+        assert probes[:2] == [0.0, pytest.approx(math.log(4.0), rel=1e-15)]
+        assert evals == 2 and abs(value) < 1e-15
+        probes.clear()
+        se._newton(f, 0.0, "x")
+        assert probes[:2] == [0.0, 0.75]
+
+    def test_saturating_keeps_the_capped_steps_without_a_positive_fit(self):
+        # a = f + f' <= 0 below the root, and f > 0 above it: capped steps
+        probes = []
+        f = self.recording(probes, lambda x: 0.5 * (x - 100.0))
+        assert se._newton(f, 0.0, "x", _saturating=1.0) == (100.0, 0.0, None, 7)
+        assert probes == [0.0, 2.0, 6.0, 14.0, 30.0, 62.0, 100.0]
+        probes.clear()
+        se._newton(f, 200.0, "x", _saturating=1.0)
+        assert probes[:3] == [200.0, 198.0, 194.0]
+
+    def test_saturating_stops_within_four_ulp_of_the_scale(self):
+        # |f| = 5e-16 is within 4 ulp of 1 (8.9e-16) but not of 0.01
+        probes = []
+        f = self.recording(probes, lambda x: 1e-16 * (x - 5.0), slope=1e-16)
+        assert se._newton(f, 0.0, "x", _saturating=1.0) == (0.0, -5e-16, None, 1)
+        assert se._newton(f, 0.0, "x", _saturating=0.01)[0] == 5.0
+        assert se._newton(f, 0.0, "x")[0] == 5.0
 
     def test_step_leaving_the_bracket_bisects(self):
         # slope 1/4 of the true one: the step from 2 goes to -2, outside (0, 2)

@@ -1,0 +1,39 @@
+"""Tests for the repository tools under tools/ that run no commands."""
+
+import importlib.util
+import pathlib
+
+TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+readme_csvs = _load("readme_csvs")
+
+
+class TestReadmeCsvsDiff:
+    OLD = "# {}\nalpha,q_hat\n0.1,2.5\n0.2,9918.963876476015\n0.3,inf\n"
+
+    def test_identical_texts_have_no_rows(self):
+        assert readme_csvs.diff_rows("se.csv", self.OLD, self.OLD) == []
+
+    def test_changed_row_shows_old_and_new(self):
+        new = self.OLD.replace("9918.963876476015", "9918.963876629428")
+        assert readme_csvs.diff_rows("se.csv", self.OLD, new) == [
+            "se.csv:4 0.2,9918.963876476015 -> 0.2,9918.963876629428"
+        ]
+
+    def test_rows_only_one_side_has(self):
+        new = self.OLD + "0.4,inf\n"
+        assert readme_csvs.diff_rows("se.csv", self.OLD, new) == ["se.csv:6 - -> 0.4,inf"]
+        assert readme_csvs.diff_rows("se.csv", new, self.OLD) == ["se.csv:6 0.4,inf -> -"]
+        assert len(readme_csvs.diff_rows("se.csv", "", self.OLD)) == 5
+
+    def test_readme_commands_are_found(self):
+        text = "```sh\n# a comment\nquadnet se-curve --kappas 0.5 \\\n    --out se.csv\n```\n"
+        assert readme_csvs.readme_commands(text) == [["se-curve", "--kappas", "0.5", "--out", "se.csv"]]

@@ -11,14 +11,24 @@ Command names given as arguments limit the run to those commands:
 
 A command that exits nonzero is reported with its exit code; the CSV it
 still wrote is hashed.  The exit status is 1 if any command failed.
+
+`--save DIR` copies each CSV into DIR.  `--diff DIR` compares each CSV
+with the one of the same name in DIR and prints every row that changed,
+`<csv name>:<line> <old row> -> <new row>`, so a change's moved rows can
+be listed against a run of its parent:
+
+    python3 tools/readme_csvs.py --save /tmp/before se-curve   # parent
+    python3 tools/readme_csvs.py --diff /tmp/before se-curve   # change
 """
 
 import argparse
 import hashlib
+import itertools
 import os
 import pathlib
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -39,9 +49,25 @@ def readme_commands(text):
     return commands
 
 
+def diff_rows(name, old, new):
+    """Lines `<name>:<line> <old row> -> <new row>` for the rows that differ
+    between the CSV texts old and new, line by line; a row only one of them
+    has shows as `-` in the other."""
+    return [
+        f"{name}:{i} {a or '-'} -> {b or '-'}"
+        for i, (a, b) in enumerate(
+            itertools.zip_longest(old.splitlines(), new.splitlines()), start=1
+        )
+        if a != b
+    ]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("commands", nargs="*", help="command names to run (default: all)")
+    ap.add_argument("--save", type=pathlib.Path, metavar="DIR", help="copy each CSV into DIR")
+    ap.add_argument("--diff", type=pathlib.Path, metavar="DIR",
+                    help="print each row that differs from the CSV of the same name in DIR")
     args = ap.parse_args(argv)
     commands = readme_commands((ROOT / "README.md").read_text())
     unknown = set(args.commands) - {c[0] for c in commands}
@@ -64,6 +90,14 @@ def main(argv=None):
             csv = pathlib.Path(tmp) / out
             digest = hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else "-"
             print(f"{command[0]} {out} {digest}" + (f" exit={code}" if code else ""), flush=True)
+            if args.save and csv.exists():
+                args.save.mkdir(parents=True, exist_ok=True)
+                shutil.copy(csv, args.save / out)
+            if args.diff:
+                old = args.diff / out
+                texts = [path.read_text() if path.exists() else "" for path in (old, csv)]
+                for line in diff_rows(out, *texts):
+                    print(line, flush=True)
             failed |= code != 0
     return 1 if failed else 0
 
