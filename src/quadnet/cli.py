@@ -14,6 +14,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -36,8 +37,8 @@ class NumericalFailure(RuntimeError):
 
 
 def _opt(default=None, help=None, **meta):
-    """A config field.  ``meta``: ``choices``, ``required``, ``raw`` (kept as
-    given, not converted) and ``echo=False`` (not in the CSV header)."""
+    """A config field.  ``meta``: ``choices``, ``required`` and ``echo=False``
+    (not in the CSV header)."""
     return dataclasses.field(default=default, metadata={"help": help, **meta})
 
 
@@ -208,15 +209,14 @@ class DenoiseMc(_Command):
 @dataclasses.dataclass
 class _Descent(_Teacher):
     n_inits: int = _opt(1, "initializations per dataset")
-    learning_rate: float = _opt(help="step size (default: set by d)", raw=True)
+    learning_rate: float = _opt(help="step size (default: set by d)")
     l2: float = _opt(gd.GdConfig.l2, "weight decay")
     max_steps: int = _opt(gd.GdConfig.max_steps, "step budget per run")
     grad_tol: float = _opt(gd.GdConfig.grad_tol, "gradient-norm stop")
     backtracking: bool = _opt(gd.GdConfig.backtracking, "halve the step until the loss falls")
 
     def descent(self, seed, n_inits):
-        lr = self.learning_rate
-        return gd.GdConfig(learning_rate=None if lr is None else float(lr), l2=self.l2,
+        return gd.GdConfig(learning_rate=self.learning_rate, l2=self.l2,
                            max_steps=self.max_steps, grad_tol=self.grad_tol,
                            n_inits=n_inits, seed=seed, backtracking=self.backtracking)
 
@@ -286,7 +286,23 @@ COMMANDS = {"se-curve": SeCurve, "phase-diagram": PhaseDiagram, "gamp": Gamp,
 def _float_list(value):
     """A JSON list or a comma/space separated string -> list of floats."""
     items = value if isinstance(value, list) else str(value).replace(",", " ").split()
-    return [float(v) for v in items]
+    return [_convert(float, v) for v in items]
+
+
+def _convert(kind, value):
+    """A config value as its field's type: only a JSON boolean for a bool,
+    no boolean for another type, an integral value for an int, and no NaN
+    or infinity."""
+    if kind is list:
+        return _float_list(value)
+    if (kind is bool) != isinstance(value, bool):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    out = kind(value)
+    if kind is float and not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
 
 
 def _resolve(args, cls):
@@ -307,13 +323,15 @@ def _resolve(args, cls):
     values = {k: v for k, v in values.items() if v is not None}  # null: the default
     values.update({k: getattr(args, k) for k in fields if getattr(args, k) is not None})
     for name, value in values.items():
-        kind = fields[name].type
-        if fields[name].metadata.get("raw"):
-            continue
         try:
-            values[name] = _float_list(value) if kind is list else kind(value)
+            values[name] = _convert(fields[name].type, value)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"{name}: {exc}")
+        choices = fields[name].metadata.get("choices")
+        if choices and values[name] not in choices:
+            raise UsageError(f"{name}: {value!r} is not one of {', '.join(choices)}")
+        if name.endswith("_steps") and values[name] < 1:
+            raise UsageError(f"{name} must be at least 1, got {values[name]}")
     missing = [f"--{n}" for n, f in fields.items() if f.metadata.get("required")
                and values.get(n) is None]
     if missing:

@@ -209,24 +209,28 @@ def _newton_polish(coeffs, g, steps=2):
     return g
 
 
+def _pi_products(prior):
+    """Ascending coefficients of Pi(g) = prod_k (kappa + a_k g), and of each
+    Pi_k, the product without atom k's own factor."""
+    factors = [[prior.kappa, a] for a, _ in prior.atoms]
+
+    def product(fs):
+        return functools.reduce(np.convolve, fs, np.array([1.0]))
+
+    return product(factors), [product(factors[:k] + factors[k + 1 :]) for k in range(len(factors))]
+
+
 def _poly_ab(prior, t):
     """Ascending coefficients (A, B) with P_z(g) = A(g) + z * B(g) the cleared
     self-consistency polynomial for the compound-Poisson prior."""
-    kappa = prior.kappa
-    pi = np.array([1.0])
-    for a, _ in prior.atoms:
-        pi = np.convolve(pi, [kappa, a])
+    pi, pi_no = _pi_products(prior)
     bcoef = np.concatenate([[0.0], pi])  # g * Pi(g)
     deg = len(pi) + 2
     acoef = np.zeros(deg)
     acoef[2 : 2 + len(pi)] += t * pi
     acoef[: len(pi)] += pi
-    for i, (a, p) in enumerate(prior.atoms):
-        pi_no = np.array([1.0])
-        for j, (aj, _) in enumerate(prior.atoms):
-            if j != i:
-                pi_no = np.convolve(pi_no, [kappa, aj])
-        acoef[1 : 1 + len(pi_no)] -= p * kappa * a * pi_no
+    for (a, p), pk in zip(prior.atoms, pi_no):
+        acoef[1 : 1 + len(pk)] -= p * prior.kappa * a * pk
     return acoef, bcoef
 
 
@@ -293,12 +297,6 @@ def _real_cubic_pair(c3, c2, c1, c0):
     v = p / (-3.0 * a)
     s = a + v
     return -0.5 * s - b3, 0.5 * np.sqrt(3.0) * np.abs(a - v), s - b3
-
-
-def _grid_branch(prior, t, x, eps, edges):
-    """Physical g at points x of the support of mu_t, t > 0, at height eps:
-    the first output of `_grid_slope`."""
-    return _grid_slope(prior, t, x, eps, edges)[0]
 
 
 def _grid_slope(prior, t, x, eps, edges):
@@ -498,9 +496,7 @@ def _critical_poly(prior):
     its first row left zero; and the poles of phi, g = 0 and -kappa / a_k.
     """
     kappa = prior.kappa
-    pi = np.array([1.0])
-    for a, _ in prior.atoms:
-        pi = np.convolve(pi, [kappa, a])
+    pi, pi_no = _pi_products(prior)
     pi2 = np.convolve(pi, pi)
     top = np.flatnonzero(pi2)[-1] + 2
 
@@ -511,13 +507,8 @@ def _critical_poly(prior):
         out.flags.writeable = False
         return out
 
-    terms = []
-    for i, (a, p) in enumerate(prior.atoms):
-        pi_no = np.array([1.0])
-        for j, (aj, _) in enumerate(prior.atoms):
-            if j != i:
-                pi_no = np.convolve(pi_no, [kappa, aj])
-        terms.append(desc(p * kappa * a**2 * np.convolve(pi_no, pi_no), 2))
+    terms = [desc(p * kappa * a**2 * np.convolve(pk, pk), 2)
+             for (a, p), pk in zip(prior.atoms, pi_no)]
     companion = np.diag(np.ones(top - 1), -1)
     companion.flags.writeable = False
     poles = (0.0, *(-kappa / a for a, _ in prior.atoms if a > 0))
@@ -680,10 +671,6 @@ class SpectralDensity:
         """
         return 2.0 * self.integrate([r**3 * dz.real for r, dz in zip(self.rho, self.dgdz)])
 
-    def hilbert_on_grid(self):
-        """h(x) = PV int rho(s)/(x - s) ds = -Re g on the stored grid."""
-        return tuple(-rg for rg in self.re_g)
-
 
 def density(
     prior: PriorSpectrum,
@@ -807,7 +794,7 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
 
     dens is a density of the same (prior, t); it supplies the support
     intervals, the critical points of phi at their edges and the offset.
-    On a support interval [l, u], g is the `_grid_branch` root at
+    On a support interval [l, u], g is the `_grid_slope` root at
     lam + i*min(dens.eps, 1e-5 (u - l)), the offset `density` uses on its
     grid.  Off the support it is the real g of `_real_branch`.
     """
@@ -822,7 +809,7 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
         on = (lam >= l) & (lam <= u)
         if np.any(on):
             edges = ((l, u), critical)
-            g[on] = _grid_branch(prior, t, lam[on], min(dens.eps, 1e-5 * (u - l)), edges).real
+            g[on] = _grid_slope(prior, t, lam[on], min(dens.eps, 1e-5 * (u - l)), edges)[0].real
             off &= ~on
     if np.any(off):
         g[off] = _real_branch(prior, t, lam[off], dens)

@@ -64,10 +64,10 @@ Initialization options:
   variance.  This is exactly self-consistent (c_hat^0 equals twice the
   expected squared error of S_hat^0) and makes the iteration line up with
   ``state_evolution_iterate`` started at q_init = q_min from the first step.
-* ``"sample"``: S_hat^0 is an independent draw from the prior, with
-  c_hat^0 = 4 * prior variance, again twice the expected initial error (the
-  error of an independent sample is twice the prior variance).  Same fixed
-  point, different transient.
+* ``"sample"``: S_hat^0 is an independent draw (``matdenoise.sample_prior``)
+  with c_hat^0 = 4 * prior variance, again twice the expected initial error
+  (the error of an independent sample is twice the prior variance).  Same
+  fixed point, different transient.
 
 At finite d the reduced labels carry a common offset sqrt(d) (Tr S*/d - 1) of
 order 1/sqrt(d) that the Gaussian channel cannot represent, and which
@@ -157,7 +157,8 @@ class GampState:
     was provided, otherwise the mean squared channel residual (the only
     error proxy observable without the teacher).  ``a_trace``, ``v_trace``
     and ``c_trace`` record the damped precision Abar^t, V^t = c_hat^t and
-    c_hat^{t+1}.  ``stop_reason`` is "fixed_point", "noise_floor" or
+    c_hat^{t+1}; their last entries are the last step's, whose denoiser
+    input is ``R``.  ``stop_reason`` is "fixed_point", "noise_floor" or
     "max_iter"; ``residual_ratio`` is (m2 - tilde_delta) / c_hat at the last
     channel step; ``n_backtracks`` counts steps undone by the damping rule.
     """
@@ -165,8 +166,6 @@ class GampState:
     S_hat: np.ndarray
     c_hat: float
     omega: np.ndarray
-    V: float
-    A: float
     R: np.ndarray
     iter: int
     mse_trace: list
@@ -180,29 +179,12 @@ class GampState:
     n_backtracks: int = 0
 
 
-def prior_mean(prior, d):
-    """Mean of the signal prior: (first moment) * identity."""
-    return prior.mean * np.eye(d)
-
-
-def sample_prior(prior, d, rng):
-    """Independent draw from the signal prior at dimension d."""
-    m = max(1, round(prior.kappa * d))
-    w = rng.normal(size=(m, d))
-    if prior.kind == "marchenko_pastur":
-        return w.T @ w / m
-    values = np.array([a for a, _ in prior.atoms])
-    weights = np.array([p for _, p in prior.atoms])
-    a = rng.choice(values, size=m, p=weights)
-    return (w.T * a) @ w / m
-
-
 def _denoise_step(prior, t_lvl, R):
     """One prior step: returns (S_new, c_new) at noise level t_lvl."""
     if t_lvl < T_FLOOR:
         return 0.5 * (R + R.T), 2.0 * t_lvl
     if t_lvl > T_CEIL_FACTOR * prior.variance:
-        return prior_mean(prior, R.shape[0]), 2.0 * prior.variance
+        return prior.mean * np.eye(R.shape[0]), 2.0 * prior.variance
     spec = DenoiseSpec.create(prior, t_lvl)
     return matdenoise.denoise_matrix(spec, R), 2.0 * matdenoise.mmse(spec)
 
@@ -236,16 +218,16 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
     m2_slack = 3.0 * np.sqrt(2.0 / n)
 
     if opts.init == "mean":
-        S = prior_mean(prior, d)
+        S = prior.mean * np.eye(d)
         c = 2.0 * prior.variance
     else:
         # keyed stream so a shared seed never replays the teacher's weight draw
-        S = sample_prior(prior, d, np.random.default_rng([opts.seed, 0x4741]))
+        S = matdenoise.sample_prior(prior, d, np.random.default_rng([opts.seed, 0x4741]))
         c = 4.0 * prior.variance
 
     state = GampState(
-        S_hat=S, c_hat=c, omega=np.zeros(n), V=c, A=np.nan,
-        R=S, iter=0, mse_trace=[], a_trace=[], v_trace=[], c_trace=[],
+        S_hat=S, c_hat=c, omega=np.zeros(n), R=S, iter=0,
+        mse_trace=[], a_trace=[], v_trace=[], c_trace=[],
     )
 
     beta_max = 1.0 - opts.damping
@@ -300,8 +282,7 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         state.a_trace.append(A_bar)
         state.v_trace.append(c)
         state.c_trace.append(c_new)
-        state.S_hat, state.c_hat = S_new, c_new
-        state.V, state.A, state.R = c, A_bar, R
+        state.S_hat, state.c_hat, state.R = S_new, c_new, R
         state.iter = it
         S, c = S_new, c_new
 

@@ -57,7 +57,7 @@ class GdConfig:
     def __post_init__(self):
         if self.learning_rate is not None and not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")

@@ -14,9 +14,11 @@ per matrix entry (times d) is
     F_RIE(delta) = delta - (4 pi^2 / 3) delta^2 * int rho_delta^3,
 
 equivalently delta - 4 delta^2 * int rho_delta h_delta^2; both forms are
-computed and cross-checked on every call.  The shrinker solves h_delta at
-each eigenvalue (`freeprob.hilbert`); the error uses a density of rho_delta
-on `freeprob`'s default grid.
+computed and cross-checked on every call.  A `DenoiseSpec` is the density
+of rho_delta on `freeprob`'s default grid, from which both forms are read;
+the shrinker solves h_delta at each eigenvalue (`freeprob.hilbert`).
+`sample_prior` draws S from its prior, for the Monte-Carlo checks and
+GAMP's random initialization.
 """
 
 import dataclasses
@@ -37,27 +39,26 @@ class FormMismatch(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class DenoiseSpec:
-    """Prior + noise level, with the spectral density of the observation cached.
+    """The spectral density of the observation, rho_delta = prior (+)
+    semicircle(delta), which fixes the prior and the noise level.
 
-    The cached density gives F_RIE (`mmse`) and the support intervals that
-    `shrink` hands to `freeprob.hilbert`, which solves h at each eigenvalue.
+    It gives F_RIE (`mmse`) and the support intervals that `shrink` hands to
+    `freeprob.hilbert`, which solves h at each eigenvalue.
     """
 
-    prior: PriorSpectrum
-    delta: float
     rho: SpectralDensity
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.rho.prior != self.prior or self.rho.t != self.delta:
-            raise ValueError("cached density does not match (prior, delta)")
 
     @classmethod
     def create(cls, prior: PriorSpectrum, delta: float) -> "DenoiseSpec":
-        if not delta > 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        return cls(prior=prior, delta=delta, rho=freeprob.density(prior, delta))
+        return cls(rho=freeprob.density(prior, delta))
+
+    @property
+    def prior(self) -> PriorSpectrum:
+        return self.rho.prior
+
+    @property
+    def delta(self) -> float:
+        return self.rho.t
 
 
 def shrink(spec: DenoiseSpec, lam):
@@ -95,15 +96,14 @@ def mmse_forms(spec: DenoiseSpec) -> tuple[float, float]:
     """Both closed forms of the denoising MMSE, for cross-validation.
 
     Primary form: delta - (4 pi^2 / 3) delta^2 int rho^3.  Secondary form:
-    delta - 4 delta^2 int rho h^2 with h the Hilbert transform on the grid.
-    Their agreement validates the quadrature and the h values on the grid.
+    delta - 4 delta^2 int rho h^2 with h = -Re g the Hilbert transform on
+    the grid.  Their agreement validates the quadrature and those h values.
     """
     delta = spec.delta
     rho = spec.rho
     cube = rho.cube_integral()
     primary = delta - (4.0 * np.pi**2 / 3.0) * delta**2 * cube
-    h = rho.hilbert_on_grid()
-    quad = rho.integrate([r * hi**2 for r, hi in zip(rho.rho, h)])
+    quad = rho.integrate([r * rg**2 for r, rg in zip(rho.rho, rho.re_g)])
     secondary = delta - 4.0 * delta**2 * quad
     return primary, secondary
 
@@ -120,7 +120,8 @@ def mmse(spec: DenoiseSpec) -> float:
 
 
 # ----------------------------------------------------------------------------
-# sampling helpers for Monte-Carlo validation (tests and the CLI harness)
+# random matrices, the prior's and the GOE noise: GAMP's "sample"
+# initialization, the CLI's Monte-Carlo cells and the tests
 # ----------------------------------------------------------------------------
 
 
@@ -130,8 +131,18 @@ def sample_goe(d: int, rng: np.random.Generator) -> np.ndarray:
     return (a + a.T) / np.sqrt(2.0 * d)
 
 
-def sample_wishart(d: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
-    """S = W^T W / m with W an m x d standard Gaussian matrix, m = round(kappa d)."""
-    m = max(1, round(kappa * d))
+def sample_prior(prior: PriorSpectrum, d: int, rng: np.random.Generator) -> np.ndarray:
+    """S = W^T D W / m with W an m x d standard Gaussian matrix, m = round(kappa d),
+    and D = I for the Marchenko-Pastur prior or m i.i.d. draws of the atom
+    law of a compound-Poisson prior on its diagonal."""
+    m = max(1, round(prior.kappa * d))
     w = rng.normal(size=(m, d))
-    return w.T @ w / m
+    if prior.kind == "marchenko_pastur":
+        return w.T @ w / m
+    values, weights = np.array(prior.atoms).T
+    return (w.T * rng.choice(values, size=m, p=weights)) @ w / m
+
+
+def sample_wishart(d: int, kappa: float, rng: np.random.Generator) -> np.ndarray:
+    """`sample_prior` of the Marchenko-Pastur prior of aspect ratio kappa."""
+    return sample_prior(PriorSpectrum.marchenko_pastur(kappa), d, rng)

@@ -116,7 +116,7 @@ def generate(
     """
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     m = round(kappa * d)
     n = round(alpha * d**2)

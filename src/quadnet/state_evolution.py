@@ -67,11 +67,11 @@ class ProblemParams:
     prior: PriorSpectrum = None
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         if self.prior is None:
             object.__setattr__(
@@ -370,9 +370,9 @@ def solve_qhat(params: ProblemParams, with_free_entropy: bool = False) -> SEFixe
     )
 
 
-def _inner_conjugate(params, q, with_density=False):
+def _inner_conjugate(params, q):
     """q_hat realizing the inner infimum of I(q): solves F_RIE(1/q_hat) = Q0 - q
-    in v = log t.  Returns (q_hat, density at t) when `with_density`."""
+    in v = log t.  Returns q_hat and the density at t = 1/q_hat, from the solve."""
     target, var = params.q0 - q, params.q0 - params.q_min
 
     def g(v):
@@ -383,7 +383,7 @@ def _inner_conjugate(params, q, with_density=False):
     # var t / (var + t), the linear estimator's error, so the root lies
     # above where that equals target
     v, _, dens, _ = _newton(g, math.log(max(target * var / (var - target), 1e-12)), "t")
-    return (1.0 / math.exp(v), dens) if with_density else 1.0 / math.exp(v)
+    return 1.0 / math.exp(v), dens
 
 
 def overlap_rate(params: ProblemParams, q: float) -> float:
@@ -402,7 +402,7 @@ def _overlap_rate(params, q, conjugate=None):
     if q <= params.q_min + 1e-12 * span:
         return 0.0
     q = min(q, params.q0 - 1e-9 * span)
-    q_hat, dens = conjugate or _inner_conjugate(params, q, with_density=True)
+    q_hat, dens = conjugate or _inner_conjugate(params, q)
     return (
         0.25 * (params.q0 - q) * q_hat
         - 0.5 * freeprob.log_potential(dens)

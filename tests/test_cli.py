@@ -303,6 +303,76 @@ class TestDeclarativeConfig:
         assert "unknown config keys" not in err
 
 
+GD_BASE = {"d": 20, "kappa": 0.5, "alphas": [0.3], "max_steps": 5}
+GAMP_BASE = {"d": 20, "kappa": 0.5, "alphas": [0.3], "n_seeds": 1, "max_iter": 2}
+BAD_CONFIGS = [
+    pytest.param("gd", {**GD_BASE, "learning_rate": "abc"}, id="learning_rate-string"),
+    pytest.param("gamp", {**GAMP_BASE, "center": "false"}, id="bool-as-string"),
+    pytest.param("gamp", {**GAMP_BASE, "center": 0}, id="bool-as-int"),
+    pytest.param("gd", {**GD_BASE, "d": 20.7}, id="int-non-integral"),
+    pytest.param("gd", {**GD_BASE, "d": True}, id="int-as-bool"),
+    pytest.param("gd", {**GD_BASE, "kappa": math.nan}, id="float-nan"),
+    pytest.param("gd", {**GD_BASE, "delta": math.inf}, id="float-inf"),
+    pytest.param("gd", {**GD_BASE, "alphas": [0.3, -math.inf]}, id="list-inf"),
+    pytest.param("gamp", {**GAMP_BASE, "init": "zero"}, id="not-a-choice"),
+]
+BAD_FLAGS = [
+    pytest.param(["se-curve", "--kappas", "0.5", "--alphas", "0.3", "--delta", "nan"],
+                 id="delta-nan"),
+    pytest.param(["se-curve", "--kappas", "0.5,nan", "--alphas", "0.3"], id="kappas-nan"),
+    pytest.param(["gd", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--l2", "nan"],
+                 id="l2-nan"),
+    pytest.param(["se-curve", "--kappas", "0.5", "--alpha-min", "0.1", "--alpha-max", "0.3",
+                  "--alpha-steps", "-1"], id="alpha-steps-negative"),
+    pytest.param(["phase-diagram", "--alphas", "0.3", "--kappa-min", "0.5", "--kappa-max", "1",
+                  "--kappa-steps", "0"], id="kappa-steps-zero"),
+]
+
+
+class TestConfigTypes:
+    @pytest.fixture
+    def no_cells(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_run_cells", fail)
+        monkeypatch.setattr(cli.gd, "trivialization_scan", fail)
+
+    @pytest.mark.parametrize("name,config", BAD_CONFIGS)
+    def test_bad_config_value_is_usage_error(self, name, config, tmp_path, capsys, no_cells):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.csv"
+        rc, _, err = run_cli([name, "--config", str(cfg), "--out", str(out)], capsys)
+        assert rc == 2
+        assert err.startswith("usage error:")
+        assert "unknown config keys" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", BAD_FLAGS)
+    def test_bad_flag_value_is_usage_error(self, argv, capsys, no_cells):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert err.startswith("usage error:")
+        assert out == ""
+
+    def test_learning_rate_and_integral_float_are_converted(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**GD_BASE, "d": 20.0, "learning_rate": "0.05"}))
+        rc, out, _ = run_cli(["gd", "--config", str(cfg)], capsys)
+        assert rc == 0
+        header, rows = parse_csv(out)
+        assert header["config"]["learning_rate"] == 0.05
+        assert header["config"]["d"] == 20 and rows[0]["d"] == "20"
+
+    def test_json_booleans_are_taken(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**GAMP_BASE, "center": False}))
+        rc, out, _ = run_cli(["gamp", "--config", str(cfg)], capsys)
+        assert rc == 0
+        assert parse_csv(out)[0]["config"]["center"] is False
+
+
 FAILING_CELL = [
     pytest.param(["phase-diagram", "--kappas", "0.5,1", "--alphas", "0.2,0.3"],
                  ("mmse", "q", "q_hat", "alpha_pr"), id="phase-diagram"),

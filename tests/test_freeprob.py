@@ -374,10 +374,10 @@ class TestRealCubicPair:
                 eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
                 inverted.add(fp._inverted(t, x + 1j * eps))
                 handed.clear()
-                g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
+                g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
                 assert np.isin(ends, handed).all()
                 pair = ~np.isin(x, handed)
-                g_cp = fp._grid_branch(cp, t, x[pair], eps, ((l, u), critical))
+                g_cp = fp._grid_slope(cp, t, x[pair], eps, ((l, u), critical))[0]
                 # against extended precision the companion path is off by up
                 # to 2e-13 next to an edge, the pair by 5e-14
                 assert np.max(np.abs(g[pair] - g_cp) / np.abs(g_cp)) < 1e-12, (t, l, u)
@@ -396,8 +396,8 @@ class TestRealCubicPair:
         for (l, u), critical, x in zip(dens.intervals, dens.critical, dens.x):
             x = x[1:-1]
             eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-            g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
-            g_cp = fp._grid_branch(cp, t, x, eps, ((l, u), critical))
+            g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
+            g_cp = fp._grid_slope(cp, t, x, eps, ((l, u), critical))[0]
             assert np.max(np.abs(g - g_cp) / np.abs(g_cp)) < 1e-11, (l, u)
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)])
@@ -423,7 +423,7 @@ class TestRealCubicPair:
                 x = x[1:-1:50]
                 eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
                 ref = np.array([stieltjes(mp, t, complex(xi, eps)).g for xi in x])
-                g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
+                g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
                 assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-13, (t, l, u)
 
     @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
@@ -441,7 +441,7 @@ class TestRealCubicPair:
             ):
                 eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
                 x = x[len(xg):]
-                g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
+                g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
                 ends = re_g[[0, -1]] + 1j * np.pi * rho[[0, -1]]
                 g = np.concatenate([ends, g])
                 x = np.concatenate([xg[[0, -1]], x])
@@ -484,7 +484,7 @@ class TestRealCubicPair:
         ):
             polished.clear()
             failing_horner.calls = failing_newton.calls = 0
-            g = fp._grid_branch(prior, t, xg, min(fp.DEFAULT_EPS, 1e-5 * (u - l)), ((l, u), critical))
+            g = fp._grid_slope(prior, t, xg, min(fp.DEFAULT_EPS, 1e-5 * (u - l)), ((l, u), critical))[0]
             assert polished == [len(xg) - 2, 2] and failing_newton.calls == 2
             ref = re_g + 1j * np.pi * rho
             assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12
@@ -505,7 +505,7 @@ class TestRealCubicPair:
         eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
         hs = np.geomspace(1e-16, 1e-3, 14)
         x = np.concatenate([dens.x[-1][[-1]], u - hs * (u - l)])
-        g = fp._grid_branch(mp, t, x, eps, ((l, u), critical))
+        g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
         assert g[0] == dens.re_g[-1][-1] + 1j * np.pi * dens.rho[-1][-1]
         i = 0 if h == 0.0 else 1 + int(np.argmin(np.abs(np.log(hs / h))))
         ref = stieltjes(mp, t, complex(x[i], eps)).g
@@ -740,7 +740,7 @@ class TestCubeIntegral:
             n = 20010
             h = (u - l) / n
             xm = l + (np.arange(n) + 0.5) * h
-            g = fp._grid_branch(MP05, 0.5, xm, dens.eps, ((l, u), critical))
+            g = fp._grid_slope(MP05, 0.5, xm, dens.eps, ((l, u), critical))[0]
             oracle += float(np.sum(np.maximum(g.imag / np.pi, 0.0) ** 3) * h)
         assert val == pytest.approx(oracle, rel=1e-5)
 

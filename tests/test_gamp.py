@@ -149,13 +149,13 @@ class TestRunBasics:
         params = ProblemParams(alpha=0.3, kappa=0.5)
         inst = model.generate(d=60, kappa=0.5, alpha=0.3, delta=0.0, seed=21)
         starts = []
-        draw = gamp.sample_prior
+        draw = matdenoise.sample_prior
 
         def recording(*args):
             starts.append(draw(*args))
             return starts[-1]
 
-        monkeypatch.setattr(gamp, "sample_prior", recording)
+        monkeypatch.setattr(matdenoise, "sample_prior", recording)
         opts = gamp.GampOptions(max_iter=1, seed=21, init="sample")
         gamp.run(model.reduce(inst), params, opts)
         assert len(starts) == 1

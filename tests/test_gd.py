@@ -78,6 +78,10 @@ class TestGdRun:
         with pytest.raises(ValueError):
             gd.GdConfig(n_inits=0)
 
+    def test_nan_l2_rejected(self):
+        with pytest.raises(ValueError, match="l2"):
+            gd.GdConfig(l2=float("nan"))
+
 
 class TestRegularization:
     def test_l2_hurts_final_error(self):

@@ -5,13 +5,15 @@ finite-dimensional Monte Carlo: eigenvector overlaps at d = 2000 for the
 shrinker, and the realized denoising error at d = 500 for the MMSE value.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from quadnet import freeprob as fp
 from quadnet import matdenoise as md
 from quadnet.freeprob import PriorSpectrum
-from quadnet.gamp import sample_prior
+from quadnet.matdenoise import sample_prior
 
 from oracles import homotopy_solve
 
@@ -32,9 +34,13 @@ class TestDenoiseSpec:
             md.DenoiseSpec.create(MP05, 0.0)
         with pytest.raises(ValueError):
             md.DenoiseSpec.create(MP05, -0.5)
-        rho = fp.density(MP05, 0.5, n_nodes=401)
-        with pytest.raises(ValueError):
-            md.DenoiseSpec(prior=MP05, delta=0.7, rho=rho)
+
+    @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
+    def test_prior_and_delta_are_read_from_the_density(self, prior):
+        spec = md.DenoiseSpec.create(prior, 0.3)
+        assert [f.name for f in dataclasses.fields(spec)] == ["rho"]
+        assert spec.prior == prior and spec.prior is spec.rho.prior
+        assert spec.delta == 0.3 and spec.delta is spec.rho.t
 
 
 class TestShrink:
@@ -180,7 +186,7 @@ class TestMmse:
                 v = md.mmse(spec)
                 cube = spec.rho.cube_integral()
                 primary = delta - (4.0 * np.pi**2 / 3.0) * delta**2 * cube
-                h = spec.rho.hilbert_on_grid()
+                h = [-rg for rg in spec.rho.re_g]
                 secondary = delta - 4.0 * delta**2 * spec.rho.integrate(
                     [r * hi**2 for r, hi in zip(spec.rho.rho, h)]
                 )
@@ -223,3 +229,21 @@ class TestSamplers:
         assert np.trace(s) / 400 == pytest.approx(1.0, rel=0.05)
         evals = np.linalg.eigvalsh(s)
         assert evals.min() > -1e-10
+
+    @pytest.mark.parametrize("kappa", [0.3, 2.0])
+    def test_wishart_is_the_marchenko_pastur_prior_draw(self, kappa):
+        a = md.sample_wishart(50, kappa, np.random.default_rng(5))
+        b = sample_prior(PriorSpectrum.marchenko_pastur(kappa), 50, np.random.default_rng(5))
+        assert a.tobytes() == b.tobytes()
+
+    def test_compound_poisson_draw_is_reproducible(self):
+        # the draw order that seeded runs depend on: the Gaussian W first,
+        # then the m atom values
+        d, rng = 40, np.random.default_rng(11)
+        m = round(CP3.kappa * d)
+        w = rng.normal(size=(m, d))
+        a = rng.choice(np.array([0.5, 1.0, 2.0]), size=m, p=np.array([0.3, 0.4, 0.3]))
+        expected = (w.T * a) @ w / m
+        got = sample_prior(CP3, d, np.random.default_rng(11))
+        assert got.tobytes() == expected.tobytes()
+        assert set(np.unique(a)) == {0.5, 1.0, 2.0}

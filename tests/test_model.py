@@ -130,6 +130,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             model.generate(d=10, kappa=1.0, alpha=0.1, delta=-0.1)
 
+    def test_nan_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta"):
+            model.generate(d=10, kappa=1.0, alpha=0.1, delta=float("nan"))
+
     def test_second_layer_draws_atoms(self):
         inst = model.generate(
             d=100, kappa=0.7, alpha=0.2, delta=0.1, seed=9,

@@ -84,6 +84,11 @@ class TestProblemParams:
                 prior=freeprob.PriorSpectrum.marchenko_pastur(2.0),
             )
 
+    @pytest.mark.parametrize("field", ["alpha", "delta"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            ProblemParams(**{"alpha": 0.1, "kappa": 1.0, field: math.nan})
+
     def test_frozen(self):
         p = ProblemParams(alpha=0.1, kappa=1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -706,7 +711,7 @@ class TestFreeEntropy:
     def test_inner_conjugate_is_stationary(self, alpha, kappa, delta):
         params = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
         q = params.q_min + 0.4 * (params.q0 - params.q_min)
-        q_hat = se._inner_conjugate(params, q)
+        q_hat = se._inner_conjugate(params, q)[0]
         dens = freeprob.density(params.prior, 1.0 / q_hat)
         res = (
             0.25 * (params.q0 - q)
@@ -755,3 +760,12 @@ class TestFreeEntropy:
             se.free_entropy(params, params.q_min - 0.1)
         with pytest.raises(ValueError):
             se.free_entropy(params, params.q0 + 0.1)
+
+    def test_inner_conjugate_returns_its_density(self):
+        params = ProblemParams(alpha=0.3, kappa=1.0, delta=0.1)
+        q = params.q_min + 0.4 * (params.q0 - params.q_min)
+        q_hat, dens = se._inner_conjugate(params, q)
+        assert dens.prior == params.prior
+        assert dens.t == pytest.approx(1.0 / q_hat, rel=4e-16)
+        rebuilt = freeprob.density(params.prior, dens.t)
+        assert dens.cube_integral() == rebuilt.cube_integral()

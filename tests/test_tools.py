@@ -37,3 +37,15 @@ class TestReadmeCsvsDiff:
     def test_readme_commands_are_found(self):
         text = "```sh\n# a comment\nquadnet se-curve --kappas 0.5 \\\n    --out se.csv\n```\n"
         assert readme_csvs.readme_commands(text) == [["se-curve", "--kappas", "0.5", "--out", "se.csv"]]
+
+
+class TestReadmeCsvsLineCounts:
+    def test_counts_lines_per_module(self, tmp_path):
+        (tmp_path / "pkg" / "sub").mkdir(parents=True)
+        (tmp_path / "pkg" / "__init__.py").write_text("")
+        (tmp_path / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+        (tmp_path / "pkg" / "sub" / "b.py").write_text("z = 3")  # no final newline
+        (tmp_path / "pkg" / "notes.txt").write_text("not a module\n")
+        assert readme_csvs.line_counts(tmp_path) == {
+            "pkg.__init__": 0, "pkg.a": 3, "pkg.sub.b": 1,
+        }

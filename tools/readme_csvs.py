@@ -10,7 +10,9 @@ Command names given as arguments limit the run to those commands:
     python3 tools/readme_csvs.py se-curve phase-diagram
 
 A command that exits nonzero is reported with its exit code; the CSV it
-still wrote is hashed.  The exit status is 1 if any command failed.
+still wrote is hashed.  The exit status is 1 if any command failed.  After
+the hashes, the line count of each module under `src/` and their total go
+to standard error.
 
 `--save DIR` copies each CSV into DIR.  `--diff DIR` compares each CSV
 with the one of the same name in DIR and prints every row that changed,
@@ -62,6 +64,15 @@ def diff_rows(name, old, new):
     ]
 
 
+def line_counts(src):
+    """Lines of each `*.py` module under the directory src, by dotted module
+    name, in name order."""
+    return {
+        ".".join(path.relative_to(src).with_suffix("").parts): len(path.read_text().splitlines())
+        for path in sorted(src.rglob("*.py"))
+    }
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("commands", nargs="*", help="command names to run (default: all)")
@@ -99,6 +110,9 @@ def main(argv=None):
                 for line in diff_rows(out, *texts):
                     print(line, flush=True)
             failed |= code != 0
+    counts = line_counts(ROOT / "src")
+    print(f"src lines: {sum(counts.values())} total, "
+          + ", ".join(f"{name} {n}" for name, n in counts.items()), file=sys.stderr)
     return 1 if failed else 0
 
 
