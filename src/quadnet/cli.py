@@ -91,12 +91,15 @@ class SeCurve(_AlphaGrid):
     def grid(self):
         kappas, alphas = _grid(self, "kappa"), _grid(self, "alpha")
         keys = [{"alpha": a, "kappa": k} for k in kappas for a in alphas]
+        _checked(lambda: [self.params(**key) for key in keys])
         return self.echo(kappas=kappas, alphas=alphas), keys
+
+    def params(self, alpha, kappa):
+        return ProblemParams(alpha=alpha, kappa=kappa, delta=self.delta)
 
     def cell(self, alpha, kappa):
         """The phase-diagram cell; se-curve leaves out its last value."""
-        params = ProblemParams(alpha=alpha, kappa=kappa, delta=self.delta)
-        fp = solve_qhat(params)
+        fp = solve_qhat(self.params(alpha, kappa))
         return fp.mmse, fp.q, fp.q_hat, perfect_recovery_threshold(kappa)
 
 
@@ -117,9 +120,12 @@ class _Teacher(_AlphaGrid):
     kappa: float = _opt(help="width ratio m/d", required=True)
     seed: int = _opt(0, "base RNG seed")
 
+    def params(self, alpha):
+        return ProblemParams(alpha=alpha, kappa=self.kappa, delta=self.delta)
+
     def teacher(self, alpha, seed):
         """A cell's problem, its state-evolution fixed point and its instance."""
-        params = ProblemParams(alpha=alpha, kappa=self.kappa, delta=self.delta)
+        params = self.params(alpha)
         fp = solve_qhat(params)
         return params, fp, model.generate(d=self.d, kappa=self.kappa, alpha=alpha,
                                           delta=self.delta, seed=seed)
@@ -139,15 +145,19 @@ class Gamp(_Teacher):
         if self.n_seeds < 1:
             raise UsageError("n_seeds must be at least 1")
         alphas = _grid(self, "alpha")
+        _checked(lambda: (self.options(self.seed), [self.params(a) for a in alphas]))
         seeds = [self.seed + i for i in range(self.n_seeds)]
         header = self.echo(alphas=alphas, seeds=seeds)
         del header["seed"], header["n_seeds"]
         return header, [{"alpha": a, "seed": s} for a in alphas for s in seeds]
 
+    def options(self, seed, s_star=None):
+        return gamp.GampOptions(max_iter=self.max_iter, damping=self.damping, init=self.init,
+                                center=self.center, seed=seed, s_star=s_star)
+
     def cell(self, alpha, seed):
         params, fp, instance = self.teacher(alpha, seed)
-        opts = gamp.GampOptions(max_iter=self.max_iter, damping=self.damping, init=self.init,
-                                center=self.center, seed=seed, s_star=instance.S_star)
+        opts = self.options(seed, instance.S_star)
         _, state = gamp.run(model.reduce(instance), params, opts)
         mse = model.matrix_mse(state.S_hat, instance.S_star, self.kappa)
         return mse, fp.mmse, state.iter, int(state.converged)
@@ -186,6 +196,7 @@ class DenoiseMc(_Command):
 
     def grid(self):
         kappas, deltas = _grid(self, "kappa"), _grid(self, "delta")
+        _checked(lambda: [PriorSpectrum.marchenko_pastur(k) for k in kappas])
         if min(deltas) <= 0:
             raise UsageError("deltas must be positive")
         pairs = [(k, dl) for k in kappas for dl in deltas]
@@ -232,6 +243,8 @@ class Gd(_Descent):
 
     def grid(self):
         alphas = _grid(self, "alpha")
+        _checked(lambda: (self.descent(self.seed, max(1, self.n_inits)),
+                          [self.params(a) for a in alphas]))
         keys = [{"alpha": a, "rep": rep, "seed": self.seed + 37 * rep + 9973 * i}
                 for i, a in enumerate(alphas) for rep in range(self.reps)]
         return self.echo(alphas=alphas), keys
@@ -259,6 +272,7 @@ class GdScan(_Descent):
     def table(self):
         """One scan of pool cells: a failure is the command's, not a cell's."""
         alphas = _grid(self, "alpha")
+        _checked(lambda: (self.descent(self.seed, self.n_inits), [self.params(a) for a in alphas]))
         try:
             result = gd.trivialization_scan(self.d, self.kappa, self.delta, alphas,
                                             self.descent(self.seed, self.n_inits),
@@ -337,6 +351,16 @@ def _resolve(args, cls):
     if missing:
         raise UsageError("needs " + " and ".join(missing))
     return cls(**values)
+
+
+def _checked(build):
+    """Run ``build()``, which makes the config classes a command's cells
+    build, once before any cell runs: a ValueError from their own range
+    checks is a usage error (exit 2), not a failure of every cell."""
+    try:
+        build()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _grid(cfg, prefix):

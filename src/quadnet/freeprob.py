@@ -12,7 +12,7 @@ Conventions
 -----------
 Stieltjes transform g(z) = E[1/(X - z)], analytic on the upper half plane,
 with Im g(z) > 0 for Im z > 0 and g(z) ~ -1/z as |z| -> infinity.  Densities
-are recovered from the boundary values rho(x) = Im g(x + i*eps) / pi.
+are the boundary values rho(x) = Im g(x + i0) / pi.
 
 The R-transform of the prior is R(s) = sum_k p_k * kappa * a_k / (kappa - s * a_k)
 (a single atom a=1 gives the plain Marchenko-Pastur R(s) = kappa / (kappa - s)).
@@ -27,16 +27,21 @@ real and increasing in x with phi(g) = x, phi(g) = -t*g + R(-g) - 1/g, and
 the support edges are critical values of phi, left edges at its local maxima
 and right edges at its local minima.  So the sign of phi'' at the critical
 points sorts the support, and off it g is a Newton solve on the arc of phi
-between the neighbouring edges' critical points.  On the support the
-general root solver is the companion matrix, whose eigenvalues give all
-branches of g at complex z, for the compound-Poisson density.  For the MP
-prior on the support, at real x, the cubic's coefficients are real and the
-physical g is the upper member of its one complex-conjugate root pair (real
-Cardano, then Newton's method at x + i*eps).  At the support edges, where
-the pair collides, g starts from the square-root law at the edge's critical
-point of the inverse map and Newton's method runs in extended precision.
-Each density also keeps dg/dz = 1/phi'(g) at its nodes from the build, for
-the t-derivative of int rho^3.
+between the neighbouring edges' critical points.
+
+On the support the MP density needs no root solve: there Im phi(g) = 0
+is a curve that is explicit in s = |g|^2, from one edge's critical point
+to the other's, and `_mp_interval` samples it in closed form on the real
+axis.  The compound-Poisson density is solved at x + i*eps: the general
+root solver is the companion matrix, whose eigenvalues give all branches
+of g at complex z.  `hilbert` solves g at each eigenvalue on the support
+at x + i*eps too; for the MP prior, at real x the cubic's coefficients are
+real and the physical g is the upper member of its one complex-conjugate
+root pair (real Cardano, then Newton's method at x + i*eps).  At the
+support edges, where the pair collides, g starts from the square-root law
+at the edge's critical point of the inverse map and Newton's method runs
+in extended precision.  Each density also keeps Re dg/dz = Re 1/phi'(g) at
+its nodes from the build, for the t-derivative of int rho^3.
 """
 
 from __future__ import annotations
@@ -85,9 +90,11 @@ class PriorSpectrum:
     kind : str
         Either ``"marchenko_pastur"`` or ``"compound_poisson"``.  Both kinds
         share the companion-matrix solver; on the support the
-        Marchenko-Pastur kind takes its own real-pair path (`_mp_branch`)
-        instead.  With atoms ((1, 1),) they describe the same measure, which
-        the tests use to check one path against the other.
+        Marchenko-Pastur kind takes its own paths instead: the closed-form
+        curve for its density (`_mp_interval`) and the real pair for
+        `hilbert` (`_mp_branch`).  With atoms ((1, 1),) they describe the
+        same measure, which the tests use to check one path against the
+        other.
     """
 
     kappa: float
@@ -321,8 +328,8 @@ def _admissible_root(prior, t, x, eps):
 
     The root at x + i*eps of largest imaginary part among the companion
     roots (`_all_roots`), which on the support has Im g = pi*rho, polished
-    by two safeguarded Newton steps.  It is the compound-Poisson grid path,
-    and the start of the Marchenko-Pastur edge nodes where
+    by two safeguarded Newton steps.  It is the compound-Poisson path, and
+    the start of the Marchenko-Pastur points next to an edge where
     `_extended_newton` does not converge from `_edge_start`.  The tests
     check the pick against the root continued down from high in the upper
     half plane (`tests/oracles.py`), which stays unambiguous where a second
@@ -349,7 +356,7 @@ def _mp_branch(prior, t, x, eps, edges):
     pair's half-gap Im g.  A node whose first step did not lower |P_z| takes
     the safeguarded `_newton_polish` from the pair root instead.
 
-    Nodes without a pair, or where the first step is not small, are the
+    Points without a pair, or where the first step is not small, are the
     support edges and points within about 1e3 eps of them (farther next to
     a cusp, where two intervals are about to merge).  Their second step
     starts from `_edge_start` instead (`edges` as there), and more follow
@@ -417,8 +424,8 @@ def _extended_newton(t, c1, c2, kappa, g):
     precision (`np.clongdouble`, 80-bit on x86 and plain double where the
     platform has no wider type; the coefficients are given in double), node
     by node until the step is below 1e-11 |g| with Im g > 0, at most eight.
-    Returns g and where that holds.  The nodes are few, mostly the two end
-    nodes of an interval, so each is iterated as numpy scalars."""
+    Returns g and where that holds.  The points are few, those next to a
+    support edge, so each is iterated as numpy scalars."""
     out = np.empty(len(g), dtype=complex)
     ok = np.zeros(len(g), dtype=bool)
     for i, (a1, a2, gi) in enumerate(np.array([c1, c2, g], dtype=np.clongdouble).T):
@@ -601,38 +608,54 @@ def _support(prior, t):
 
 
 @functools.lru_cache(maxsize=8)
-def _sin2_grid(n):
-    """sin^2(theta) at n uniform theta in [0, pi/2], and the weights of
-    Simpson's rule in theta for int_0^1 f(s) ds, s = sin^2(theta): one
-    interval [l, u] maps them by x = l + (u - l) s and (u - l) w."""
+def _theta_grid(n):
+    """What every interval's grid shares, at n uniform theta in [0, pi/2]:
+    sin^2(theta), cos^2(theta) (the same values reversed, so exactly 0 at
+    the last node), sin(2 theta), the weights of Simpson's rule in theta,
+    and the step in theta."""
     if n < 3 or n % 2 == 0:
         raise ValueError("Simpson rule needs an odd number of nodes >= 3")
     theta = np.linspace(0.0, 0.5 * np.pi, n)
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    s2, w = np.sin(theta) ** 2, w / 3.0 * theta[1] * np.sin(2.0 * theta)
-    s2.flags.writeable = w.flags.writeable = False
-    return s2, w
+    w *= theta[1] / 3.0
+    s2 = np.sin(theta) ** 2
+    grid = (s2, s2[::-1].copy(), np.sin(2.0 * theta), w)
+    for a in grid:
+        a.flags.writeable = False
+    return (*grid, float(theta[1]))
 
 
 @dataclasses.dataclass
 class SpectralDensity:
     """Density of mu_t on its support, sampled on edge-clustered grids.
 
-    Per interval [l, u] the grid is x = l + (u - l) sin^2(theta) with theta
-    uniform on [0, pi/2]; this clusters nodes at the square-root edges and
-    makes composite Simpson in theta spectrally accurate for edge integrands.
+    Per interval the grid is uniform in theta on [0, pi/2] and clusters its
+    nodes at the square-root edges: x = l + (u - l) sin^2(theta) for the
+    compound-Poisson prior, and for the Marchenko-Pastur prior the curve
+    |g|^2 = s with log s = log s_l + log(s_u / s_l) sin^2(theta)
+    (`_mp_interval`).  Either way the end nodes are the edges, rho vanishes
+    there like sin(theta) cos(theta) times a smooth factor, and integrals
+    are Simpson's rule in theta with the weights dx/dtheta.  That rule's
+    error is about a third of the trapezoid rule's on the half grid, so it
+    converges geometrically but needs twice the trapezoid's nodes.
 
     Attributes
     ----------
     intervals : tuple of (l, u)
     x, rho, re_g : tuples of arrays, one per interval
-        Grid, density, and Re g(x + i eps) (the negative Hilbert transform).
+        Grid (ascending, from l to u), density, and Re g (the negative
+        Hilbert transform).  For the Marchenko-Pastur prior these are the
+        values on the real axis; for the compound-Poisson prior at
+        x + i min(eps, 1e-5 (u - l)).
+    dxdtheta : tuple of arrays, one per interval
+        dx/dtheta, for the quadrature weights and `log_potential`.
     critical : tuple of (g_c(l), g_c(u))
         Per interval, the critical points of phi at its edges.
-    dgdz : tuple of complex arrays, one per interval
-        dg/dz = 1/phi'(g) at the grid's g(x + i eps), from the build.
+    re_dgdz : tuple of arrays, one per interval
+        Re dg/dz = Re 1/phi'(g) at the grid's g, from the build.  At an
+        edge phi' vanishes but Re dg/dz stays finite (Im dg/dz diverges).
     """
 
     prior: PriorSpectrum
@@ -640,15 +663,16 @@ class SpectralDensity:
     eps: float
     intervals: tuple
     x: tuple
+    dxdtheta: tuple
     rho: tuple
     re_g: tuple
     critical: tuple
-    dgdz: tuple
+    re_dgdz: tuple
 
     @functools.cached_property
     def weights(self):
         """Per-interval quadrature weights in x, Simpson's rule in theta."""
-        return tuple((u - l) * _sin2_grid(len(x))[1] for (l, u), x in zip(self.intervals, self.x))
+        return tuple(_theta_grid(len(d))[3] * d for d in self.dxdtheta)
 
     def integrate(self, values_per_interval):
         """Sum_i int values_i(x) dx over the support intervals."""
@@ -659,7 +683,7 @@ class SpectralDensity:
 
     def cube_integral(self):
         """int rho(x)^3 dx over the continuous part."""
-        return self.integrate([r**3 for r in self.rho])
+        return self.integrate([r * r * r for r in self.rho])
 
     def cube_integral_dt(self):
         """d/dt of `cube_integral`: 2 int rho^3 Re(dg/dz) dx, dg/dz = 1/phi'(g).
@@ -667,9 +691,9 @@ class SpectralDensity:
         The semicircular flow obeys the Burgers equation d_t g = g d_z g
         (Biane 1997), so d_t rho = d_x(rho Re g) on the real axis; two
         integrations by parts and dg/dz = 1/phi'(g) give the identity.  One
-        more quadrature with the build's dg/dz (`dgdz`), no build.
+        more quadrature with the build's Re dg/dz (`re_dgdz`), no build.
         """
-        return 2.0 * self.integrate([r**3 * dz.real for r, dz in zip(self.rho, self.dgdz)])
+        return 2.0 * self.integrate([r * r * r * dz for r, dz in zip(self.rho, self.re_dgdz)])
 
 
 def density(
@@ -680,45 +704,214 @@ def density(
 ) -> SpectralDensity:
     """Density of mu_t = prior (+) semicircle(t), t > 0, on edge-adapted grids.
 
-    The support is located with `_support` and the physical Stieltjes branch
-    and its z-derivative (`_grid_slope`) are evaluated at x + i*eps on each
-    interval.  t = 0 is rejected: every caller builds at t = 1/q_hat > 0 or
-    a positive noise level.
-
-    On intervals narrower than eps / 1e-5 the offset is lowered to 1e-5 times
-    the interval width, so that very thin bulks (t well below 1e-6) are not
-    smeared by the evaluation offset itself.
+    The support is located with `_support`.  For the Marchenko-Pastur prior
+    each interval is the closed-form curve of `_mp_interval`: no root solve
+    and no offset.  For the compound-Poisson prior the physical Stieltjes
+    branch and its z-derivative (`_grid_slope`) are evaluated at x + i*eps;
+    on intervals narrower than eps / 1e-5 the offset is lowered to 1e-5
+    times the interval width, so that very thin bulks are not smeared by
+    the offset itself.  t = 0 is rejected: every caller builds at
+    t = 1/q_hat > 0 or a positive noise level.
 
     Parameters
     ----------
     n_nodes : int
         Grid nodes per interval (odd; even values are bumped by one).
+    eps : float
+        Offset of the compound-Poisson build, kept on the density for
+        `hilbert`.
     """
     if not t > 0:
         raise ValueError(f"density requires t > 0, got {t}")
     if n_nodes % 2 == 0:
         n_nodes += 1
     support = _support(prior, t)
-    xs, rhos, regs, dgdzs = [], [], [], []
-    s2 = _sin2_grid(n_nodes)[0]
-    for (l, u), critical in support:
-        x = l + (u - l) * s2
-        g, dgdz = _grid_slope(prior, t, x, min(eps, 1e-5 * (u - l)), ((l, u), critical))
-        xs.append(x)
-        rhos.append(np.maximum(g.imag / np.pi, 0.0))
-        regs.append(g.real)
-        dgdzs.append(dgdz)
+    grid = _theta_grid(n_nodes)
+    if prior.kind == "marchenko_pastur":
+        crit = [tuple(_polished(prior.kappa, t, g) for g in c) for _, c in support]
+        # with two intervals, the other one's critical points are the other
+        # two roots of the curve's edge polynomial, the one across the gap first
+        others = [crit[1], crit[0][::-1]] if len(crit) == 2 else [None]
+        parts = [
+            _mp_interval(prior.kappa, t, interval, critical, grid, other, gap_at_u=k == 0)
+            for k, ((interval, _), critical, other) in enumerate(zip(support, crit, others))
+        ]
+    else:
+        parts = [
+            _offset_interval(prior, t, interval, critical, eps, grid)
+            for interval, critical in support
+        ]
+    x, dxdtheta, rho, re_g, re_dgdz = zip(*parts)
     return SpectralDensity(
         prior=prior,
         t=t,
         eps=eps,
         intervals=tuple(interval for interval, _ in support),
-        x=tuple(xs),
-        rho=tuple(rhos),
-        re_g=tuple(regs),
+        x=x,
+        dxdtheta=dxdtheta,
+        rho=rho,
+        re_g=re_g,
         critical=tuple(critical for _, critical in support),
-        dgdz=tuple(dgdzs),
+        re_dgdz=re_dgdz,
     )
+
+
+def _offset_interval(prior, t, interval, critical, eps, grid):
+    """One compound-Poisson interval [l, u] on x = l + (u - l) sin^2(theta),
+    g and dg/dz by `_grid_slope` at x + i min(eps, 1e-5 (u - l)).  Returns
+    the per-interval fields of `SpectralDensity`, in the order x,
+    dx/dtheta, rho, Re g, Re dg/dz."""
+    s2, _, sin2t = grid[:3]
+    l, u = interval
+    x = l + (u - l) * s2
+    g, dgdz = _grid_slope(prior, t, x, min(eps, 1e-5 * (u - l)), (interval, critical))
+    return x, (u - l) * sin2t, np.maximum(g.imag / np.pi, 0.0), g.real, dgdz.real
+
+
+def _polished(kappa, t, g):
+    """A real critical point g of the Marchenko-Pastur phi after one Newton
+    step on phi'(g) = 0 in extended precision (`np.longdouble`, as in
+    `_extended_newton`), and in that precision.  The companion eigenvalues
+    give g to about 1e-15, and differences such as g_c(u)^2 - g_c(l)^2 in
+    `_mp_interval` lose digits to cancellation.  A step above 1e-8 |g|,
+    next to a cusp where phi'' vanishes too, is not taken."""
+    g, kappa = np.longdouble(g), np.longdouble(kappa)
+    kg = kappa + g
+    step = (1.0 / (g * g) - t - kappa / (kg * kg)) / (2.0 * kappa / (kg * kg * kg) - 2.0 / (g * g * g))
+    return g - step if abs(step) <= 1e-8 * abs(g) else g
+
+
+def _one_minus_ts(kappa, t, g):
+    """1 - t g^2 at a real critical point g of the Marchenko-Pastur phi.
+    Where t g^2 is near 1 it is kappa g^2 / (kappa + g)^2 instead, equal
+    to it by phi'(g) = 0 and free of the cancellation."""
+    s = g * g
+    return 1.0 - t * s if t * s < 0.5 else kappa * s / (kappa + g) ** 2
+
+
+def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False):
+    """One support interval of MP(kappa) (+) semicircle(t) in closed form.
+
+    On the support g = a + ib, b > 0, solves Im phi(g) = 0, that is
+    1/|g|^2 - t = kappa / |kappa + g|^2.  With s = |g|^2 (Biane 1997) the
+    curve is explicit:
+
+        a(s) = (kappa s / (1 - t s) - s - kappa^2) / (2 kappa),
+        x(s) = kappa / s - kappa t - 2 t a(s),
+        b^2 = s - a^2 = N(s) / (4 kappa^2 (1 - t s)^2),
+        N(s) = 4 kappa^2 s (1 - t s)^2 - (t s^2 + (kappa - 1 + t kappa^2) s - kappa^2)^2,
+
+    and dg/dz = g'(s) / x'(s), so Re dg/dz = a'(s) / x'(s).  N has leading
+    coefficient -t^2, and its real roots are the squares of the real
+    critical points of phi: the edges give s_l = g_c(l)^2 and
+    s_u = g_c(u)^2.  With two intervals `other` holds the other interval's
+    critical points, the one across the gap first (at this interval's u
+    where `gap_at_u`, else at its l), which give N's other two roots; with
+    one, they come from N's root sum 2 (kappa^2 t - kappa + 1) / t and
+    product kappa^4 / t^2.  The critical points come in extended precision
+    (`_polished`), and the scalars of the interval are formed in it.
+
+    The nodes are log s = log s_l + log(s_u / s_l) sin^2(theta), evenly
+    spaced in theta: s spans decades when kappa is near 1 and t is small,
+    and 10^-11 of itself across a bulk at zero.  Each node is anchored at
+    its nearer end e, and every difference is formed without cancellation:
+    s - s_l and s_u - s from expm1, s_u - s_l from the critical points
+    (where g_c(u) ~ -g_c(l), across a bulk at zero or at large t, not from
+    their sum), 1 - t s from the end where it is smaller, s minus the root
+    across a gap as (s - s_e) + (s_e - root) from the edge e at the gap,
+    and
+
+        x - x_e = (s - s_e) (-kappa / (s s_e) - 2 t A_e),
+        a - g_c(e) = (s - s_e) A_e,  A_e = (kappa / ((1 - t s)(1 - t s_e)) - 1) / (2 kappa),
+        b^2 = t^2 (s - s_l)(s_u - s) Q(s) / (4 kappa^2 (1 - t s)^2),
+
+    Q the quadratic of N's other two roots.  Returns the per-interval
+    fields of `SpectralDensity`, in the order x, dx/dtheta, rho, Re g,
+    Re dg/dz.
+    """
+    s2, c2, sin2t = grid[:3]
+    (l, u), (gl, gu) = interval, critical
+    half = (len(s2) + 1) // 2  # nodes from here on are anchored at u
+    lo, up = slice(0, half), slice(half, None)
+    sl, su = gl * gl, gu * gu
+    # s_u - s_l = (g_u - g_l)(g_u + g_l), or by 1/s = t + kappa / (kappa + g)^2
+    # at a critical point = kappa s_l s_u (g_u - g_l) c / ((kappa + g_l)(kappa + g_u))^2
+    # with c = 2 kappa + g_l + g_u, minus the other two critical points' sum
+    # (all four sum to -2 kappa): whichever sum cancels less
+    gsum, scale = gu + gl, abs(gl) + abs(gu)
+    if other is None:
+        csum, cscale = 2.0 * kappa + gsum, 2.0 * kappa + scale
+    else:
+        csum, cscale = -(other[0] + other[1]), abs(other[0]) + abs(other[1])
+    if abs(gsum) * cscale >= abs(csum) * scale:
+        span = (gu - gl) * gsum
+    else:
+        span = kappa * sl * su * (gu - gl) * csum / ((kappa + gl) * (kappa + gu)) ** 2
+    dv = math.log1p(span / sl) if abs(span) < 0.5 * sl else 2.0 * math.log(abs(gu / gl))
+    oml, omu = float(_one_minus_ts(kappa, t, gl)), float(_one_minus_ts(kappa, t, gu))
+    if other is None:
+        total = float(2.0 * (kappa * kappa * t - kappa + 1.0) / t - sl - su)
+        prod = float(kappa**4 / (t * t * sl * su))
+    else:
+        across, far = other
+        ge = gu if gap_at_u else gl
+        gap = float((ge - across) * (ge + across))  # s_e - root across the gap
+        far = float(far * far)
+    sl, su, gl, gu, span = map(float, (sl, su, gl, gu, span))
+    v = s2 * dv
+    s = np.exp(v)
+    s *= sl
+    dsl = np.expm1(v, out=v)  # s - s_l
+    dsl *= sl
+    dsu = c2 * -dv
+    np.expm1(dsu, out=dsu)
+    dsu *= -su  # s_u - s
+    d = dsl.copy()  # s - s_e
+    np.negative(dsu[up], out=d[up])
+    om = oml - t * dsl if span < 0.0 else omu + t * dsu  # 1 - t s
+    if other is None:
+        disc = 0.25 * total * total - prod
+        if disc < 0.0:
+            q = s - 0.5 * total
+            q *= q
+            q -= disc
+        else:  # real roots outside [s_l, s_u]: q rounds below 0 only next to one
+            r = 0.5 * total + math.copysign(math.sqrt(disc), total)
+            q = s - r
+            q *= s - prod / r
+            np.maximum(q, 0.0, out=q)
+    else:
+        q = gap - dsu if gap_at_u else dsl + gap  # both terms of one sign
+        q *= s - far
+    inv_om = 1.0 / om
+    inv_s = 1.0 / s
+    coef = np.empty(len(s))
+    coef[lo], coef[up] = 0.5 / oml, 0.5 / omu
+    big_a = inv_om * coef
+    big_a -= 0.5 / kappa
+    coef[lo], coef[up] = -kappa / sl, -kappa / su
+    slope = inv_s * coef
+    slope -= (2.0 * t) * big_a
+    x = d * slope  # x - x_e
+    x[lo] += l
+    x[up] += u
+    re_g = d * big_a
+    re_g[lo] += gl
+    re_g[up] += gu
+    q *= dsl
+    q *= dsu
+    rho = np.sqrt(q, out=q)
+    rho *= inv_om
+    rho *= t / (2.0 * np.pi * kappa)
+    da = inv_om * inv_om  # a'(s)
+    da *= 0.5
+    da -= 0.5 / kappa
+    dx = inv_s * inv_s  # x'(s)
+    dx *= -kappa
+    dx -= (2.0 * t) * da
+    dxdtheta = dx * s
+    dxdtheta *= dv * sin2t
+    return x, dxdtheta, rho, re_g, np.divide(da, dx, out=da)
 
 
 def _phi_prime(prior, t, g):
@@ -795,8 +988,8 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
     dens is a density of the same (prior, t); it supplies the support
     intervals, the critical points of phi at their edges and the offset.
     On a support interval [l, u], g is the `_grid_slope` root at
-    lam + i*min(dens.eps, 1e-5 (u - l)), the offset `density` uses on its
-    grid.  Off the support it is the real g of `_real_branch`.
+    lam + i*min(dens.eps, 1e-5 (u - l)), the offset of the compound-Poisson
+    build.  Off the support it is the real g of `_real_branch`.
     """
     if dens.prior != prior or dens.t != t:
         raise ValueError("density does not match (prior, t)")
@@ -825,23 +1018,38 @@ def _cumulative_simpson(f, h):
     return np.concatenate([[0.0], np.cumsum(steps)]) * (h / 12.0)
 
 
+def _potential_step(prior, t, g, x):
+    """G(g) = -g x + F(g) at a real g with x = phi(g), where
+    F(g) = -t g^2 / 2 + sum_k p_k kappa log|kappa + a_k g| - log|g| is an
+    antiderivative of phi; so dG/dg = -g phi'(g) along x = phi(g)."""
+    out = -g * x - 0.5 * t * g * g - math.log(abs(g))
+    for a, p in prior.atoms:
+        out += p * prior.kappa * math.log(abs(prior.kappa + a * g))
+    return out
+
+
 def log_potential(dens: SpectralDensity) -> float:
     """Sigma(mu) = E log|X - Y| with X, Y independent draws from mu.
 
     Sigma = int rho U with U(x) = E log|x - Y|, whose derivative h = -Re g
-    is stored on the grid.  On [l, u], U(l) is one Simpson sum, its own
-    interval's log(x - l) taken as log(u - l) + 2 log sin(theta); U
-    further on is the cumulative Simpson integral in theta of
-    h (u - l) sin(2 theta).  O(N) in the grid size.
+    is stored on the grid.  Across an interval U is the cumulative Simpson
+    integral in theta of h dx/dtheta.  Off the support g is real with
+    x = phi(g), so there int h dx = int -g phi'(g) dg = [G] (`_potential_step`)
+    between critical points.  Left of the support g runs from 0 at
+    x = -inf, where U(x) - log|x - c| vanishes for any c, to g_c(l_1); with
+    -g phi(g) -> 1 and F(g) + log g -> kappa log kappa as g -> 0 that gives
+    U(l_1) = G(g_c(l_1)) - 1 - kappa log kappa, and across a gap
+    U(l_(i+1)) = U(u_i) + G(g_c(l_(i+1))) - G(g_c(u_i)).  O(N) in the grid
+    size.
     """
-    masses = [w * r for w, r in zip(dens.weights, dens.rho)]
+    prior, t = dens.prior, dens.t
     total = 0.0
-    for i, ((l, u), re_g) in enumerate(zip(dens.intervals, dens.re_g)):
-        theta = np.linspace(0.0, 0.5 * np.pi, len(re_g))
-        pot_l = float(np.dot(masses[i][1:], np.log(u - l) + 2.0 * np.log(np.sin(theta[1:]))))
-        for j, (x, m) in enumerate(zip(dens.x, masses)):
-            if j != i:
-                pot_l += float(np.dot(m, np.log(np.abs(x - l))))
-        dpot = -re_g * (u - l) * np.sin(2.0 * theta)
-        total += float(np.dot(masses[i], pot_l + _cumulative_simpson(dpot, theta[1])))
-    return total
+    pot = -1.0 - prior.kappa * math.log(prior.kappa)  # U(u_0) - G(g_c(u_0)), u_0 = -inf
+    for (l, u), (gl, gu), w, rho, re_g, dxdtheta in zip(
+        dens.intervals, dens.critical, dens.weights, dens.rho, dens.re_g, dens.dxdtheta
+    ):
+        pot += _potential_step(prior, t, gl, l)  # U(l)
+        cum = _cumulative_simpson(-re_g * dxdtheta, _theta_grid(len(re_g))[4])
+        total += float(np.dot(w * rho, cum)) + pot * float(np.dot(w, rho))
+        pot += cum[-1] - _potential_step(prior, t, gu, u)
+    return float(total)

@@ -139,7 +139,7 @@ def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES, eps=freeprob.DEFAULT_EP
     """The t = 0 Marchenko-Pastur law in closed form: (density, atom mass).
 
     Bulk rho = kappa sqrt((l+ - x)(x - l-)) / (2 pi x) on [l-, l+],
-    l+- = (1 +- kappa^-1/2)^2, on `freeprob.density`'s sin^2 grid, with
+    l+- = (1 +- kappa^-1/2)^2, on the compound-Poisson build's sin^2 grid, with
     Re g = -(kappa x + 1 - kappa) / (2 x), the real part of the roots of
     x g^2 + (kappa x + 1 - kappa) g + kappa; the two roots meet at the
     edges, so Re g there is the edge's critical point.  The point mass
@@ -149,7 +149,8 @@ def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES, eps=freeprob.DEFAULT_EP
     kappa = prior.kappa
     lam_m = (1.0 - kappa**-0.5) ** 2
     lam_p = (1.0 + kappa**-0.5) ** 2
-    x = lam_m + (lam_p - lam_m) * freeprob._sin2_grid(n_nodes)[0]
+    s2, _, sin2t = freeprob._theta_grid(n_nodes)[:3]
+    x = lam_m + (lam_p - lam_m) * s2
     with np.errstate(all="ignore"):
         rho = kappa * np.sqrt(np.maximum((lam_p - x) * (x - lam_m), 0.0)) / (2 * np.pi * x)
         re_g = -(kappa * x + 1.0 - kappa) / (2.0 * x)
@@ -162,10 +163,11 @@ def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES, eps=freeprob.DEFAULT_EP
         eps=eps,
         intervals=((lam_m, lam_p),),
         x=(x,),
+        dxdtheta=((lam_p - lam_m) * sin2t,),
         rho=(rho,),
         re_g=(re_g,),
         critical=((re_g[0], re_g[-1]),),
-        dgdz=(dgdz,),
+        re_dgdz=(dgdz.real,),
     )
     return dens, max(1.0 - kappa, 0.0)
 

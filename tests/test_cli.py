@@ -328,6 +328,24 @@ BAD_FLAGS = [
                   "--kappa-steps", "0"], id="kappa-steps-zero"),
 ]
 
+# values each command's config classes reject in their own checks
+OUT_OF_RANGE = [
+    pytest.param(["gd", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--learning-rate", "-1"],
+                 "learning_rate must be positive", id="gd-learning-rate"),
+    pytest.param(["gd-scan", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--l2", "-1"],
+                 "l2 must be nonnegative", id="gd-scan-l2"),
+    pytest.param(["gamp", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--damping", "0.9"],
+                 "damping must be in [0, 0.5]", id="gamp-damping"),
+    pytest.param(["gamp", "--d", "20", "--kappa", "-1", "--alphas", "0.3"],
+                 "kappa must be positive", id="gamp-kappa"),
+    pytest.param(["se-curve", "--kappas", "0.5,-0.5", "--alphas", "0.3"],
+                 "kappa must be positive", id="se-curve-kappas"),
+    pytest.param(["phase-diagram", "--kappas", "0.5", "--alphas", "0.3", "--delta", "-0.1"],
+                 "delta must be nonnegative", id="phase-diagram-delta"),
+    pytest.param(["denoise-mc", "--kappas", "-1", "--deltas", "0.5"],
+                 "kappa must be positive", id="denoise-mc-kappas"),
+]
+
 
 class TestConfigTypes:
     @pytest.fixture
@@ -354,6 +372,15 @@ class TestConfigTypes:
         rc, out, err = run_cli(argv, capsys)
         assert rc == 2
         assert err.startswith("usage error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,message", OUT_OF_RANGE)
+    def test_out_of_range_value_is_usage_error(self, argv, message, capsys, no_cells):
+        # GdConfig, GampOptions and ProblemParams or PriorSpectrum are built
+        # once before any cell runs; a cell that runs fails the test
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == 2
+        assert err.startswith(f"usage error: {argv[0]}: {message}")
         assert out == ""
 
     def test_learning_rate_and_integral_float_are_converted(self, tmp_path, capsys):
@@ -426,9 +453,8 @@ class TestRunner:
         keys = [
             {"alpha": 0.2, "kappa": 0.5},
             {"alpha": 0.45, "kappa": 0.5},
-            # quadrature noise amplified by 1/alpha trips the overlap range
-            # check at such extreme sample ratios
-            {"alpha": 1e-6, "kappa": 0.5},
+            # solve_qhat rejects alpha = 0
+            {"alpha": 0.0, "kappa": 0.5},
         ]
         cell = functools.partial(_fixed_point, with_free_entropy=False)
         values, failed = cli._run_cells(cell, keys, 3, threads)
@@ -437,7 +463,7 @@ class TestRunner:
         assert values[1][2] == "supercritical"
         assert all(math.isnan(v) for v in values[2])
         assert math.isnan(values[0][1])
-        assert "cell alpha=1e-06 kappa=0.5: " in capsys.readouterr().err
+        assert "cell alpha=0.0 kappa=0.5: ValueError: " in capsys.readouterr().err
 
     def test_free_entropy_computed_when_requested(self):
         cell = functools.partial(_fixed_point, with_free_entropy=True)

@@ -212,16 +212,20 @@ class TestStieltjes:
         # at kappa t = 3e-13 the oracle's homotopy once ended on the
         # conjugate or spurious branch at 4 of these 230 nodes (Im g < 0, up
         # to 1.0 relative off the density); every 7th node of both intervals
+        # (against `_grid_slope`, the on-support solve of `hilbert`, at the
+        # nodes of the sin^2 grid in x)
         kappa, t = 3e-4, 1e-9
         prior = PriorSpectrum.marchenko_pastur(kappa)
         dens = density(prior, t)
         assert len(dens.intervals) == 2
         off = []
-        for (l, u), x, rho, re_g in zip(dens.intervals, dens.x, dens.rho, dens.re_g):
+        for (l, u), critical in zip(dens.intervals, dens.critical):
             eps = min(dens.eps, 1e-5 * (u - l))
+            x = l + (u - l) * fp._theta_grid(fp.DEFAULT_NODES)[0]
+            g_grid = fp._grid_slope(prior, t, x, eps, ((l, u), critical))[0]
             for i in range(1, len(x) - 1, 7):
                 g = stieltjes(prior, t, complex(x[i], eps)).g
-                ref = re_g[i] + 1j * np.pi * rho[i]
+                ref = g_grid[i]
                 if not (g.imag > 0.0 and abs(g - ref) <= 1e-12 * abs(ref)):
                     off.append((float(x[i]), g, ref))
         assert not off, off
@@ -404,14 +408,16 @@ class TestRealCubicPair:
     def test_just_before_a_merge_matches_companion_path(self, kappa, t):
         # two intervals 1e-11 apart: next to this cusp the square-root law at
         # the nearest edge is no start for the near-edge nodes (up to 9e-2
-        # off when taken), but the quadratic about the pair root is
+        # off when taken), but the quadratic about the pair root is.  The
+        # points are the interior nodes of the compound-Poisson build's grid
         mp = PriorSpectrum.marchenko_pastur(kappa)
         cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
-        dens, dens_cp = density(mp, t), density(cp, t)
-        assert len(dens.intervals) == 2
-        for rho, re_g, rho_cp, re_g_cp in zip(dens.rho, dens.re_g, dens_cp.rho, dens_cp.re_g):
-            g = (re_g + 1j * np.pi * rho)[1:-1]
-            g_cp = (re_g_cp + 1j * np.pi * rho_cp)[1:-1]
+        dens_cp = density(cp, t)
+        assert len(dens_cp.intervals) == 2
+        for (l, u), critical, x in zip(dens_cp.intervals, dens_cp.critical, dens_cp.x):
+            eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+            g = fp._grid_slope(mp, t, x[1:-1], eps, ((l, u), critical))[0]
+            g_cp = fp._grid_slope(cp, t, x[1:-1], eps, ((l, u), critical))[0]
             assert np.max(np.abs(g - g_cp) / np.abs(g_cp)) < 1e-11
 
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
@@ -428,23 +434,23 @@ class TestRealCubicPair:
 
     @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
     def test_edge_points_match_extended_precision_stieltjes(self, kappa):
-        # the end nodes of the density's grid and the points 1e-16..1e-3
-        # widths inside each edge take the edge path: a start from the
-        # square-root law, then Newton's method in extended precision.  The
-        # points are solved as `hilbert` solves them, with the interval's
-        # edges and critical points
+        # the edges themselves and the points 1e-16..1e-3 widths inside each
+        # edge take the edge path: a start from the square-root law, then
+        # Newton's method in extended precision.  The points are solved as
+        # `hilbert` solves them, with the interval's edges and critical
+        # points; the edges on their own, as the grid's end nodes once were
         mp = PriorSpectrum.marchenko_pastur(kappa)
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
-            for (l, u), critical, xg, rho, re_g, (_, _, x, _) in zip(
-                dens.intervals, dens.critical, dens.x, dens.rho, dens.re_g, self._points(dens)
+            for (l, u), critical, xg, (_, _, x, _) in zip(
+                dens.intervals, dens.critical, dens.x, self._points(dens)
             ):
                 eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
                 x = x[len(xg):]
                 g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
-                ends = re_g[[0, -1]] + 1j * np.pi * rho[[0, -1]]
-                g = np.concatenate([ends, g])
-                x = np.concatenate([xg[[0, -1]], x])
+                ends = np.array([l, l + (u - l)])
+                g = np.concatenate([fp._grid_slope(mp, t, ends, eps, ((l, u), critical))[0], g])
+                x = np.concatenate([ends, x])
                 ref = np.array([stieltjes(mp, t, complex(xi, eps)).g for xi in x])
                 assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12, (t, l, u)
                 h = fp.hilbert(mp, t, x[2:], dens=dens)
@@ -457,6 +463,12 @@ class TestRealCubicPair:
         # then takes the safeguarded polish from its pair root, and the end
         # nodes restart from the admissible root; both land on the same roots
         dens = density(prior, t, n_nodes=201)
+        # the sin^2 grid in x, and its roots from the steps that do not fail
+        grids = [l + (u - l) * fp._theta_grid(201)[0] for l, u in dens.intervals]
+        refs = [
+            fp._grid_slope(prior, t, xg, min(fp.DEFAULT_EPS, 1e-5 * (u - l)), ((l, u), critical))[0]
+            for (l, u), critical, xg in zip(dens.intervals, dens.critical, grids)
+        ]
         horner, polish, newton = fp._cubic_horner, fp._newton_polish, fp._extended_newton
         polished = []
 
@@ -479,14 +491,11 @@ class TestRealCubicPair:
         monkeypatch.setattr(fp, "_cubic_horner", failing_horner)
         monkeypatch.setattr(fp, "_extended_newton", failing_newton)
         monkeypatch.setattr(fp, "_newton_polish", recording)
-        for (l, u), critical, xg, rho, re_g in zip(
-            dens.intervals, dens.critical, dens.x, dens.rho, dens.re_g
-        ):
+        for (l, u), critical, xg, ref in zip(dens.intervals, dens.critical, grids, refs):
             polished.clear()
             failing_horner.calls = failing_newton.calls = 0
             g = fp._grid_slope(prior, t, xg, min(fp.DEFAULT_EPS, 1e-5 * (u - l)), ((l, u), critical))[0]
             assert polished == [len(xg) - 2, 2] and failing_newton.calls == 2
-            ref = re_g + 1j * np.pi * rho
             assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -499,17 +508,71 @@ class TestRealCubicPair:
         # node of MP(0.361) at t = 0.00562 had rho 3% low, and the point
         # 1e-7 widths (8.7e-7) inside the right edge of MP(0.211) at
         # t = 0.001, solved with the other near-edge points, was 1.9e-4 off
+        # (the end node, solved with the near-edge points, gets the bits it
+        # gets on its own)
         mp = PriorSpectrum.marchenko_pastur(kappa)
         dens = density(mp, t, n_nodes=401)
         (l, u), critical = dens.intervals[-1], dens.critical[-1]
         eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
         hs = np.geomspace(1e-16, 1e-3, 14)
-        x = np.concatenate([dens.x[-1][[-1]], u - hs * (u - l)])
+        x = np.concatenate([[l + (u - l)], u - hs * (u - l)])
         g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
-        assert g[0] == dens.re_g[-1][-1] + 1j * np.pi * dens.rho[-1][-1]
+        assert g[0] == fp._grid_slope(mp, t, x[:1], eps, ((l, u), critical))[0][0]
         i = 0 if h == 0.0 else 1 + int(np.argmin(np.abs(np.log(hs / h))))
         ref = stieltjes(mp, t, complex(x[i], eps)).g
         assert abs(g[i] - ref) / abs(ref) < 1e-12
+
+
+def real_axis_root(prior, t, x, width):
+    """g(x + i0) at a real x of the support, independent of the build: the
+    `stieltjes` oracle at the offset 1e-16 width, then Newton's method on
+    P_x(g) in extended precision at x itself."""
+    g = np.clongdouble(stieltjes(prior, t, complex(x, 1e-16 * width)).g)
+    coeffs = fp._coeffs_desc(prior, t, np.array([x]))[0].real.astype(np.longdouble)
+    for _ in range(4):
+        p = dp = np.clongdouble(0.0)
+        for c in coeffs:
+            dp = dp * g + p
+            p = p * g + c
+        g = g - p / dp
+    return complex(g)
+
+
+class TestClosedFormBuild:
+    @pytest.mark.parametrize(
+        "kappa,t",
+        [(0.5, 0.5), (0.5, 1e-3), (2.0, 1e-4), (0.1, 5.0), (1.0, 1e-6), (3e-4, 1e-9),
+         (0.5, 0.036), (0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)],
+        ids=["mp0.5", "mp0.5-split", "mp2", "mp0.1", "mp1-hard-edge", "thin-bulk",
+             "after-merge", "before-merge", "mp0.95-before-merge"],
+    )
+    def test_nodes_match_real_axis_reference(self, kappa, t):
+        # every 20th node at least 1e-4 widths inside its interval: the worst
+        # measured is 2.1e-13 (MP(0.95) before its merge).  Closer to an
+        # edge a double x no longer pins g to 1e-12, most of all next to a
+        # merge, where the nodes come within 1e-13 of the cusp
+        prior = PriorSpectrum.marchenko_pastur(kappa)
+        dens = density(prior, t)
+        off = []
+        for (l, u), x, rho, re_g in zip(dens.intervals, dens.x, dens.rho, dens.re_g):
+            inner = (x - l >= 1e-4 * (u - l)) & (u - x >= 1e-4 * (u - l))
+            for i in np.flatnonzero(inner)[::20]:
+                ref = real_axis_root(prior, t, x[i], u - l)
+                g = re_g[i] + 1j * np.pi * rho[i]
+                if not abs(g - ref) <= 1e-12 * abs(ref):
+                    off.append((float(x[i]), g, ref))
+        assert not off, off
+
+    def test_end_nodes_are_the_edges(self):
+        # rho is 0, Re g the critical point and Re dg/dz finite there
+        dens = density(MP05, 1e-3)
+        for (l, u), critical, x, rho, re_g, dz in zip(
+            dens.intervals, dens.critical, dens.x, dens.rho, dens.re_g, dens.re_dgdz
+        ):
+            assert (x[0], x[-1]) == (l, u) and np.all(np.diff(x) > 0)
+            assert rho[0] == rho[-1] == 0.0
+            assert re_g[[0, -1]] == pytest.approx(critical, rel=1e-15)
+            assert np.all(np.isfinite(dz))
 
 
 class TestSharedCoefficients:
@@ -580,13 +643,17 @@ class TestDensityInvariants:
     @pytest.mark.parametrize("name", sorted(PRIORS))
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
     def test_mass_mean_second_moment(self, name, t):
+        # the closed-form Marchenko-Pastur build is off by at most 4.4e-16 in
+        # mass and 3.0e-15 in the moments here; the bounds leave a factor 20.
+        # The compound-Poisson build keeps its evaluation offset's smearing
         prior = self.PRIORS[name]
+        mp = prior.kind == "marchenko_pastur"
         dens = density(prior, t, n_nodes=801)
-        assert dens.mass() == pytest.approx(1.0, abs=1e-4)
+        assert dens.mass() == pytest.approx(1.0, abs=1e-14 if mp else 1e-4)
         mean = dens.integrate([r * x for r, x in zip(dens.rho, dens.x)])
-        assert mean == pytest.approx(prior.mean, abs=1e-3)
+        assert mean == pytest.approx(prior.mean, abs=1e-13 if mp else 1e-3)
         second_moment = dens.integrate([r * x * x for r, x in zip(dens.rho, dens.x)])
-        assert second_moment == pytest.approx(prior.second_moment + t, abs=1e-3)
+        assert second_moment == pytest.approx(prior.second_moment + t, abs=1e-13 if mp else 1e-3)
 
     @pytest.mark.parametrize("name", sorted(PRIORS))
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
@@ -609,11 +676,18 @@ class TestDensityInvariants:
 
     @pytest.mark.parametrize("t", [0.05, 0.5])
     def test_unit_atom_compound_poisson_matches_mp(self, t):
+        # the two builds have different nodes, so their integrals are
+        # compared.  The compound-Poisson build is at an offset and needs
+        # 3201 nodes at t = 0.05, just after its intervals merged (mass 2.4e-7
+        # off on 801); there the mass differs by 1.2e-8 and int rho^3 by
+        # 9.3e-8 relative, at t = 0.5 by 4.8e-9 and 2.2e-8
         mp = density(MP05, t, n_nodes=801)
-        cp = density(self.PRIORS["cp_unit"], t, n_nodes=801)
+        cp = density(self.PRIORS["cp_unit"], t, n_nodes=3201)
         assert np.max(np.abs(np.ravel(mp.intervals) - np.ravel(cp.intervals))) < 1e-9
-        for a, b in zip(mp.rho, cp.rho):
-            assert np.max(np.abs(a - b)) < 1e-8
+        for f in (lambda x: 1.0, lambda x: x, lambda x: x * x):
+            moment = [d.integrate([r * f(x) for r, x in zip(d.rho, d.x)]) for d in (mp, cp)]
+            assert moment[0] == pytest.approx(moment[1], abs=3e-8)
+        assert mp.cube_integral() == pytest.approx(cp.cube_integral(), rel=2e-7)
 
     def test_t_zero_marchenko_pastur_with_atom(self):
         dens, atom = mp_density_t0(MP05)
@@ -648,40 +722,60 @@ class TestDensityInvariants:
 
     def test_branch_selection_matches_continuation(self):
         # where spurious upper-half-plane roots exist (near the gap of a
-        # split support) the chosen branch must agree with continuation from
-        # high in the upper half plane
+        # split support) the branch `hilbert` solves on the support must
+        # agree with continuation from high in the upper half plane, at
+        # nodes of the sin^2 grid in x
         dens = density(MP05, 0.01)
-        for i in range(2):
-            idx = np.linspace(5, len(dens.x[i]) - 6, 12).astype(int)
-            x = dens.x[i][idx]
-            g_cont = homotopy_solve(MP05, 0.01, x, min(dens.eps, 1e-5 * np.diff(dens.intervals[i])[0]))
-            assert np.max(np.abs(dens.rho[i][idx] - g_cont.imag / np.pi)) < 1e-7
+        s2 = fp._theta_grid(fp.DEFAULT_NODES)[0]
+        for (l, u), critical in zip(dens.intervals, dens.critical):
+            x = (l + (u - l) * s2)[np.linspace(5, len(s2) - 6, 12).astype(int)]
+            eps = min(dens.eps, 1e-5 * (u - l))
+            g = fp._grid_slope(MP05, 0.01, x, eps, ((l, u), critical))[0]
+            g_cont = homotopy_solve(MP05, 0.01, x, eps)
+            assert np.max(np.abs(g.imag - g_cont.imag) / np.pi) < 1e-7
 
     def test_very_thin_bulk_keeps_mass(self):
-        # at t = 1e-8 the lower bulk has width ~ 1e-4; the evaluation offset
-        # must shrink with it or the mass leaks
+        # at t = 1e-8 the lower bulk has width ~ 1e-4; an evaluation offset
+        # had to shrink with it or the mass leaked.  The closed-form build
+        # has none, and its mass is 4.4e-16 off (bound: a factor 20 above)
         dens = density(MP05, 1e-8)
         assert len(dens.intervals) == 2
-        assert dens.mass() == pytest.approx(1.0, abs=1e-4)
+        assert dens.mass() == pytest.approx(1.0, abs=1e-14)
 
     def test_narrow_bulk_at_zero_kept_at_tiny_kappa(self):
         # the bulk near zero carries mass 1 - kappa but is ~1e-3 as tall as
         # wide; both intervals must be found and their masses kept
+        # (mass 4.4e-16 off; bound a factor 20 above)
         dens = density(PriorSpectrum.marchenko_pastur(3e-4), 0.5211524781096064, n_nodes=801)
         assert len(dens.intervals) == 2
-        assert dens.mass() == pytest.approx(1.0, abs=1e-4)
+        assert dens.mass() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("t", [1e-9, 1e-10])
     def test_bulk_at_zero_at_tiny_kappa_and_t(self, t):
         # at kappa t ~ 1e-13 the build once lost 1.7e-3 of the bulk at zero
-        # (t = 1e-9) or raised NoAdmissibleRoot (t = 1e-10); what is left is
-        # the offset's smearing, 2.5e-5 of the bulk's mass
+        # (t = 1e-9) or raised NoAdmissibleRoot (t = 1e-10), and later the
+        # evaluation offset smeared 2.5e-5 of the bulk's mass away.  The
+        # bulk spans 1e-11 of s = |g|^2; the closed-form build keeps its
+        # mass and the total to 2.2e-16 at both t (bounds: a factor 45 above)
         kappa = 3e-4
         dens = density(PriorSpectrum.marchenko_pastur(kappa), t)
         assert len(dens.intervals) == 2
         bulk = float(np.dot(dens.weights[0], dens.rho[0]))
-        assert bulk == pytest.approx(1.0 - kappa, rel=1e-4)
-        assert dens.mass() == pytest.approx(1.0, abs=1e-4)
+        assert bulk == pytest.approx(1.0 - kappa, rel=1e-14)
+        assert dens.mass() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-9])
+    def test_bulk_at_zero_holds_the_atom(self, t):
+        # MP(0.3)'s atom at zero, w0 = 0.7, spreads into a bulk of that
+        # mass, and K t int rho^3 tends to w0^2 from above (measured
+        # 5.0e-2 t above it).  With an evaluation offset the bulk was 5.3e-6
+        # (t = 1e-6) and 1.8e-5 (t = 1e-9) short, and K t int rho^3 9.9e-6
+        # and 3.3e-5 below w0^2, on 801 to 12801 nodes alike
+        dens = density(PriorSpectrum.marchenko_pastur(0.3), t)
+        assert len(dens.intervals) == 2
+        assert float(np.dot(dens.weights[0], dens.rho[0])) == pytest.approx(0.7, abs=1e-12)
+        excess = 4.0 * np.pi**2 / 3.0 * t * dens.cube_integral() - 0.49
+        assert 0.0 < excess < 0.1 * t
 
     def test_mass_over_kappa_and_t_grid(self):
         # every support interval found: a dropped interval loses its mass
@@ -711,6 +805,18 @@ class TestCubeIntegral:
         t = 1e4
         dens = density(MP05, t)
         assert dens.cube_integral() == pytest.approx(CUBE_SEMICIRCLE / t, rel=1e-3)
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0])
+    @pytest.mark.parametrize("t", [1e4, 1e8, 2e10])
+    def test_large_t_first_order_term(self, kappa, t):
+        # K t int rho^3 = 1 - Var / t + O(1/t^2), Var = 1/kappa the prior's
+        # variance.  There |g|^2 is within about Var / t^2 of 1/t across the
+        # support; with s_u - s_l taken from g_c(u) + g_c(l) the build lost
+        # 4.3e-5 of its mass at t = 2e10 (now 4.4e-16 at most)
+        dens = density(PriorSpectrum.marchenko_pastur(kappa), t)
+        assert dens.mass() == pytest.approx(1.0, abs=1e-14)
+        excess = (4.0 * np.pi**2 / 3.0 * t * dens.cube_integral() - 1.0) * t
+        assert excess == pytest.approx(-1.0 / kappa, rel=1e-3)
 
     def test_small_t_mp_limit_above_one(self):
         # kappa > 1: the t -> 0 density is the pure MP bulk, whose cube
@@ -868,12 +974,18 @@ class TestLogPotential:
         )
 
     def test_rescaling_shifts_by_log_c(self):
+        # c X for X ~ MP(kappa) (+) semicircle(t) is the law of the
+        # compound-Poisson prior with the one atom (c, 1) at t c^2
         c = 3.0
         dens = density(MP05, 0.5)
         scaled = dataclasses.replace(
             dens,
+            prior=PriorSpectrum.compound_poisson(MP05.kappa, ((c, 1.0),)),
+            t=c * c * dens.t,
             intervals=tuple((c * l, c * u) for l, u in dens.intervals),
+            critical=tuple((gl / c, gu / c) for gl, gu in dens.critical),
             x=tuple(c * x for x in dens.x),
+            dxdtheta=tuple(c * d for d in dens.dxdtheta),
             rho=tuple(r / c for r in dens.rho),
             re_g=tuple(g / c for g in dens.re_g),
         )

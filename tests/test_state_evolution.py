@@ -188,16 +188,42 @@ class TestSolveQhat:
     def test_readme_phase_diagram_noiseless_build_budget(self):
         # README's 20 x 30 grid at delta = 0: 2380 map points and up to 22 per
         # cell from the semicircle start with capped one-sided steps; 1929 and
-        # 9 with the start at QHAT_MAX, the fitted step and the ulp stop
+        # 9 with the start at QHAT_MAX, the fitted step and the ulp stop; 1911
+        # and 7 with the closed-form Marchenko-Pastur density.  That density
+        # also made the four cells on the threshold line alpha = alpha_pr,
+        # (0.2, 0.18), (0.4, 0.32), (0.6, 0.42) and (0.8, 0.48), supercritical:
+        # with the evaluation offset the map's limit read above
+        # 1 - 2 alpha - w0^2 there, and they converged at q_hat 1e4 to 2e6
         fps = [
             se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
             for kappa in np.linspace(0.1, 2.0, 20)
             for alpha in np.linspace(0.02, 0.6, 30)
         ]
         iterations = [fp.iterations for fp in fps]
-        assert sum(fp.status == "supercritical" for fp in fps) == 186
+        assert sum(fp.status == "supercritical" for fp in fps) == 190
         assert all(fp.status in ("converged", "supercritical") for fp in fps)
         assert sum(iterations) <= 1950 and max(iterations) <= 12
+
+    @pytest.mark.parametrize(
+        "alpha,kappa",
+        [
+            # README's phase-diagram and se-curve grid points on (within
+            # rounding of) alpha = kappa - kappa^2 / 2
+            (np.linspace(0.02, 0.6, 30)[8], np.linspace(0.1, 2.0, 20)[1]),
+            (np.linspace(0.02, 0.6, 30)[15], np.linspace(0.1, 2.0, 20)[3]),
+            (np.linspace(0.02, 0.6, 30)[20], np.linspace(0.1, 2.0, 20)[5]),
+            (np.linspace(0.02, 0.6, 30)[23], np.linspace(0.1, 2.0, 20)[7]),
+            (np.linspace(0.05, 0.6, 23)[13], 0.5),
+        ],
+    )
+    def test_threshold_line_cells_are_supercritical(self, alpha, kappa):
+        # the noiseless map has no root on the threshold line.  Built at an
+        # evaluation offset, the bulk at zero lost up to 1.8e-5 of its mass,
+        # K t int rho^3 read below w0^2 at large q_hat, and these cells
+        # converged at q_hat 1e4 to 2e6
+        assert abs(alpha - se.perfect_recovery_threshold(kappa)) < 1e-15
+        fp = se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
+        assert fp.status == "supercritical"
 
     @pytest.mark.parametrize(
         "prior",
@@ -249,14 +275,17 @@ class TestSolveQhat:
 
     def test_se_curve_semicircle_start_build_budget(self):
         # the same grid from the semicircle start: 195 map points, against
-        # 284 from q_hat = 2 alpha / Q0, with every status as it was
+        # 284 from q_hat = 2 alpha / Q0, with every status as it was.  The
+        # 14th cell, (0.375, 0.5), lies on the threshold line and is
+        # supercritical since the Marchenko-Pastur density has no evaluation
+        # offset (see test_threshold_line_cells_are_supercritical)
         fps = [
             se.solve_qhat(ProblemParams(alpha=alpha, kappa=kappa), with_free_entropy=False)
             for kappa in (0.5, 1.0)
             for alpha in np.linspace(0.05, 0.6, 23)
         ]
         statuses = "".join(fp.status[0] for fp in fps)
-        assert statuses == "c" * 14 + "s" * 9 + "c" * 18 + "s" * 5
+        assert statuses == "c" * 13 + "s" * 10 + "c" * 18 + "s" * 5
         assert sum(fp.iterations for fp in fps) <= 195
 
     @pytest.mark.parametrize("delta,budget,n_super", [(0.1, 380, 0), (0.0, 398, 30)])

@@ -39,6 +39,38 @@ class TestReadmeCsvsDiff:
         assert readme_csvs.readme_commands(text) == [["se-curve", "--kappas", "0.5", "--out", "se.csv"]]
 
 
+class TestReadmeCsvsDiffSummary:
+    OLD = (
+        '# {"config": {}}\n'
+        "alpha,kappa,mmse,q_hat,status,converged\n"
+        "0.1,0.5,0.25,2.5,converged,1\n"
+        "0.2,0.5,0.125,9918.963876476015,converged,1\n"
+        "0.3,0.5,0,inf,supercritical,0\n"
+        "0.4,0.5,nan,nan,failed,0\n"
+    )
+
+    def test_identical_texts(self):
+        assert readme_csvs.diff_summary("pd.csv", self.OLD, self.OLD) == "pd.csv: 0 of 4 rows changed"
+
+    def test_largest_change_per_column_and_flips(self):
+        new = (self.OLD.replace("0.125,9918.963876476015", "0.12500000125,9918.963876629428")
+               .replace("0.25,2.5", "0.2500000001,2.5"))
+        assert readme_csvs.diff_summary("pd.csv", self.OLD, new) == (
+            "pd.csv: 2 of 4 rows changed; largest relative change "
+            "mmse 1e-08 (line 4), q_hat 1.5e-11 (line 4)"
+        )
+        new = self.OLD.replace("0,inf,supercritical,0", "0,1000000.0,converged,1")
+        assert readme_csvs.diff_summary("pd.csv", self.OLD, new) == (
+            "pd.csv: 1 of 4 rows changed; largest relative change q_hat inf (line 5); "
+            "flips status supercritical->converged (line 5), converged 0->1 (line 5)"
+        )
+
+    def test_rows_only_one_side_has(self):
+        new = self.OLD + "0.5,0.5,0,inf,supercritical,0\n"
+        assert readme_csvs.diff_summary("pd.csv", self.OLD, new) == "pd.csv: 1 of 5 rows changed"
+        assert readme_csvs.diff_summary("pd.csv", "", self.OLD) == "pd.csv: 4 of 4 rows changed"
+
+
 class TestReadmeCsvsLineCounts:
     def test_counts_lines_per_module(self, tmp_path):
         (tmp_path / "pkg" / "sub").mkdir(parents=True)

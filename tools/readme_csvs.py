@@ -16,16 +16,21 @@ to standard error.
 
 `--save DIR` copies each CSV into DIR.  `--diff DIR` compares each CSV
 with the one of the same name in DIR and prints every row that changed,
-`<csv name>:<line> <old row> -> <new row>`, so a change's moved rows can
-be listed against a run of its parent:
+`<csv name>:<line> <old row> -> <new row>`, then one summary line: how
+many rows changed, the largest relative change of each numeric column
+with its line, and every line where a `status`, `converged` or `failed`
+value flipped.  So a change's moved rows can be listed against a run of
+its parent:
 
     python3 tools/readme_csvs.py --save /tmp/before se-curve   # parent
     python3 tools/readme_csvs.py --diff /tmp/before se-curve   # change
 """
 
 import argparse
+import csv
 import hashlib
 import itertools
+import math
 import os
 import pathlib
 import re
@@ -62,6 +67,58 @@ def diff_rows(name, old, new):
         )
         if a != b
     ]
+
+
+FLAG_COLUMNS = ("status", "converged", "failed")
+
+
+def _relative_change(old, new):
+    """|new - old| / |old| of two CSV fields, None unless both are numbers;
+    infinite where one side is not finite or old is zero and they differ."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return None
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)) or a == 0.0:
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def diff_summary(name, old, new):
+    """One line on the CSV texts old and new, compared line by line:
+    `<name>: <k> of <n> rows changed`, then the largest relative change of
+    each other numeric column that moved with its line, then each flip of a
+    `FLAG_COLUMNS` value as `<column> <old>-><new> (line <i>)`."""
+    columns, rows, changed, largest, flips = None, 0, 0, {}, []
+    for i, (a, b) in enumerate(itertools.zip_longest(old.splitlines(), new.splitlines()), start=1):
+        if (a or b or "#").startswith("#"):
+            continue
+        if columns is None:
+            columns = next(csv.reader([b or a]))
+            continue
+        rows += 1
+        if a == b:
+            continue
+        changed += 1
+        if a is None or b is None:
+            continue
+        for col, x, y in zip(columns, next(csv.reader([a])), next(csv.reader([b]))):
+            if col in FLAG_COLUMNS:
+                if x != y:
+                    flips.append(f"{col} {x}->{y} (line {i})")
+                continue
+            rel = _relative_change(x, y)
+            if rel and rel > largest.get(col, (0.0,))[0]:
+                largest[col] = (rel, i)
+    out = f"{name}: {changed} of {rows} rows changed"
+    if largest:
+        out += "; largest relative change " + ", ".join(
+            f"{col} {rel:.2g} (line {i})" for col, (rel, i) in largest.items())
+    if flips:
+        out += "; flips " + ", ".join(flips)
+    return out
 
 
 def line_counts(src):
@@ -109,6 +166,7 @@ def main(argv=None):
                 texts = [path.read_text() if path.exists() else "" for path in (old, csv)]
                 for line in diff_rows(out, *texts):
                     print(line, flush=True)
+                print(diff_summary(out, *texts), flush=True)
             failed |= code != 0
     counts = line_counts(ROOT / "src")
     print(f"src lines: {sum(counts.values())} total, "
