@@ -123,6 +123,12 @@ class _Teacher(_AlphaGrid):
     def params(self, alpha):
         return ProblemParams(alpha=alpha, kappa=self.kappa, delta=self.delta)
 
+    def problems(self, alphas):
+        """Every cell's `params`, after the check of d that `model.generate`
+        makes in each cell."""
+        model.check_dimension(self.d)
+        return [self.params(a) for a in alphas]
+
     def teacher(self, alpha, seed):
         """A cell's problem, its state-evolution fixed point and its instance."""
         params = self.params(alpha)
@@ -145,7 +151,7 @@ class Gamp(_Teacher):
         if self.n_seeds < 1:
             raise UsageError("n_seeds must be at least 1")
         alphas = _grid(self, "alpha")
-        _checked(lambda: (self.options(self.seed), [self.params(a) for a in alphas]))
+        _checked(lambda: (self.options(self.seed), self.problems(alphas)))
         seeds = [self.seed + i for i in range(self.n_seeds)]
         header = self.echo(alphas=alphas, seeds=seeds)
         del header["seed"], header["n_seeds"]
@@ -243,8 +249,7 @@ class Gd(_Descent):
 
     def grid(self):
         alphas = _grid(self, "alpha")
-        _checked(lambda: (self.descent(self.seed, max(1, self.n_inits)),
-                          [self.params(a) for a in alphas]))
+        _checked(lambda: (self.descent(self.seed, max(1, self.n_inits)), self.problems(alphas)))
         keys = [{"alpha": a, "rep": rep, "seed": self.seed + 37 * rep + 9973 * i}
                 for i, a in enumerate(alphas) for rep in range(self.reps)]
         return self.echo(alphas=alphas), keys
@@ -272,7 +277,8 @@ class GdScan(_Descent):
     def table(self):
         """One scan of pool cells: a failure is the command's, not a cell's."""
         alphas = _grid(self, "alpha")
-        _checked(lambda: (self.descent(self.seed, self.n_inits), [self.params(a) for a in alphas]))
+        _checked(lambda: (gd.check_scan(alphas, self.descent(self.seed, self.n_inits)),
+                          self.problems(alphas)))
         try:
             result = gd.trivialization_scan(self.d, self.kappa, self.delta, alphas,
                                             self.descent(self.seed, self.n_inits),

@@ -27,14 +27,18 @@ real and increasing in x with phi(g) = x, phi(g) = -t*g + R(-g) - 1/g, and
 the support edges are critical values of phi, left edges at its local maxima
 and right edges at its local minima.  So the sign of phi'' at the critical
 points sorts the support, and off it g is a Newton solve on the arc of phi
-between the neighbouring edges' critical points.
+between the neighbouring edges' critical points.  For the MP prior the
+critical points lie one to a bracket of known structure, each found by
+Newton's method on phi' (`_mp_critical_points`); for the compound-Poisson
+prior they are the real companion eigenvalues of phi'(g) = 0 cleared of
+denominators.
 
 On the support the MP density needs no root solve: there Im phi(g) = 0
 is a curve that is explicit in s = |g|^2, from one edge's critical point
 to the other's, and `_mp_interval` samples it in closed form on the real
-axis.  The compound-Poisson density is solved at x + i*eps: the general
-root solver is the companion matrix, whose eigenvalues give all branches
-of g at complex z.  `hilbert` solves g at each eigenvalue on the support
+axis.  The compound-Poisson density is solved at x + i*eps: its root
+solver is the companion matrix, whose eigenvalues give all branches of g
+at complex z.  `hilbert` solves g at each eigenvalue on the support
 at x + i*eps too; for the MP prior, at real x the cubic's coefficients are
 real and the physical g is the upper member of its one complex-conjugate
 root pair (real Cardano, then Newton's method at x + i*eps).  At the
@@ -88,13 +92,17 @@ class PriorSpectrum:
         Atom law of the diagonal variance profile D.  The default single atom
         (1, 1) gives the plain Marchenko-Pastur law of parameter kappa.
     kind : str
-        Either ``"marchenko_pastur"`` or ``"compound_poisson"``.  Both kinds
-        share the companion-matrix solver; on the support the
-        Marchenko-Pastur kind takes its own paths instead: the closed-form
-        curve for its density (`_mp_interval`) and the real pair for
-        `hilbert` (`_mp_branch`).  With atoms ((1, 1),) they describe the
-        same measure, which the tests use to check one path against the
-        other.
+        Either ``"marchenko_pastur"`` or ``"compound_poisson"``.  The
+        compound-Poisson kind finds its support edges and its density by
+        companion-matrix eigenvalues; the Marchenko-Pastur kind takes its
+        own paths, which need no eigensolver: bracketed Newton for the
+        critical points of phi at its edges (`_mp_critical_points`), the
+        closed-form curve for its density (`_mp_interval`) and the real
+        pair for `hilbert` (`_mp_branch`, which falls back on the companion
+        root only where Newton's method next to an edge does not
+        converge).  With atoms ((1, 1),) they
+        describe the same measure, which the tests use to check one path
+        against the other.
     """
 
     kappa: float
@@ -493,8 +501,8 @@ def _phi(prior, t, g):
 
 @functools.lru_cache(maxsize=64)
 def _critical_poly(prior):
-    """The prior's parts of phi'(g) = 0 cleared of denominators,
-    Pi^2 - t g^2 Pi^2 - sum_k p_k kappa a_k^2 g^2 Pi_k^2 with
+    """The compound-Poisson prior's parts of phi'(g) = 0 cleared of
+    denominators, Pi^2 - t g^2 Pi^2 - sum_k p_k kappa a_k^2 g^2 Pi_k^2 with
     Pi(g) = prod_k (kappa + a_k g) and Pi_k without its own factor.
 
     Returns the descending coefficients of Pi^2, of g^2 Pi^2 and of each
@@ -522,14 +530,9 @@ def _critical_poly(prior):
     return desc(pi2, 0), desc(pi2, 2), tuple(terms), companion, poles
 
 
-def _edge_candidates(prior, t):
-    """Real critical points g_c of phi and their images z = phi(g_c), as
-    (z, g_c) sorted by z, collided values kept once.
-
-    phi'(g) = 0 cleared of denominators is a polynomial of degree
-    2 + 2 * #atoms (`_critical_poly`); every support edge is among its real
-    critical values.  Its few real roots are sifted as Python floats.
-    """
+def _companion_candidates(prior, t):
+    """(phi(g_c), g_c) at the real companion eigenvalues g_c of the cleared
+    phi'(g) = 0 (`_critical_poly`) that are not on a pole of phi."""
     pi2, tpart, terms, companion, poles = _critical_poly(prior)
     poly = pi2 - t * tpart
     for term in terms:
@@ -551,8 +554,145 @@ def _edge_candidates(prior, t):
                 candidates.append((zc, root.real))
     if not candidates:
         raise EdgeDetectionFailed(f"no real critical points for t={t}")
+    return candidates
+
+
+def _mp_critical_points(kappa, t):
+    """The real critical points of the Marchenko-Pastur phi, t > 0.
+
+    phi'(g) = 1/g^2 - t - kappa/(kappa + g)^2, and phi''(g) vanishes at
+    the one real point g* = kappa / (kappa^(1/3) - 1) (Biane 1997), so each
+    root of phi' lies in a bracket of known structure: one in
+    (0, 1/sqrt(t)), one in (max(-kappa, -1/sqrt(t)), 0), and for kappa < 1
+    one on each side of g* in (-1/sqrt(t), -kappa), which exist exactly
+    when phi'(g*) > 0, that is for t < t_c = (1 - kappa^(1/3))^3 / kappa^2.
+    phi' changes sign once in each bracket.  Each root is
+    `_bracketed_newton` from the bracket's root of `_ferrari_starts` (its
+    midpoint where there is none: the starts lose roots at very large or
+    small t and next to a merge).
+    """
+    rt = 1.0 / math.sqrt(t)
+    # (lo, hi, whether phi' rises across the root)
+    brackets = [(0.0, rt, False), (max(-kappa, -rt), 0.0, True)]
+    if kappa < 1.0:
+        c = kappa ** (1.0 / 3.0)
+        if t < (1.0 - c) ** 3 / c**6:  # t_c, which is 0 where c rounds to 1
+            gs = kappa / (c - 1.0)
+            brackets += [(-rt, gs, True), (gs, -kappa, False)]
+    starts = _ferrari_starts(kappa, t)
+    roots = []
+    for lo, hi, rising in brackets:
+        for g in starts:
+            if lo < g < hi:
+                break
+        else:
+            g = 0.5 * (lo + hi)
+        roots.append(_bracketed_newton(kappa, t, g, lo, hi, rising))
+    return roots
+
+
+def _bracketed_newton(kappa, t, g, lo, hi, rising):
+    """Root of the Marchenko-Pastur phi' in (lo, hi), where it changes sign
+    once, rising or falling, by Newton's method from g in Python floats.
+
+    Each iterate narrows the bracket by the sign of phi'; a start or step
+    that leaves it is replaced by its midpoint.  An iterate where phi' is
+    exactly zero is the root.  Iteration stops after a step below
+    1e-9 |g|, which leaves an error of about its square.
+    """
+    rk = math.sqrt(kappa)
+    a, b = (1.0 - kappa) / (1.0 + rk), 1.0 + rk
+    for _ in range(200):
+        if not lo < g < hi:
+            g = 0.5 * (lo + hi)
+        kg = kappa + g
+        w = g * kg
+        f = (kappa + a * g) * (kappa + b * g) / (w * w) - t
+        if f == 0.0:
+            return g
+        if (f < 0.0) == rising:
+            lo = g
+        else:
+            hi = g
+        d = 2.0 * (kappa / (kg * kg * kg) - 1.0 / (g * g * g))
+        if d == 0.0:
+            continue
+        step = f / d
+        g -= step
+        if abs(step) <= 1e-9 * abs(g):
+            break
+    return g
+
+
+def _ferrari_starts(kappa, t):
+    """Real roots of phi'(g) = 0 for the Marchenko-Pastur prior by
+    Ferrari's method, as starts for `_bracketed_newton`.
+
+    In y = 1 + kappa / g the equation is the monic quartic
+    (y - 1)^2 (y^2 - kappa) = t kappa^2 y^2; with y = x + 1/2 it is
+    x^4 + p x^2 + q x + r, p = -1/2 - kappa - T, q = kappa - T,
+    r = 1/16 - (kappa + T)/4, T = t kappa^2.  Its resolvent cubic's largest
+    root m > 0 splits it into the quadratics
+    x^2 -+ s x + p/2 + m +- q/(2 s), s = sqrt(2 m).  Not every root is
+    accurate or found: the brackets of `_mp_critical_points` sift them.
+    """
+    big = t * kappa * kappa
+    p = -0.5 - kappa - big
+    q = kappa - big
+    r = 0.0625 - 0.25 * (kappa + big)
+    # m^3 + p m^2 + (p^2/4 - r) m - q^2/8, depressed with m = w - p/3
+    b = 0.25 * p * p - r
+    pd = b - p * p / 3.0
+    qd = p * (2.0 * p * p / 27.0 - b / 3.0) - 0.125 * q * q
+    disc = 0.25 * qd * qd + pd * pd * pd / 27.0
+    if disc > 0.0:
+        u = -0.5 * qd - math.copysign(math.sqrt(disc), qd)
+        u = math.copysign(abs(u) ** (1.0 / 3.0), u)
+        w = u - pd / (3.0 * u)
+    elif pd < 0.0:
+        rr = math.sqrt(-pd / 3.0)
+        w = 2.0 * rr * math.cos(math.acos(max(-1.0, min(1.0, 1.5 * qd / (pd * rr)))) / 3.0)
+    else:
+        w = 0.0
+    m = w - p / 3.0
+    if not m > 0.0:
+        return []
+    s = math.sqrt(2.0 * m)
+    starts = []
+    for sign in (1.0, -1.0):
+        d = -2.0 * (p + m + sign * q / s)
+        if d >= 0.0:
+            for y in (0.5 * (sign * s + math.sqrt(d)) + 0.5, 0.5 * (sign * s - math.sqrt(d)) + 0.5):
+                if y != 1.0:
+                    starts.append(kappa / (y - 1.0))
+    return starts
+
+
+def _edge_candidates(prior, t):
+    """Real critical points g_c of phi and their images z = phi(g_c), as
+    (z, g_c) sorted by z, collided values kept once.
+
+    Every support edge is among the real critical values.  For the
+    Marchenko-Pastur prior the critical points are `_mp_critical_points`,
+    one per bracket of known structure.  For the compound-Poisson prior
+    phi'(g) = 0 cleared of denominators is a polynomial of degree
+    2 + 2 * #atoms (`_critical_poly`), whose few real companion eigenvalues
+    are sifted as Python floats.
+    """
+    if prior.kind == "marchenko_pastur":
+        kappa = prior.kappa
+        candidates = [
+            (-t * g + kappa / (kappa + g) - 1.0 / g, g) for g in _mp_critical_points(kappa, t)
+        ]
+    else:
+        candidates = _companion_candidates(prior, t)
+    return _collided_once(candidates)
+
+
+def _collided_once(candidates):
+    """Candidates (z, g_c) as the arrays (z, g_c) sorted by z, each run of
+    critical values within 1e-11 (1 + |z|) of its first kept once."""
     candidates.sort()
-    # dedupe collisions
     out = candidates[:1]
     for zc, gc in candidates[1:]:
         if zc - out[-1][0] > 1e-11 * (1.0 + abs(zc)):
@@ -582,12 +722,15 @@ def support_edges(prior: PriorSpectrum, t: float):
     -------
     tuple of (left, right) pairs, ascending.
     """
-    return tuple(interval for interval, _ in _support(prior, t))
+    return tuple(interval for interval, *_ in _support(prior, t))
 
 
 def _support(prior, t):
-    """`support_edges` with the critical point of phi at each edge:
-    ((l, u), (g_c(l), g_c(u))) per interval."""
+    """`support_edges` with the critical point of phi at each edge and the
+    candidates between them: ((l, u), (g_c(l), g_c(u)), inner) per interval,
+    inner the (z, g_c) of the candidates inside it.  A Marchenko-Pastur
+    interval has one there after two intervals merged, the one of the
+    collided pair of critical values that was kept."""
     if t <= 0:
         raise ValueError("support_edges requires t > 0 (t = 0 edges are analytic)")
     zc, gc = _edge_candidates(prior, t)
@@ -596,14 +739,11 @@ def _support(prior, t):
     on = [False, *(not c0 > 0.0 > c1 for c0, c1 in zip(curv, curv[1:])), False]
     edges = [i for i in range(len(zc)) if on[i] != on[i + 1]]
     support = tuple(
-        ((zc[i], zc[j]), (gc[i], gc[j])) for i, j in zip(edges[::2], edges[1::2])
+        ((zc[i], zc[j]), (gc[i], gc[j]), tuple((zc[k], gc[k]) for k in range(i + 1, j)))
+        for i, j in zip(edges[::2], edges[1::2])
     )
     if not support:
         raise EdgeDetectionFailed(f"no support interval among the edge candidates at t={t}")
-    if prior.kind == "marchenko_pastur" and len(support) > 2:
-        raise EdgeDetectionFailed(
-            f"MP prior cannot have {len(support)} support intervals"
-        )
     return support
 
 
@@ -728,30 +868,37 @@ def density(
     support = _support(prior, t)
     grid = _theta_grid(n_nodes)
     if prior.kind == "marchenko_pastur":
-        crit = [tuple(_polished(prior.kappa, t, g) for g in c) for _, c in support]
+        kappa = prior.kappa
+        crit = [tuple(_polished(kappa, t, g) for g in c) for _, c, _ in support]
         # with two intervals, the other one's critical points are the other
         # two roots of the curve's edge polynomial, the one across the gap first
         others = [crit[1], crit[0][::-1]] if len(crit) == 2 else [None]
+        dip = None
+        if len(crit) == 1 and support[0][2]:
+            # two merged intervals: the kept critical value where they met,
+            # its critical point, and the other one's from the root sum -2 kappa
+            ((zm, gm),) = support[0][2]
+            dip = zm, gm, -2.0 * kappa - (crit[0][0] + crit[0][1] + gm)
         parts = [
-            _mp_interval(prior.kappa, t, interval, critical, grid, other, gap_at_u=k == 0)
-            for k, ((interval, _), critical, other) in enumerate(zip(support, crit, others))
+            _mp_interval(kappa, t, interval, critical, grid, other, gap_at_u=k == 0, dip=dip)
+            for k, ((interval, _, _), critical, other) in enumerate(zip(support, crit, others))
         ]
     else:
         parts = [
             _offset_interval(prior, t, interval, critical, eps, grid)
-            for interval, critical in support
+            for interval, critical, _ in support
         ]
     x, dxdtheta, rho, re_g, re_dgdz = zip(*parts)
     return SpectralDensity(
         prior=prior,
         t=t,
         eps=eps,
-        intervals=tuple(interval for interval, _ in support),
+        intervals=tuple(interval for interval, *_ in support),
         x=x,
         dxdtheta=dxdtheta,
         rho=rho,
         re_g=re_g,
-        critical=tuple(critical for _, critical in support),
+        critical=tuple(critical for _, critical, _ in support),
         re_dgdz=re_dgdz,
     )
 
@@ -771,8 +918,8 @@ def _offset_interval(prior, t, interval, critical, eps, grid):
 def _polished(kappa, t, g):
     """A real critical point g of the Marchenko-Pastur phi after one Newton
     step on phi'(g) = 0 in extended precision (`np.longdouble`, as in
-    `_extended_newton`), and in that precision.  The companion eigenvalues
-    give g to about 1e-15, and differences such as g_c(u)^2 - g_c(l)^2 in
+    `_extended_newton`), and in that precision.  `_edge_candidates` gives g
+    to about 1e-15, and differences such as g_c(u)^2 - g_c(l)^2 in
     `_mp_interval` lose digits to cancellation.  A step above 1e-8 |g|,
     next to a cusp where phi'' vanishes too, is not taken."""
     g, kappa = np.longdouble(g), np.longdouble(kappa)
@@ -789,7 +936,7 @@ def _one_minus_ts(kappa, t, g):
     return 1.0 - t * s if t * s < 0.5 else kappa * s / (kappa + g) ** 2
 
 
-def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False):
+def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False, dip=None):
     """One support interval of MP(kappa) (+) semicircle(t) in closed form.
 
     On the support g = a + ib, b > 0, solves Im phi(g) = 0, that is
@@ -808,13 +955,19 @@ def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False)
     critical points, the one across the gap first (at this interval's u
     where `gap_at_u`, else at its l), which give N's other two roots; with
     one, they come from N's root sum 2 (kappa^2 t - kappa + 1) / t and
-    product kappa^4 / t^2.  The critical points come in extended precision
-    (`_polished`), and the scalars of the interval are formed in it.
+    product kappa^4 / t^2, unless the interval is two merged ones: then
+    `dip` holds the critical value z_m where they met, its critical point
+    g_m and the other critical point there, the squares of the two being
+    those roots.  The critical points at the edges come in extended
+    precision (`_polished`), and the scalars of the interval are formed in
+    it.
 
     The nodes are log s = log s_l + log(s_u / s_l) sin^2(theta), evenly
     spaced in theta: s spans decades when kappa is near 1 and t is small,
     and 10^-11 of itself across a bulk at zero.  Each node is anchored at
-    its nearer end e, and every difference is formed without cancellation:
+    its nearer end e in log s, or at g_m where that is nearer, so that
+    next to the dip x is formed from z_m, where x(s) is flat.  Every
+    difference is formed without cancellation:
     s - s_l and s_u - s from expm1, s_u - s_l from the critical points
     (where g_c(u) ~ -g_c(l), across a bulk at zero or at large t, not from
     their sum), 1 - t s from the end where it is smaller, s minus the root
@@ -831,8 +984,6 @@ def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False)
     """
     s2, c2, sin2t = grid[:3]
     (l, u), (gl, gu) = interval, critical
-    half = (len(s2) + 1) // 2  # nodes from here on are anchored at u
-    lo, up = slice(0, half), slice(half, None)
     sl, su = gl * gl, gu * gu
     # s_u - s_l = (g_u - g_l)(g_u + g_l), or by 1/s = t + kappa / (kappa + g)^2
     # at a critical point = kappa s_l s_u (g_u - g_l) c / ((kappa + g_l)(kappa + g_u))^2
@@ -858,6 +1009,17 @@ def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False)
         gap = float((ge - across) * (ge + across))  # s_e - root across the gap
         far = float(far * far)
     sl, su, gl, gu, span = map(float, (sl, su, gl, gu, span))
+    # nodes lo, mid and up are anchored at l, g_m and u
+    a = b = (len(s2) + 1) // 2
+    if dip is not None:
+        zm, gm, go = dip
+        sm = gm * gm
+        vm = 2.0 * math.log(abs(gm / gl))  # log(s_m / s_l)
+        a, b = np.searchsorted(s2, [0.5 * vm / dv, 0.5 + 0.5 * vm / dv])
+        vmid = s2[a:b] * dv
+        vmid -= vm
+    lo, mid, up = slice(0, a), slice(a, b), slice(b, None)
+    anchors = [(lo, l, gl, sl, oml), (up, u, gu, su, omu)]
     v = s2 * dv
     s = np.exp(v)
     s *= sl
@@ -869,7 +1031,18 @@ def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False)
     d = dsl.copy()  # s - s_e
     np.negative(dsu[up], out=d[up])
     om = oml - t * dsl if span < 0.0 else omu + t * dsu  # 1 - t s
-    if other is None:
+    if dip is not None:
+        omm = float(_one_minus_ts(kappa, t, gm))
+        anchors.append((mid, zm, gm, sm, omm))
+        dm = np.expm1(vmid, out=vmid)  # s - s_m
+        dm *= sm
+        d[mid] = dm
+        om[mid] = omm - t * dm
+        q = s - sm
+        q *= s - float(go * go)
+        q[mid] = dm * (dm + float((gm - go) * (gm + go)))
+        np.maximum(q, 0.0, out=q)
+    elif other is None:
         disc = 0.25 * total * total - prod
         if disc < 0.0:
             q = s - 0.5 * total
@@ -886,18 +1059,19 @@ def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False)
     inv_om = 1.0 / om
     inv_s = 1.0 / s
     coef = np.empty(len(s))
-    coef[lo], coef[up] = 0.5 / oml, 0.5 / omu
+    for nodes, _, _, _, ome in anchors:
+        coef[nodes] = 0.5 / ome
     big_a = inv_om * coef
     big_a -= 0.5 / kappa
-    coef[lo], coef[up] = -kappa / sl, -kappa / su
+    for nodes, _, _, se, _ in anchors:
+        coef[nodes] = -kappa / se
     slope = inv_s * coef
     slope -= (2.0 * t) * big_a
     x = d * slope  # x - x_e
-    x[lo] += l
-    x[up] += u
     re_g = d * big_a
-    re_g[lo] += gl
-    re_g[up] += gu
+    for nodes, xe, ge, _, _ in anchors:
+        x[nodes] += xe
+        re_g[nodes] += ge
     q *= dsl
     q *= dsu
     rho = np.sqrt(q, out=q)

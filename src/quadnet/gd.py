@@ -167,6 +167,20 @@ def _scan_cell(d, kappa, delta, cfg, alpha, index):
     return agd_run(instance, dataclasses.replace(cfg, seed=cfg.seed + 104729 * index))[1:]
 
 
+def check_scan(alpha_grid, cfg: GdConfig) -> list:
+    """The alphas of `trivialization_scan`, as floats, after its range
+    checks: a nonempty, strictly increasing grid, and the two or more
+    initializations that `agd_run` averages.  Raises ValueError."""
+    alphas = [float(a) for a in alpha_grid]
+    if not alphas:
+        raise ValueError("alpha_grid is empty")
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alpha_grid must be strictly increasing")
+    if cfg.n_inits < 2:
+        raise ValueError(f"n_inits must be at least 2 to average, got {cfg.n_inits}")
+    return alphas
+
+
 def trivialization_scan(d, kappa, delta, alpha_grid, cfg: GdConfig, n_datasets: int = 1,
                         map_cells=None):
     """Locate the sample complexity where the landscape trivializes.
@@ -178,11 +192,7 @@ def trivialization_scan(d, kappa, delta, alpha_grid, cfg: GdConfig, n_datasets: 
     point.  `map_cells(cell, keys)`, an order-preserving map of
     ``cell(**key)``, runs the (alpha, dataset) cells; default: in turn.
     """
-    alphas = [float(a) for a in alpha_grid]
-    if not alphas:
-        raise ValueError("alpha_grid is empty")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alpha_grid must be strictly increasing")
+    alphas = check_scan(alpha_grid, cfg)
     keys = [{"alpha": a, "index": j * n_datasets + rep}
             for j, a in enumerate(alphas) for rep in range(n_datasets)]
     cell = functools.partial(_scan_cell, d, kappa, delta, cfg)

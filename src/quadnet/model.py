@@ -99,6 +99,12 @@ def labels(W, a, X, delta, rng) -> np.ndarray:
     return pre**2 @ np.asarray(a) / m
 
 
+def check_dimension(d: int) -> None:
+    """Raise ValueError unless d, the input dimension, is at least 2."""
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+
+
 def generate(
     d: int,
     kappa: float,
@@ -114,8 +120,7 @@ def generate(
     a_k law; weights must sum to 1.  The effective kappa and alpha are the
     rounded ratios m/d and n/d^2 exposed on the instance.
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
+    check_dimension(d)
     if not delta >= 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     m = round(kappa * d)

@@ -49,6 +49,15 @@ def has_nonreal_root(prior, t, x):
     return (roots.imag != 0.0).any(axis=1)
 
 
+def companion_critical_points(prior, t):
+    """Real critical points of phi for any prior from the companion matrix
+    of phi'(g) = 0 cleared of denominators, as `freeprob._edge_candidates`
+    finds them for the compound-Poisson prior: (z, g_c) sorted by z, with
+    collided critical values kept once.  The reference for the
+    Marchenko-Pastur path, which needs no eigensolver."""
+    return freeprob._collided_once(freeprob._companion_candidates(prior, t))
+
+
 def root_count_support(prior, t):
     """Support intervals of mu_t, t > 0, by counting non-real roots: the
     reference for the phi'' rule of `freeprob.support_edges`.

@@ -344,6 +344,16 @@ OUT_OF_RANGE = [
                  "delta must be nonnegative", id="phase-diagram-delta"),
     pytest.param(["denoise-mc", "--kappas", "-1", "--deltas", "0.5"],
                  "kappa must be positive", id="denoise-mc-kappas"),
+    pytest.param(["gd-scan", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--n-inits", "1"],
+                 "n_inits must be at least 2", id="gd-scan-n-inits"),
+    pytest.param(["gd-scan", "--d", "20", "--kappa", "0.5", "--alphas", "0.3,0.2"],
+                 "alpha_grid must be strictly increasing", id="gd-scan-alphas"),
+    pytest.param(["gd", "--d", "1", "--kappa", "0.5", "--alphas", "0.3"],
+                 "d must be at least 2", id="gd-d"),
+    pytest.param(["gamp", "--d", "1", "--kappa", "0.5", "--alphas", "0.3"],
+                 "d must be at least 2", id="gamp-d"),
+    pytest.param(["gd-scan", "--d", "1", "--kappa", "0.5", "--alphas", "0.3"],
+                 "d must be at least 2", id="gd-scan-d"),
 ]
 
 

@@ -18,6 +18,7 @@ from quadnet import freeprob as fp
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
 from oracles import (
+    companion_critical_points,
     cube_integral_dt,
     has_nonreal_root,
     homotopy_solve,
@@ -339,6 +340,115 @@ class TestSupportEdges:
             support_edges(MP05, 0.0)
         with pytest.raises(ValueError):
             support_edges(MP05, -1.0)
+
+
+class TestMarchenkoPasturCriticalPoints:
+    KAPPAS = (1e-4, 3e-4, 0.05, 0.3, 0.5, 0.95, 1.0, 2.0, 5.0, 20.0)
+    # MP(0.95)'s merge point in `TestSupportEdges.MERGES`: to 40 digits its
+    # two middle critical values are 1.00090230e-11 apart, below the
+    # collision threshold 1e-11 (1 + |z|) = 1.00090240e-11, so the exact
+    # count is 3.  The companion roots there are 2.9e-13 off and put z
+    # 3.5e-18 off, enough for the companion count to read 4
+    KNIFE_EDGE = (0.95, 5.398127249281708e-06)
+
+    @staticmethod
+    def t_c(kappa):
+        """Where the two middle critical points meet: phi'(g*) = 0."""
+        return (1.0 - kappa ** (1.0 / 3.0)) ** 3 / kappa**2
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_matches_companion_oracle(self, kappa):
+        # against the companion eigenvalues of the same quartic, and of the
+        # unit-atom compound-Poisson prior, which takes the companion path
+        # in the package, over t from 1e-10 to 2e10 and the merges of
+        # `TestSupportEdges`.  Measured: g within 3.7e-12 relative (the
+        # companion's error; against 60 digits the bracketed roots are
+        # within 2.8e-16, the companion's within 3.7e-12) and z within
+        # 2.2e-16 (1 + |z|)
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        ts = list(np.geomspace(1e-10, 2e10, 41))
+        ts += [t for p, t in TestSupportEdges.MERGES if p == mp]
+        for t in ts:
+            if (kappa, t) == self.KNIFE_EDGE:
+                raw = sorted(fp._mp_critical_points(kappa, t))
+                refs = [sorted(g for _, g in fp._companion_candidates(p, t)) for p in (mp, cp)]
+                pairs = [(np.array(raw), np.array(ref)) for ref in refs]
+            else:
+                z, g = fp._edge_candidates(mp, t)
+                pairs = []
+                for zo, go in (companion_critical_points(mp, t), fp._edge_candidates(cp, t)):
+                    assert len(z) == len(zo), t
+                    assert np.all(np.abs(z - zo) <= 1e-15 * (1.0 + np.abs(zo))), t
+                    pairs.append((g, go))
+            for g, go in pairs:
+                assert len(g) == len(go), t
+                assert np.all(np.abs(g - go) <= 1e-11 * np.abs(go)), t
+
+    def test_knife_edge_merge_counts_as_merged(self):
+        import mpmath
+
+        kappa, t = self.KNIFE_EDGE
+        z, g = fp._edge_candidates(PriorSpectrum.marchenko_pastur(kappa), t)
+        assert len(z) == 3
+        assert len(support_edges(PriorSpectrum.marchenko_pastur(kappa), t)) == 1
+        with mpmath.workdps(40):
+            k, tt = mpmath.mpf(kappa), mpmath.mpf(t)
+            exact = []
+            for g0 in (g for g in fp._mp_critical_points(kappa, t) if g < -kappa):
+                gc = mpmath.findroot(lambda x: 1 / x**2 - tt - k / (k + x) ** 2, mpmath.mpf(g0))
+                exact.append(-tt * gc + k / (k + gc) - 1 / gc)
+            gap = abs(exact[1] - exact[0])
+            assert gap < 1e-11 * (1 + max(map(abs, exact))) < gap * (1 + 1e-6)
+
+    @pytest.mark.parametrize("kappa", [1e-4, 3e-4, 0.05, 0.3, 0.5, 0.95])
+    def test_four_critical_points_below_the_merge_two_above(self, kappa):
+        # phi'' vanishes only at g* = kappa / (kappa^(1/3) - 1), so the two
+        # middle critical points exist exactly for t < t_c.  After the
+        # collision sift, four remain where the gap between them is wider
+        # than 1e-11 (1 + |z|): at t_c (1 - 1e-6) it is 5.8e-11 for
+        # kappa = 0.5 but 2.3e-13 for kappa = 0.95, which needs 1 - 1e-4
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        below = self.t_c(kappa) * (1.0 - 1e-6)
+        above = self.t_c(kappa) * (1.0 + 1e-6)
+        assert len(fp._mp_critical_points(kappa, below)) == 4
+        assert len(fp._mp_critical_points(kappa, above)) == 2
+        split = self.t_c(kappa) * (1.0 - (1e-4 if kappa > 0.9 else 1e-6))
+        assert len(fp._edge_candidates(mp, split)[0]) == 4
+        assert len(support_edges(mp, split)) == 2
+        assert len(fp._edge_candidates(mp, above)[0]) == 2
+
+    @pytest.mark.parametrize("kappa", [1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 2**-53])
+    def test_kappa_one_builds(self, kappa):
+        # kappa^(1/3) - 1 rounds to 0 next to kappa = 1, where g* is -inf
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        for t in np.geomspace(1e-10, 2e10, 13):
+            dens = density(mp, t)
+            assert len(dens.intervals) == 1
+            assert dens.mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_never_more_than_two_intervals(self):
+        for kappa in self.KAPPAS:
+            mp = PriorSpectrum.marchenko_pastur(kappa)
+            for t in np.geomspace(1e-10, 2e10, 41):
+                assert 1 <= len(support_edges(mp, t)) <= 2
+
+    @pytest.mark.parametrize("kappa,t", [(0.5, 0.5), (0.5, 1e-3), (0.05, 1e-6), (2.0, 0.1)])
+    def test_no_eigensolver(self, monkeypatch, kappa, t):
+        # density, support_edges and hilbert of the Marchenko-Pastur prior,
+        # on the support, next to its edges and off it
+        def fail(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        dens = density(mp, t)
+        assert support_edges(mp, t) == dens.intervals
+        lam = [x[len(x) // 3] for x in dens.x]
+        for l, u in dens.intervals:
+            w = u - l
+            lam += [l + 1e-9 * w, u - 1e-9 * w, u - 1e-3 * w, l - 1e-3 * w, u + 1e-9 * w, u + 1.0]
+        assert np.all(np.isfinite(fp.hilbert(mp, t, np.array(lam), dens)))
 
 
 class TestRealCubicPair:

@@ -128,6 +128,13 @@ class TestTrivializationScan:
         with pytest.raises(ValueError):
             gd.trivialization_scan(30, 0.5, 0.0, [0.3, 0.2], cfg)
 
+    def test_one_init_is_rejected_before_any_run(self, monkeypatch):
+        # the scan averages over initializations, so one is a range error
+        # before any cell runs
+        monkeypatch.setattr(gd, "_scan_cell", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="n_inits must be at least 2"):
+            gd.trivialization_scan(30, 0.5, 0.0, [0.3], gd.GdConfig(n_inits=1, max_steps=50))
+
     def test_not_reached_far_below_threshold(self):
         # subcritical noiseless point at a tiny budget: runs land apart
         cfg = gd.GdConfig(n_inits=2, max_steps=150, seed=0)
