@@ -36,22 +36,19 @@ denominators.
 On the support the MP density needs no root solve: there Im phi(g) = 0
 is a curve that is explicit in s = |g|^2, from one edge's critical point
 to the other's, and `_mp_interval` samples it in closed form on the real
-axis.  The compound-Poisson density is solved at x + i*eps: its root
-solver is the companion matrix, whose eigenvalues give all branches of g
-at complex z.  `hilbert` solves g at each eigenvalue on the support
-at x + i*eps too; for the MP prior, at real x the cubic's coefficients are
-real and the physical g is the upper member of its one complex-conjugate
-root pair (real Cardano, then Newton's method at x + i*eps).  At the
-support edges, where the pair collides, g starts from the square-root law
-at the edge's critical point of the inverse map and Newton's method runs
-in extended precision.  Each density also keeps Re dg/dz = Re 1/phi'(g) at
-its nodes from the build, for the t-derivative of int rho^3.
+axis.  `hilbert` reads h = -Re g off the same curve at each eigenvalue on
+the support, solving x(s) = lam by bracketed Newton in log s.  The
+compound-Poisson density and `hilbert` are solved at x + i*DEFAULT_EPS:
+their root solver is the companion matrix, whose eigenvalues give all
+branches of g at complex z.  Each density also keeps Re dg/dz =
+Re 1/phi'(g) at its nodes from the build, for the t-derivative of
+int rho^3.
 """
 
 from __future__ import annotations
 
 import bisect
-import cmath
+import collections
 import dataclasses
 import functools
 import math
@@ -93,16 +90,14 @@ class PriorSpectrum:
         (1, 1) gives the plain Marchenko-Pastur law of parameter kappa.
     kind : str
         Either ``"marchenko_pastur"`` or ``"compound_poisson"``.  The
-        compound-Poisson kind finds its support edges and its density by
-        companion-matrix eigenvalues; the Marchenko-Pastur kind takes its
-        own paths, which need no eigensolver: bracketed Newton for the
-        critical points of phi at its edges (`_mp_critical_points`), the
-        closed-form curve for its density (`_mp_interval`) and the real
-        pair for `hilbert` (`_mp_branch`, which falls back on the companion
-        root only where Newton's method next to an edge does not
-        converge).  With atoms ((1, 1),) they
-        describe the same measure, which the tests use to check one path
-        against the other.
+        compound-Poisson kind finds its support edges, its density and
+        `hilbert` on the support by companion-matrix eigenvalues; the
+        Marchenko-Pastur kind takes its own paths, which need no
+        eigensolver: bracketed Newton for the critical points of phi at its
+        edges (`_mp_critical_points`) and the closed-form curve for its
+        density (`_mp_interval`) and for `hilbert` (`_mp_hilbert`).  With
+        atoms ((1, 1),) they describe the same measure, which the tests use
+        to check one path against the other.
     """
 
     kappa: float
@@ -170,13 +165,9 @@ class PriorSpectrum:
 
 
 def _coeffs_desc(prior, t, z):
-    """Descending coefficients of the cleared polynomial P_z(g), shape (M, D+1)."""
+    """Descending coefficients of the cleared polynomial P_z(g), shape
+    (M, D+1), in the compound-Poisson form (`_poly_ab`) for any prior."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if prior.kind == "marchenko_pastur":
-        kappa = prior.kappa
-        one = np.ones_like(z)
-        cols = [t * one, z + t * kappa, z * kappa + 1.0 - kappa, kappa * one]
-        return np.stack(cols, axis=-1)
     acoef, bcoef = _poly_ab(prior, t)
     deg = len(acoef) - 1
     # atoms at zero lower the degree: top coefficients are exact zeros then
@@ -264,23 +255,18 @@ def _companion_roots(coeffs_desc):
     return np.linalg.eigvals(comp)
 
 
-def _inverted(t, z):
-    """Whether the roots at the points z are solved in w = 1/g (see `_all_roots`)."""
-    return t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
-
-
 def _all_roots(t, z, coeffs):
     """All branches of g(z), shape (M, deg), as companion-matrix eigenvalues
     of coeffs = `_coeffs_desc(prior, t, z)` at the complex points z.
 
     For t much smaller than the other coefficient scales the leading (t g^3)
-    term makes the direct solve ill-conditioned; in that regime
-    (`_inverted`) the reversed polynomial in w = 1/g is well-scaled, so
-    solve that and invert.  The huge spurious branch then comes out as
-    w ~ 0 (inaccurate/inf), which is harmless because it is never the
-    admissible pick.
+    term makes the direct solve ill-conditioned; in that regime the
+    reversed polynomial in w = 1/g is well-scaled, so solve that and
+    invert.  The huge spurious branch then comes out as w ~ 0
+    (inaccurate/inf), which is harmless because it is never the admissible
+    pick.
     """
-    invert = _inverted(t, z)
+    invert = t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
     roots = _companion_roots(coeffs[:, ::-1] if invert else coeffs)
     if invert:
         with np.errstate(all="ignore"):
@@ -289,204 +275,22 @@ def _all_roots(t, z, coeffs):
     return roots
 
 
-def _real_cubic_pair(c3, c2, c1, c0):
-    """Real and imaginary part of the upper member of the non-real root pair
-    of the real cubics c3 y^3 + c2 y^2 + c1 y + c0, and the real root, by
-    real Cardano.
+def _grid_slope(prior, t, x, eps):
+    """Physical g at points x of the support of mu_t, t > 0, for the
+    compound-Poisson prior at height eps, and dg/dz = 1/phi'(g) there.
 
-    The coefficients broadcast; c2 is an array.  With y = s - b/3 the cubic
-    is s^3 + p s + q; where its discriminant q^2/4 + p^3/27 is positive it
-    has one real root a + v - b/3, a the real cube root of
-    -q/2 - sign(q) sqrt(disc) (no cancellation) and v = -p/(3a), and the
-    pair -(a + v)/2 - b/3 +- i sqrt(3)/2 |a - v|.  NaN where all three roots
-    are real (the caller ignores the invalid-value warning).  The pair loses
-    digits to the discriminant's cancellation when the real root is much
-    the larger.
-    """
-    b = c2 / c3
-    cc = c1 / c3
-    b3 = b / 3.0
-    p = cc - b * b3
-    hq = b3 * cc / 2.0 - b3 * b3 * b3 - 0.5 * c0 / c3  # -q/2
-    a = np.cbrt(hq + np.copysign(np.sqrt(hq * hq + p * p * p / 27.0), hq))
-    v = p / (-3.0 * a)
-    s = a + v
-    return -0.5 * s - b3, 0.5 * np.sqrt(3.0) * np.abs(a - v), s - b3
-
-
-def _grid_slope(prior, t, x, eps, edges):
-    """Physical g at points x of the support of mu_t, t > 0, at height eps,
-    and dg/dz = 1/phi'(g) there.
-
-    Marchenko-Pastur prior (`_mp_branch`): the pair root at real x, moved to
-    the offset by Newton's method, with the start of `_edge_start` next to
-    the support edges; `edges` is the interval's ((l, u), (g_c(l), g_c(u))).
-    Compound-Poisson prior (`_admissible_root`): the companion-matrix root at
-    x + i*eps of largest imaginary part, and phi' evaluated there.
-    """
-    if prior.kind == "marchenko_pastur":
-        return _mp_branch(prior, t, x, eps, edges)
-    g = _admissible_root(prior, t, x, eps)
-    with np.errstate(all="ignore"):
-        return g, 1.0 / _phi_prime(prior, t, g)
-
-
-def _admissible_root(prior, t, x, eps):
-    """Physical g at points x of the support at height eps, for any prior.
-
-    The root at x + i*eps of largest imaginary part among the companion
+    g is the root at x + i*eps of largest imaginary part among the companion
     roots (`_all_roots`), which on the support has Im g = pi*rho, polished
-    by two safeguarded Newton steps.  It is the compound-Poisson path, and
-    the start of the Marchenko-Pastur points next to an edge where
-    `_extended_newton` does not converge from `_edge_start`.  The tests
-    check the pick against the root continued down from high in the upper
-    half plane (`tests/oracles.py`), which stays unambiguous where a second
-    root also lies in the upper half plane.
+    by two safeguarded Newton steps.  The tests check the pick against the
+    root continued down from high in the upper half plane, which stays
+    unambiguous where a second root also lies in the upper half plane.
     """
     z = x + 1j * eps
     coeffs = _coeffs_desc(prior, t, z)
     roots = _all_roots(t, z, coeffs)
-    g = roots[np.arange(len(roots)), np.argmax(roots.imag, axis=1)]
-    return _newton_polish(coeffs, g, steps=2)
-
-
-def _mp_branch(prior, t, x, eps, edges):
-    """Physical g at points x of the support of MP (+) semicircle(t), t > 0,
-    at height eps, and dg/dz there.
-
-    At real x the cubic P_x has real coefficients, and on the support the
-    physical g(x + i0) is the upper member of its one non-real root pair
-    (`_real_cubic_pair`).  The pair is taken from the reversed cubic in
-    w = 1/g; where the real root is the larger in w, Cardano loses the
-    pair's digits, and Vieta's formulas give the pair from the real root.
-    Two plain Newton steps on P_z, z = x + i*eps, then move g to the offset.
-    The first is the move i eps / phi'(g); it needs to be small next to the
-    pair's half-gap Im g.  A node whose first step did not lower |P_z| takes
-    the safeguarded `_newton_polish` from the pair root instead.
-
-    Points without a pair, or where the first step is not small, are the
-    support edges and points within about 1e3 eps of them (farther next to
-    a cusp, where two intervals are about to merge).  Their second step
-    starts from `_edge_start` instead (`edges` as there), and more follow
-    in extended precision (`_extended_newton`): next to an edge a last-bit
-    change of P_z moves the root by about 1e-12 relative.  Where those do
-    not converge to a root in the upper half plane, the start is
-    `_admissible_root`.
-
-    Since P_z(g) = g (g + kappa) (z - phi(g)), dg/dz = 1/phi'(g) is
-    -g (g + kappa) / P_z'(g) at the root.
-    """
-    kappa = prior.kappa
-    # P_z's coefficients t, zc1, zc2, kappa, as `_coeffs_desc` builds them;
-    # their real parts c1, c2 are P_x's
-    zc1 = x + complex(t * kappa, eps)
-    zc2 = x * kappa + 1.0 + complex(-kappa, eps * kappa)
-    c1, c2 = zc1.real, zc2.real
+    g = _newton_polish(coeffs, roots[np.arange(len(roots)), np.argmax(roots.imag, axis=1)])
     with np.errstate(all="ignore"):
-        # the pair member w in w = 1/g gives g = w / |w|^2
-        re, im, real = _real_cubic_pair(kappa, c2, c1, t)
-        ww = re * re + im * im
-        g = np.empty(len(x), dtype=complex)
-        g.real = re / ww
-        g.imag = im / ww
-        swap = real * real > ww
-        if swap.any():
-            # Vieta's formulas with the real root r, which Cardano gets
-            # right where it dominates: |w|^2 = -t / (kappa r) and
-            # r (w + conj w) + |w|^2 = c1 / kappa
-            r = real[swap]
-            ww = -t / (kappa * r)
-            re = (c1[swap] / kappa - ww) / (2.0 * r)
-            im = np.sqrt(ww - re * re)
-            g[swap] = (re + 1j * im) / ww
-        p, dp = _cubic_horner(t, zc1, zc2, kappa, g)
-        step = p / dp
-        near = ~(np.abs(step) < 1e-3 * g.imag)  # also NaN
-        gz = g - step
-        edge = near.nonzero()[0]
-        if len(edge):
-            gz[edge] = _edge_start(prior, t, x[edge], eps, g[edge], edges)
-        p1, dp = _cubic_horner(t, zc1, zc2, kappa, gz)
-        gz = gz - p1 / dp
-        redo = ~((np.abs(p1) < np.abs(p)) | near)
-        if redo.any():
-            gz[redo] = _newton_polish(_coeffs_desc(prior, t, x[redo] + 1j * eps), g[redo])
-        if len(edge):
-            ze1, ze2 = zc1[edge], zc2[edge]
-            ge, ok = _extended_newton(t, ze1, ze2, kappa, gz[edge])
-            if not ok.all():
-                bad = ~ok
-                start = _admissible_root(prior, t, x[edge[bad]], eps)
-                ge[bad] = _extended_newton(t, ze1[bad], ze2[bad], kappa, start)[0]
-            gz[edge] = ge
-        mdp = gz * (-3.0 * t)  # -P_z'(gz), in place
-        mdp -= zc1
-        mdp -= zc1
-        mdp *= gz
-        mdp -= zc2
-        return gz, (gz + kappa) * gz / mdp
-
-
-def _extended_newton(t, c1, c2, kappa, g):
-    """Newton steps from g on P = t g^3 + c1 g^2 + c2 g + kappa in extended
-    precision (`np.clongdouble`, 80-bit on x86 and plain double where the
-    platform has no wider type; the coefficients are given in double), node
-    by node until the step is below 1e-11 |g| with Im g > 0, at most eight.
-    Returns g and where that holds.  The points are few, those next to a
-    support edge, so each is iterated as numpy scalars."""
-    out = np.empty(len(g), dtype=complex)
-    ok = np.zeros(len(g), dtype=bool)
-    for i, (a1, a2, gi) in enumerate(np.array([c1, c2, g], dtype=np.clongdouble).T):
-        for _ in range(8):
-            p, dp = _cubic_horner(t, a1, a2, kappa, gi)
-            step = p / dp
-            gi = gi - step
-            if abs(step) < 1e-11 * abs(gi) and gi.imag > 0.0:
-                ok[i] = True
-                break
-        out[i] = gi
-    return out, ok
-
-
-def _cubic_horner(t, c1, c2, kappa, g):
-    """P and P' at g of P = t g^3 + c1 g^2 + c2 g + kappa, by Horner's rule
-    in `_newton_polish`'s order, in the dtype of c1 and g."""
-    tg = t * g
-    p = tg + c1
-    dp = tg + p
-    p = p * g + c2
-    dp = dp * g + p
-    return p * g + kappa, dp
-
-
-def _edge_start(prior, t, x, eps, g, edges):
-    """Start of Newton's method at points x within about 1e3 eps of a
-    support edge, for the root at z = x + i*eps.
-
-    g is the pair root at x (not finite where there is none).  Near an edge
-    phi'(g) is small, so the move h from g0 solves the quadratic
-    phi''/2 h^2 + phi' h = z - phi(g0), the root with the larger Im, rather
-    than h = (z - phi(g0)) / phi'.  g0 is the pair root, where phi(g0) = x,
-    or, where there is no pair, the critical point g_c of the nearest edge
-    x_e = phi(g_c); there phi'(g_c) = 0 and the start is the square-root law
-    g_c + sqrt(2 (z - x_e) / phi''(g_c)) (Biane 1997).  `edges` is
-    (x_e, g_c), two sequences over the edges to choose from: the
-    interval's ((l, u), (g_c(l), g_c(u))).  The points are few, so each is
-    taken as numpy scalars.
-    """
-    xe, gc = edges
-    start = np.empty(len(x), dtype=complex)
-    for i, (xi, g0) in enumerate(zip(x, g)):
-        r = 1j * eps
-        if not cmath.isfinite(g0):
-            k = min(range(len(xe)), key=lambda j: abs(xi - xe[j]))
-            g0, r = gc[k] + 0j, r + (xi - xe[k])
-        d1 = _phi_prime(prior, t, g0)
-        d2 = _phi_second(prior, g0)
-        s = cmath.sqrt(d1 * d1 + 2.0 * r * d2)
-        h1, h2 = 2.0 * r / (d1 + s), 2.0 * r / (d1 - s)
-        start[i] = g0 + (h2 if h2.imag > h1.imag else h1)
-    return start
+        return g, 1.0 / _phi_prime(prior, t, g)
 
 
 # ==================
@@ -532,7 +336,10 @@ def _critical_poly(prior):
 
 def _companion_candidates(prior, t):
     """(phi(g_c), g_c) at the real companion eigenvalues g_c of the cleared
-    phi'(g) = 0 (`_critical_poly`) that are not on a pole of phi."""
+    phi'(g) = 0 (`_critical_poly`) that are not on a pole of phi and across
+    which phi' changes sign.  Next to a pole g = -kappa / a_k at large
+    kappa t a complex pair of eigenvalues can pass the tolerance on its
+    imaginary part; phi' is negative on both sides of it there."""
     pi2, tpart, terms, companion, poles = _critical_poly(prior)
     poly = pi2 - t * tpart
     for term in terms:
@@ -542,16 +349,19 @@ def _companion_candidates(prior, t):
     companion[0] = -poly[1:] / poly[0]
     candidates = []
     for root in np.linalg.eigvals(companion).tolist():
-        # real, and not on a pole of phi
+        # real, not on a pole of phi, and a sign change of phi'
+        g = root.real
         if abs(root.imag) <= 1e-8 * (1.0 + abs(root)) and all(
-            abs(root.real - pole) > 1e-12 for pole in poles
+            abs(g - pole) > 1e-12 for pole in poles
         ):
             try:
-                zc = _phi(prior, t, root.real)
+                zc = _phi(prior, t, g)
+                turns = (_phi_prime(prior, t, g - 1e-9 * g) > 0.0) != (
+                    _phi_prime(prior, t, g + 1e-9 * g) > 0.0)
             except ZeroDivisionError:  # a denominator rounded to zero: a pole
                 continue
-            if math.isfinite(zc):
-                candidates.append((zc, root.real))
+            if turns and math.isfinite(zc):
+                candidates.append((zc, g))
     if not candidates:
         raise EdgeDetectionFailed(f"no real critical points for t={t}")
     return candidates
@@ -788,7 +598,7 @@ class SpectralDensity:
         Grid (ascending, from l to u), density, and Re g (the negative
         Hilbert transform).  For the Marchenko-Pastur prior these are the
         values on the real axis; for the compound-Poisson prior at
-        x + i min(eps, 1e-5 (u - l)).
+        x + i min(DEFAULT_EPS, 1e-5 (u - l)).
     dxdtheta : tuple of arrays, one per interval
         dx/dtheta, for the quadrature weights and `log_potential`.
     critical : tuple of (g_c(l), g_c(u))
@@ -796,11 +606,14 @@ class SpectralDensity:
     re_dgdz : tuple of arrays, one per interval
         Re dg/dz = Re 1/phi'(g) at the grid's g, from the build.  At an
         edge phi' vanishes but Re dg/dz stays finite (Im dg/dz diverges).
+    dip : (z_m, g_m) or None
+        For a Marchenko-Pastur interval that is two merged ones, the
+        critical value where they met and its critical point; None
+        otherwise.  `hilbert` anchors the points next to it there.
     """
 
     prior: PriorSpectrum
     t: float
-    eps: float
     intervals: tuple
     x: tuple
     dxdtheta: tuple
@@ -808,6 +621,7 @@ class SpectralDensity:
     re_g: tuple
     critical: tuple
     re_dgdz: tuple
+    dip: tuple | None = None
 
     @functools.cached_property
     def weights(self):
@@ -836,30 +650,22 @@ class SpectralDensity:
         return 2.0 * self.integrate([r * r * r * dz for r, dz in zip(self.rho, self.re_dgdz)])
 
 
-def density(
-    prior: PriorSpectrum,
-    t: float,
-    n_nodes: int = DEFAULT_NODES,
-    eps: float = DEFAULT_EPS,
-) -> SpectralDensity:
+def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> SpectralDensity:
     """Density of mu_t = prior (+) semicircle(t), t > 0, on edge-adapted grids.
 
     The support is located with `_support`.  For the Marchenko-Pastur prior
     each interval is the closed-form curve of `_mp_interval`: no root solve
     and no offset.  For the compound-Poisson prior the physical Stieltjes
-    branch and its z-derivative (`_grid_slope`) are evaluated at x + i*eps;
-    on intervals narrower than eps / 1e-5 the offset is lowered to 1e-5
-    times the interval width, so that very thin bulks are not smeared by
-    the offset itself.  t = 0 is rejected: every caller builds at
-    t = 1/q_hat > 0 or a positive noise level.
+    branch and its z-derivative (`_grid_slope`) are evaluated at
+    x + i*DEFAULT_EPS; on intervals narrower than DEFAULT_EPS / 1e-5 the
+    offset is lowered to 1e-5 times the interval width, so that very thin
+    bulks are not smeared by the offset itself.  t = 0 is rejected: every
+    caller builds at t = 1/q_hat > 0 or a positive noise level.
 
     Parameters
     ----------
     n_nodes : int
         Grid nodes per interval (odd; even values are bumped by one).
-    eps : float
-        Offset of the compound-Poisson build, kept on the density for
-        `hilbert`.
     """
     if not t > 0:
         raise ValueError(f"density requires t > 0, got {t}")
@@ -867,58 +673,33 @@ def density(
         n_nodes += 1
     support = _support(prior, t)
     grid = _theta_grid(n_nodes)
+    intervals = tuple(interval for interval, *_ in support)
+    critical = tuple(critical for _, critical, _ in support)
+    dip = None
     if prior.kind == "marchenko_pastur":
-        kappa = prior.kappa
-        crit = [tuple(_polished(kappa, t, g) for g in c) for _, c, _ in support]
-        # with two intervals, the other one's critical points are the other
-        # two roots of the curve's edge polynomial, the one across the gap first
-        others = [crit[1], crit[0][::-1]] if len(crit) == 2 else [None]
-        dip = None
-        if len(crit) == 1 and support[0][2]:
-            # two merged intervals: the kept critical value where they met,
-            # its critical point, and the other one's from the root sum -2 kappa
+        if len(support) == 1 and support[0][2]:
+            # two merged intervals: the kept critical value where they met
+            # and its critical point
             ((zm, gm),) = support[0][2]
-            dip = zm, gm, -2.0 * kappa - (crit[0][0] + crit[0][1] + gm)
-        parts = [
-            _mp_interval(kappa, t, interval, critical, grid, other, gap_at_u=k == 0, dip=dip)
-            for k, ((interval, _, _), critical, other) in enumerate(zip(support, crit, others))
-        ]
-    else:
-        parts = [
-            _offset_interval(prior, t, interval, critical, eps, grid)
-            for interval, critical, _ in support
-        ]
+            dip = float(zm), float(gm)
+        curves = _mp_curves(prior.kappa, t, intervals, critical, dip)
+        parts = [_mp_interval(curve, grid) for curve in curves]
+    else:  # on x = l + (u - l) sin^2(theta)
+        parts = []
+        for l, u in intervals:
+            x = l + (u - l) * grid[0]
+            g, dgdz = _grid_slope(prior, t, x, min(DEFAULT_EPS, 1e-5 * (u - l)))
+            parts.append((x, (u - l) * grid[2], np.maximum(g.imag / np.pi, 0.0), g.real, dgdz.real))
     x, dxdtheta, rho, re_g, re_dgdz = zip(*parts)
-    return SpectralDensity(
-        prior=prior,
-        t=t,
-        eps=eps,
-        intervals=tuple(interval for interval, *_ in support),
-        x=x,
-        dxdtheta=dxdtheta,
-        rho=rho,
-        re_g=re_g,
-        critical=tuple(critical for _, critical, _ in support),
-        re_dgdz=re_dgdz,
-    )
-
-
-def _offset_interval(prior, t, interval, critical, eps, grid):
-    """One compound-Poisson interval [l, u] on x = l + (u - l) sin^2(theta),
-    g and dg/dz by `_grid_slope` at x + i min(eps, 1e-5 (u - l)).  Returns
-    the per-interval fields of `SpectralDensity`, in the order x,
-    dx/dtheta, rho, Re g, Re dg/dz."""
-    s2, _, sin2t = grid[:3]
-    l, u = interval
-    x = l + (u - l) * s2
-    g, dgdz = _grid_slope(prior, t, x, min(eps, 1e-5 * (u - l)), (interval, critical))
-    return x, (u - l) * sin2t, np.maximum(g.imag / np.pi, 0.0), g.real, dgdz.real
+    return SpectralDensity(prior=prior, t=t, intervals=intervals, x=x, dxdtheta=dxdtheta, rho=rho,
+                           re_g=re_g, critical=critical, re_dgdz=re_dgdz, dip=dip)
 
 
 def _polished(kappa, t, g):
     """A real critical point g of the Marchenko-Pastur phi after one Newton
-    step on phi'(g) = 0 in extended precision (`np.longdouble`, as in
-    `_extended_newton`), and in that precision.  `_edge_candidates` gives g
+    step on phi'(g) = 0 in extended precision (`np.longdouble`, 80-bit on
+    x86 and plain double where the platform has no wider type), and in that
+    precision.  `_edge_candidates` gives g
     to about 1e-15, and differences such as g_c(u)^2 - g_c(l)^2 in
     `_mp_interval` lose digits to cancellation.  A step above 1e-8 |g|,
     next to a cusp where phi'' vanishes too, is not taken."""
@@ -936,8 +717,29 @@ def _one_minus_ts(kappa, t, g):
     return 1.0 - t * s if t * s < 0.5 else kappa * s / (kappa + g) ** 2
 
 
-def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False, dip=None):
-    """One support interval of MP(kappa) (+) semicircle(t) in closed form.
+def _mp_curves(kappa, t, intervals, critical, dip):
+    """The support intervals of MP(kappa) (+) semicircle(t) as `_MpCurve`s,
+    from their edges, the critical points of phi there and `dip` as on
+    `SpectralDensity`: what `density` builds and `hilbert` solves on."""
+    crit = [tuple(_polished(kappa, t, g) for g in c) for c in critical]
+    # with two intervals, the other one's critical points are the other
+    # two roots of the curve's edge polynomial, the one across the gap first
+    others = [crit[1], crit[0][::-1]] if len(crit) == 2 else [None]
+    if dip is not None:
+        # the other critical point where the two met, from the root sum -2 kappa
+        dip = (*dip, -2.0 * kappa - (crit[0][0] + crit[0][1] + dip[1]))
+    return [
+        _mp_curve(kappa, t, interval, c, other, k == 0, dip)
+        for k, (interval, c, other) in enumerate(zip(intervals, crit, others))
+    ]
+
+
+# the scalars of one support interval's curve, as `_mp_curve` describes them
+_MpCurve = collections.namedtuple("_MpCurve", "kappa t sl su dv from_l ends vm roots")
+
+
+def _mp_curve(kappa, t, interval, critical, other, gap_at_u, dip):
+    """One support interval of MP(kappa) (+) semicircle(t) as a curve.
 
     On the support g = a + ib, b > 0, solves Im phi(g) = 0, that is
     1/|g|^2 - t = kappa / |kappa + g|^2.  With s = |g|^2 (Biane 1997) the
@@ -960,29 +762,15 @@ def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False,
     g_m and the other critical point there, the squares of the two being
     those roots.  The critical points at the edges come in extended
     precision (`_polished`), and the scalars of the interval are formed in
-    it.
+    it: s_u - s_l from the critical points (where g_c(u) ~ -g_c(l), across
+    a bulk at zero or at large t, not from their sum) and 1 - t s at the
+    ends by `_one_minus_ts`.
 
-    The nodes are log s = log s_l + log(s_u / s_l) sin^2(theta), evenly
-    spaced in theta: s spans decades when kappa is near 1 and t is small,
-    and 10^-11 of itself across a bulk at zero.  Each node is anchored at
-    its nearer end e in log s, or at g_m where that is nearer, so that
-    next to the dip x is formed from z_m, where x(s) is flat.  Every
-    difference is formed without cancellation:
-    s - s_l and s_u - s from expm1, s_u - s_l from the critical points
-    (where g_c(u) ~ -g_c(l), across a bulk at zero or at large t, not from
-    their sum), 1 - t s from the end where it is smaller, s minus the root
-    across a gap as (s - s_e) + (s_e - root) from the edge e at the gap,
-    and
-
-        x - x_e = (s - s_e) (-kappa / (s s_e) - 2 t A_e),
-        a - g_c(e) = (s - s_e) A_e,  A_e = (kappa / ((1 - t s)(1 - t s_e)) - 1) / (2 kappa),
-        b^2 = t^2 (s - s_l)(s_u - s) Q(s) / (4 kappa^2 (1 - t s)^2),
-
-    Q the quadratic of N's other two roots.  Returns the per-interval
-    fields of `SpectralDensity`, in the order x, dx/dtheta, rho, Re g,
-    Re dg/dz.
+    Returns the `_MpCurve` of kappa, t, s_l, s_u, dv = log(s_u / s_l),
+    from_l (1 - t s is formed from l, where it is smaller, else from u),
+    ends (the (x_e, g_c(e), s_e, 1 - t s_e) of the anchors l, u and the
+    dip), vm (log(s_m / s_l), or None) and N's other two roots, tagged.
     """
-    s2, c2, sin2t = grid[:3]
     (l, u), (gl, gu) = interval, critical
     sl, su = gl * gl, gu * gu
     # s_u - s_l = (g_u - g_l)(g_u + g_l), or by 1/s = t + kappa / (kappa + g)^2
@@ -1002,47 +790,117 @@ def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False,
     oml, omu = float(_one_minus_ts(kappa, t, gl)), float(_one_minus_ts(kappa, t, gu))
     if other is None:
         total = float(2.0 * (kappa * kappa * t - kappa + 1.0) / t - sl - su)
-        prod = float(kappa**4 / (t * t * sl * su))
+        roots = ("sum", total, float(kappa**4 / (t * t * sl * su)))
     else:
         across, far = other
         ge = gu if gap_at_u else gl
-        gap = float((ge - across) * (ge + across))  # s_e - root across the gap
-        far = float(far * far)
+        # s_e - root across the gap, the far root
+        roots = ("gap", float((ge - across) * (ge + across)), float(far * far), gap_at_u)
     sl, su, gl, gu, span = map(float, (sl, su, gl, gu, span))
-    # nodes lo, mid and up are anchored at l, g_m and u
-    a = b = (len(s2) + 1) // 2
+    ends = [(l, gl, sl, oml), (u, gu, su, omu)]
+    vm = None
     if dip is not None:
         zm, gm, go = dip
-        sm = gm * gm
-        vm = 2.0 * math.log(abs(gm / gl))  # log(s_m / s_l)
-        a, b = np.searchsorted(s2, [0.5 * vm / dv, 0.5 + 0.5 * vm / dv])
-        vmid = s2[a:b] * dv
-        vmid -= vm
-    lo, mid, up = slice(0, a), slice(a, b), slice(b, None)
-    anchors = [(lo, l, gl, sl, oml), (up, u, gu, su, omu)]
-    v = s2 * dv
+        vm = 2.0 * math.log(abs(gm / gl))
+        ends.append((zm, gm, gm * gm, float(_one_minus_ts(kappa, t, gm))))
+        roots = ("dip", float(go * go), float((gm - go) * (gm + go)))
+    return _MpCurve(kappa, t, sl, su, dv, span < 0.0, tuple(ends), vm, roots)
+
+
+def _mp_points(curve, w, c, lo, mid, up):
+    """The curve at log s = log s_l + w log(s_u / s_l), c = 1 - w, its
+    points lo anchored at l, up at u and mid at the dip.
+
+    Every difference is formed without cancellation: s - s_l and s_u - s
+    from expm1, 1 - t s from the end where it is smaller, and
+
+        x - x_e = (s - s_e) (-kappa / (s s_e) - 2 t A_e),
+        a - g_c(e) = (s - s_e) A_e,  A_e = (kappa / ((1 - t s)(1 - t s_e)) - 1) / (2 kappa),
+
+    so points next to an edge keep their digits, and next to the dip x is
+    formed from z_m, where x(s) is flat.  Returns x, Re g = a, a'(s),
+    x'(s), s, s - s_l, s_u - s, s - s_m at the points mid, and 1/(1 - t s).
+    """
+    kappa, t, dv = curve.kappa, curve.t, curve.dv
+    v = w * dv
     s = np.exp(v)
-    s *= sl
+    s *= curve.sl
     dsl = np.expm1(v, out=v)  # s - s_l
-    dsl *= sl
-    dsu = c2 * -dv
+    dsl *= curve.sl
+    dsu = c * -dv
     np.expm1(dsu, out=dsu)
-    dsu *= -su  # s_u - s
+    dsu *= -curve.su  # s_u - s
     d = dsl.copy()  # s - s_e
-    np.negative(dsu[up], out=d[up])
-    om = oml - t * dsl if span < 0.0 else omu + t * dsu  # 1 - t s
-    if dip is not None:
-        omm = float(_one_minus_ts(kappa, t, gm))
-        anchors.append((mid, zm, gm, sm, omm))
-        dm = np.expm1(vmid, out=vmid)  # s - s_m
-        dm *= sm
+    d[up] = -dsu[up]
+    (_, _, _, oml), (_, _, _, omu), *dip = curve.ends
+    om = oml - t * dsl if curve.from_l else omu + t * dsu  # 1 - t s
+    dm = None
+    if dip:
+        ((_, _, sm, omm),) = dip
+        dm = w[mid] * dv
+        dm -= curve.vm
+        np.expm1(dm, out=dm)
+        dm *= sm  # s - s_m
         d[mid] = dm
         om[mid] = omm - t * dm
-        q = s - sm
-        q *= s - float(go * go)
-        q[mid] = dm * (dm + float((gm - go) * (gm + go)))
+    inv_om = 1.0 / om
+    inv_s = 1.0 / s
+    anchors = list(zip((lo, up, mid), curve.ends))
+    coef = np.empty(len(s))
+    for nodes, (_, _, _, ome) in anchors:
+        coef[nodes] = 0.5 / ome
+    big_a = inv_om * coef
+    big_a -= 0.5 / kappa
+    for nodes, (_, _, se, _) in anchors:
+        coef[nodes] = -kappa / se
+    slope = inv_s * coef
+    slope -= (2.0 * t) * big_a
+    x = d * slope  # x - x_e
+    re_g = d * big_a
+    for nodes, (xe, ge, _, _) in anchors:
+        x[nodes] += xe
+        re_g[nodes] += ge
+    da = inv_om * inv_om  # a'(s)
+    da *= 0.5
+    da -= 0.5 / kappa
+    dx = inv_s * inv_s  # x'(s)
+    dx *= -kappa
+    dx -= (2.0 * t) * da
+    return x, re_g, da, dx, s, dsl, dsu, dm, inv_om
+
+
+def _mp_interval(curve, grid):
+    """One support interval of MP(kappa) (+) semicircle(t) in closed form,
+    on the curve of `_mp_curve`.  The nodes are log s = log s_l +
+    log(s_u / s_l) sin^2(theta), evenly spaced in theta: s spans decades
+    when kappa is near 1 and t is small, and 10^-11 of itself across a bulk
+    at zero.  Each node is anchored at its nearer end e in log s, or at g_m
+    where that is nearer (`_mp_points`).  Then
+
+        b^2 = t^2 (s - s_l)(s_u - s) Q(s) / (4 kappa^2 (1 - t s)^2),
+
+    Q the quadratic of N's other two roots, s minus the root across a gap
+    formed as (s - s_e) + (s_e - root) from the edge e at the gap.  Returns
+    the per-interval fields of `SpectralDensity`, in the order x,
+    dx/dtheta, rho, Re g, Re dg/dz.
+    """
+    s2, c2, sin2t = grid[:3]
+    t, dv = curve.t, curve.dv
+    # nodes lo, mid and up are anchored at l, g_m and u
+    a = b = (len(s2) + 1) // 2
+    if curve.vm is not None:
+        a, b = np.searchsorted(s2, [0.5 * curve.vm / dv, 0.5 + 0.5 * curve.vm / dv])
+    lo, mid, up = slice(0, a), slice(a, b), slice(b, None)
+    x, re_g, da, dx, s, dsl, dsu, dm, inv_om = _mp_points(curve, s2, c2, lo, mid, up)
+    kind, *roots = curve.roots
+    if kind == "dip":
+        far, gap = roots
+        q = s - curve.ends[2][2]
+        q *= s - far
+        q[mid] = dm * (dm + gap)
         np.maximum(q, 0.0, out=q)
-    elif other is None:
+    elif kind == "sum":
+        total, prod = roots
         disc = 0.25 * total * total - prod
         if disc < 0.0:
             q = s - 0.5 * total
@@ -1054,38 +912,52 @@ def _mp_interval(kappa, t, interval, critical, grid, other=None, gap_at_u=False,
             q *= s - prod / r
             np.maximum(q, 0.0, out=q)
     else:
+        gap, far, gap_at_u = roots
         q = gap - dsu if gap_at_u else dsl + gap  # both terms of one sign
         q *= s - far
-    inv_om = 1.0 / om
-    inv_s = 1.0 / s
-    coef = np.empty(len(s))
-    for nodes, _, _, _, ome in anchors:
-        coef[nodes] = 0.5 / ome
-    big_a = inv_om * coef
-    big_a -= 0.5 / kappa
-    for nodes, _, _, se, _ in anchors:
-        coef[nodes] = -kappa / se
-    slope = inv_s * coef
-    slope -= (2.0 * t) * big_a
-    x = d * slope  # x - x_e
-    re_g = d * big_a
-    for nodes, xe, ge, _, _ in anchors:
-        x[nodes] += xe
-        re_g[nodes] += ge
     q *= dsl
     q *= dsu
     rho = np.sqrt(q, out=q)
     rho *= inv_om
-    rho *= t / (2.0 * np.pi * kappa)
-    da = inv_om * inv_om  # a'(s)
-    da *= 0.5
-    da -= 0.5 / kappa
-    dx = inv_s * inv_s  # x'(s)
-    dx *= -kappa
-    dx -= (2.0 * t) * da
+    rho *= t / (2.0 * np.pi * curve.kappa)
     dxdtheta = dx * s
     dxdtheta *= dv * sin2t
     return x, dxdtheta, rho, re_g, np.divide(da, dx, out=da)
+
+
+def _mp_hilbert(curve, lam, x):
+    """h = -Re g at points lam of one support interval of MP(kappa) (+)
+    semicircle(t), read off the curve the density `x` was built on.
+
+    x(s) = lam is solved by Newton's method in w = log(s / s_l) / log(s_u / s_l),
+    bracketed by the interval's ends w = 0 and 1, from the density's own
+    nodes (their x against their w = sin^2(theta), interpolated linearly).
+    A step that leaves the bracket is replaced by its midpoint, and each
+    iterate narrows it by the sign of x - lam.  Each point keeps the anchor
+    of its start (`_mp_points`).  The solve stops once no step exceeds
+    1e-9, and h is read at the iterate that last step leads to, to first
+    order in it: both errors are about its square.  Next to the dip, where
+    x(s) is flat, convergence is linear and a double lam no longer pins s.
+    """
+    w = np.interp(lam, x, _theta_grid(len(x))[0])
+    if curve.vm is None:
+        anchor = np.where(w <= 0.5, 0, 1)
+    else:
+        wm = curve.vm / curve.dv
+        anchor = np.where(w < 0.5 * wm, 0, np.where(w < 0.5 + 0.5 * wm, 2, 1))
+    nodes = [np.flatnonzero(anchor == k) for k in (0, 2, 1)]
+    lo, hi = np.zeros(len(w)), np.ones(len(w))
+    for _ in range(100):
+        xw, re_g, da, dx, s = _mp_points(curve, w, 1.0 - w, *nodes)[:5]
+        f = xw - lam
+        lo = np.where(f < 0.0, w, lo)
+        hi = np.where(f > 0.0, w, hi)
+        with np.errstate(all="ignore"):
+            step = f / (dx * s * curve.dv)  # dx/dw = x'(s) s dv
+        if np.all(np.abs(step) <= 1e-9):
+            return step * (da * s * curve.dv) - re_g
+        w = np.where((w - step >= lo) & (w - step <= hi), w - step, 0.5 * (lo + hi))
+    return -re_g
 
 
 def _phi_prime(prior, t, g):
@@ -1113,10 +985,10 @@ def _real_branch(prior, t, x, dens):
     (g_c(u_i), g_c(l_(i+1))) in a gap, (0, g_c(l_1)) left of the support
     and (g_c(u_n), 0) right of it, 0 being a pole of phi.  There phi(g) = x
     is solved by Newton's method in extended precision (`np.longdouble`, as
-    in `_extended_newton`) from the square-root law at the nearest edge
-    x_e, g_c + sign(x - x_e) sqrt(2 (x - x_e) / phi''(g_c)), as in
-    `_edge_start`.  Where that start leaves an outer bracket, x is far from
-    the support and the start is the tail g ~ -1/(x - mean) instead.  A
+    in `_polished`) from the square-root law at the nearest edge x_e,
+    g_c + sign(x - x_e) sqrt(2 (x - x_e) / phi''(g_c)) (Biane 1997).  Where
+    that start leaves an outer bracket, x is far from the support and the
+    start is the tail g ~ -1/(x - mean) instead.  A
     start or step that leaves the bracket is replaced by its midpoint, and
     each iterate narrows the bracket by the sign of phi(g) - x.  Iteration
     stops at a step below 1e-14 |g|, or once the steps, below 1e-8 |g|, no
@@ -1160,27 +1032,34 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
     solved at each eigenvalue lam, on or off the support.
 
     dens is a density of the same (prior, t); it supplies the support
-    intervals, the critical points of phi at their edges and the offset.
-    On a support interval [l, u], g is the `_grid_slope` root at
-    lam + i*min(dens.eps, 1e-5 (u - l)), the offset of the compound-Poisson
-    build.  Off the support it is the real g of `_real_branch`.
+    intervals and the critical points of phi at their edges.  On a support
+    interval of the Marchenko-Pastur prior, h is read off the curve the
+    density was built on (`_mp_hilbert`), on the real axis; of the
+    compound-Poisson prior, g is the `_grid_slope` root at
+    lam + i min(DEFAULT_EPS, 1e-5 (u - l)), the offset of its build.  Off
+    the support it is the real g of `_real_branch`.
     """
     if dens.prior != prior or dens.t != t:
         raise ValueError("density does not match (prior, t)")
     lam = np.asarray(lam, dtype=float)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
-    g = np.empty(lam.shape)
+    h = np.empty(lam.shape)
     off = np.ones(lam.shape, dtype=bool)
-    for (l, u), critical in zip(dens.intervals, dens.critical):
+    curves = None
+    for k, (l, u) in enumerate(dens.intervals):
         on = (lam >= l) & (lam <= u)
-        if np.any(on):
-            edges = ((l, u), critical)
-            g[on] = _grid_slope(prior, t, lam[on], min(dens.eps, 1e-5 * (u - l)), edges)[0].real
-            off &= ~on
+        if not np.any(on):
+            continue
+        if prior.kind == "compound_poisson":
+            h[on] = -_grid_slope(prior, t, lam[on], min(DEFAULT_EPS, 1e-5 * (u - l)))[0].real
+        else:
+            curves = curves or _mp_curves(prior.kappa, t, dens.intervals, dens.critical, dens.dip)
+            h[on] = _mp_hilbert(curves[k], lam[on], dens.x[k])
+        off &= ~on
     if np.any(off):
-        g[off] = _real_branch(prior, t, lam[off], dens)
-    return float(-g[0]) if scalar else -g
+        h[off] = -_real_branch(prior, t, lam[off], dens)
+    return float(h[0]) if scalar else h
 
 
 def _cumulative_simpson(f, h):

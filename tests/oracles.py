@@ -23,12 +23,18 @@ def _selfcons(prior, t, z, g):
 
 
 def coeffs_desc(prior, t, z):
-    """`freeprob._coeffs_desc`, also at t = 0: there the Marchenko-Pastur
-    cubic's leading coefficient t vanishes and the polynomial is the
-    quadratic below it.  The compound-Poisson coefficients already drop
-    their vanishing top entries."""
-    coeffs = freeprob._coeffs_desc(prior, t, z)
-    return coeffs[:, 1:] if t == 0.0 and prior.kind == "marchenko_pastur" else coeffs
+    """Descending coefficients of the cleared polynomial P_z(g), shape
+    (M, D+1), also at t = 0.  For the Marchenko-Pastur prior the cubic
+    t g^3 + (z + t kappa) g^2 + (z kappa + 1 - kappa) g + kappa, whose
+    leading coefficient t vanishes at t = 0, leaving the quadratic below
+    it; for the compound-Poisson prior `freeprob._coeffs_desc`, which
+    already drops vanishing top entries."""
+    if prior.kind == "compound_poisson":
+        return freeprob._coeffs_desc(prior, t, z)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    one, kappa = np.ones_like(z), prior.kappa
+    cols = [t * one, z + t * kappa, z * kappa + 1.0 - kappa, kappa * one]
+    return np.stack(cols[1:] if t == 0.0 else cols, axis=-1)
 
 
 def all_roots(t, z, coeffs):
@@ -144,7 +150,7 @@ def interp(dens, lam, values_per_interval, outside=np.nan):
     return out
 
 
-def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES, eps=freeprob.DEFAULT_EPS):
+def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES):
     """The t = 0 Marchenko-Pastur law in closed form: (density, atom mass).
 
     Bulk rho = kappa sqrt((l+ - x)(x - l-)) / (2 pi x) on [l-, l+],
@@ -169,7 +175,6 @@ def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES, eps=freeprob.DEFAULT_EP
     dens = freeprob.SpectralDensity(
         prior=prior,
         t=0.0,
-        eps=eps,
         intervals=((lam_m, lam_p),),
         x=(x,),
         dxdtheta=((lam_p - lam_m) * sin2t,),
@@ -234,21 +239,38 @@ def stieltjes(prior, t, z, eps=freeprob.DEFAULT_EPS):
     # even at |z| ~ 1e6.  The iterate of least |P| over 30 steps is kept:
     # next to a square-root edge, where the root pair has nearly collided,
     # the homotopy can end 1e-4 off and Newton needs about six steps
-    zl = np.clongdouble(z)
-    gl = np.clongdouble(g)
-    coeffs = coeffs_desc(prior, t, np.array([z]))[0].astype(np.clongdouble)
-    best = np.inf
-    for _ in range(30):
-        p = np.clongdouble(0.0)
-        dp = np.clongdouble(0.0)
-        for c in coeffs:
-            dp = dp * gl + p
-            p = p * gl + c
-        if abs(p) < best:
-            best, g_best = abs(p), gl
-        if dp == 0.0:
-            break
-        gl = gl - p / dp
-    gl = g_best
-    res = abs(_selfcons(prior, np.longdouble(t), zl, gl))
+    gl = extended_newton(coeffs_desc(prior, t, np.array([z])), np.array([g]), 30)[0]
+    res = abs(_selfcons(prior, np.longdouble(t), np.clongdouble(z), gl))
     return StieltjesSolution(z=z, g=complex(gl), t=t, residual=float(res))
+
+
+def extended_newton(coeffs, g, steps):
+    """The iterate of least |P| over `steps` Newton steps from g on the
+    polynomials of descending coefficients coeffs, shape (M, D+1), in
+    extended precision, point by point."""
+    g = g.astype(np.clongdouble)
+    coeffs = coeffs.astype(np.clongdouble)
+    best, g_best = np.full(len(g), np.inf), g.copy()
+    for _ in range(steps):
+        p = dp = np.zeros_like(g)
+        for c in coeffs.T:
+            dp = dp * g + p
+            p = p * g + c
+        better = np.abs(p) < best
+        best[better], g_best[better] = np.abs(p[better]), g[better]
+        with np.errstate(all="ignore"):
+            g = g - p / dp
+    return g_best
+
+
+def real_axis_root(prior, t, x, width):
+    """g(x + i0) at real points x of the support, independent of the build:
+    as `stieltjes` does, the homotopy and Newton's method in extended
+    precision at the offset 1e-16 width, then Newton's method on P_x(g) in
+    extended precision at x itself.  x is a scalar or an array."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    z = xs + 1j * (1e-16 * width)
+    g = extended_newton(coeffs_desc(prior, t, z), homotopy_solve(prior, t, xs, 1e-16 * width), 30)
+    g = extended_newton(coeffs_desc(prior, t, xs).real.astype(complex), g, 5)
+    g = g.astype(complex)
+    return complex(g[0]) if np.ndim(x) == 0 else g

@@ -18,12 +18,15 @@ from quadnet import freeprob as fp
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
 from oracles import (
+    coeffs_desc,
     companion_critical_points,
     cube_integral_dt,
+    extended_newton,
     has_nonreal_root,
     homotopy_solve,
     interp,
     mp_density_t0,
+    real_axis_root,
     root_count_support,
     sigma_t_derivative,
     stieltjes,
@@ -190,7 +193,7 @@ class TestStieltjes:
         # on-support point: of the three branches of the cleared cubic only
         # one lies in the upper half plane
         z = np.array([1.0 + 1e-8j])
-        roots = fp._all_roots(0.1, z, fp._coeffs_desc(MP05, 0.1, z))[0]
+        roots = fp._all_roots(0.1, z, coeffs_desc(MP05, 0.1, z))[0]
         assert (roots.imag > 1e-12).sum() == 1
         sol = stieltjes(MP05, 0.1, 1.0 + 1e-8j)
         assert sol.g.imag > 0
@@ -213,17 +216,21 @@ class TestStieltjes:
         # at kappa t = 3e-13 the oracle's homotopy once ended on the
         # conjugate or spurious branch at 4 of these 230 nodes (Im g < 0, up
         # to 1.0 relative off the density); every 7th node of both intervals
-        # (against `_grid_slope`, the on-support solve of `hilbert`, at the
-        # nodes of the sin^2 grid in x)
+        # (against the companion-matrix root of the unit-atom compound-Poisson
+        # prior, as its build picks it, polished by Newton's method on this
+        # prior's cubic in extended precision, at the nodes of the sin^2 grid
+        # in x)
         kappa, t = 3e-4, 1e-9
         prior = PriorSpectrum.marchenko_pastur(kappa)
+        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
         dens = density(prior, t)
         assert len(dens.intervals) == 2
         off = []
-        for (l, u), critical in zip(dens.intervals, dens.critical):
-            eps = min(dens.eps, 1e-5 * (u - l))
+        for l, u in dens.intervals:
+            eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
             x = l + (u - l) * fp._theta_grid(fp.DEFAULT_NODES)[0]
-            g_grid = fp._grid_slope(prior, t, x, eps, ((l, u), critical))[0]
+            z = x + 1j * eps
+            g_grid = extended_newton(coeffs_desc(prior, t, z), fp._grid_slope(cp, t, x, eps)[0], 30)
             for i in range(1, len(x) - 1, 7):
                 g = stieltjes(prior, t, complex(x[i], eps)).g
                 ref = g_grid[i]
@@ -334,6 +341,21 @@ class TestSupportEdges:
         ts += [t for p, t in self.MERGES if p == prior]
         for t in ts:
             assert support_edges(prior, t) == root_count_support(prior, t), t
+
+    @pytest.mark.parametrize(
+        "kappa,t",
+        [(5278.876273569065, 863413993978.7299), (7239.702894198792, 442240108227.5203),
+         (3047.0341243398557, 792638424083.4884)],
+    )
+    def test_unit_atom_compound_poisson_at_large_kappa_t(self, kappa, t):
+        # next to the pole g = -kappa a complex pair of companion eigenvalues
+        # once passed as real critical points: the right edge came out at
+        # 4.56e15 against 1.86e6 (first case), or a phantom second interval
+        # near 3.2e15 and 2.4e15 appeared (the others)
+        mp = support_edges(PriorSpectrum.marchenko_pastur(kappa), t)
+        cp = support_edges(PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),)), t)
+        assert len(cp) == len(mp)
+        assert np.ravel(cp) == pytest.approx(np.ravel(mp), rel=1e-12)
 
     def test_requires_positive_t(self):
         with pytest.raises(ValueError):
@@ -452,161 +474,130 @@ class TestMarchenkoPasturCriticalPoints:
 
 
 class TestRealCubicPair:
-    # the small t solve the companion path in w = 1/g, the large t in g: both
-    # sides of the `_inverted` guard
+    # `hilbert` on the Marchenko-Pastur support, read off the curve the
+    # density was built on, against the root of the real cubic P_x on the
+    # real axis (`real_axis_root`: the companion-matrix homotopy, then
+    # Newton's method in extended precision), as a fraction of max |h|.
+    # The small t solve the homotopy in w = 1/g, the large t in g: both
+    # sides of the guard of `freeprob._all_roots`
     TS = np.geomspace(1e-6, 10.0, 8)
 
     @staticmethod
     def _points(dens):
-        """Per interval: the grid, then points 1e-16..1e-3 widths inside each
-        edge, where eigenvalues can land for `hilbert`."""
-        h = np.geomspace(1e-16, 1e-3, 14)
+        """Per interval: every 8th interior node of the grid, then points
+        1e-9..1e-3 widths inside each edge, where eigenvalues can land for
+        `hilbert`.  Closer to an edge the pair of P_x is too near a double
+        root for `real_axis_root` to resolve it to 1e-13."""
+        h = np.geomspace(1e-9, 1e-3, 7)
         for (l, u), x in zip(dens.intervals, dens.x):
-            yield l, u, np.concatenate([x, l + h * (u - l), u - h * (u - l)]), x[[0, -1]]
+            yield l, u, np.concatenate([x[1:-1:8], l + h * (u - l), u - h * (u - l)])
+
+    @staticmethod
+    def _off(prior, t, dens, x, width):
+        """max |hilbert + Re g| at the points x over max |Re g| of dens."""
+        h = fp.hilbert(prior, t, x, dens)
+        ref = real_axis_root(prior, t, x, width).real
+        return np.max(np.abs(h + ref)) / max(np.max(np.abs(g)) for g in dens.re_g)
 
     @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
-    def test_matches_general_path_node_by_node(self, monkeypatch, kappa):
-        # the Marchenko-Pastur pair root against the companion-matrix path of
-        # the same cubic (the unit-atom compound-Poisson prior).  The points
-        # the pair route hands to the edge path are recorded: they must
-        # include both end nodes of every interval, where the pair collides
+    def test_matches_general_path_node_by_node(self, kappa):
+        # the points of `_points` on the 401-node grid.  Measured: at most
+        # 1.2e-14
         mp = PriorSpectrum.marchenko_pastur(kappa)
-        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
-        handed = []
-        edge_start = fp._edge_start
-
-        def recording(prior, t, x, *args):
-            if prior is mp:
-                handed.extend(x)
-            return edge_start(prior, t, x, *args)
-
-        monkeypatch.setattr(fp, "_edge_start", recording)
-        inverted = set()
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
-            for critical, (l, u, x, ends) in zip(dens.critical, self._points(dens)):
-                eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-                inverted.add(fp._inverted(t, x + 1j * eps))
-                handed.clear()
-                g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
-                assert np.isin(ends, handed).all()
-                pair = ~np.isin(x, handed)
-                g_cp = fp._grid_slope(cp, t, x[pair], eps, ((l, u), critical))[0]
-                # against extended precision the companion path is off by up
-                # to 2e-13 next to an edge, the pair by 5e-14
-                assert np.max(np.abs(g[pair] - g_cp) / np.abs(g_cp)) < 1e-12, (t, l, u)
-        assert inverted == {False, True}
+            for l, u, x in self._points(dens):
+                assert self._off(mp, t, dens, x, u - l) < 1e-13, (t, l, u)
 
     @pytest.mark.parametrize("kappa", [3e-4, 1e-3])
     @pytest.mark.parametrize("t", [1e-9, 1e-7])
     def test_real_root_dominant_pair_matches_companion_path(self, kappa, t):
-        # at tiny kappa t most grid nodes have a real root that dominates the
-        # pair in w = 1/g, where the pair comes from Vieta's formulas; from
-        # Cardano in w they were 5e-2 off.  Against 40 digits the pair route
-        # is off by up to 6e-13 here and the companion path by 1.4e-12
+        # at tiny kappa t the real root of P_x dominates the pair in w = 1/g
+        # at most nodes, where Cardano in w once lost the pair's digits;
+        # every 10th interior node.  Measured: at most 3.5e-16
         mp = PriorSpectrum.marchenko_pastur(kappa)
-        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
         dens = density(mp, t, n_nodes=401)
-        for (l, u), critical, x in zip(dens.intervals, dens.critical, dens.x):
-            x = x[1:-1]
-            eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-            g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
-            g_cp = fp._grid_slope(cp, t, x, eps, ((l, u), critical))[0]
-            assert np.max(np.abs(g - g_cp) / np.abs(g_cp)) < 1e-11, (l, u)
+        for (l, u), x in zip(dens.intervals, dens.x):
+            assert self._off(mp, t, dens, x[1:-1:10], u - l) < 1e-13, (l, u)
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)])
     def test_just_before_a_merge_matches_companion_path(self, kappa, t):
-        # two intervals 1e-11 apart: next to this cusp the square-root law at
-        # the nearest edge is no start for the near-edge nodes (up to 9e-2
-        # off when taken), but the quadratic about the pair root is.  The
-        # points are the interior nodes of the compound-Poisson build's grid
+        # two intervals 1e-11 apart: next to this cusp x(s) is nearly flat.
+        # The points are every 10th interior node of the compound-Poisson
+        # build's sin^2 grid in x.  Measured: at most 6.5e-15
+        # MP(0.95) is built as one interval there, the two 1.0e-11 apart
+        # being below the collision threshold: its points within 1e-6 widths
+        # of the dip, where x(s) is flat, are left out
         mp = PriorSpectrum.marchenko_pastur(kappa)
-        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
-        dens_cp = density(cp, t)
+        dens = density(mp, t)
+        dens_cp = density(PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),)), t)
         assert len(dens_cp.intervals) == 2
-        for (l, u), critical, x in zip(dens_cp.intervals, dens_cp.critical, dens_cp.x):
-            eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-            g = fp._grid_slope(mp, t, x[1:-1], eps, ((l, u), critical))[0]
-            g_cp = fp._grid_slope(cp, t, x[1:-1], eps, ((l, u), critical))[0]
-            assert np.max(np.abs(g - g_cp) / np.abs(g_cp)) < 1e-11
+        (lo, hi) = dens.intervals[0][0], dens.intervals[-1][1]
+        for x in dens_cp.x:
+            x = x[1:-1:10]
+            if dens.dip is not None:
+                x = x[np.abs(x - dens.dip[0]) >= 1e-6 * (hi - lo)]
+            assert self._off(mp, t, dens, x, hi - lo) < 1e-13
 
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
     def test_matches_extended_precision_stieltjes(self, kappa):
+        # every 50th node, over t from 1e-6 to 10.  Measured: at most 7.4e-16
         mp = PriorSpectrum.marchenko_pastur(kappa)
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
-            for (l, u), critical, x in zip(dens.intervals, dens.critical, dens.x):
-                x = x[1:-1:50]
-                eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-                ref = np.array([stieltjes(mp, t, complex(xi, eps)).g for xi in x])
-                g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
-                assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-13, (t, l, u)
+            for (l, u), x in zip(dens.intervals, dens.x):
+                assert self._off(mp, t, dens, x[1:-1:50], u - l) < 1e-13, (t, l, u)
+
+    @staticmethod
+    def _pair_re(kappa, t, x, gc):
+        """Re g at x next to the edge of critical point gc: the mean real
+        part of the two roots of P_x nearest gc, the pair that collides
+        there (real just off the support), to 40 digits."""
+        import mpmath
+
+        with mpmath.workdps(40):
+            k, tt, xx = mpmath.mpf(kappa), mpmath.mpf(t), mpmath.mpf(x)
+            roots = mpmath.polyroots([tt, xx + tt * k, xx * k + 1 - k, k], maxsteps=100, extraprec=100)
+            pair = sorted(roots, key=lambda r: abs(r - gc))[:2]
+            return float(mpmath.re(pair[0] + pair[1]) / 2)
 
     @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
     def test_edge_points_match_extended_precision_stieltjes(self, kappa):
-        # the edges themselves and the points 1e-16..1e-3 widths inside each
-        # edge take the edge path: a start from the square-root law, then
-        # Newton's method in extended precision.  The points are solved as
-        # `hilbert` solves them, with the interval's edges and critical
-        # points; the edges on their own, as the grid's end nodes once were
+        # the edges themselves, where h is minus the critical point, and
+        # points 1e-16..1e-4 widths inside each edge, where the pair of P_x
+        # nearly collides, against `_pair_re`.  Measured: at most 7.0e-15
         mp = PriorSpectrum.marchenko_pastur(kappa)
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
-            for (l, u), critical, xg, (_, _, x, _) in zip(
-                dens.intervals, dens.critical, dens.x, self._points(dens)
-            ):
-                eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-                x = x[len(xg):]
-                g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
-                ends = np.array([l, l + (u - l)])
-                g = np.concatenate([fp._grid_slope(mp, t, ends, eps, ((l, u), critical))[0], g])
-                x = np.concatenate([ends, x])
-                ref = np.array([stieltjes(mp, t, complex(xi, eps)).g for xi in x])
-                assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12, (t, l, u)
-                h = fp.hilbert(mp, t, x[2:], dens=dens)
-                assert np.max(np.abs(h + ref[2:].real) / np.abs(ref[2:])) < 1e-12, (t, l, u)
+            scale = max(np.max(np.abs(g)) for g in dens.re_g)
+            for (l, u), critical in zip(dens.intervals, dens.critical):
+                assert fp.hilbert(mp, t, [l, u], dens) == pytest.approx(np.negative(critical), rel=1e-15)
+                for e, gc, inward in ((l, critical[0], 1.0), (u, critical[1], -1.0)):
+                    x = e + inward * np.geomspace(1e-16, 1e-4, 5) * (u - l)
+                    ref = [self._pair_re(kappa, t, xi, gc) for xi in x]
+                    assert np.max(np.abs(fp.hilbert(mp, t, x, dens) + ref)) < 1e-13 * scale, (t, e)
 
     @pytest.mark.parametrize("prior,t", [(MP05, 0.5), (MP05, 1e-3)], ids=["one", "two"])
     def test_steps_that_fail_fall_back(self, monkeypatch, prior, t):
-        # the second plain Newton step reports NaN residuals and the first
-        # extended-precision pass converges nowhere: every interior node
-        # then takes the safeguarded polish from its pair root, and the end
-        # nodes restart from the admissible root; both land on the same roots
+        # x'(s) is NaN at the first evaluation: every Newton step then fails
+        # and is replaced by its bracket's midpoint, and the solve lands on
+        # the h of the steps that do not fail
         dens = density(prior, t, n_nodes=201)
-        # the sin^2 grid in x, and its roots from the steps that do not fail
-        grids = [l + (u - l) * fp._theta_grid(201)[0] for l, u in dens.intervals]
-        refs = [
-            fp._grid_slope(prior, t, xg, min(fp.DEFAULT_EPS, 1e-5 * (u - l)), ((l, u), critical))[0]
-            for (l, u), critical, xg in zip(dens.intervals, dens.critical, grids)
-        ]
-        horner, polish, newton = fp._cubic_horner, fp._newton_polish, fp._extended_newton
-        polished = []
+        lam = np.concatenate([x[1:-1] for x in dens.x])
+        ref = fp.hilbert(prior, t, lam, dens)
+        points, calls = fp._mp_points, []
 
-        def failing_horner(t_, c1, c2, kappa, g):
-            p, dp = horner(t_, c1, c2, kappa, g)
-            failing_horner.calls += 1
-            if failing_horner.calls == 2:
-                p = np.full_like(p, np.nan)
-            return p, dp
+        def failing(*args):
+            out = list(points(*args))
+            calls.append(len(args[1]))
+            if len(calls) == 1:
+                out[3] = np.full_like(out[3], np.nan)
+            return tuple(out)
 
-        def failing_newton(t_, c1, c2, kappa, g):
-            g, ok = newton(t_, c1, c2, kappa, g)
-            failing_newton.calls += 1
-            return g, ok & (failing_newton.calls > 1)
-
-        def recording(coeffs, g, steps=2):
-            polished.append(len(g))
-            return polish(coeffs, g, steps)
-
-        monkeypatch.setattr(fp, "_cubic_horner", failing_horner)
-        monkeypatch.setattr(fp, "_extended_newton", failing_newton)
-        monkeypatch.setattr(fp, "_newton_polish", recording)
-        for (l, u), critical, xg, ref in zip(dens.intervals, dens.critical, grids, refs):
-            polished.clear()
-            failing_horner.calls = failing_newton.calls = 0
-            g = fp._grid_slope(prior, t, xg, min(fp.DEFAULT_EPS, 1e-5 * (u - l)), ((l, u), critical))[0]
-            assert polished == [len(xg) - 2, 2] and failing_newton.calls == 2
-            assert np.max(np.abs(g - ref) / np.abs(ref)) < 1e-12
+        monkeypatch.setattr(fp, "_mp_points", failing)
+        h = fp.hilbert(prior, t, lam, dens)
+        assert len(calls) > 3
+        assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize(
         "kappa,t,h",
@@ -617,45 +608,32 @@ class TestRealCubicPair:
         # on the complex-Cardano path the edges once took, the right end
         # node of MP(0.361) at t = 0.00562 had rho 3% low, and the point
         # 1e-7 widths (8.7e-7) inside the right edge of MP(0.211) at
-        # t = 0.001, solved with the other near-edge points, was 1.9e-4 off
-        # (the end node, solved with the near-edge points, gets the bits it
-        # gets on its own)
+        # t = 0.001, solved with the other near-edge points, was 1.9e-4 off.
+        # The points are solved with the points 1e-16..1e-3 widths inside;
+        # the end node is the critical point
         mp = PriorSpectrum.marchenko_pastur(kappa)
         dens = density(mp, t, n_nodes=401)
-        (l, u), critical = dens.intervals[-1], dens.critical[-1]
-        eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+        (l, u), (_, gu) = dens.intervals[-1], dens.critical[-1]
         hs = np.geomspace(1e-16, 1e-3, 14)
         x = np.concatenate([[l + (u - l)], u - hs * (u - l)])
-        g = fp._grid_slope(mp, t, x, eps, ((l, u), critical))[0]
-        assert g[0] == fp._grid_slope(mp, t, x[:1], eps, ((l, u), critical))[0][0]
-        i = 0 if h == 0.0 else 1 + int(np.argmin(np.abs(np.log(hs / h))))
-        ref = stieltjes(mp, t, complex(x[i], eps)).g
-        assert abs(g[i] - ref) / abs(ref) < 1e-12
-
-
-def real_axis_root(prior, t, x, width):
-    """g(x + i0) at a real x of the support, independent of the build: the
-    `stieltjes` oracle at the offset 1e-16 width, then Newton's method on
-    P_x(g) in extended precision at x itself."""
-    g = np.clongdouble(stieltjes(prior, t, complex(x, 1e-16 * width)).g)
-    coeffs = fp._coeffs_desc(prior, t, np.array([x]))[0].real.astype(np.longdouble)
-    for _ in range(4):
-        p = dp = np.clongdouble(0.0)
-        for c in coeffs:
-            dp = dp * g + p
-            p = p * g + c
-        g = g - p / dp
-    return complex(g)
+        out = fp.hilbert(mp, t, x, dens)
+        assert out[0] == fp.hilbert(mp, t, x[0], dens) == pytest.approx(-gu, rel=1e-15)
+        if h:
+            i = 1 + int(np.argmin(np.abs(np.log(hs / h))))
+            ref = real_axis_root(mp, t, x[i], u - l).real
+            assert abs(out[i] + ref) <= 1e-13 * max(np.max(np.abs(g)) for g in dens.re_g)
 
 
 class TestClosedFormBuild:
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "kappa,t",
         [(0.5, 0.5), (0.5, 1e-3), (2.0, 1e-4), (0.1, 5.0), (1.0, 1e-6), (3e-4, 1e-9),
          (0.5, 0.036), (0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)],
         ids=["mp0.5", "mp0.5-split", "mp2", "mp0.1", "mp1-hard-edge", "thin-bulk",
              "after-merge", "before-merge", "mp0.95-before-merge"],
     )
+
+    @CASES
     def test_nodes_match_real_axis_reference(self, kappa, t):
         # every 20th node at least 1e-4 widths inside its interval: the worst
         # measured is 2.1e-13 (MP(0.95) before its merge).  Closer to an
@@ -684,17 +662,62 @@ class TestClosedFormBuild:
             assert re_g[[0, -1]] == pytest.approx(critical, rel=1e-15)
             assert np.all(np.isfinite(dz))
 
+    @staticmethod
+    def _dip_distance(dens, x, width):
+        """|x - z_m| in widths of the merged interval, inf without a dip."""
+        return np.full(len(x), np.inf) if dens.dip is None else np.abs(x - dens.dip[0]) / width
+
+    @CASES
+    def test_hilbert_at_every_interior_node(self, kappa, t):
+        # h equals -Re g of the build at every interior node: the shrinker
+        # and the density read the same curve.  Measured: at most 3.0e-15 of
+        # max |Re g| (the offset solve this replaced was up to 3.8e-3 off on
+        # a merged interval).  On MP(0.95)'s merged interval the nodes
+        # within 1e-6 widths of the dip, where x(s) is flat and a double
+        # lam does not pin s, are held to 1e-4
+        prior = PriorSpectrum.marchenko_pastur(kappa)
+        dens = density(prior, t)
+        scale = max(np.max(np.abs(g)) for g in dens.re_g)
+        for (l, u), x, re_g in zip(dens.intervals, dens.x, dens.re_g):
+            off = np.abs(fp.hilbert(prior, t, x[1:-1], dens) + re_g[1:-1]) / scale
+            near = self._dip_distance(dens, x[1:-1], u - l) < 1e-6
+            assert np.all(off[~near] <= 1e-13), np.max(off[~near])
+            assert np.all(off[near] <= 1e-4)
+
+    @pytest.mark.parametrize(
+        "kappa,t",
+        [(0.5, 0.5), (0.5, 0.1), (1.0, 1.0), (0.5, 1e-3), (2.0, 1e-4), (0.1, 5.0),
+         (0.5, 0.0351199750753887), (0.95, 5.398127249281708e-06)],
+        ids=["mp0.5", "mp0.5-t0.1", "mp1", "mp0.5-split", "mp2", "mp0.1", "merged", "mp0.95-merged"],
+    )
+    def test_hilbert_matches_real_axis_root(self, kappa, t):
+        # 60 random points per interval, at least 1e-6 widths inside it and
+        # from the dip of a merged one.  Measured: at most 1.7e-14 of max |h|
+        prior = PriorSpectrum.marchenko_pastur(kappa)
+        dens = density(prior, t)
+        rng = np.random.default_rng(5)
+        h, ref = [], []
+        for l, u in dens.intervals:
+            lam = l + (u - l) * rng.uniform(1e-6, 1.0 - 1e-6, 60)
+            lam = lam[self._dip_distance(dens, lam, u - l) >= 1e-6]
+            h.append(fp.hilbert(prior, t, lam, dens))
+            ref.append(-real_axis_root(prior, t, lam, u - l).real)
+        h, ref = np.concatenate(h), np.concatenate(ref)
+        assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestSharedCoefficients:
     @pytest.mark.parametrize("t", [1e-9, 1e-5, 1e-2, 0.5, 2.0])
     @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
     def test_polish_matches_reference(self, monkeypatch, prior, t):
-        # every polish and Newton step on the density and Hilbert paths
+        # every polish on the compound-Poisson density and Hilbert paths
         # gets coefficients built for its own (prior, t, z); a polish gives
-        # the bits of the reference polish that rebuilds them.  Off the
-        # support `hilbert` takes neither
+        # the bits of the reference polish that rebuilds them.  The
+        # Marchenko-Pastur paths take no polish: `hilbert` solves on the
+        # curves, scalar for scalar, that the density was built on.  Off
+        # the support `hilbert` takes neither
         built = {}
-        coeffs_desc, polish = fp._coeffs_desc, fp._newton_polish
+        coeffs_desc, polish, points = fp._coeffs_desc, fp._newton_polish, fp._mp_points
 
         def recording_coeffs(prior_, t_, z):
             c = coeffs_desc(prior_, t_, z)
@@ -710,27 +733,17 @@ class TestSharedCoefficients:
             n_checked[0] += 1
             return out
 
-        # the Marchenko-Pastur branch builds its Newton steps' coefficients
-        # from x itself: the columns of `_coeffs_desc` at its points
-        branch_coeffs = []
-        mp_branch, horner = fp._mp_branch, fp._cubic_horner
+        curves = []
 
-        def recording_branch(prior_, t_, x, eps, edges=None):
-            branch_coeffs.append(coeffs_desc(prior_, t_, x + 1j * eps))
-            return mp_branch(prior_, t_, x, eps, edges)
-
-        def checked_horner(t_, c1, c2, kappa, g):
-            c = branch_coeffs[-1]
-            assert t_ == c[0, 0] and kappa == c[0, 3]
-            assert np.isin(c1, c[:, 1]).all() and np.isin(c2, c[:, 2]).all()
-            n_checked[0] += 1
-            return horner(t_, c1, c2, kappa, g)
+        def recording_points(curve, *args):
+            curves.append(curve)
+            return points(curve, *args)
 
         monkeypatch.setattr(fp, "_coeffs_desc", recording_coeffs)
         monkeypatch.setattr(fp, "_newton_polish", checked_polish)
-        monkeypatch.setattr(fp, "_mp_branch", recording_branch)
-        monkeypatch.setattr(fp, "_cubic_horner", checked_horner)
+        monkeypatch.setattr(fp, "_mp_points", recording_points)
         dens = density(prior, t, n_nodes=201)
+        n_built = len(curves)
         edges = np.array(dens.intervals).ravel()
         # beyond both ends and in every gap: solved off the support; the
         # middle of every interval: solved on it
@@ -738,7 +751,11 @@ class TestSharedCoefficients:
         mids = 0.5 * (edges[::2] + edges[1::2])
         lam = np.concatenate([[edges[0] - 1.0, edges[-1] + 1.0], gaps, mids])
         fp.hilbert(prior, t, lam, dens=dens)
-        assert n_checked[0] > len(dens.intervals)
+        if prior.kind == "marchenko_pastur":
+            assert n_checked[0] == 0 and n_built == len(dens.intervals)
+            assert len(curves) > n_built and all(c in curves[:n_built] for c in curves[n_built:])
+        else:
+            assert n_checked[0] > len(dens.intervals) and not curves
 
 
 class TestDensityInvariants:
@@ -834,15 +851,14 @@ class TestDensityInvariants:
         # where spurious upper-half-plane roots exist (near the gap of a
         # split support) the branch `hilbert` solves on the support must
         # agree with continuation from high in the upper half plane, at
-        # nodes of the sin^2 grid in x
+        # nodes of the sin^2 grid in x.  The continuation ends 1e-14 widths
+        # above the axis, where its Re g is within about 1e-12 of the axis'
         dens = density(MP05, 0.01)
         s2 = fp._theta_grid(fp.DEFAULT_NODES)[0]
-        for (l, u), critical in zip(dens.intervals, dens.critical):
+        for l, u in dens.intervals:
             x = (l + (u - l) * s2)[np.linspace(5, len(s2) - 6, 12).astype(int)]
-            eps = min(dens.eps, 1e-5 * (u - l))
-            g = fp._grid_slope(MP05, 0.01, x, eps, ((l, u), critical))[0]
-            g_cont = homotopy_solve(MP05, 0.01, x, eps)
-            assert np.max(np.abs(g.imag - g_cont.imag) / np.pi) < 1e-7
+            g_cont = homotopy_solve(MP05, 0.01, x, 1e-14 * (u - l))
+            assert np.max(np.abs(fp.hilbert(MP05, 0.01, x, dens) + g_cont.real)) < 1e-7
 
     def test_very_thin_bulk_keeps_mass(self):
         # at t = 1e-8 the lower bulk has width ~ 1e-4; an evaluation offset
@@ -948,15 +964,17 @@ class TestCubeIntegral:
 
     def test_refinement_oracle(self):
         # independent scheme: composite midpoint on a uniform grid at 10x
-        # the node count, density re-evaluated at the midpoints
+        # the node count, density re-evaluated at the midpoints by the
+        # companion-matrix root of the unit-atom compound-Poisson prior
         dens = density(MP05, 0.5, n_nodes=2001)
+        cp = PriorSpectrum.compound_poisson(MP05.kappa, ((1.0, 1.0),))
         val = dens.cube_integral()
         oracle = 0.0
-        for (l, u), critical in zip(dens.intervals, dens.critical):
+        for l, u in dens.intervals:
             n = 20010
             h = (u - l) / n
             xm = l + (np.arange(n) + 0.5) * h
-            g = fp._grid_slope(MP05, 0.5, xm, dens.eps, ((l, u), critical))[0]
+            g = fp._grid_slope(cp, 0.5, xm, fp.DEFAULT_EPS)[0]
             oracle += float(np.sum(np.maximum(g.imag / np.pi, 0.0) ** 3) * h)
         assert val == pytest.approx(oracle, rel=1e-5)
 
@@ -1048,7 +1066,7 @@ class TestHilbert:
         prior, t, lam = PriorSpectrum.marchenko_pastur(0.001), 0.178, 1064.35
         dens = density(prior, t)
         assert 0.0 < lam - dens.intervals[-1][1] < 0.11
-        roots = np.roots(fp._coeffs_desc(prior, t, lam)[0].real)
+        roots = np.roots(coeffs_desc(prior, t, lam)[0].real)
         up = roots[(roots.imag == 0.0) & (fp._phi_prime(prior, t, roots.real) > 0.0)]
         assert len(up) == 1
         assert fp.hilbert(prior, t, lam, dens=dens) == pytest.approx(-up[0].real, rel=1e-12)

@@ -15,7 +15,7 @@ from quadnet import matdenoise as md
 from quadnet.freeprob import PriorSpectrum
 from quadnet.matdenoise import sample_prior
 
-from oracles import homotopy_solve
+from oracles import homotopy_solve, real_axis_root
 
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
 CP3 = PriorSpectrum.compound_poisson(0.7, ((0.5, 0.3), (1.0, 0.4), (2.0, 0.3)))
@@ -93,7 +93,9 @@ class TestExactShrinker:
     def test_hilbert_matches_homotopy_at_every_eigenvalue(self, prior, d):
         # h is solved at each sampled eigenvalue, on the support and off it;
         # the oracle is the homotopy from high in the upper half plane, at
-        # the offset hilbert uses
+        # the offset hilbert uses: on the support of the Marchenko-Pastur
+        # prior, where hilbert solves on the real axis, the homotopy polished
+        # there (`real_axis_root`)
         rng = np.random.default_rng(d)
         n_off = 0
         for delta in (0.05, 0.1, 0.5, 1.0):
@@ -106,7 +108,9 @@ class TestExactShrinker:
             for l, u in spec.rho.intervals:
                 on = (lam >= l) & (lam <= u)
                 off &= ~on
-                if np.any(on):
+                if np.any(on) and prior.kind == "marchenko_pastur":
+                    ref[on] = -real_axis_root(prior, delta, lam[on], u - l).real
+                elif np.any(on):
                     eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
                     ref[on] = -homotopy_solve(prior, delta, lam[on], eps).real
             if np.any(off):

@@ -81,3 +81,16 @@ class TestReadmeCsvsLineCounts:
         assert readme_csvs.line_counts(tmp_path) == {
             "pkg.__init__": 0, "pkg.a": 3, "pkg.sub.b": 1,
         }
+
+
+class TestReadmeCsvsLineDelta:
+    def test_delta_per_module_and_total(self):
+        old = {"pkg.a": 10, "pkg.b": 5, "pkg.gone": 3}
+        new = {"pkg.a": 7, "pkg.b": 5, "pkg.new": 2}
+        assert readme_csvs.line_delta(old, new) == [
+            "src lines pkg.a 10 -> 7 (-3)",
+            "src lines pkg.b 5 -> 5 (+0)",
+            "src lines pkg.gone 3 -> 0 (-3)",
+            "src lines pkg.new 0 -> 2 (+2)",
+            "src lines total 18 -> 14 (-4)",
+        ]

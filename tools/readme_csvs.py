@@ -14,12 +14,15 @@ still wrote is hashed.  The exit status is 1 if any command failed.  After
 the hashes, the line count of each module under `src/` and their total go
 to standard error.
 
-`--save DIR` copies each CSV into DIR.  `--diff DIR` compares each CSV
-with the one of the same name in DIR and prints every row that changed,
+`--save DIR` copies each CSV into DIR, and the line counts into
+`DIR/src_lines.json`.  `--diff DIR` compares each CSV with the one of the
+same name in DIR and prints every row that changed,
 `<csv name>:<line> <old row> -> <new row>`, then one summary line: how
 many rows changed, the largest relative change of each numeric column
 with its line, and every line where a `status`, `converged` or `failed`
-value flipped.  So a change's moved rows can be listed against a run of
+value flipped.  After the CSVs it prints each module's line count against
+DIR's, `src lines <module> <old> -> <new> (<delta>)`, the total last.  So
+a change's moved rows and its line delta can be listed against a run of
 its parent:
 
     python3 tools/readme_csvs.py --save /tmp/before se-curve   # parent
@@ -30,6 +33,7 @@ import argparse
 import csv
 import hashlib
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -130,6 +134,18 @@ def line_counts(src):
     }
 
 
+LINE_COUNTS = "src_lines.json"
+
+
+def line_delta(old, new):
+    """Lines `src lines <module> <old> -> <new> (<delta>)` for every module
+    of the line counts old or new (`line_counts`), a module only one side
+    has counting 0 on the other, then the same for the total."""
+    rows = [(name, old.get(name, 0), new.get(name, 0)) for name in sorted(old.keys() | new.keys())]
+    rows.append(("total", sum(old.values()), sum(new.values())))
+    return [f"src lines {name} {a} -> {b} ({b - a:+d})" for name, a, b in rows]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("commands", nargs="*", help="command names to run (default: all)")
@@ -171,6 +187,13 @@ def main(argv=None):
     counts = line_counts(ROOT / "src")
     print(f"src lines: {sum(counts.values())} total, "
           + ", ".join(f"{name} {n}" for name, n in counts.items()), file=sys.stderr)
+    if args.save:
+        args.save.mkdir(parents=True, exist_ok=True)
+        (args.save / LINE_COUNTS).write_text(json.dumps(counts, indent=1) + "\n")
+    if args.diff:
+        old = args.diff / LINE_COUNTS
+        for line in line_delta(json.loads(old.read_text()) if old.exists() else {}, counts):
+            print(line, flush=True)
     return 1 if failed else 0
 
 
