@@ -606,10 +606,11 @@ class SpectralDensity:
     re_dgdz : tuple of arrays, one per interval
         Re dg/dz = Re 1/phi'(g) at the grid's g, from the build.  At an
         edge phi' vanishes but Re dg/dz stays finite (Im dg/dz diverges).
-    dip : (z_m, g_m) or None
-        For a Marchenko-Pastur interval that is two merged ones, the
-        critical value where they met and its critical point; None
-        otherwise.  `hilbert` anchors the points next to it there.
+    curves : tuple of `_MpCurve` or None
+        For the Marchenko-Pastur prior, per interval the closed-form curve
+        the grid was built on (`_mp_curve`), which `hilbert` solves on; it
+        holds the edges' and, on two merged intervals, the dip's anchors.
+        None for the compound-Poisson prior.
     """
 
     prior: PriorSpectrum
@@ -621,7 +622,7 @@ class SpectralDensity:
     re_g: tuple
     critical: tuple
     re_dgdz: tuple
-    dip: tuple | None = None
+    curves: tuple | None = None
 
     @functools.cached_property
     def weights(self):
@@ -675,14 +676,9 @@ def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> Spe
     grid = _theta_grid(n_nodes)
     intervals = tuple(interval for interval, *_ in support)
     critical = tuple(critical for _, critical, _ in support)
-    dip = None
+    curves = None
     if prior.kind == "marchenko_pastur":
-        if len(support) == 1 and support[0][2]:
-            # two merged intervals: the kept critical value where they met
-            # and its critical point
-            ((zm, gm),) = support[0][2]
-            dip = float(zm), float(gm)
-        curves = _mp_curves(prior.kappa, t, intervals, critical, dip)
+        curves = _mp_curves(prior.kappa, t, support)
         parts = [_mp_interval(curve, grid) for curve in curves]
     else:  # on x = l + (u - l) sin^2(theta)
         parts = []
@@ -692,7 +688,7 @@ def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> Spe
             parts.append((x, (u - l) * grid[2], np.maximum(g.imag / np.pi, 0.0), g.real, dgdz.real))
     x, dxdtheta, rho, re_g, re_dgdz = zip(*parts)
     return SpectralDensity(prior=prior, t=t, intervals=intervals, x=x, dxdtheta=dxdtheta, rho=rho,
-                           re_g=re_g, critical=critical, re_dgdz=re_dgdz, dip=dip)
+                           re_g=re_g, critical=critical, re_dgdz=re_dgdz, curves=curves)
 
 
 def _polished(kappa, t, g):
@@ -717,21 +713,25 @@ def _one_minus_ts(kappa, t, g):
     return 1.0 - t * s if t * s < 0.5 else kappa * s / (kappa + g) ** 2
 
 
-def _mp_curves(kappa, t, intervals, critical, dip):
-    """The support intervals of MP(kappa) (+) semicircle(t) as `_MpCurve`s,
-    from their edges, the critical points of phi there and `dip` as on
-    `SpectralDensity`: what `density` builds and `hilbert` solves on."""
-    crit = [tuple(_polished(kappa, t, g) for g in c) for c in critical]
+def _mp_curves(kappa, t, support):
+    """The support intervals of MP(kappa) (+) semicircle(t), as `_support`
+    gives them, as a tuple of `_MpCurve`s: what `density` builds and keeps
+    for `hilbert` to solve on."""
+    crit = [tuple(_polished(kappa, t, g) for g in c) for _, c, _ in support]
     # with two intervals, the other one's critical points are the other
     # two roots of the curve's edge polynomial, the one across the gap first
     others = [crit[1], crit[0][::-1]] if len(crit) == 2 else [None]
-    if dip is not None:
-        # the other critical point where the two met, from the root sum -2 kappa
-        dip = (*dip, -2.0 * kappa - (crit[0][0] + crit[0][1] + dip[1]))
-    return [
+    dip = None
+    if len(support) == 1 and support[0][2]:
+        # two merged intervals: the kept critical value z_m where they met,
+        # its critical point g_m and, from the root sum -2 kappa, the other
+        # critical point there
+        ((zm, gm),) = support[0][2]
+        dip = float(zm), float(gm), -2.0 * kappa - (crit[0][0] + crit[0][1] + float(gm))
+    return tuple(
         _mp_curve(kappa, t, interval, c, other, k == 0, dip)
-        for k, (interval, c, other) in enumerate(zip(intervals, crit, others))
-    ]
+        for k, ((interval, *_), c, other) in enumerate(zip(support, crit, others))
+    )
 
 
 # the scalars of one support interval's curve, as `_mp_curve` describes them
@@ -1034,7 +1034,8 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
     dens is a density of the same (prior, t); it supplies the support
     intervals and the critical points of phi at their edges.  On a support
     interval of the Marchenko-Pastur prior, h is read off the curve the
-    density was built on (`_mp_hilbert`), on the real axis; of the
+    density was built on (`SpectralDensity.curves`, `_mp_hilbert`), on the
+    real axis; of the
     compound-Poisson prior, g is the `_grid_slope` root at
     lam + i min(DEFAULT_EPS, 1e-5 (u - l)), the offset of its build.  Off
     the support it is the real g of `_real_branch`.
@@ -1046,7 +1047,6 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
     lam = np.atleast_1d(lam)
     h = np.empty(lam.shape)
     off = np.ones(lam.shape, dtype=bool)
-    curves = None
     for k, (l, u) in enumerate(dens.intervals):
         on = (lam >= l) & (lam <= u)
         if not np.any(on):
@@ -1054,8 +1054,7 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
         if prior.kind == "compound_poisson":
             h[on] = -_grid_slope(prior, t, lam[on], min(DEFAULT_EPS, 1e-5 * (u - l)))[0].real
         else:
-            curves = curves or _mp_curves(prior.kappa, t, dens.intervals, dens.critical, dens.dip)
-            h[on] = _mp_hilbert(curves[k], lam[on], dens.x[k])
+            h[on] = _mp_hilbert(dens.curves[k], lam[on], dens.x[k])
         off &= ~on
     if np.any(off):
         h[off] = -_real_branch(prior, t, lam[off], dens)

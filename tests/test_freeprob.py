@@ -477,113 +477,124 @@ class TestRealCubicPair:
     # `hilbert` on the Marchenko-Pastur support, read off the curve the
     # density was built on, against the root of the real cubic P_x on the
     # real axis (`real_axis_root`: the companion-matrix homotopy, then
-    # Newton's method in extended precision), as a fraction of max |h|.
-    # The small t solve the homotopy in w = 1/g, the large t in g: both
-    # sides of the guard of `freeprob._all_roots`
+    # Newton's method in extended precision), point by point relative to
+    # |g| there.  The small t solve the homotopy in w = 1/g, the large t in
+    # g: both sides of the guard of `freeprob._all_roots`
     TS = np.geomspace(1e-6, 10.0, 8)
 
     @staticmethod
     def _points(dens):
-        """Per interval: every 8th interior node of the grid, then points
+        """Per interval: the interior nodes of the grid, then points
         1e-9..1e-3 widths inside each edge, where eigenvalues can land for
         `hilbert`.  Closer to an edge the pair of P_x is too near a double
-        root for `real_axis_root` to resolve it to 1e-13."""
+        root for `real_axis_root` to resolve it (about 1e-8 off at 1e-16
+        widths); `test_edge_points_match_extended_precision_stieltjes` takes
+        those points."""
         h = np.geomspace(1e-9, 1e-3, 7)
         for (l, u), x in zip(dens.intervals, dens.x):
-            yield l, u, np.concatenate([x[1:-1:8], l + h * (u - l), u - h * (u - l)])
+            yield l, u, np.concatenate([x[1:-1], l + h * (u - l), u - h * (u - l)])
 
     @staticmethod
     def _off(prior, t, dens, x, width):
-        """max |hilbert + Re g| at the points x over max |Re g| of dens."""
-        h = fp.hilbert(prior, t, x, dens)
-        ref = real_axis_root(prior, t, x, width).real
-        return np.max(np.abs(h + ref)) / max(np.max(np.abs(g)) for g in dens.re_g)
+        """|hilbert + Re g| / |g| at each of the points x, g from
+        `real_axis_root`."""
+        ref = real_axis_root(prior, t, x, width)
+        return np.abs(fp.hilbert(prior, t, x, dens) + ref.real) / np.abs(ref)
 
     @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
-    def test_matches_general_path_node_by_node(self, kappa):
+    def test_matches_general_path_node_by_node(self, monkeypatch, kappa):
         # the points of `_points` on the 401-node grid.  Measured: at most
-        # 1.2e-14
+        # 1.3e-13 (MP(0.946) at t = 1e-5, mid-bulk).  The reference's
+        # homotopy must have been solved in w = 1/g for some t and in g for
+        # others: `_all_roots` hands `_companion_roots` the columns of the
+        # coefficients reversed (a negative stride) when it solves in w
         mp = PriorSpectrum.marchenko_pastur(kappa)
+        companion, inverted = fp._companion_roots, set()
+
+        def recording(c):
+            inverted.add(c.strides[-1] < 0)
+            return companion(c)
+
+        monkeypatch.setattr(fp, "_companion_roots", recording)
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
             for l, u, x in self._points(dens):
-                assert self._off(mp, t, dens, x, u - l) < 1e-13, (t, l, u)
+                assert np.max(self._off(mp, t, dens, x, u - l)) < 1e-12, (t, l, u)
+        assert inverted == {False, True}
 
     @pytest.mark.parametrize("kappa", [3e-4, 1e-3])
     @pytest.mark.parametrize("t", [1e-9, 1e-7])
     def test_real_root_dominant_pair_matches_companion_path(self, kappa, t):
         # at tiny kappa t the real root of P_x dominates the pair in w = 1/g
         # at most nodes, where Cardano in w once lost the pair's digits;
-        # every 10th interior node.  Measured: at most 3.5e-16
+        # every interior node.  Measured: at most 4.5e-16
         mp = PriorSpectrum.marchenko_pastur(kappa)
         dens = density(mp, t, n_nodes=401)
         for (l, u), x in zip(dens.intervals, dens.x):
-            assert self._off(mp, t, dens, x[1:-1:10], u - l) < 1e-13, (l, u)
+            assert np.max(self._off(mp, t, dens, x[1:-1], u - l)) < 1e-11, (l, u)
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)])
     def test_just_before_a_merge_matches_companion_path(self, kappa, t):
         # two intervals 1e-11 apart: next to this cusp x(s) is nearly flat.
-        # The points are every 10th interior node of the compound-Poisson
-        # build's sin^2 grid in x.  Measured: at most 6.5e-15
-        # MP(0.95) is built as one interval there, the two 1.0e-11 apart
-        # being below the collision threshold: its points within 1e-6 widths
-        # of the dip, where x(s) is flat, are left out
+        # The points are the interior nodes of the compound-Poisson build's
+        # sin^2 grid in x.  MP(0.95) is built as one interval there, the two
+        # 1.0e-11 apart being below the collision threshold, and its nodes
+        # come within 1.9e-9 widths of the dip.  Measured: at most 3.9e-13,
+        # at the node next to that dip
         mp = PriorSpectrum.marchenko_pastur(kappa)
         dens = density(mp, t)
         dens_cp = density(PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),)), t)
         assert len(dens_cp.intervals) == 2
-        (lo, hi) = dens.intervals[0][0], dens.intervals[-1][1]
+        width = dens.intervals[-1][1] - dens.intervals[0][0]
         for x in dens_cp.x:
-            x = x[1:-1:10]
-            if dens.dip is not None:
-                x = x[np.abs(x - dens.dip[0]) >= 1e-6 * (hi - lo)]
-            assert self._off(mp, t, dens, x, hi - lo) < 1e-13
+            assert np.max(self._off(mp, t, dens, x[1:-1], width)) < 1e-11
 
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
     def test_matches_extended_precision_stieltjes(self, kappa):
-        # every 50th node, over t from 1e-6 to 10.  Measured: at most 7.4e-16
+        # every 50th node, over t from 1e-6 to 10.  Measured: at most 8.8e-16
         mp = PriorSpectrum.marchenko_pastur(kappa)
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
             for (l, u), x in zip(dens.intervals, dens.x):
-                assert self._off(mp, t, dens, x[1:-1:50], u - l) < 1e-13, (t, l, u)
+                assert np.max(self._off(mp, t, dens, x[1:-1:50], u - l)) < 1e-13, (t, l, u)
 
     @staticmethod
-    def _pair_re(kappa, t, x, gc):
-        """Re g at x next to the edge of critical point gc: the mean real
-        part of the two roots of P_x nearest gc, the pair that collides
-        there (real just off the support), to 40 digits."""
+    def _pair(kappa, t, x, gc):
+        """g at x next to the edge of critical point gc, to 40 digits: one of
+        the two roots of P_x nearest gc, the pair that collides there (real
+        just off the support), with the pair's mean real part."""
         import mpmath
 
         with mpmath.workdps(40):
             k, tt, xx = mpmath.mpf(kappa), mpmath.mpf(t), mpmath.mpf(x)
             roots = mpmath.polyroots([tt, xx + tt * k, xx * k + 1 - k, k], maxsteps=100, extraprec=100)
             pair = sorted(roots, key=lambda r: abs(r - gc))[:2]
-            return float(mpmath.re(pair[0] + pair[1]) / 2)
+            return complex(float(mpmath.re(pair[0] + pair[1]) / 2), float(abs(mpmath.im(pair[0]))))
 
     @pytest.mark.parametrize("kappa", np.geomspace(0.1, 2.0, 5))
     def test_edge_points_match_extended_precision_stieltjes(self, kappa):
         # the edges themselves, where h is minus the critical point, and
         # points 1e-16..1e-4 widths inside each edge, where the pair of P_x
-        # nearly collides, against `_pair_re`.  Measured: at most 7.0e-15
+        # nearly collides, against `_pair`.  Measured: at most 4.7e-15 of |g|
         mp = PriorSpectrum.marchenko_pastur(kappa)
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
-            scale = max(np.max(np.abs(g)) for g in dens.re_g)
             for (l, u), critical in zip(dens.intervals, dens.critical):
                 assert fp.hilbert(mp, t, [l, u], dens) == pytest.approx(np.negative(critical), rel=1e-15)
                 for e, gc, inward in ((l, critical[0], 1.0), (u, critical[1], -1.0)):
                     x = e + inward * np.geomspace(1e-16, 1e-4, 5) * (u - l)
-                    ref = [self._pair_re(kappa, t, xi, gc) for xi in x]
-                    assert np.max(np.abs(fp.hilbert(mp, t, x, dens) + ref)) < 1e-13 * scale, (t, e)
+                    ref = np.array([self._pair(kappa, t, xi, gc) for xi in x])
+                    off = np.abs(fp.hilbert(mp, t, x, dens) + ref.real) / np.abs(ref)
+                    assert np.max(off) < 1e-12, (t, e)
 
     @pytest.mark.parametrize("prior,t", [(MP05, 0.5), (MP05, 1e-3)], ids=["one", "two"])
     def test_steps_that_fail_fall_back(self, monkeypatch, prior, t):
         # x'(s) is NaN at the first evaluation: every Newton step then fails
         # and is replaced by its bracket's midpoint, and the solve lands on
-        # the h of the steps that do not fail
+        # the h of the steps that do not fail, to 1e-12 of |g| at each node
         dens = density(prior, t, n_nodes=201)
         lam = np.concatenate([x[1:-1] for x in dens.x])
+        g = np.concatenate([np.abs(re_g + 1j * np.pi * rho)[1:-1] for re_g, rho in zip(dens.re_g, dens.rho)])
         ref = fp.hilbert(prior, t, lam, dens)
         points, calls = fp._mp_points, []
 
@@ -597,7 +608,7 @@ class TestRealCubicPair:
         monkeypatch.setattr(fp, "_mp_points", failing)
         h = fp.hilbert(prior, t, lam, dens)
         assert len(calls) > 3
-        assert np.max(np.abs(h - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(h - ref) / g) < 1e-12
 
     @pytest.mark.parametrize(
         "kappa,t,h",
@@ -620,8 +631,8 @@ class TestRealCubicPair:
         assert out[0] == fp.hilbert(mp, t, x[0], dens) == pytest.approx(-gu, rel=1e-15)
         if h:
             i = 1 + int(np.argmin(np.abs(np.log(hs / h))))
-            ref = real_axis_root(mp, t, x[i], u - l).real
-            assert abs(out[i] + ref) <= 1e-13 * max(np.max(np.abs(g)) for g in dens.re_g)
+            ref = real_axis_root(mp, t, x[i], u - l)
+            assert abs(out[i] + ref.real) / abs(ref) < 1e-12
 
 
 class TestClosedFormBuild:
@@ -664,8 +675,10 @@ class TestClosedFormBuild:
 
     @staticmethod
     def _dip_distance(dens, x, width):
-        """|x - z_m| in widths of the merged interval, inf without a dip."""
-        return np.full(len(x), np.inf) if dens.dip is None else np.abs(x - dens.dip[0]) / width
+        """|x - z_m| in widths of the merged interval, inf without a dip (the
+        third anchor of the interval's curve)."""
+        ends = dens.curves[0].ends
+        return np.full(len(x), np.inf) if len(ends) < 3 else np.abs(x - ends[2][0]) / width
 
     @CASES
     def test_hilbert_at_every_interior_node(self, kappa, t):
@@ -714,10 +727,10 @@ class TestSharedCoefficients:
         # gets coefficients built for its own (prior, t, z); a polish gives
         # the bits of the reference polish that rebuilds them.  The
         # Marchenko-Pastur paths take no polish: `hilbert` solves on the
-        # curves, scalar for scalar, that the density was built on.  Off
-        # the support `hilbert` takes neither
+        # curves the density was built on.  Off the support `hilbert` takes
+        # neither
         built = {}
-        coeffs_desc, polish, points = fp._coeffs_desc, fp._newton_polish, fp._mp_points
+        coeffs_desc, polish = fp._coeffs_desc, fp._newton_polish
 
         def recording_coeffs(prior_, t_, z):
             c = coeffs_desc(prior_, t_, z)
@@ -733,17 +746,9 @@ class TestSharedCoefficients:
             n_checked[0] += 1
             return out
 
-        curves = []
-
-        def recording_points(curve, *args):
-            curves.append(curve)
-            return points(curve, *args)
-
         monkeypatch.setattr(fp, "_coeffs_desc", recording_coeffs)
         monkeypatch.setattr(fp, "_newton_polish", checked_polish)
-        monkeypatch.setattr(fp, "_mp_points", recording_points)
         dens = density(prior, t, n_nodes=201)
-        n_built = len(curves)
         edges = np.array(dens.intervals).ravel()
         # beyond both ends and in every gap: solved off the support; the
         # middle of every interval: solved on it
@@ -752,10 +757,9 @@ class TestSharedCoefficients:
         lam = np.concatenate([[edges[0] - 1.0, edges[-1] + 1.0], gaps, mids])
         fp.hilbert(prior, t, lam, dens=dens)
         if prior.kind == "marchenko_pastur":
-            assert n_checked[0] == 0 and n_built == len(dens.intervals)
-            assert len(curves) > n_built and all(c in curves[:n_built] for c in curves[n_built:])
+            assert n_checked[0] == 0 and len(dens.curves) == len(dens.intervals)
         else:
-            assert n_checked[0] > len(dens.intervals) and not curves
+            assert n_checked[0] > len(dens.intervals) and dens.curves is None
 
 
 class TestDensityInvariants:
@@ -1116,6 +1120,7 @@ class TestLogPotential:
             dxdtheta=tuple(c * d for d in dens.dxdtheta),
             rho=tuple(r / c for r in dens.rho),
             re_g=tuple(g / c for g in dens.re_g),
+            curves=None,
         )
         assert fp.log_potential(scaled) - fp.log_potential(dens) == pytest.approx(
             np.log(c), abs=1e-5
