@@ -27,6 +27,29 @@ class TestGradient:
         rel = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert rel < 1e-5
 
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    def test_float32_products_match_central_finite_differences(self, l2):
+        # gd_run hands _gradient a float32 copy of X; the float64 loss is
+        # the reference, and the gradient still comes back as float64
+        inst = model.generate(d=10, kappa=1.2, alpha=0.3, delta=0.1, seed=3)
+        W = np.random.default_rng(0).standard_normal((inst.m, inst.d))
+        _, r, P = gd._loss(W, inst.X, inst.y, l2)
+        grad = gd._gradient(W, inst.X.astype(np.float32), r, P, l2)
+        assert grad.dtype == np.float64
+        fd = _central_differences(lambda V: gd._loss(V, inst.X, inst.y, l2)[0], W, 1e-5)
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def _central_differences(f, W, h):
+    """Central finite differences of the scalar f at W, entry by entry."""
+    fd = np.zeros_like(W)
+    for idx in np.ndindex(W.shape):
+        up, down = W.copy(), W.copy()
+        up[idx] += h
+        down[idx] -= h
+        fd[idx] = (f(up) - f(down)) / (2 * h)
+    return fd
+
 
 class TestGdRun:
     def test_deterministic_given_seeds(self):
@@ -65,6 +88,16 @@ class TestGdRun:
         S_hat, trace = gd.gd_run(inst, cfg)
         assert trace[-1] < 1e-4
         assert model.matrix_mse(S_hat, inst.S_star, inst.kappa) < 1e-2
+
+    def test_grad_tol_stop_fires_before_budget(self):
+        # a noiseless run that reaches zero loss stops on grad_tol (at step
+        # 5109); residuals from a float32 forward would floor near 1e-7
+        # relative, keep the gradient above grad_tol and run all 60000 steps
+        inst = model.generate(d=12, kappa=0.5, alpha=0.8, delta=0.0, seed=1)
+        cfg = gd.GdConfig(learning_rate=0.2, max_steps=60000, seed=2)
+        _, trace = gd.gd_run(inst, cfg)
+        assert len(trace) - 1 < cfg.max_steps // 4
+        assert trace[-1] < 1e-10
 
     def test_default_learning_rates(self):
         assert gd.default_learning_rate(200) == 0.2

@@ -65,6 +65,32 @@ class TestReadmeCsvsDiffSummary:
             "flips status supercritical->converged (line 5), converged 0->1 (line 5)"
         )
 
+    def test_descent_counts_flip(self):
+        old = ('# {"config": {"alpha_t_abs": 0.45, "alpha_t_rel": null}}\n'
+               "alpha,dispersion,below_abs,below_rel,final_loss,steps\n"
+               "0.3,0.5,0,0,0.004,20000\n"
+               "0.45,0.005,1,1,1e-09,20000\n")
+        new = (old.replace("0.004,20000", "0.0040000001,19999")
+               .replace("0.005,1,1", "0.0051,1,0"))
+        assert readme_csvs.diff_summary("scan.csv", old, new) == (
+            "scan.csv: 2 of 2 rows changed; largest relative change "
+            "final_loss 2.5e-08 (line 3), dispersion 0.02 (line 4); "
+            "flips steps 20000->19999 (line 3), below_rel 1->0 (line 4)"
+        )
+
+    def test_header_thresholds_change(self):
+        old = '# {"config": {"alpha_t_abs": 0.45, "alpha_t_rel": null, "d": 30}}\nalpha\n0.3\n'
+        new = old.replace('"alpha_t_rel": null', '"alpha_t_rel": 0.55')
+        assert readme_csvs.diff_summary("scan.csv", old, new) == (
+            "scan.csv: 0 of 1 rows changed; flips alpha_t_rel null->0.55 (line 1)"
+        )
+        assert readme_csvs.diff_summary("scan.csv", old, old.replace('"d": 30', '"d": 40')) == (
+            "scan.csv: 0 of 1 rows changed"
+        )
+        assert readme_csvs.diff_summary("scan.csv", "", old) == (
+            "scan.csv: 1 of 1 rows changed; flips alpha_t_abs null->0.45 (line 1)"
+        )
+
     def test_rows_only_one_side_has(self):
         new = self.OLD + "0.5,0.5,0,inf,supercritical,0\n"
         assert readme_csvs.diff_summary("pd.csv", self.OLD, new) == "pd.csv: 1 of 5 rows changed"

@@ -19,9 +19,11 @@ to standard error.
 same name in DIR and prints every row that changed,
 `<csv name>:<line> <old row> -> <new row>`, then one summary line: how
 many rows changed, the largest relative change of each numeric column
-with its line, and every line where a `status`, `converged` or `failed`
-value flipped.  After the CSVs it prints each module's line count against
-DIR's, `src lines <module> <old> -> <new> (<delta>)`, the total last.  So
+with its line, and every line where a `status`, `converged`, `failed`,
+`steps`, `below_abs` or `below_rel` value flipped, or the `alpha_t_abs`
+or `alpha_t_rel` of the `#` JSON header changed.  After the CSVs it
+prints each module's line count against DIR's,
+`src lines <module> <old> -> <new> (<delta>)`, the total last.  So
 a change's moved rows and its line delta can be listed against a run of
 its parent:
 
@@ -73,7 +75,18 @@ def diff_rows(name, old, new):
     ]
 
 
-FLAG_COLUMNS = ("status", "converged", "failed")
+FLAG_COLUMNS = ("status", "converged", "failed", "steps", "below_abs", "below_rel")
+HEADER_KEYS = ("alpha_t_abs", "alpha_t_rel")
+
+
+def _header_values(line):
+    """The `HEADER_KEYS` entries of the config in a `#` JSON header line;
+    empty for a missing line or one that holds no JSON object."""
+    try:
+        config = json.loads(line[1:]).get("config", {}) if line else {}
+    except (json.JSONDecodeError, AttributeError):
+        return {}
+    return {key: config[key] for key in HEADER_KEYS if key in config}
 
 
 def _relative_change(old, new):
@@ -94,10 +107,14 @@ def diff_summary(name, old, new):
     """One line on the CSV texts old and new, compared line by line:
     `<name>: <k> of <n> rows changed`, then the largest relative change of
     each other numeric column that moved with its line, then each flip of a
-    `FLAG_COLUMNS` value as `<column> <old>-><new> (line <i>)`."""
+    `FLAG_COLUMNS` value as `<column> <old>-><new> (line <i>)`, and of a
+    `HEADER_KEYS` value of a `#` header line the same way, in JSON."""
     columns, rows, changed, largest, flips = None, 0, 0, {}, []
     for i, (a, b) in enumerate(itertools.zip_longest(old.splitlines(), new.splitlines()), start=1):
         if (a or b or "#").startswith("#"):
+            x, y = _header_values(a), _header_values(b)
+            flips += [f"{key} {json.dumps(x.get(key))}->{json.dumps(y.get(key))} (line {i})"
+                      for key in HEADER_KEYS if x.get(key) != y.get(key)]
             continue
         if columns is None:
             columns = next(csv.reader([b or a]))
