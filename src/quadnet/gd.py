@@ -13,12 +13,21 @@ quantities as in mixed-precision training: `gd_run` casts X once per run,
 and `_gradient` forms P r and its product with X in X's dtype.  The forward
 P = X W^T / sqrt(d), the residuals r, the loss, W and its update, the
 gradient norm, backtracking and the stop rules stay float64.  The rounding
-is then relative to the gradient: a 50-step d = 100 run takes about 57 ms
-instead of 71, and the README gd row moves by at most 3.5e-8 relative.  A
-float32 forward as well would floor r near 1e-7 relative, so the gradient
-norm would stay above `grad_tol` on runs that reach zero loss (the test's
-d = 12 run stops at step 5109, and with that forward it runs all 60000),
-and the backtracking convex run would end at loss 5.6e-6 instead of 2.45e-6.
+is relative to the data term Q^T X = -(1/(m d)) sum_i r_i W x_i x_i^T, not
+to the gradient.  On runs to zero loss the two vanish together, but at a
+ridge minimum the data term equals -l2 W, and with noisy labels past
+n = m d the terms r_i W x_i x_i^T cancel without being small.  There the
+rounding alone holds the gradient norm above `grad_tol` for longer or for
+good: a d = 30, l2 = 0.2, delta = 0.1 run that stops at step 62254 in
+float64 ran all 200000 steps, and a noisy d = 30 run at alpha = 0.8
+stopped at 28306 instead of 21962.  So once the float32 gradient norm
+comes within a bound on that rounding of `grad_tol`, `gd_run` takes the
+rest of the run's gradients in float64, and the stop fires within a few
+steps of the all-float64 run's.  A float32 forward as well would floor r
+near 1e-7 relative, so the gradient norm would stay above `grad_tol` on
+runs that reach zero loss (the test's d = 12 run stops at step 5109, and
+with that forward it runs all 60000), and the backtracking convex run
+would end at loss 5.6e-6 instead of 2.45e-6.
 
 Averaged GD reruns the descent from independent initializations on a fixed
 dataset and averages the resulting S = W^T W / m matrices; the spread of the
@@ -91,12 +100,11 @@ def _loss(W, X, y, l2):
 def _gradient(W, X, r, P, l2):
     """dR/dW from `_loss`'s residuals r and products P at W, as float64.
 
-    The scaled products P r / (-m sqrt(d)) and their product with X are
-    formed in X's dtype: float32 from `gd_run`, where they take about 0.7
-    of their float64 time at d = 100, casts included, and exact float64
-    for a float64 X.  r and P stay the float64 forward's, so the rounding
-    is relative to the gradient and leaves the residuals and the stop
-    rules as in float64 (module docstring)."""
+    The scaled products Q = P r / (-m sqrt(d)) and Q^T X are formed in X's
+    dtype: float32 from `gd_run` until the stop rule needs float64 (module
+    docstring), and exact float64 for a float64 X.  r and P stay the
+    float64 forward's, so the rounding stays in the gradient and leaves the
+    residuals and the loss as in float64."""
     m, d = W.shape
     scale = (r / (-m * np.sqrt(d))).astype(X.dtype, copy=False)
     Q = P.astype(X.dtype, copy=False) * scale[:, None]
@@ -111,7 +119,11 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
     cfg = cfg or GdConfig()
     m, d = instance.m, instance.d
     X, y = instance.X, instance.y
-    X32 = X.astype(np.float32)
+    X_grad = X.astype(np.float32)
+    # bound on the float32 rounding of the data term Q^T X: 4 eps32 ||Q||_F
+    # ||X||_F, with ||Q||_F^2 = sum_i r_i^2 f_i / (m d) and f = y - r (the
+    # rounding measured up to 0.63 eps32 ||Q||_F ||X||_F at d = 6 to 150)
+    round_scale = 4 * np.finfo(np.float32).eps * np.linalg.norm(X) / np.sqrt(m * d)
     lr0 = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(d)
     # keyed stream so a shared seed never replays the teacher's weight draw
     rng = np.random.default_rng([cfg.seed, 0x4744])
@@ -122,8 +134,13 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
     trace = [loss]
     lr = lr0
     for _ in range(cfg.max_steps):
-        grad = _gradient(W, X32, r, P, cfg.l2)
+        grad = _gradient(W, X_grad, r, P, cfg.l2)
         gnorm = float(np.linalg.norm(grad))
+        if X_grad is not X and gnorm < cfg.grad_tol + round_scale * np.sqrt(r * r @ np.abs(y - r)):
+            # the rounding could hide a grad_tol stop: float64 from here on
+            X_grad = X
+            grad = _gradient(W, X, r, P, cfg.l2)
+            gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.grad_tol:
             break
         if cfg.backtracking:

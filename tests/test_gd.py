@@ -99,6 +99,16 @@ class TestGdRun:
         assert len(trace) - 1 < cfg.max_steps // 4
         assert trace[-1] < 1e-10
 
+    @pytest.mark.parametrize("kappa, delta", [(1.0, 0.0), (0.5, 0.0625)])
+    def test_ridge_run_stops_before_budget(self, kappa, delta):
+        # at a ridge minimum the data term of the gradient equals -l2 W, not
+        # zero; its float32 rounding alone would keep the gradient norm above
+        # grad_tol for all 30000 steps, where float64 stops at 4346 / 5415
+        inst = model.generate(d=18, kappa=kappa, alpha=0.5, delta=delta, seed=1)
+        cfg = gd.GdConfig(learning_rate=0.2, l2=0.3, max_steps=30000, seed=2)
+        _, trace = gd.gd_run(inst, cfg)
+        assert len(trace) - 1 < cfg.max_steps // 3
+
     def test_default_learning_rates(self):
         assert gd.default_learning_rate(200) == 0.2
         assert gd.default_learning_rate(100) == 0.07
