@@ -18,11 +18,9 @@ The R-transform of the prior is R(s) = sum_k p_k * kappa * a_k / (kappa - s * a_
 (a single atom a=1 gives the plain Marchenko-Pastur R(s) = kappa / (kappa - s)).
 Adding a semicircle of variance t adds t*s, so g solves the self-consistency
 
-    z = -t*g + R(-g) - 1/g ,
+    z = -t*g + R(-g) - 1/g .
 
-which is polynomial in g after clearing denominators: a cubic for the plain
-MP prior, degree 2 + #atoms for the general prior.  Every density here has
-t > 0.  On the real line the picture is Biane's (1997): off the support g is
+Every density here has t > 0.  On the real line the picture is Biane's (1997): off the support g is
 real and increasing in x with phi(g) = x, phi(g) = -t*g + R(-g) - 1/g, and
 the support edges are critical values of phi, left edges at its local maxima
 and right edges at its local minima.  So the sign of phi'' at the critical
@@ -33,16 +31,13 @@ Newton's method on phi' (`_mp_critical_points`); for the compound-Poisson
 prior they are the real companion eigenvalues of phi'(g) = 0 cleared of
 denominators.
 
-On the support the MP density needs no root solve: there Im phi(g) = 0
-is a curve that is explicit in s = |g|^2, from one edge's critical point
-to the other's, and `_mp_interval` samples it in closed form on the real
-axis.  `hilbert` reads h = -Re g off the same curve at each eigenvalue on
-the support, solving x(s) = lam by bracketed Newton in log s.  The
-compound-Poisson density and `hilbert` are solved at x + i*DEFAULT_EPS:
-their root solver is the companion matrix, whose eigenvalues give all
-branches of g at complex z.  Each density also keeps Re dg/dz =
-Re 1/phi'(g) at its nodes from the build, for the t-derivative of
-int rho^3.
+On the support Im phi(g) = 0 is a curve on the real axis, from one edge's
+critical point to the other's, parameterized by s = |g|^2 (Biane 1997):
+explicit in s for the MP prior (`_mp_interval`), and for the
+compound-Poisson prior Re g(s) is the one root of a monotone equation
+(`_cp_points`).  `hilbert` reads h = -Re g off the same curve at each
+eigenvalue on the support (`_curve_hilbert`).  Each density also keeps
+Re dg/dz = Re 1/phi'(g) at its nodes, for the t-derivative of int rho^3.
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ __all__ = [
     "log_potential",
 ]
 
-DEFAULT_EPS = 1e-8
 DEFAULT_NODES = 801
 
 class EdgeDetectionFailed(RuntimeError):
@@ -90,14 +84,12 @@ class PriorSpectrum:
         (1, 1) gives the plain Marchenko-Pastur law of parameter kappa.
     kind : str
         Either ``"marchenko_pastur"`` or ``"compound_poisson"``.  The
-        compound-Poisson kind finds its support edges, its density and
-        `hilbert` on the support by companion-matrix eigenvalues; the
-        Marchenko-Pastur kind takes its own paths, which need no
-        eigensolver: bracketed Newton for the critical points of phi at its
-        edges (`_mp_critical_points`) and the closed-form curve for its
-        density (`_mp_interval`) and for `hilbert` (`_mp_hilbert`).  With
-        atoms ((1, 1),) they describe the same measure, which the tests use
-        to check one path against the other.
+        compound-Poisson kind finds its support edges by companion-matrix
+        eigenvalues and solves Re g on its curve (`_cp_curve`); the
+        Marchenko-Pastur kind needs no eigensolver (`_mp_critical_points`)
+        and its curve is explicit (`_mp_curve`).  With atoms ((1, 1),) they
+        describe the same measure, which the tests use to check one path
+        against the other.
     """
 
     kappa: float
@@ -159,60 +151,14 @@ class PriorSpectrum:
         return out
 
 
-# =======================
-# polynomial root finding
-# =======================
+# ==================
+# public operations
+# ==================
 
 
-def _coeffs_desc(prior, t, z):
-    """Descending coefficients of the cleared polynomial P_z(g), shape
-    (M, D+1), in the compound-Poisson form (`_poly_ab`) for any prior."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    acoef, bcoef = _poly_ab(prior, t)
-    deg = len(acoef) - 1
-    # atoms at zero lower the degree: top coefficients are exact zeros then
-    while (
-        deg > 1
-        and acoef[deg] == 0.0
-        and (deg >= len(bcoef) or bcoef[deg] == 0.0)
-    ):
-        deg -= 1
-        acoef = acoef[: deg + 1]
-    coeffs = np.zeros((len(z), deg + 1), dtype=complex)
-    coeffs[:, : len(acoef)] += acoef
-    coeffs[:, : len(bcoef)] += z[:, None] * bcoef
-    return coeffs[:, ::-1]
-
-
-def _newton_polish(coeffs, g, steps=2):
-    """Safeguarded Newton steps on the cleared polynomial (Horner form).
-
-    coeffs is `_coeffs_desc(prior, t, z)` at the points of g.  Stable where
-    the eigenvalue solve loses the small root (large |z|, tiny t).
-    Steps are only accepted when they reduce |P|: near collided root pairs
-    (square-root edges) plain Newton stalls at the pair midpoint and would
-    otherwise corrupt an already-accurate root.
-    """
-
-    def horner(gv):
-        p = coeffs[..., 0]
-        dp = np.zeros_like(gv)
-        for k in range(1, coeffs.shape[-1]):
-            dp = dp * gv + p
-            p = p * gv + coeffs[..., k]
-        return p, dp
-
-    p0, dp0 = horner(g)
-    for _ in range(steps):
-        with np.errstate(all="ignore"):
-            step = p0 / dp0
-        cand = g - np.where(np.isfinite(step), step, 0.0)
-        p1, dp1 = horner(cand)
-        better = np.abs(p1) < np.abs(p0)
-        g = np.where(better, cand, g)
-        p0 = np.where(better, p1, p0)
-        dp0 = np.where(better, dp1, dp0)
-    return g
+def _phi(prior, t, g):
+    """Inverse map z = phi(g) = -t g + R(-g) - 1/g on a real branch."""
+    return -t * g + prior.r_transform(-g) - 1.0 / g
 
 
 def _pi_products(prior):
@@ -224,83 +170,6 @@ def _pi_products(prior):
         return functools.reduce(np.convolve, fs, np.array([1.0]))
 
     return product(factors), [product(factors[:k] + factors[k + 1 :]) for k in range(len(factors))]
-
-
-def _poly_ab(prior, t):
-    """Ascending coefficients (A, B) with P_z(g) = A(g) + z * B(g) the cleared
-    self-consistency polynomial for the compound-Poisson prior."""
-    pi, pi_no = _pi_products(prior)
-    bcoef = np.concatenate([[0.0], pi])  # g * Pi(g)
-    deg = len(pi) + 2
-    acoef = np.zeros(deg)
-    acoef[2 : 2 + len(pi)] += t * pi
-    acoef[: len(pi)] += pi
-    for (a, p), pk in zip(prior.atoms, pi_no):
-        acoef[1 : 1 + len(pk)] -= p * prior.kappa * a * pk
-    return acoef, bcoef
-
-
-def _companion_roots(coeffs_desc):
-    """Batched np.roots: eigenvalues of the stacked companion matrices.
-
-    coeffs_desc has shape (M, D+1), descending powers, nonzero leading column.
-    """
-    c = coeffs_desc / coeffs_desc[:, :1]
-    m, dp1 = c.shape
-    deg = dp1 - 1
-    comp = np.zeros((m, deg, deg), dtype=c.dtype)
-    idx = np.arange(deg - 1)
-    comp[:, idx + 1, idx] = 1.0
-    comp[:, 0, :] = -c[:, 1:]
-    return np.linalg.eigvals(comp)
-
-
-def _all_roots(t, z, coeffs):
-    """All branches of g(z), shape (M, deg), as companion-matrix eigenvalues
-    of coeffs = `_coeffs_desc(prior, t, z)` at the complex points z.
-
-    For t much smaller than the other coefficient scales the leading (t g^3)
-    term makes the direct solve ill-conditioned; in that regime the
-    reversed polynomial in w = 1/g is well-scaled, so solve that and
-    invert.  The huge spurious branch then comes out as w ~ 0
-    (inaccurate/inf), which is harmless because it is never the admissible
-    pick.
-    """
-    invert = t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
-    roots = _companion_roots(coeffs[:, ::-1] if invert else coeffs)
-    if invert:
-        with np.errstate(all="ignore"):
-            roots = 1.0 / roots
-        roots = np.where(np.isfinite(roots), roots, -1e100 - 1e100j)
-    return roots
-
-
-def _grid_slope(prior, t, x, eps):
-    """Physical g at points x of the support of mu_t, t > 0, for the
-    compound-Poisson prior at height eps, and dg/dz = 1/phi'(g) there.
-
-    g is the root at x + i*eps of largest imaginary part among the companion
-    roots (`_all_roots`), which on the support has Im g = pi*rho, polished
-    by two safeguarded Newton steps.  The tests check the pick against the
-    root continued down from high in the upper half plane, which stays
-    unambiguous where a second root also lies in the upper half plane.
-    """
-    z = x + 1j * eps
-    coeffs = _coeffs_desc(prior, t, z)
-    roots = _all_roots(t, z, coeffs)
-    g = _newton_polish(coeffs, roots[np.arange(len(roots)), np.argmax(roots.imag, axis=1)])
-    with np.errstate(all="ignore"):
-        return g, 1.0 / _phi_prime(prior, t, g)
-
-
-# ==================
-# public operations
-# ==================
-
-
-def _phi(prior, t, g):
-    """Inverse map z = phi(g) = -t g + R(-g) - 1/g on a real branch."""
-    return -t * g + prior.r_transform(-g) - 1.0 / g
 
 
 @functools.lru_cache(maxsize=64)
@@ -491,9 +360,8 @@ def _edge_candidates(prior, t):
     """
     if prior.kind == "marchenko_pastur":
         kappa = prior.kappa
-        candidates = [
-            (-t * g + kappa / (kappa + g) - 1.0 / g, g) for g in _mp_critical_points(kappa, t)
-        ]
+        candidates = [(-t * g + kappa / (kappa + g) - 1.0 / g, g)
+                      for g in _mp_critical_points(kappa, t)]
     else:
         candidates = _companion_candidates(prior, t)
     return _collided_once(candidates)
@@ -538,9 +406,9 @@ def support_edges(prior: PriorSpectrum, t: float):
 def _support(prior, t):
     """`support_edges` with the critical point of phi at each edge and the
     candidates between them: ((l, u), (g_c(l), g_c(u)), inner) per interval,
-    inner the (z, g_c) of the candidates inside it.  A Marchenko-Pastur
-    interval has one there after two intervals merged, the one of the
-    collided pair of critical values that was kept."""
+    inner the (z, g_c) of the candidates inside it.  An interval has one
+    there after two intervals merged, the one of the collided pair of
+    critical values that was kept."""
     if t <= 0:
         raise ValueError("support_edges requires t > 0 (t = 0 edges are analytic)")
     zc, gc = _edge_candidates(prior, t)
@@ -581,24 +449,21 @@ def _theta_grid(n):
 class SpectralDensity:
     """Density of mu_t on its support, sampled on edge-clustered grids.
 
-    Per interval the grid is uniform in theta on [0, pi/2] and clusters its
-    nodes at the square-root edges: x = l + (u - l) sin^2(theta) for the
-    compound-Poisson prior, and for the Marchenko-Pastur prior the curve
-    |g|^2 = s with log s = log s_l + log(s_u / s_l) sin^2(theta)
-    (`_mp_interval`).  Either way the end nodes are the edges, rho vanishes
-    there like sin(theta) cos(theta) times a smooth factor, and integrals
-    are Simpson's rule in theta with the weights dx/dtheta.  That rule's
-    error is about a third of the trapezoid rule's on the half grid, so it
-    converges geometrically but needs twice the trapezoid's nodes.
+    Per interval the grid is uniform in theta on [0, pi/2], on the curve
+    log |g|^2 = log s_l + log(s_u / s_l) sin^2(theta) (`_mp_interval`,
+    `_CpCurve.interval`; Re g for the pure semicircle, where |g|^2 is fixed).
+    The end nodes are the edges, rho vanishes there like
+    sin(theta) cos(theta) times a smooth factor, and integrals are
+    Simpson's rule in theta with the weights dx/dtheta: geometric
+    convergence, at about a third of the trapezoid rule's error on the half
+    grid.
 
     Attributes
     ----------
     intervals : tuple of (l, u)
     x, rho, re_g : tuples of arrays, one per interval
         Grid (ascending, from l to u), density, and Re g (the negative
-        Hilbert transform).  For the Marchenko-Pastur prior these are the
-        values on the real axis; for the compound-Poisson prior at
-        x + i min(DEFAULT_EPS, 1e-5 (u - l)).
+        Hilbert transform), all on the real axis.
     dxdtheta : tuple of arrays, one per interval
         dx/dtheta, for the quadrature weights and `log_potential`.
     critical : tuple of (g_c(l), g_c(u))
@@ -606,11 +471,10 @@ class SpectralDensity:
     re_dgdz : tuple of arrays, one per interval
         Re dg/dz = Re 1/phi'(g) at the grid's g, from the build.  At an
         edge phi' vanishes but Re dg/dz stays finite (Im dg/dz diverges).
-    curves : tuple of `_MpCurve` or None
-        For the Marchenko-Pastur prior, per interval the closed-form curve
-        the grid was built on (`_mp_curve`), which `hilbert` solves on; it
-        holds the edges' and, on two merged intervals, the dip's anchors.
-        None for the compound-Poisson prior.
+    curves : tuple of `_MpCurve` or `_CpCurve`
+        Per interval the curve the grid was built on, which `hilbert`
+        solves on, with the edges' and a merge's anchors.  None only for a
+        density put together by hand.
     """
 
     prior: PriorSpectrum
@@ -654,14 +518,12 @@ class SpectralDensity:
 def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> SpectralDensity:
     """Density of mu_t = prior (+) semicircle(t), t > 0, on edge-adapted grids.
 
-    The support is located with `_support`.  For the Marchenko-Pastur prior
-    each interval is the closed-form curve of `_mp_interval`: no root solve
-    and no offset.  For the compound-Poisson prior the physical Stieltjes
-    branch and its z-derivative (`_grid_slope`) are evaluated at
-    x + i*DEFAULT_EPS; on intervals narrower than DEFAULT_EPS / 1e-5 the
-    offset is lowered to 1e-5 times the interval width, so that very thin
-    bulks are not smeared by the offset itself.  t = 0 is rejected: every
-    caller builds at t = 1/q_hat > 0 or a positive noise level.
+    The support is located with `_support`, and each interval is sampled on
+    its curve on the real axis (`_curves`): in closed form for the
+    Marchenko-Pastur prior (`_mp_interval`), by a bracketed Newton solve of
+    Re g for the compound-Poisson prior (`_CpCurve.interval`).  t = 0 is
+    rejected: every caller builds at t = 1/q_hat > 0 or a positive noise
+    level.
 
     Parameters
     ----------
@@ -676,29 +538,27 @@ def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> Spe
     grid = _theta_grid(n_nodes)
     intervals = tuple(interval for interval, *_ in support)
     critical = tuple(critical for _, critical, _ in support)
-    curves = None
-    if prior.kind == "marchenko_pastur":
-        curves = _mp_curves(prior.kappa, t, support)
-        parts = [_mp_interval(curve, grid) for curve in curves]
-    else:  # on x = l + (u - l) sin^2(theta)
-        parts = []
-        for l, u in intervals:
-            x = l + (u - l) * grid[0]
-            g, dgdz = _grid_slope(prior, t, x, min(DEFAULT_EPS, 1e-5 * (u - l)))
-            parts.append((x, (u - l) * grid[2], np.maximum(g.imag / np.pi, 0.0), g.real, dgdz.real))
-    x, dxdtheta, rho, re_g, re_dgdz = zip(*parts)
+    curves = _curves(prior, t, support)
+    x, dxdtheta, rho, re_g, re_dgdz = zip(*[curve.interval(grid) for curve in curves])
     return SpectralDensity(prior=prior, t=t, intervals=intervals, x=x, dxdtheta=dxdtheta, rho=rho,
                            re_g=re_g, critical=critical, re_dgdz=re_dgdz, curves=curves)
+
+
+def _curves(prior, t, support):
+    """The intervals of `_support` as the curves `density` builds on and
+    keeps for `hilbert` (`_mp_curve`, `_cp_curve`)."""
+    if prior.kind == "marchenko_pastur":
+        return _mp_curves(prior.kappa, t, support)
+    return tuple(_cp_curve(prior, t, *interval) for interval in support)
 
 
 def _polished(kappa, t, g):
     """A real critical point g of the Marchenko-Pastur phi after one Newton
     step on phi'(g) = 0 in extended precision (`np.longdouble`, 80-bit on
     x86 and plain double where the platform has no wider type), and in that
-    precision.  `_edge_candidates` gives g
-    to about 1e-15, and differences such as g_c(u)^2 - g_c(l)^2 in
-    `_mp_interval` lose digits to cancellation.  A step above 1e-8 |g|,
-    next to a cusp where phi'' vanishes too, is not taken."""
+    precision.  `_edge_candidates` gives g to about 1e-15, and differences
+    such as g_c(u)^2 - g_c(l)^2 in `_mp_interval` lose digits to
+    cancellation.  A step above 1e-8 |g|, next to a cusp, is not taken."""
     g, kappa = np.longdouble(g), np.longdouble(kappa)
     kg = kappa + g
     step = (1.0 / (g * g) - t - kappa / (kg * kg)) / (2.0 * kappa / (kg * kg * kg) - 2.0 / (g * g * g))
@@ -732,10 +592,6 @@ def _mp_curves(kappa, t, support):
         _mp_curve(kappa, t, interval, c, other, k == 0, dip)
         for k, ((interval, *_), c, other) in enumerate(zip(support, crit, others))
     )
-
-
-# the scalars of one support interval's curve, as `_mp_curve` describes them
-_MpCurve = collections.namedtuple("_MpCurve", "kappa t sl su dv from_l ends vm roots")
 
 
 def _mp_curve(kappa, t, interval, critical, other, gap_at_u, dip):
@@ -925,19 +781,169 @@ def _mp_interval(curve, grid):
     return x, dxdtheta, rho, re_g, np.divide(da, dx, out=da)
 
 
-def _mp_hilbert(curve, lam, x):
-    """h = -Re g at points lam of one support interval of MP(kappa) (+)
-    semicircle(t), read off the curve the density `x` was built on.
+class _MpCurve(collections.namedtuple("_MpCurve", "kappa t sl su dv from_l ends vm roots")):
+    """The scalars of one support interval's curve (`_mp_curve`)."""
 
-    x(s) = lam is solved by Newton's method in w = log(s / s_l) / log(s_u / s_l),
-    bracketed by the interval's ends w = 0 and 1, from the density's own
-    nodes (their x against their w = sin^2(theta), interpolated linearly).
-    A step that leaves the bracket is replaced by its midpoint, and each
-    iterate narrows it by the sign of x - lam.  Each point keeps the anchor
-    of its start (`_mp_points`).  The solve stops once no step exceeds
-    1e-9, and h is read at the iterate that last step leads to, to first
-    order in it: both errors are about its square.  Next to the dip, where
-    x(s) is flat, convergence is linear and a double lam no longer pins s.
+    __slots__ = ()
+
+    interval = _mp_interval
+
+    def at(self, w, nodes, r):
+        """x, Re g, d Re g/dw and dx/dw at the points w, anchored at l, the
+        dip and u by the index arrays `nodes` (`_mp_points`); r is unused."""
+        x, re_g, da, dx, s = _mp_points(self, w, 1.0 - w, *nodes)[:5]
+        return x, re_g, da * s * self.dv, dx * s * self.dv
+
+
+class _CpCurve(collections.namedtuple("_CpCurve", "kappa t a pa dv ends vm")):
+    """The scalars of one support interval's curve (`_cp_curve`)."""
+
+    __slots__ = ()
+
+    def interval(self, grid):
+        """The interval on the curve at w = sin^2(theta), anchored as in
+        `_mp_interval`, whose fields it returns.  That x increases along the
+        nodes is measured, not proven: it is checked (`EdgeDetectionFailed`)."""
+        s2, c2, sin2t = grid[:3]
+        i = j = (len(s2) + 1) // 2
+        if self.vm is not None:
+            i, j = np.searchsorted(s2, [0.5 * self.vm / self.dv, 0.5 + 0.5 * self.vm / self.dv])
+        x, r, b2, dr, dx = _cp_points(self, s2, c2, (slice(0, i), slice(i, j), slice(j, None)), None)
+        if not np.all(np.diff(x) > 0.0):
+            raise EdgeDetectionFailed(f"x does not increase on ({x[0]}, {x[-1]}) at t={self.t}")
+        return x, dx * sin2t, np.sqrt(np.maximum(b2, 0.0)) / np.pi, r, dr / dx
+
+    def at(self, w, nodes, r):
+        """As `_MpCurve.at`, Re g solved from r (None: from the edges)."""
+        x, r, _, dr, dx = _cp_points(self, w, 1.0 - w, nodes, r)
+        return x, r, dr, dx
+
+
+def _cp_curve(prior, t, interval, critical, inner):
+    """One support interval of a compound-Poisson prior (+) semicircle(t)
+    as a curve.  On the support g = r + ib, b > 0, solves Im phi(g) = 0;
+    with s = |g|^2 (Biane 1997) that is
+
+        F(r, s) = 1/s - t - sum_k c_k / D_k = 0,   c_k = p_k kappa a_k^2,
+        D_k = |kappa + a_k g|^2 = kappa^2 + 2 kappa a_k r + a_k^2 s,
+
+    and x = -t r + sum_k p_k kappa a_k (kappa + a_k r) / D_k - r/s,
+    b^2 = s - r^2.  Every a_k >= 0, so F increases in r, and r(s) is its one
+    root in [-sqrt(s), sqrt(s)].  Atoms at zero drop out; with no other the
+    law is the semicircle of variance t, where s = 1/t and Re g is linear
+    in w instead.  As in `_mp_curve`, w = log(s / s_l) / log(s_u / s_l),
+    the critical points come in extended precision (two Newton steps on
+    phi', none above 1e-8 |g|), s_u - s_l is (g_u - g_l)(g_u + g_l) or from
+    1/s = t + sum_k c_k / (kappa + a_k g)^2 at each, whichever sum cancels
+    less, and after a merge the kept critical point z_m is a third anchor.
+
+    Returns the `_CpCurve` of kappa, t, the positive a_k and p_k kappa a_k
+    as columns, dv = log(s_u / s_l), ends (per anchor l, u and the dip:
+    x_e, g_c(e), s_e, the D_k and sum_k c_k / D_k there, and the slope
+    d r / d s of the square-root law there) and vm = log(s_m / s_l) or None.
+    """
+    kappa = prior.kappa
+    atoms = [(a, p) for a, p in prior.atoms if a > 0.0]
+    a_col = np.array([a for a, _ in atoms]).reshape(-1, 1)
+    pa_col = kappa * np.array([p for _, p in atoms]).reshape(-1, 1) * a_col
+    crit = [np.longdouble(g) for g in (*critical, *(g for _, g in inner))]
+    for _ in range(2):
+        steps = [_phi_prime(prior, t, g) / _phi_second(prior, g) for g in crit]
+        crit = [g - d if abs(d) <= 1e-8 * abs(g) else g for g, d in zip(crit, steps)]
+    gl, gu = crit[:2]
+    gsum = gu + gl
+    terms = [p * kappa * a**3 * (2.0 * kappa + a * gsum) / ((kappa + a * gl) * (kappa + a * gu)) ** 2
+             for a, p in atoms]
+    if abs(gsum) * sum(map(abs, terms)) >= abs(sum(terms)) * (abs(gl) + abs(gu)):
+        span = (gu - gl) * gsum
+    else:
+        span = gl * gl * gu * gu * (gu - gl) * sum(terms)
+    dv = math.log1p(span / (gl * gl)) if abs(span) < 0.5 * gl * gl else 2.0 * math.log(abs(gu / gl))
+    ends = []
+    for x_e, g in zip((*interval, *(z for z, _ in inner)), crit):
+        third = 6.0 / g**4 - sum(6.0 * p * kappa * a**4 / (kappa + a * g) ** 4 for a, p in atoms)
+        with np.errstate(all="ignore"):
+            slope = np.nan_to_num(np.float64(third / (6.0 * _phi_second(prior, g) + 2.0 * g * third)))
+        d_e = (kappa + a_col * float(g)) ** 2
+        ends.append((x_e, float(g), float(g * g), d_e, float(np.sum(pa_col * a_col / d_e)), slope))
+    vm = 2.0 * math.log(abs(crit[2] / gl)) if inner else None
+    return _CpCurve(kappa, t, a_col, pa_col, dv, tuple(ends), vm)
+
+
+def _cp_points(curve, w, c, nodes, r):
+    """The curve of `_cp_curve` at log s = log s_l + w log(s_u / s_l),
+    c = 1 - w, its points nodes[0] anchored at l, nodes[1] at the dip and
+    nodes[2] at u.  Returns x, Re g, b^2, d Re g/dw and dx/dw.
+
+    With d = r - g_c(e) and s - s_e from expm1 as in `_mp_points`, every
+    difference is formed without cancellation: D_k - D_k(e) =
+    a_k (2 kappa d + a_k (s - s_e)), F, x - x_e and b^2 = (s - s_e) -
+    d (g_c(e) + r).  r is Newton's method on 1 / sum_k (c_k / D_k) =
+    1 / (1/s - t), linear in r for one atom, from r (or the square-root law
+    at the anchor), bracketed by +-sqrt(s) as in `_bracketed_newton`, until
+    no step exceeds 1e-9 (|d| + |sqrt(s) - |g_c(e)||).  Along the curve
+    r'(s) = -F_s / F_r, and Re dg/dz = r'(s) / x'(s).
+    """
+    kappa, t, a, pa, dv = curve.kappa, curve.t, curve.a, curve.pa, curve.dv
+    if not len(a):  # the semicircle, on r = g_c(l) c + g_c(u) w
+        (l, gl, *_), (u, gu, *_) = curve.ends
+        ones = np.ones(len(w))
+        return l * c + u * w, gl * c + gu * w, (4.0 / t) * w * c, (gu - gl) * ones, (u - l) * ones
+    v = w * dv
+    v[nodes[2]] = c[nodes[2]] * -dv
+    xe, re, se, sum_e, slope = (np.empty(len(w)) for _ in range(5))
+    de = np.empty((len(a), len(w)))
+    for idx, end in zip(nodes[::2] + nodes[1:2], curve.ends):
+        xe[idx], re[idx], se[idx], de[:, idx], sum_e[idx], slope[idx] = end
+    if curve.vm is not None:
+        v[nodes[1]] -= curve.vm
+    ds = np.expm1(v) * se  # s - s_e
+    s = se + ds
+    inv = 1.0 / (s * se)
+    far = np.sqrt(s) + np.abs(re)
+    near = ds / far  # sqrt(s) - |g_c(e)|
+    lo, hi = np.where(re > 0.0, -far, -near), np.where(re > 0.0, near, far)
+    scale = (2.0 * kappa) * (sum_e - ds * inv)  # 2 kappa (1/s - t)
+    ca = pa * a
+    d = slope * ds if r is None else r - re
+    for _ in range(100):
+        d = np.where((d >= lo) & (d <= hi), d, 0.5 * (lo + hi))
+        dd = a * (2.0 * kappa * d + a * ds)
+        q = ca / (de + dd)  # c_k / D_k
+        f = np.sum(q * dd / de, axis=0) - ds * inv
+        lo = np.where(f < 0.0, d, lo)
+        hi = np.where(f > 0.0, d, hi)
+        with np.errstate(all="ignore"):
+            step = f * np.sum(q, axis=0) / (np.sum(q * a / (de + dd), axis=0) * scale)
+        d = d - step
+        if np.all(np.abs(step) <= 1e-9 * (np.abs(d) + np.abs(near))):
+            break
+    r = re + d
+    dd = a * (2.0 * kappa * d + a * ds)
+    big_d = de + dd
+    x = np.sum(pa * (a * d * de - (kappa + a * re) * dd) / (big_d * de), axis=0) + xe
+    x -= t * d + (d * se - re * ds) * inv
+    q2 = ca / (big_d * big_d)  # c_k / D_k^2
+    f_r = (2.0 * kappa) * np.sum(q2 * a, axis=0)
+    f_s = np.sum(q2 * a * a, axis=0) - 1.0 / (s * s)
+    dr = -f_s / f_r
+    dx = (np.sum(q2 * (a * a * s - kappa * kappa), axis=0) - t - 1.0 / s) * dr
+    dx += r / (s * s) - np.sum(q2 * a * (kappa + a * r), axis=0)
+    return x, r, ds - d * (re + r), dr * (s * dv), dx * (s * dv)
+
+
+def _curve_hilbert(curve, lam, x):
+    """h = -Re g at points lam of one support interval, read off the curve
+    (`_MpCurve`, `_CpCurve`) the density `x` was built on.
+
+    x(w) = lam is solved by Newton's method in the curve's parameter w from
+    the density's nodes (x against w = sin^2(theta), interpolated), and
+    bracketed as in `_bracketed_newton` by w = 0 and 1.  Each point keeps
+    the anchor of its start; a compound-Poisson point solves Re g from its
+    last.  The solve stops once no step exceeds 1e-9, and h is read at the
+    iterate that last step leads to, to first order in it: both errors are
+    about its square.  Next to the dip of a merged interval, where x(w) is
+    flat, convergence is linear and a double lam no longer pins w.
     """
     w = np.interp(lam, x, _theta_grid(len(x))[0])
     if curve.vm is None:
@@ -947,15 +953,16 @@ def _mp_hilbert(curve, lam, x):
         anchor = np.where(w < 0.5 * wm, 0, np.where(w < 0.5 + 0.5 * wm, 2, 1))
     nodes = [np.flatnonzero(anchor == k) for k in (0, 2, 1)]
     lo, hi = np.zeros(len(w)), np.ones(len(w))
+    re_g = None
     for _ in range(100):
-        xw, re_g, da, dx, s = _mp_points(curve, w, 1.0 - w, *nodes)[:5]
+        xw, re_g, dre_g, dx = curve.at(w, nodes, re_g)
         f = xw - lam
         lo = np.where(f < 0.0, w, lo)
         hi = np.where(f > 0.0, w, hi)
         with np.errstate(all="ignore"):
-            step = f / (dx * s * curve.dv)  # dx/dw = x'(s) s dv
+            step = f / dx
         if np.all(np.abs(step) <= 1e-9):
-            return step * (da * s * curve.dv) - re_g
+            return step * dre_g - re_g
         w = np.where((w - step >= lo) & (w - step <= hi), w - step, 0.5 * (lo + hi))
     return -re_g
 
@@ -988,13 +995,13 @@ def _real_branch(prior, t, x, dens):
     in `_polished`) from the square-root law at the nearest edge x_e,
     g_c + sign(x - x_e) sqrt(2 (x - x_e) / phi''(g_c)) (Biane 1997).  Where
     that start leaves an outer bracket, x is far from the support and the
-    start is the tail g ~ -1/(x - mean) instead.  A
-    start or step that leaves the bracket is replaced by its midpoint, and
-    each iterate narrows the bracket by the sign of phi(g) - x.  Iteration
-    stops at a step below 1e-14 |g|, or once the steps, below 1e-8 |g|, no
-    longer shrink: next to an edge, where phi' vanishes, roundoff in phi
-    moves the root by more than that.  The points are few, so each is
-    iterated as scalars.
+    start is the tail g ~ -1/(x - mean) instead.  A start or step that
+    leaves the bracket is replaced by its midpoint, and each iterate
+    narrows the bracket by the sign of phi(g) - x.  Iteration stops at a
+    step below 1e-14 |g|, or once the steps, below 1e-8 |g|, no longer
+    shrink: next to an edge, where phi' vanishes, roundoff in phi moves the
+    root by more than that.  The points are few, so each is iterated as
+    scalars.
     """
     edges = [e for interval in dens.intervals for e in interval]
     crit = [0.0, *(g for pair in dens.critical for g in pair), 0.0]
@@ -1031,14 +1038,9 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
     """Principal-value transform h(lam) = PV int rho(s)/(lam - s) ds = -Re g,
     solved at each eigenvalue lam, on or off the support.
 
-    dens is a density of the same (prior, t); it supplies the support
-    intervals and the critical points of phi at their edges.  On a support
-    interval of the Marchenko-Pastur prior, h is read off the curve the
-    density was built on (`SpectralDensity.curves`, `_mp_hilbert`), on the
-    real axis; of the
-    compound-Poisson prior, g is the `_grid_slope` root at
-    lam + i min(DEFAULT_EPS, 1e-5 (u - l)), the offset of its build.  Off
-    the support it is the real g of `_real_branch`.
+    dens is a density of the same (prior, t).  On a support interval h is
+    read off the curve the density was built on (`_curve_hilbert`); off it
+    h = -g with g real (`_real_branch`), between the edges' critical points.
     """
     if dens.prior != prior or dens.t != t:
         raise ValueError("density does not match (prior, t)")
@@ -1047,14 +1049,11 @@ def hilbert(prior, t, lam, dens: SpectralDensity):
     lam = np.atleast_1d(lam)
     h = np.empty(lam.shape)
     off = np.ones(lam.shape, dtype=bool)
-    for k, (l, u) in enumerate(dens.intervals):
+    for (l, u), curve, x in zip(dens.intervals, dens.curves, dens.x):
         on = (lam >= l) & (lam <= u)
         if not np.any(on):
             continue
-        if prior.kind == "compound_poisson":
-            h[on] = -_grid_slope(prior, t, lam[on], min(DEFAULT_EPS, 1e-5 * (u - l)))[0].real
-        else:
-            h[on] = _mp_hilbert(dens.curves[k], lam[on], dens.x[k])
+        h[on] = _curve_hilbert(curve, lam[on], x)
         off &= ~on
     if np.any(off):
         h[off] = -_real_branch(prior, t, lam[off], dens)

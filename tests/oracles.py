@@ -6,6 +6,10 @@ import numpy as np
 
 from quadnet import freeprob
 
+# the height above the real axis at which the complex-plane references
+# solve g where a test needs no closer one
+EPS = 1e-8
+
 
 @dataclasses.dataclass(frozen=True)
 class StieltjesSolution:
@@ -22,27 +26,114 @@ def _selfcons(prior, t, z, g):
     return z + t * g + 1.0 / g - prior.r_transform(-g)
 
 
+def _poly_ab(prior, t):
+    """Ascending coefficients (A, B) with P_z(g) = A(g) + z * B(g) the cleared
+    self-consistency polynomial for the compound-Poisson prior."""
+    pi, pi_no = freeprob._pi_products(prior)
+    bcoef = np.concatenate([[0.0], pi])  # g * Pi(g)
+    acoef = np.zeros(len(pi) + 2)
+    acoef[2 : 2 + len(pi)] += t * pi
+    acoef[: len(pi)] += pi
+    for (a, p), pk in zip(prior.atoms, pi_no):
+        acoef[1 : 1 + len(pk)] -= p * prior.kappa * a * pk
+    return acoef, bcoef
+
+
 def coeffs_desc(prior, t, z):
     """Descending coefficients of the cleared polynomial P_z(g), shape
     (M, D+1), also at t = 0.  For the Marchenko-Pastur prior the cubic
     t g^3 + (z + t kappa) g^2 + (z kappa + 1 - kappa) g + kappa, whose
     leading coefficient t vanishes at t = 0, leaving the quadratic below
-    it; for the compound-Poisson prior `freeprob._coeffs_desc`, which
-    already drops vanishing top entries."""
-    if prior.kind == "compound_poisson":
-        return freeprob._coeffs_desc(prior, t, z)
+    it; for the compound-Poisson prior A(g) + z B(g) of `_poly_ab`, whose
+    vanishing top entries (atoms at zero, or t = 0) are dropped."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if prior.kind == "compound_poisson":
+        acoef, bcoef = _poly_ab(prior, t)
+        deg = len(acoef) - 1
+        while deg > 1 and acoef[deg] == 0.0 and (deg >= len(bcoef) or bcoef[deg] == 0.0):
+            deg -= 1
+        coeffs = np.zeros((len(z), deg + 1), dtype=complex)
+        coeffs += acoef[: deg + 1]
+        coeffs[:, : len(bcoef)] += z[:, None] * bcoef[: deg + 1]
+        return coeffs[:, ::-1]
     one, kappa = np.ones_like(z), prior.kappa
     cols = [t * one, z + t * kappa, z * kappa + 1.0 - kappa, kappa * one]
     return np.stack(cols[1:] if t == 0.0 else cols, axis=-1)
 
 
+def _companion_roots(coeffs_desc):
+    """Batched np.roots: eigenvalues of the stacked companion matrices.
+
+    coeffs_desc has shape (M, D+1), descending powers, nonzero leading column.
+    """
+    c = coeffs_desc / coeffs_desc[:, :1]
+    m, dp1 = c.shape
+    deg = dp1 - 1
+    comp = np.zeros((m, deg, deg), dtype=c.dtype)
+    idx = np.arange(deg - 1)
+    comp[:, idx + 1, idx] = 1.0
+    comp[:, 0, :] = -c[:, 1:]
+    return np.linalg.eigvals(comp)
+
+
 def all_roots(t, z, coeffs):
-    """`freeprob._all_roots`, also at t = 0, where the roots are solved in g
-    (the polynomial in w = 1/g is only needed for small positive t)."""
-    if t == 0.0:
-        return freeprob._companion_roots(coeffs)
-    return freeprob._all_roots(t, z, coeffs)
+    """All branches of g(z), shape (M, deg), as companion-matrix eigenvalues
+    of coeffs = `coeffs_desc(prior, t, z)` at the complex points z, also at
+    t = 0.
+
+    For 0 < t much smaller than the other coefficient scales the leading
+    (t g^3) term makes the direct solve ill-conditioned; in that regime the
+    reversed polynomial in w = 1/g is well-scaled, so solve that and
+    invert.  The huge spurious branch then comes out as w ~ 0
+    (inaccurate/inf), which is harmless because it is never the admissible
+    pick.
+    """
+    invert = 0.0 < t < 1e-4 * (1.0 + float(np.mean(np.abs(z))))
+    roots = _companion_roots(coeffs[:, ::-1] if invert else coeffs)
+    if invert:
+        with np.errstate(all="ignore"):
+            roots = 1.0 / roots
+        roots = np.where(np.isfinite(roots), roots, -1e100 - 1e100j)
+    return roots
+
+
+def newton_polish(coeffs, g, steps=2):
+    """Safeguarded Newton steps on the polynomials of descending
+    coefficients coeffs at the points of g (Horner form).  Steps are only
+    accepted when they reduce |P|: near collided root pairs (square-root
+    edges) plain Newton stalls at the pair midpoint and would otherwise
+    corrupt an already-accurate root."""
+
+    def horner(gv):
+        p = coeffs[..., 0]
+        dp = np.zeros_like(gv)
+        for k in range(1, coeffs.shape[-1]):
+            dp = dp * gv + p
+            p = p * gv + coeffs[..., k]
+        return p, dp
+
+    p0, dp0 = horner(g)
+    for _ in range(steps):
+        with np.errstate(all="ignore"):
+            step = p0 / dp0
+        cand = g - np.where(np.isfinite(step), step, 0.0)
+        p1, dp1 = horner(cand)
+        better = np.abs(p1) < np.abs(p0)
+        g = np.where(better, cand, g)
+        p0 = np.where(better, p1, p0)
+        dp0 = np.where(better, dp1, dp0)
+    return g
+
+
+def upper_root(prior, t, x, eps):
+    """g at x + i eps as the companion root of largest imaginary part,
+    polished by two Newton steps: on the support that is the physical
+    branch, Im g = pi rho, except where a second root also lies in the
+    upper half plane (`homotopy_solve` stays unambiguous there)."""
+    z = np.atleast_1d(np.asarray(x, dtype=float)) + 1j * eps
+    coeffs = coeffs_desc(prior, t, z)
+    roots = all_roots(t, z, coeffs)
+    return newton_polish(coeffs, roots[np.arange(len(roots)), np.argmax(roots.imag, axis=1)])
 
 
 def has_nonreal_root(prior, t, x):
@@ -51,7 +142,7 @@ def has_nonreal_root(prior, t, x):
     Needs no tolerance: LAPACK returns each real eigenvalue of a real
     companion matrix with imaginary part exactly zero.
     """
-    roots = freeprob._companion_roots(coeffs_desc(prior, t, x).real)
+    roots = _companion_roots(coeffs_desc(prior, t, x).real)
     return (roots.imag != 0.0).any(axis=1)
 
 
@@ -116,10 +207,10 @@ def homotopy_solve(prior, t, x, eps):
         if np.any(none):
             pick[none] = np.argmin(dist[none], axis=1)
         g = roots[rows, pick]
-        g = freeprob._newton_polish(coeffs, g, steps=1)
+        g = newton_polish(coeffs, g, steps=1)
     z = x + 1j * eps
     coeffs = coeffs_desc(prior, t, z)
-    g = freeprob._newton_polish(coeffs, g, steps=2)
+    g = newton_polish(coeffs, g, steps=2)
     # at square-root edges the physical root and its conjugate collide as the
     # height shrinks; if polishing landed on the lower partner, flip to the
     # conjugate root (same Re, which is all a collision point determines)
@@ -211,7 +302,7 @@ def sigma_t_derivative(prior, t):
     return (2.0 * np.pi**2 / 3.0) * freeprob.density(prior, t).cube_integral()
 
 
-def stieltjes(prior, t, z, eps=freeprob.DEFAULT_EPS):
+def stieltjes(prior, t, z):
     """Admissible Stieltjes transform g(z) of mu_t at a single point z.
 
     Parameters
@@ -225,8 +316,8 @@ def stieltjes(prior, t, z, eps=freeprob.DEFAULT_EPS):
     Returns
     -------
     StieltjesSolution
-        Carries g, the offset actually used, and the self-consistency
-        residual |z + t g - R(-g) + 1/g|.
+        Carries g, t, and the self-consistency residual
+        |z + t g - R(-g) + 1/g|.
     """
     z = complex(z)
     if z.imag <= 0:

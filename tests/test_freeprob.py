@@ -2,7 +2,7 @@
 
 Conventions checked throughout: g(z) = E[1/(X - z)] so that g(z) ~ -1/z for
 |z| -> infinity and Im g > 0 in the upper half plane; the density of
-mu_t = prior (+) semicircle(t) is Im g(x + i*eps)/pi.
+mu_t = prior (+) semicircle(t) is Im g(x + i0)/pi.
 
 Every nontrivial expected value is pinned against an independent oracle:
 closed forms where known (semicircle, Marchenko-Pastur limits), refinement
@@ -17,7 +17,10 @@ import pytest
 from quadnet import freeprob as fp
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
+import oracles
 from oracles import (
+    EPS,
+    all_roots,
     coeffs_desc,
     companion_critical_points,
     cube_integral_dt,
@@ -30,6 +33,7 @@ from oracles import (
     root_count_support,
     sigma_t_derivative,
     stieltjes,
+    upper_root,
 )
 
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
@@ -109,36 +113,6 @@ def log_potential_kernel(dens):
     return total
 
 
-def newton_polish_reference(prior, t, z, g, steps=2):
-    """The Newton polish as it was before coefficients were shared.
-
-    Rebuilds the coefficients from (prior, t, z) and starts Horner's rule
-    from zeros; `fp._newton_polish` takes the caller's coefficients and
-    starts at the leading one, and must give the same bits.
-    """
-    coeffs = fp._coeffs_desc(prior, t, z)
-
-    def horner(gv):
-        p = np.zeros_like(gv)
-        dp = np.zeros_like(gv)
-        for k in range(coeffs.shape[-1]):
-            dp = dp * gv + p
-            p = p * gv + coeffs[..., k]
-        return p, dp
-
-    p0, dp0 = horner(g)
-    for _ in range(steps):
-        with np.errstate(all="ignore"):
-            step = p0 / dp0
-        cand = g - np.where(np.isfinite(step), step, 0.0)
-        p1, dp1 = horner(cand)
-        better = np.abs(p1) < np.abs(p0)
-        g = np.where(better, cand, g)
-        p0 = np.where(better, p1, p0)
-        dp0 = np.where(better, dp1, dp0)
-    return g
-
-
 class TestPriorSpectrum:
     def test_marchenko_pastur_moments(self):
         assert MP05.mean == 1.0
@@ -193,7 +167,7 @@ class TestStieltjes:
         # on-support point: of the three branches of the cleared cubic only
         # one lies in the upper half plane
         z = np.array([1.0 + 1e-8j])
-        roots = fp._all_roots(0.1, z, coeffs_desc(MP05, 0.1, z))[0]
+        roots = all_roots(0.1, z, coeffs_desc(MP05, 0.1, z))[0]
         assert (roots.imag > 1e-12).sum() == 1
         sol = stieltjes(MP05, 0.1, 1.0 + 1e-8j)
         assert sol.g.imag > 0
@@ -217,9 +191,9 @@ class TestStieltjes:
         # conjugate or spurious branch at 4 of these 230 nodes (Im g < 0, up
         # to 1.0 relative off the density); every 7th node of both intervals
         # (against the companion-matrix root of the unit-atom compound-Poisson
-        # prior, as its build picks it, polished by Newton's method on this
-        # prior's cubic in extended precision, at the nodes of the sin^2 grid
-        # in x)
+        # prior of largest imaginary part, polished by Newton's method on
+        # this prior's cubic in extended precision, at the nodes of the
+        # sin^2 grid in x)
         kappa, t = 3e-4, 1e-9
         prior = PriorSpectrum.marchenko_pastur(kappa)
         cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
@@ -227,10 +201,10 @@ class TestStieltjes:
         assert len(dens.intervals) == 2
         off = []
         for l, u in dens.intervals:
-            eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
+            eps = min(EPS, 1e-5 * (u - l))
             x = l + (u - l) * fp._theta_grid(fp.DEFAULT_NODES)[0]
             z = x + 1j * eps
-            g_grid = extended_newton(coeffs_desc(prior, t, z), fp._grid_slope(cp, t, x, eps)[0], 30)
+            g_grid = extended_newton(coeffs_desc(prior, t, z), upper_root(cp, t, x, eps), 30)
             for i in range(1, len(x) - 1, 7):
                 g = stieltjes(prior, t, complex(x[i], eps)).g
                 ref = g_grid[i]
@@ -479,7 +453,7 @@ class TestRealCubicPair:
     # real axis (`real_axis_root`: the companion-matrix homotopy, then
     # Newton's method in extended precision), point by point relative to
     # |g| there.  The small t solve the homotopy in w = 1/g, the large t in
-    # g: both sides of the guard of `freeprob._all_roots`
+    # g: both sides of the guard of `oracles.all_roots`
     TS = np.geomspace(1e-6, 10.0, 8)
 
     @staticmethod
@@ -506,16 +480,16 @@ class TestRealCubicPair:
         # the points of `_points` on the 401-node grid.  Measured: at most
         # 1.3e-13 (MP(0.946) at t = 1e-5, mid-bulk).  The reference's
         # homotopy must have been solved in w = 1/g for some t and in g for
-        # others: `_all_roots` hands `_companion_roots` the columns of the
+        # others: `all_roots` hands `_companion_roots` the columns of the
         # coefficients reversed (a negative stride) when it solves in w
         mp = PriorSpectrum.marchenko_pastur(kappa)
-        companion, inverted = fp._companion_roots, set()
+        companion, inverted = oracles._companion_roots, set()
 
         def recording(c):
             inverted.add(c.strides[-1] < 0)
             return companion(c)
 
-        monkeypatch.setattr(fp, "_companion_roots", recording)
+        monkeypatch.setattr(oracles, "_companion_roots", recording)
         for t in self.TS:
             dens = density(mp, t, n_nodes=401)
             for l, u, x in self._points(dens):
@@ -536,17 +510,19 @@ class TestRealCubicPair:
     @pytest.mark.parametrize("kappa,t", [(0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)])
     def test_just_before_a_merge_matches_companion_path(self, kappa, t):
         # two intervals 1e-11 apart: next to this cusp x(s) is nearly flat.
-        # The points are the interior nodes of the compound-Poisson build's
-        # sin^2 grid in x.  MP(0.95) is built as one interval there, the two
-        # 1.0e-11 apart being below the collision threshold, and its nodes
-        # come within 1.9e-9 widths of the dip.  Measured: at most 3.9e-13,
-        # at the node next to that dip
+        # The points are the interior nodes of the sin^2 grid in x on the
+        # intervals of the unit-atom compound-Poisson prior, whose companion
+        # edges keep the two apart.  MP(0.95) is built as one interval
+        # there, the two 1.0e-11 apart being below the collision threshold,
+        # and the points come within 1.9e-9 widths of the dip.  Measured: at
+        # most 3.9e-13, at the point next to that dip
         mp = PriorSpectrum.marchenko_pastur(kappa)
         dens = density(mp, t)
-        dens_cp = density(PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),)), t)
-        assert len(dens_cp.intervals) == 2
+        intervals = support_edges(PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),)), t)
+        assert len(intervals) == 2
         width = dens.intervals[-1][1] - dens.intervals[0][0]
-        for x in dens_cp.x:
+        for l, u in intervals:
+            x = l + (u - l) * fp._theta_grid(fp.DEFAULT_NODES)[0]
             assert np.max(self._off(mp, t, dens, x[1:-1], width)) < 1e-11
 
     @pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
@@ -719,47 +695,118 @@ class TestClosedFormBuild:
         assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-class TestSharedCoefficients:
-    @pytest.mark.parametrize("t", [1e-9, 1e-5, 1e-2, 0.5, 2.0])
-    @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
-    def test_polish_matches_reference(self, monkeypatch, prior, t):
-        # every polish on the compound-Poisson density and Hilbert paths
-        # gets coefficients built for its own (prior, t, z); a polish gives
-        # the bits of the reference polish that rebuilds them.  The
-        # Marchenko-Pastur paths take no polish: `hilbert` solves on the
-        # curves the density was built on.  Off the support `hilbert` takes
-        # neither
-        built = {}
-        coeffs_desc, polish = fp._coeffs_desc, fp._newton_polish
+class TestCompoundPoissonCurve:
+    # the compound-Poisson density and `hilbert` on the real-axis curve of
+    # `freeprob._cp_curve`: the tests' three-atom priors, an atom at zero,
+    # the unit atom and the pure semicircle (every atom at zero)
+    PRIORS = {
+        "cp3": CP3,
+        "cp3_wide": PriorSpectrum.compound_poisson(0.5, ((0.2, 0.3), (1.0, 0.4), (4.0, 0.3))),
+        "cp2_wide": PriorSpectrum.compound_poisson(0.2, ((1.0, 0.5), (10.0, 0.5))),
+        "cp0.6_zero": PriorSpectrum.compound_poisson(0.6, ((0.0, 0.3), (1.0, 0.7))),
+        "cp_unit": PriorSpectrum.compound_poisson(0.5, ((1.0, 1.0),)),
+        "semicircle": SEMICIRCLE_PRIOR,
+    }
+    TS = (1e-6, 1e-3, 0.1, 1.0, 30.0)
+    # cp3_wide's first two intervals merge at t = 0.0700022555184842
+    MERGE = 0.07000225551848424
 
-        def recording_coeffs(prior_, t_, z):
-            c = coeffs_desc(prior_, t_, z)
-            built[id(c)] = (c, prior_, t_, z)
-            return c
+    @pytest.mark.parametrize("name", sorted(PRIORS))
+    def test_hilbert_at_every_interior_node(self, name):
+        # h equals -Re g of the build at every interior node, as for the
+        # Marchenko-Pastur curve.  Measured: at most 8.1e-16 of max |Re g|
+        prior = self.PRIORS[name]
+        for t in self.TS:
+            dens = density(prior, t)
+            scale = max(np.max(np.abs(g)) for g in dens.re_g)
+            for x, re_g in zip(dens.x, dens.re_g):
+                off = np.abs(fp.hilbert(prior, t, x[1:-1], dens) + re_g[1:-1]) / scale
+                assert np.max(off) <= 1e-13, t
 
-        n_checked = [0]
+    @pytest.mark.parametrize("name", sorted(PRIORS))
+    def test_nodes_and_hilbert_match_real_axis_reference(self, name):
+        # every 40th node at least 1e-4 widths inside its interval, against
+        # `real_axis_root` relative to |g| there (measured: at most 4.0e-14),
+        # and h at 20 random points per interval at least 1e-6 widths inside
+        # it, relative to max |h|
+        prior = self.PRIORS[name]
+        rng = np.random.default_rng(3)
+        for t in self.TS:
+            dens = density(prior, t)
+            h, ref = [], []
+            for (l, u), x, rho, re_g in zip(dens.intervals, dens.x, dens.rho, dens.re_g):
+                inner = np.flatnonzero((x - l >= 1e-4 * (u - l)) & (u - x >= 1e-4 * (u - l)))[::40]
+                g_ref = real_axis_root(prior, t, x[inner], u - l)
+                g = re_g[inner] + 1j * np.pi * rho[inner]
+                assert np.max(np.abs(g - g_ref) / np.abs(g_ref)) <= 1e-13, t
+                lam = l + (u - l) * rng.uniform(1e-6, 1.0 - 1e-6, 20)
+                h.append(fp.hilbert(prior, t, lam, dens))
+                ref.append(-real_axis_root(prior, t, lam, u - l).real)
+            h, ref = np.concatenate(h), np.concatenate(ref)
+            assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref)), t
 
-        def checked_polish(coeffs, g, steps=2):
-            out = polish(coeffs, g, steps)
-            _, prior_, t_, z = built[id(coeffs)]
-            assert np.array_equal(out, newton_polish_reference(prior_, t_, z, g, steps))
-            n_checked[0] += 1
-            return out
+    @pytest.mark.parametrize("name", sorted(PRIORS))
+    def test_mass_and_cube_integral_match_6401_nodes(self, name):
+        # over t from 1e-8 to 1e4, and for cp3_wide from 0.06 to 0.12, where
+        # the offset build this replaced had mass 1 + 2.8e-5 to 1 - 6e-9
+        # after the merge.  Measured: mass within 1.6e-15 of 1, int rho^3
+        # within 5.8e-16 relative of 6401 nodes
+        prior = self.PRIORS[name]
+        ts = list(np.geomspace(1e-8, 1e4, 13))
+        if name == "cp3_wide":
+            ts += [0.06, 0.07, 0.08, 0.09, 0.1, 0.11, 0.12]
+        for t in ts:
+            dens, fine = density(prior, t), density(prior, t, n_nodes=6401)
+            assert dens.mass() == pytest.approx(1.0, abs=1e-13), t
+            assert dens.mass() == pytest.approx(fine.mass(), abs=1e-13), t
+            assert dens.cube_integral() == pytest.approx(fine.cube_integral(), rel=1e-13), t
 
-        monkeypatch.setattr(fp, "_coeffs_desc", recording_coeffs)
-        monkeypatch.setattr(fp, "_newton_polish", checked_polish)
-        dens = density(prior, t, n_nodes=201)
-        edges = np.array(dens.intervals).ravel()
-        # beyond both ends and in every gap: solved off the support; the
-        # middle of every interval: solved on it
-        gaps = 0.5 * (edges[1:-1:2] + edges[2::2])
-        mids = 0.5 * (edges[::2] + edges[1::2])
-        lam = np.concatenate([[edges[0] - 1.0, edges[-1] + 1.0], gaps, mids])
-        fp.hilbert(prior, t, lam, dens=dens)
-        if prior.kind == "marchenko_pastur":
-            assert n_checked[0] == 0 and len(dens.curves) == len(dens.intervals)
-        else:
-            assert n_checked[0] > len(dens.intervals) and dens.curves is None
+    @pytest.mark.parametrize("rel", [0.0, 1e-5, 1e-3, 1e-2])
+    def test_just_after_a_merge(self, rel):
+        # cp3_wide just after its merge: the neck where the two intervals
+        # joined is narrower than the 801-node grid's spacing in w, and the
+        # mass is 3.0e-10 off at rel <= 1e-5, 6.8e-11 at 1e-3 and 8.9e-15 at
+        # 1e-2 (6401 nodes: 1.2e-13; a FOUND line in CHANGES.md).  At
+        # rel = 0 the two middle critical values are within the collision
+        # threshold, so the interval keeps one of them as a third anchor.
+        # int rho^3 stays within 1e-13 of 6401 nodes, and h equals -Re g at
+        # every interior node
+        prior, t = self.PRIORS["cp3_wide"], self.MERGE * (1.0 + rel)
+        dens, fine = density(prior, t), density(prior, t, n_nodes=6401)
+        assert len(dens.intervals) == 2
+        assert (dens.curves[0].vm is not None) == (rel == 0.0)
+        assert dens.mass() == pytest.approx(fine.mass(), abs=1e-9)
+        assert fine.mass() == pytest.approx(1.0, abs=1e-12)
+        assert dens.cube_integral() == pytest.approx(fine.cube_integral(), rel=1e-13)
+        scale = max(np.max(np.abs(g)) for g in dens.re_g)
+        for x, re_g in zip(dens.x, dens.re_g):
+            assert np.max(np.abs(fp.hilbert(prior, t, x[1:-1], dens) + re_g[1:-1])) <= 1e-13 * scale
+
+    def test_eigensolver_only_for_the_edges(self, monkeypatch):
+        # the companion eigenvalues of phi'(g) = 0 give the edges; the
+        # density and `hilbert`, on the support and off it, need none
+        calls, eigvals = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+        dens = density(CP3, 1e-3)
+        assert len(dens.intervals) == 2 and len(calls) == 1
+        lam = np.concatenate([x[1:-1:50] for x in dens.x] + [[dens.intervals[0][0] - 1.0]])
+        assert np.all(np.isfinite(fp.hilbert(CP3, 1e-3, lam, dens)))
+        assert len(calls) == 1
+
+    def test_curve_where_x_does_not_increase_raises(self, monkeypatch):
+        # that x increases along the curve is measured, not proven: a build
+        # whose nodes do not increase says so
+        points = fp._cp_points
+
+        def swapped(*args):
+            x, *rest = points(*args)
+            x = x.copy()
+            x[[10, 11]] = x[[11, 10]]
+            return (x, *rest)
+
+        monkeypatch.setattr(fp, "_cp_points", swapped)
+        with pytest.raises(fp.EdgeDetectionFailed, match="does not increase"):
+            density(CP3, 0.5)
 
 
 class TestDensityInvariants:
@@ -774,17 +821,15 @@ class TestDensityInvariants:
     @pytest.mark.parametrize("name", sorted(PRIORS))
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
     def test_mass_mean_second_moment(self, name, t):
-        # the closed-form Marchenko-Pastur build is off by at most 4.4e-16 in
-        # mass and 3.0e-15 in the moments here; the bounds leave a factor 20.
-        # The compound-Poisson build keeps its evaluation offset's smearing
+        # both builds are on the real axis: off by at most 4.4e-16 in mass
+        # and 3.0e-15 in the moments here; the bounds leave a factor 20
         prior = self.PRIORS[name]
-        mp = prior.kind == "marchenko_pastur"
         dens = density(prior, t, n_nodes=801)
-        assert dens.mass() == pytest.approx(1.0, abs=1e-14 if mp else 1e-4)
+        assert dens.mass() == pytest.approx(1.0, abs=1e-14)
         mean = dens.integrate([r * x for r, x in zip(dens.rho, dens.x)])
-        assert mean == pytest.approx(prior.mean, abs=1e-13 if mp else 1e-3)
+        assert mean == pytest.approx(prior.mean, abs=1e-13)
         second_moment = dens.integrate([r * x * x for r, x in zip(dens.rho, dens.x)])
-        assert second_moment == pytest.approx(prior.second_moment + t, abs=1e-13 if mp else 1e-3)
+        assert second_moment == pytest.approx(prior.second_moment + t, abs=1e-13)
 
     @pytest.mark.parametrize("name", sorted(PRIORS))
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
@@ -807,18 +852,17 @@ class TestDensityInvariants:
 
     @pytest.mark.parametrize("t", [0.05, 0.5])
     def test_unit_atom_compound_poisson_matches_mp(self, t):
-        # the two builds have different nodes, so their integrals are
-        # compared.  The compound-Poisson build is at an offset and needs
-        # 3201 nodes at t = 0.05, just after its intervals merged (mass 2.4e-7
-        # off on 801); there the mass differs by 1.2e-8 and int rho^3 by
-        # 9.3e-8 relative, at t = 0.5 by 4.8e-9 and 2.2e-8
+        # the two builds solve the same curve by different routes, so their
+        # integrals are compared.  Measured: the moments within 2.7e-15 and
+        # int rho^3 within 6.7e-16 relative (the offset build this replaced
+        # needed 3201 nodes for 1.2e-8 and 9.3e-8 at t = 0.05)
         mp = density(MP05, t, n_nodes=801)
-        cp = density(self.PRIORS["cp_unit"], t, n_nodes=3201)
+        cp = density(self.PRIORS["cp_unit"], t, n_nodes=801)
         assert np.max(np.abs(np.ravel(mp.intervals) - np.ravel(cp.intervals))) < 1e-9
         for f in (lambda x: 1.0, lambda x: x, lambda x: x * x):
             moment = [d.integrate([r * f(x) for r, x in zip(d.rho, d.x)]) for d in (mp, cp)]
-            assert moment[0] == pytest.approx(moment[1], abs=3e-8)
-        assert mp.cube_integral() == pytest.approx(cp.cube_integral(), rel=2e-7)
+            assert moment[0] == pytest.approx(moment[1], abs=1e-13)
+        assert mp.cube_integral() == pytest.approx(cp.cube_integral(), rel=1e-13)
 
     def test_t_zero_marchenko_pastur_with_atom(self):
         dens, atom = mp_density_t0(MP05)
@@ -978,14 +1022,13 @@ class TestCubeIntegral:
             n = 20010
             h = (u - l) / n
             xm = l + (np.arange(n) + 0.5) * h
-            g = fp._grid_slope(cp, 0.5, xm, fp.DEFAULT_EPS)[0]
+            g = upper_root(cp, 0.5, xm, EPS)
             oracle += float(np.sum(np.maximum(g.imag / np.pi, 0.0) ** 3) * h)
         assert val == pytest.approx(oracle, rel=1e-5)
 
-    # cp3_wide at t = 0.1 is left out: just after two of its intervals merge
-    # the grid's quadrature error (the FOUND line on it in CHANGES.md) puts
-    # the difference 8.7e-7 off
-    @pytest.mark.parametrize("t", [0.01, 0.5, 2.0])
+    # t = 0.1 is cp3_wide just after two of its intervals merged, 8.7e-7
+    # off with the evaluation offset this build replaced
+    @pytest.mark.parametrize("t", [0.01, 0.1, 0.5, 2.0])
     @pytest.mark.parametrize("name", ["mp05", "mp20", "cp3_wide"])
     def test_t_derivative_matches_central_difference(self, name, t):
         # the Burgers identity agrees with the differences to 3e-11-2e-10;
@@ -1137,10 +1180,9 @@ class TestLogPotential:
         "name,t,n_nodes",
         [(n, t, 801) for n in sorted(TestDensityInvariants.PRIORS) for t in (0.1, 0.5, 2.0)]
         + [("mp05", 0.01, 801), ("mp05", 1e-3, 801), ("cp3_wide", 0.05, 801),
-           # just after two intervals merge the 801-node density has mass
-           # 1 + 5.3e-6, which both routes carry (see the FOUND line on it in
-           # CHANGES.md); on 3201 nodes the density is accurate
-           ("cp3_wide", 0.1, 3201)],
+           # just after two intervals merged; the offset build this replaced
+           # had mass 1 + 5.3e-6 here on 801 nodes and needed 3201
+           ("cp3_wide", 0.1, 801)],
     )
     def test_matches_kernel_oracle(self, name, t, n_nodes):
         # within the O(N^2) kernel's own 801-vs-3201-node difference; the

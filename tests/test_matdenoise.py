@@ -15,7 +15,7 @@ from quadnet import matdenoise as md
 from quadnet.freeprob import PriorSpectrum
 from quadnet.matdenoise import sample_prior
 
-from oracles import homotopy_solve, real_axis_root
+from oracles import EPS, homotopy_solve, real_axis_root
 
 MP05 = PriorSpectrum.marchenko_pastur(0.5)
 CP3 = PriorSpectrum.compound_poisson(0.7, ((0.5, 0.3), (1.0, 0.4), (2.0, 0.3)))
@@ -92,10 +92,9 @@ class TestExactShrinker:
     @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
     def test_hilbert_matches_homotopy_at_every_eigenvalue(self, prior, d):
         # h is solved at each sampled eigenvalue, on the support and off it;
-        # the oracle is the homotopy from high in the upper half plane, at
-        # the offset hilbert uses: on the support of the Marchenko-Pastur
-        # prior, where hilbert solves on the real axis, the homotopy polished
-        # there (`real_axis_root`)
+        # the oracle is the homotopy from high in the upper half plane: on
+        # the support, where hilbert solves on the real axis, the homotopy
+        # polished there (`real_axis_root`), off it at the offset EPS
         rng = np.random.default_rng(d)
         n_off = 0
         for delta in (0.05, 0.1, 0.5, 1.0):
@@ -108,13 +107,10 @@ class TestExactShrinker:
             for l, u in spec.rho.intervals:
                 on = (lam >= l) & (lam <= u)
                 off &= ~on
-                if np.any(on) and prior.kind == "marchenko_pastur":
+                if np.any(on):
                     ref[on] = -real_axis_root(prior, delta, lam[on], u - l).real
-                elif np.any(on):
-                    eps = min(fp.DEFAULT_EPS, 1e-5 * (u - l))
-                    ref[on] = -homotopy_solve(prior, delta, lam[on], eps).real
             if np.any(off):
-                ref[off] = -homotopy_solve(prior, delta, lam[off], fp.DEFAULT_EPS).real
+                ref[off] = -homotopy_solve(prior, delta, lam[off], EPS).real
                 n_off += int(off.sum())
             assert np.max(np.abs(h - ref)) < 1e-8, delta
         assert n_off > 0
