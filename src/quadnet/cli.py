@@ -157,14 +157,13 @@ class Gamp(_Teacher):
         del header["seed"], header["n_seeds"]
         return header, [{"alpha": a, "seed": s} for a in alphas for s in seeds]
 
-    def options(self, seed, s_star=None):
+    def options(self, seed):
         return gamp.GampOptions(max_iter=self.max_iter, damping=self.damping, init=self.init,
-                                center=self.center, seed=seed, s_star=s_star)
+                                center=self.center, seed=seed)
 
     def cell(self, alpha, seed):
         params, fp, instance = self.teacher(alpha, seed)
-        opts = self.options(seed, instance.S_star)
-        _, state = gamp.run(model.reduce(instance), params, opts)
+        _, state = gamp.run(model.reduce(instance), params, self.options(seed))
         mse = model.matrix_mse(state.S_hat, instance.S_star, self.kappa)
         return mse, fp.mmse, state.iter, int(state.converged)
 
@@ -390,7 +389,8 @@ def _guarded(cell, key):
 
 
 def _run_cells(cell, keys, width, threads):
-    """Order-preserving map of ``cell(**key)`` over ``keys`` on a process pool.
+    """Order-preserving map of ``cell(**key)`` over ``keys`` on a process pool
+    of at most one worker per key.
 
     A cell that raises gets ``width`` NaN values, and ``cell <key>:
     <reason>`` goes to stderr.  Returns the value tuples and a failure flag
@@ -401,7 +401,8 @@ def _run_cells(cell, keys, width, threads):
         n_workers = max(1, int(env) if env is not None else threads or 1)
     except ValueError:
         raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    if n_workers <= 1 or len(keys) <= 1:
+    n_workers = min(n_workers, len(keys))
+    if n_workers <= 1:
         results = [_guarded(cell, key) for key in keys]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -82,25 +82,20 @@ class PriorSpectrum:
     atoms : tuple of (value, weight)
         Atom law of the diagonal variance profile D.  The default single atom
         (1, 1) gives the plain Marchenko-Pastur law of parameter kappa.
-    kind : str
-        Either ``"marchenko_pastur"`` or ``"compound_poisson"``.  The
-        compound-Poisson kind finds its support edges by companion-matrix
-        eigenvalues and solves Re g on its curve (`_cp_curve`); the
-        Marchenko-Pastur kind needs no eigensolver (`_mp_critical_points`)
-        and its curve is explicit (`_mp_curve`).  With atoms ((1, 1),) they
-        describe the same measure, which the tests use to check one path
-        against the other.
+
+    The atom law picks the path (`_is_marchenko_pastur`): the unit atom
+    needs no eigensolver (`_mp_critical_points`) and its curve is explicit
+    (`_mp_curve`); any other law is a compound-Poisson prior, which finds
+    its support edges by companion-matrix eigenvalues and solves Re g on
+    its curve (`_cp_curve`).
     """
 
     kappa: float
     atoms: tuple[tuple[float, float], ...] = ((1.0, 1.0),)
-    kind: str = "marchenko_pastur"
 
     def __post_init__(self):
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.kind not in ("marchenko_pastur", "compound_poisson"):
-            raise ValueError(f"unknown prior kind {self.kind!r}")
         if len(self.atoms) == 0:
             raise ValueError("need at least one atom")
         for a, p in self.atoms:
@@ -115,8 +110,6 @@ class PriorSpectrum:
         wsum = sum(p for _, p in self.atoms)
         if abs(wsum - 1.0) > 1e-12:
             raise ValueError(f"atom weights must sum to 1, got {wsum!r}")
-        if self.kind == "marchenko_pastur" and self.atoms != ((1.0, 1.0),):
-            raise ValueError("marchenko_pastur kind fixes atoms to ((1, 1),)")
 
     @classmethod
     def marchenko_pastur(cls, kappa: float) -> "PriorSpectrum":
@@ -125,7 +118,7 @@ class PriorSpectrum:
     @classmethod
     def compound_poisson(cls, kappa, atoms) -> "PriorSpectrum":
         atoms = tuple((float(a), float(p)) for a, p in atoms)
-        return cls(kappa=float(kappa), atoms=atoms, kind="compound_poisson")
+        return cls(kappa=float(kappa), atoms=atoms)
 
     # --- moments -----------------------------------------------------------
 
@@ -149,6 +142,12 @@ class PriorSpectrum:
         for a, p in self.atoms:
             out = out + p * self.kappa * a / (self.kappa - s * a)
         return out
+
+
+def _is_marchenko_pastur(prior):
+    """Whether the atom law is the unit atom, the Marchenko-Pastur prior,
+    whose edges, curve and draws have closed forms."""
+    return prior.atoms == ((1.0, 1.0),)
 
 
 # ==================
@@ -180,8 +179,8 @@ def _critical_poly(prior):
 
     Returns the descending coefficients of Pi^2, of g^2 Pi^2 and of each
     atom's term, cut below the t term's leading coefficient (atoms at zero
-    leave zero top coefficients); the companion matrix of that degree with
-    its first row left zero; and the poles of phi, g = 0 and -kappa / a_k.
+    leave zero top coefficients), and the poles of phi, g = 0 and
+    -kappa / a_k.
     """
     kappa = prior.kappa
     pi, pi_no = _pi_products(prior)
@@ -197,10 +196,8 @@ def _critical_poly(prior):
 
     terms = [desc(p * kappa * a**2 * np.convolve(pk, pk), 2)
              for (a, p), pk in zip(prior.atoms, pi_no)]
-    companion = np.diag(np.ones(top - 1), -1)
-    companion.flags.writeable = False
     poles = (0.0, *(-kappa / a for a, _ in prior.atoms if a > 0))
-    return desc(pi2, 0), desc(pi2, 2), tuple(terms), companion, poles
+    return desc(pi2, 0), desc(pi2, 2), tuple(terms), poles
 
 
 def _companion_candidates(prior, t):
@@ -209,15 +206,12 @@ def _companion_candidates(prior, t):
     which phi' changes sign.  Next to a pole g = -kappa / a_k at large
     kappa t a complex pair of eigenvalues can pass the tolerance on its
     imaginary part; phi' is negative on both sides of it there."""
-    pi2, tpart, terms, companion, poles = _critical_poly(prior)
+    pi2, tpart, terms, poles = _critical_poly(prior)
     poly = pi2 - t * tpart
     for term in terms:
         poly -= term
-    # np.roots' companion matrix
-    companion = companion.copy()
-    companion[0] = -poly[1:] / poly[0]
     candidates = []
-    for root in np.linalg.eigvals(companion).tolist():
+    for root in np.roots(poly).tolist():
         # real, not on a pole of phi, and a sign change of phi'
         g = root.real
         if abs(root.imag) <= 1e-8 * (1.0 + abs(root)) and all(
@@ -358,7 +352,7 @@ def _edge_candidates(prior, t):
     2 + 2 * #atoms (`_critical_poly`), whose few real companion eigenvalues
     are sifted as Python floats.
     """
-    if prior.kind == "marchenko_pastur":
+    if _is_marchenko_pastur(prior):
         kappa = prior.kappa
         candidates = [(-t * g + kappa / (kappa + g) - 1.0 / g, g)
                       for g in _mp_critical_points(kappa, t)]
@@ -547,7 +541,7 @@ def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> Spe
 def _curves(prior, t, support):
     """The intervals of `_support` as the curves `density` builds on and
     keeps for `hilbert` (`_mp_curve`, `_cp_curve`)."""
-    if prior.kind == "marchenko_pastur":
+    if _is_marchenko_pastur(prior):
         return _mp_curves(prior.kappa, t, support)
     return tuple(_cp_curve(prior, t, *interval) for interval in support)
 

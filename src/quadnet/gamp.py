@@ -50,10 +50,10 @@ while c_hat collapses, and the ratio grows without bound.  The run stops when
 * the denoising noise level 1 / (2 Abar) falls below ``T_FLOOR`` (the
   noiseless exact-recovery regime: the denoiser is the identity, and
   iterating on only amplifies rounding), or
-* the fixed-point residual is below ``tol`` times the claimed error of the
-  new estimate, ||S_hat^{t+1} - Sbar|| <= tol sqrt(d c_hat^{t+1} / 2), and
-  the residual check passes (a fixed point of the damped map is one of the
-  undamped map).
+* the fixed-point residual is below ``FIXED_POINT_TOL`` times the claimed
+  error of the new estimate, ||S_hat^{t+1} - Sbar|| <= FIXED_POINT_TOL
+  sqrt(d c_hat^{t+1} / 2), and the residual check passes (a fixed point of
+  the damped map is one of the undamped map).
 
 ``converged`` is True exactly when the stop rule fired with the residual
 check passing; the stop reason is recorded in the state.
@@ -116,6 +116,11 @@ STEP_MIN = 0.05
 # it froze and about 1e4 three iterations later.
 RESIDUAL_RATIO_MAX = 3.0
 
+# Fixed-point stop, in units of the claimed error (see the module
+# docstring), and the scalar tracker's stop on the step of its overlap.
+FIXED_POINT_TOL = 1e-2
+SE_ITERATE_TOL = 1e-10
+
 
 class Diverged(RuntimeError):
     """The residual mean square grew an order of magnitude beyond its starting value."""
@@ -125,20 +130,17 @@ class Diverged(RuntimeError):
 class GampOptions:
     """Run options.
 
-    ``tol`` bounds the fixed-point residual at the fixed-point stop, in units
-    of the claimed error of the estimate (see the module docstring).
     ``damping`` is the least damping the adaptive rule keeps: the step beta
-    never exceeds 1 - damping.
+    never exceeds 1 - damping.  The stop tolerance is the module constant
+    ``FIXED_POINT_TOL`` (see the module docstring).
     """
 
     max_iter: int = 1000
-    tol: float = 1e-2
     damping: float = 0.0
     init: str = "mean"
     center: bool = True
     seed: int = 0
     s_star: np.ndarray | None = None
-    omit_onsager: bool = False  # regression tests only
 
     def __post_init__(self):
         if not 0.0 <= self.damping <= 0.5:
@@ -253,7 +255,7 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
                 state.n_v_floor += 1
             var = td + V * share
             omega = dataset.trace_products(S)
-            if g_bar is not None and not opts.omit_onsager:
+            if g_bar is not None:
                 omega = omega - V * share * g_bar
             residual = y - omega
             if opts.center:
@@ -300,7 +302,7 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         if t_lvl < T_FLOOR:
             state.stop_reason, state.converged = "noise_floor", consistent
             break
-        if fp_res <= opts.tol * np.sqrt(0.5 * d * c_new) and consistent:
+        if fp_res <= FIXED_POINT_TOL * np.sqrt(0.5 * d * c_new) and consistent:
             state.stop_reason, state.converged = "fixed_point", True
             break
 
@@ -308,7 +310,7 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
 
 
 def state_evolution_iterate(params: ProblemParams, q_init: float | None = None,
-                            tol: float = 1e-10, max_iter: int = 5000):
+                            max_iter: int = 5000):
     """Scalar tracker of the iteration: alternates the channel and prior maps.
 
     q_hat^t = 4 alpha / (tilde_delta + 2 (Q0 - q^t)), then
@@ -316,6 +318,7 @@ def state_evolution_iterate(params: ProblemParams, q_init: float | None = None,
     (q, q_hat) pairs, starting with the first updated pair.  The overlap
     q = Q0 - mmse matches the matrix iteration started from the prior mean:
     kappa * (Q0 - q^t) is the predicted error after t denoising steps.
+    The trace ends once q moves by less than ``SE_ITERATE_TOL``.
     """
     prior = params.prior
     q0 = params.q0
@@ -342,7 +345,7 @@ def state_evolution_iterate(params: ProblemParams, q_init: float | None = None,
             mmse_val = matdenoise.mmse(DenoiseSpec.create(prior, t_lvl))
         q_new = q0 - mmse_val
         trace.append((q_new, q_hat))
-        if abs(q_new - q) < tol:
+        if abs(q_new - q) < SE_ITERATE_TOL:
             q = q_new
             break
         q = q_new

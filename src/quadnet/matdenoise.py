@@ -137,7 +137,7 @@ def sample_prior(prior: PriorSpectrum, d: int, rng: np.random.Generator) -> np.n
     law of a compound-Poisson prior on its diagonal."""
     m = max(1, round(prior.kappa * d))
     w = rng.normal(size=(m, d))
-    if prior.kind == "marchenko_pastur":
+    if freeprob._is_marchenko_pastur(prior):
         return w.T @ w / m
     values, weights = np.array(prior.atoms).T
     return (w.T * rng.choice(values, size=m, p=weights)) @ w / m

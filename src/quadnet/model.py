@@ -112,13 +112,13 @@ def generate(
     delta: float = 0.0,
     seed: int = 0,
     second_layer=None,
-    memory_budget: int = MEMORY_BUDGET,
 ) -> TeacherInstance:
     """Draw a reproducible teacher instance with rounded m and n.
 
     second_layer, when given, is a tuple of (value, weight) atoms for the
     a_k law; weights must sum to 1.  The effective kappa and alpha are the
-    rounded ratios m/d and n/d^2 exposed on the instance.
+    rounded ratios m/d and n/d^2 exposed on the instance.  Past
+    `MEMORY_BUDGET` floats it raises `DimensionOverflow`.
     """
     check_dimension(d)
     if not delta >= 0:
@@ -129,9 +129,9 @@ def generate(
         raise ValueError(f"kappa={kappa} rounds to zero hidden units at d={d}")
     if n < 1:
         raise ValueError(f"alpha={alpha} rounds to zero samples at d={d}")
-    if n * d + n * m > memory_budget:
+    if n * d + n * m > MEMORY_BUDGET:
         raise DimensionOverflow(
-            f"instance needs {n * d + n * m} floats, budget {memory_budget}"
+            f"instance needs {n * d + n * m} floats, budget {MEMORY_BUDGET}"
         )
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((m, d))

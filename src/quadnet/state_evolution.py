@@ -41,6 +41,9 @@ QHAT_MAX = 1e9
 # |residual| above this where the root solve stopped means it closed in on a
 # jump of the fixed-point map, not a root (true roots reach ~1e-14)
 RESIDUAL_MAX = 1e-9
+# `threshold_alpha` bisects over this alpha bracket down to this width
+THRESHOLD_BRACKET = (1e-3, 0.8)
+THRESHOLD_TOL = 1e-3
 
 
 class NoConvergence(RuntimeError):
@@ -482,18 +485,12 @@ def large_kappa_mmse(alpha: float, delta: float = 0.0) -> float:
     )
 
 
-def threshold_alpha(
-    kappa: float,
-    delta: float = 0.0,
-    level: float = 1e-3,
-    alpha_lo: float = 1e-3,
-    alpha_hi: float = 0.8,
-    tol: float = 1e-3,
-    prior: PriorSpectrum = None,
-) -> float:
-    """Smallest alpha at which the solved MMSE drops below `level`.
+def threshold_alpha(kappa: float, delta: float = 0.0, level: float = 1e-3) -> float:
+    """Smallest alpha at which the solved MMSE drops below `level`, for the
+    Marchenko-Pastur prior.
 
-    Bisection over alpha.  The raw MMSE 2 alpha kappa / q_hat - kappa
+    Bisection over alpha in `THRESHOLD_BRACKET`, to a bracket narrower than
+    `THRESHOLD_TOL`.  The raw MMSE 2 alpha kappa / q_hat - kappa
     tilde_delta / 2 falls as q_hat grows, so it is below `level` iff the
     root lies above the q_level where it equals `level`.  Each probe is the
     sign of the fixed-point map at q_level (clamped at `QHAT_MAX`), one
@@ -504,16 +501,16 @@ def threshold_alpha(
     """
 
     def below_level(alpha):
-        p = ProblemParams(alpha=alpha, kappa=kappa, delta=delta, prior=prior)
+        p = ProblemParams(alpha=alpha, kappa=kappa, delta=delta)
         q_level = 2.0 * alpha * kappa / (level + 0.5 * kappa * p.tilde_delta)
         return _map_value(p, min(q_level, QHAT_MAX))[0] < 0.0
 
-    lo, hi = alpha_lo, alpha_hi
+    lo, hi = THRESHOLD_BRACKET
     if not below_level(hi):
         raise NoConvergence(f"MMSE still above {level} at alpha={hi}")
     if below_level(lo):
         raise NoConvergence(f"MMSE already below {level} at alpha={lo}")
-    while hi - lo > tol:
+    while hi - lo > THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if below_level(mid):
             hi = mid

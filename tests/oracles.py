@@ -26,6 +26,17 @@ def _selfcons(prior, t, z, g):
     return z + t * g + 1.0 / g - prior.r_transform(-g)
 
 
+def general_path(monkeypatch, *priors):
+    """Send the prior objects `priors` down `freeprob`'s compound-Poisson
+    path, and `coeffs_desc`'s, although their atom law be the unit atom:
+    the tests check that path against the Marchenko-Pastur closed form on
+    one measure.  Every other object, an equal one included, keeps the path
+    of its atom law (`freeprob._is_marchenko_pastur`)."""
+    closed_form = freeprob._is_marchenko_pastur
+    monkeypatch.setattr(freeprob, "_is_marchenko_pastur",
+                        lambda prior: closed_form(prior) and all(prior is not p for p in priors))
+
+
 def _poly_ab(prior, t):
     """Ascending coefficients (A, B) with P_z(g) = A(g) + z * B(g) the cleared
     self-consistency polynomial for the compound-Poisson prior."""
@@ -47,7 +58,7 @@ def coeffs_desc(prior, t, z):
     it; for the compound-Poisson prior A(g) + z B(g) of `_poly_ab`, whose
     vanishing top entries (atoms at zero, or t = 0) are dropped."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if prior.kind == "compound_poisson":
+    if not freeprob._is_marchenko_pastur(prior):
         acoef, bcoef = _poly_ab(prior, t)
         deg = len(acoef) - 1
         while deg > 1 and acoef[deg] == 0.0 and (deg >= len(bcoef) or bcoef[deg] == 0.0):

@@ -220,13 +220,14 @@ def test_gamp_matches_asymptotic_mmse():
     assert not failures, "\n".join(failures)
 
 
-def test_gamp_tracks_state_evolution():
+def test_gamp_tracks_state_evolution(monkeypatch):
     params = ProblemParams(alpha=0.3, kappa=0.5)
     trace = gamp.state_evolution_iterate(params, max_iter=12)
     predicted = [params.kappa * (params.q0 - q) for q, _ in trace[:10]]
     inst = model.generate(d=200, kappa=0.5, alpha=0.3, delta=0.0, seed=11)
     dataset = model.reduce(inst)
-    opts = gamp.GampOptions(max_iter=10, tol=0.0, seed=11, s_star=inst.S_star)
+    monkeypatch.setattr(gamp, "FIXED_POINT_TOL", 0.0)
+    opts = gamp.GampOptions(max_iter=10, seed=11, s_star=inst.S_star)
     _, state = gamp.run(dataset, params, opts)
     devs = [abs(m - p) for m, p in zip(state.mse_trace, predicted)]
     assert max(devs) < 0.05, f"per-iteration deviations {devs}"

@@ -186,6 +186,17 @@ class TestGamp:
         assert float(cell[0]["mse_mean"]) == pytest.approx(mean, rel=1e-9)
         assert cell[0]["mse_stderr"] == cell[1]["mse_stderr"]
 
+    def test_teacher_is_not_handed_to_gamp(self, capsys, monkeypatch):
+        # the command scores the returned estimate itself; a teacher in the
+        # options would only fill the trace with a d x d error per iteration
+        seen, run = [], cli.gamp.run
+        monkeypatch.setattr(cli.gamp, "run",
+                            lambda data, params, opts: seen.append(opts.s_star) or run(data, params, opts))
+        rc, _, _ = run_cli(["gamp", "--d", "30", "--kappa", "0.5", "--alphas", "0.3",
+                            "--n-seeds", "1", "--max-iter", "3"], capsys)
+        assert rc == 0
+        assert len(seen) == 1 and seen[0] is None
+
     def test_key_columns_formatted_like_other_commands(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"d": 20, "kappa": 0.5, "alpha_min": 0.2, "alpha_max": 0.4,
@@ -474,6 +485,40 @@ class TestRunner:
         assert all(math.isnan(v) for v in values[2])
         assert math.isnan(values[0][1])
         assert "cell alpha=0.0 kappa=0.5: ValueError: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "threads,env,n_keys,sizes",
+        [(1000, None, 2, [2]), (None, "1000", 2, [2]), (3, None, 5, [3]), (1000, None, 1, [])],
+    )
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, threads, env, n_keys, sizes):
+        # a fake pool records its size and maps in this process, so no
+        # worker is started whatever the count asked for
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        if env is None:
+            monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.THREADS_ENV, env)
+        keys = [{"alpha": 0.2 + 0.01 * i, "kappa": 0.5} for i in range(n_keys)]
+        cell = functools.partial(_fixed_point, with_free_entropy=False)
+        values, failed = cli._run_cells(cell, keys, 3, threads)
+        assert seen == sizes
+        assert failed == [False] * n_keys
+        assert [v[2] for v in values] == ["converged"] * n_keys
 
     def test_free_entropy_computed_when_requested(self):
         cell = functools.partial(_fixed_point, with_free_entropy=True)

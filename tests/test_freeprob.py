@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from quadnet import freeprob as fp
+from quadnet import matdenoise
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
 import oracles
@@ -25,6 +26,7 @@ from oracles import (
     companion_critical_points,
     cube_integral_dt,
     extended_newton,
+    general_path,
     has_nonreal_root,
     homotopy_solve,
     interp,
@@ -139,13 +141,41 @@ class TestPriorSpectrum:
         with pytest.raises(ValueError):
             PriorSpectrum.marchenko_pastur(-1.0)
         with pytest.raises(ValueError):
-            PriorSpectrum(kappa=1.0, kind="wishart")
-        with pytest.raises(ValueError):
             PriorSpectrum.compound_poisson(1.0, ((1.0, 0.5), (2.0, 0.6)))
         with pytest.raises(ValueError):
             PriorSpectrum.compound_poisson(1.0, ((-1.0, 1.0),))
-        with pytest.raises(ValueError):
-            PriorSpectrum(kappa=1.0, atoms=((2.0, 1.0),), kind="marchenko_pastur")
+
+
+class TestAtomLawPicksThePath:
+    # the closed-form Marchenko-Pastur path serves every prior whose atom
+    # law is the unit atom, whichever constructor made it
+    FIELDS = ("intervals", "x", "dxdtheta", "rho", "re_g", "critical", "re_dgdz")
+
+    @pytest.mark.parametrize("kappa,t", [(0.5, 0.5), (0.3, 1e-3), (2.0, 0.1)])
+    def test_unit_atom_compound_poisson_is_marchenko_pastur(self, kappa, t):
+        # the same prior: the same density, `hilbert` at the eigenvalues of
+        # a d = 500 draw, and the same seeded draws, bit for bit
+        mp = PriorSpectrum.marchenko_pastur(kappa)
+        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        assert cp == mp
+        d_mp, d_cp = density(mp, t), density(cp, t)
+        assert all(isinstance(c, fp._MpCurve) for c in d_cp.curves)
+        for name in self.FIELDS:
+            a, b = getattr(d_mp, name), getattr(d_cp, name)
+            assert len(a) == len(b) and all(map(np.array_equal, a, b)), name
+        draws = [matdenoise.sample_prior(p, 500, np.random.default_rng(7)) for p in (mp, cp)]
+        assert np.array_equal(*draws)
+        noise = matdenoise.sample_goe(500, np.random.default_rng(8))
+        lam = np.linalg.eigvalsh(draws[0] + np.sqrt(t) * noise)
+        assert np.array_equal(fp.hilbert(mp, t, lam, d_mp), fp.hilbert(cp, t, lam, d_cp))
+
+    def test_other_single_atom_takes_the_companion_path(self, monkeypatch):
+        calls, roots = [], np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or roots(p))
+        prior = PriorSpectrum.compound_poisson(0.5, ((2.0, 1.0),))
+        dens = density(prior, 0.5)
+        assert len(calls) == 1
+        assert all(isinstance(c, fp._CpCurve) for c in dens.curves)
 
 
 class TestStieltjes:
@@ -186,7 +216,7 @@ class TestStieltjes:
             sol = stieltjes(MP05, 0.1, x + 1e-12j)
             assert sol.residual < 1e-10
 
-    def test_upper_root_in_bulk_at_zero_at_tiny_kappa_and_t(self):
+    def test_upper_root_in_bulk_at_zero_at_tiny_kappa_and_t(self, monkeypatch):
         # at kappa t = 3e-13 the oracle's homotopy once ended on the
         # conjugate or spurious branch at 4 of these 230 nodes (Im g < 0, up
         # to 1.0 relative off the density); every 7th node of both intervals
@@ -197,6 +227,7 @@ class TestStieltjes:
         kappa, t = 3e-4, 1e-9
         prior = PriorSpectrum.marchenko_pastur(kappa)
         cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        general_path(monkeypatch, cp)
         dens = density(prior, t)
         assert len(dens.intervals) == 2
         off = []
@@ -321,13 +352,15 @@ class TestSupportEdges:
         [(5278.876273569065, 863413993978.7299), (7239.702894198792, 442240108227.5203),
          (3047.0341243398557, 792638424083.4884)],
     )
-    def test_unit_atom_compound_poisson_at_large_kappa_t(self, kappa, t):
+    def test_unit_atom_compound_poisson_at_large_kappa_t(self, monkeypatch, kappa, t):
         # next to the pole g = -kappa a complex pair of companion eigenvalues
         # once passed as real critical points: the right edge came out at
         # 4.56e15 against 1.86e6 (first case), or a phantom second interval
         # near 3.2e15 and 2.4e15 appeared (the others)
         mp = support_edges(PriorSpectrum.marchenko_pastur(kappa), t)
-        cp = support_edges(PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),)), t)
+        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        general_path(monkeypatch, cp)
+        cp = support_edges(cp, t)
         assert len(cp) == len(mp)
         assert np.ravel(cp) == pytest.approx(np.ravel(mp), rel=1e-12)
 
@@ -353,7 +386,7 @@ class TestMarchenkoPasturCriticalPoints:
         return (1.0 - kappa ** (1.0 / 3.0)) ** 3 / kappa**2
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_matches_companion_oracle(self, kappa):
+    def test_matches_companion_oracle(self, monkeypatch, kappa):
         # against the companion eigenvalues of the same quartic, and of the
         # unit-atom compound-Poisson prior, which takes the companion path
         # in the package, over t from 1e-10 to 2e10 and the merges of
@@ -363,6 +396,7 @@ class TestMarchenkoPasturCriticalPoints:
         # 2.2e-16 (1 + |z|)
         mp = PriorSpectrum.marchenko_pastur(kappa)
         cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        general_path(monkeypatch, cp)
         ts = list(np.geomspace(1e-10, 2e10, 41))
         ts += [t for p, t in TestSupportEdges.MERGES if p == mp]
         for t in ts:
@@ -434,9 +468,10 @@ class TestMarchenkoPasturCriticalPoints:
         # density, support_edges and hilbert of the Marchenko-Pastur prior,
         # on the support, next to its edges and off it
         def fail(*args, **kwargs):
-            raise AssertionError("np.linalg.eigvals called")
+            raise AssertionError("an eigensolver was called")
 
         monkeypatch.setattr(np.linalg, "eigvals", fail)
+        monkeypatch.setattr(np, "roots", fail)
         mp = PriorSpectrum.marchenko_pastur(kappa)
         dens = density(mp, t)
         assert support_edges(mp, t) == dens.intervals
@@ -508,7 +543,7 @@ class TestRealCubicPair:
             assert np.max(self._off(mp, t, dens, x[1:-1], u - l)) < 1e-11, (l, u)
 
     @pytest.mark.parametrize("kappa,t", [(0.5, 0.035119975071870695), (0.95, 5.398127249281708e-06)])
-    def test_just_before_a_merge_matches_companion_path(self, kappa, t):
+    def test_just_before_a_merge_matches_companion_path(self, monkeypatch, kappa, t):
         # two intervals 1e-11 apart: next to this cusp x(s) is nearly flat.
         # The points are the interior nodes of the sin^2 grid in x on the
         # intervals of the unit-atom compound-Poisson prior, whose companion
@@ -518,7 +553,9 @@ class TestRealCubicPair:
         # most 3.9e-13, at the point next to that dip
         mp = PriorSpectrum.marchenko_pastur(kappa)
         dens = density(mp, t)
-        intervals = support_edges(PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),)), t)
+        cp = PriorSpectrum.compound_poisson(kappa, ((1.0, 1.0),))
+        general_path(monkeypatch, cp)
+        intervals = support_edges(cp, t)
         assert len(intervals) == 2
         width = dens.intervals[-1][1] - dens.intervals[0][0]
         for l, u in intervals:
@@ -711,6 +748,10 @@ class TestCompoundPoissonCurve:
     # cp3_wide's first two intervals merge at t = 0.0700022555184842
     MERGE = 0.07000225551848424
 
+    @pytest.fixture(autouse=True)
+    def _unit_atom_on_the_general_path(self, monkeypatch):
+        general_path(monkeypatch, self.PRIORS["cp_unit"])
+
     @pytest.mark.parametrize("name", sorted(PRIORS))
     def test_hilbert_at_every_interior_node(self, name):
         # h equals -Re g of the build at every interior node, as for the
@@ -783,10 +824,11 @@ class TestCompoundPoissonCurve:
             assert np.max(np.abs(fp.hilbert(prior, t, x[1:-1], dens) + re_g[1:-1])) <= 1e-13 * scale
 
     def test_eigensolver_only_for_the_edges(self, monkeypatch):
-        # the companion eigenvalues of phi'(g) = 0 give the edges; the
-        # density and `hilbert`, on the support and off it, need none
-        calls, eigvals = [], np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+        # the companion eigenvalues of phi'(g) = 0 (`np.roots`) give the
+        # edges; the density and `hilbert`, on the support and off it, need
+        # none
+        calls, roots = [], np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or roots(p))
         dens = density(CP3, 1e-3)
         assert len(dens.intervals) == 2 and len(calls) == 1
         lam = np.concatenate([x[1:-1:50] for x in dens.x] + [[dens.intervals[0][0] - 1.0]])
@@ -817,6 +859,10 @@ class TestDensityInvariants:
         "cp3": CP3,
         "cp_unit": PriorSpectrum.compound_poisson(0.5, ((1.0, 1.0),)),
     }
+
+    @pytest.fixture(autouse=True)
+    def _unit_atom_on_the_general_path(self, monkeypatch):
+        general_path(monkeypatch, self.PRIORS["cp_unit"])
 
     @pytest.mark.parametrize("name", sorted(PRIORS))
     @pytest.mark.parametrize("t", [0.1, 0.5, 2.0])
@@ -951,7 +997,7 @@ class TestDensityInvariants:
         excess = 4.0 * np.pi**2 / 3.0 * t * dens.cube_integral() - 0.49
         assert 0.0 < excess < 0.1 * t
 
-    def test_mass_over_kappa_and_t_grid(self):
+    def test_mass_over_kappa_and_t_grid(self, monkeypatch):
         # every support interval found: a dropped interval loses its mass
         # (1 - kappa for the bulk at zero when kappa < 1)
         priors = [PriorSpectrum.marchenko_pastur(k) for k in np.geomspace(1e-3, 20.0, 8)]
@@ -961,6 +1007,7 @@ class TestDensityInvariants:
             PriorSpectrum.compound_poisson(0.5, ((1.0, 1.0),)),
             PriorSpectrum.compound_poisson(0.05, ((0.5, 0.5), (2.0, 0.5))),
         ]
+        general_path(monkeypatch, priors[-2])
         off = []
         for prior in priors:
             for t in np.geomspace(1e-8, 10.0, 12):
@@ -1010,12 +1057,13 @@ class TestCubeIntegral:
             0.25 * CUBE_SEMICIRCLE, rel=1e-3
         )
 
-    def test_refinement_oracle(self):
+    def test_refinement_oracle(self, monkeypatch):
         # independent scheme: composite midpoint on a uniform grid at 10x
         # the node count, density re-evaluated at the midpoints by the
         # companion-matrix root of the unit-atom compound-Poisson prior
         dens = density(MP05, 0.5, n_nodes=2001)
         cp = PriorSpectrum.compound_poisson(MP05.kappa, ((1.0, 1.0),))
+        general_path(monkeypatch, cp)
         val = dens.cube_integral()
         oracle = 0.0
         for l, u in dens.intervals:

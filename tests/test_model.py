@@ -116,9 +116,11 @@ class TestGenerate:
         y = (X @ W.T / np.sqrt(base.d)) ** 2 @ base.a / base.m
         assert np.array_equal(base.y, y)
 
-    def test_memory_budget(self):
+    def test_memory_budget(self, monkeypatch):
+        # read at call time
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 1000)
         with pytest.raises(model.DimensionOverflow):
-            model.generate(d=50, kappa=0.5, alpha=0.5, memory_budget=1000)
+            model.generate(d=50, kappa=0.5, alpha=0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
