@@ -38,6 +38,11 @@ compound-Poisson prior Re g(s) is the one root of a monotone equation
 (`_cp_points`).  `hilbert` reads h = -Re g off the same curve at each
 eigenvalue on the support (`_curve_hilbert`).  Each density also keeps
 Re dg/dz = Re 1/phi'(g) at its nodes, for the t-derivative of int rho^3.
+
+A build forms what the state-evolution solve reads, rho, dx/dtheta,
+Re dg/dz and the quadrature weights; the grid x and Re g, which only
+`hilbert`, `log_potential` and the denoiser's second MMSE form read, are
+formed the first time they are read (`SpectralDensity`).
 """
 
 from __future__ import annotations
@@ -439,7 +444,27 @@ def _theta_grid(n):
     return (*grid, float(theta[1]))
 
 
-@dataclasses.dataclass
+class _FormedOnRead:
+    """x or Re g of a `SpectralDensity`, which a build leaves to its
+    `pending` formations: the first read of either forms both, keeps them
+    and drops the formations.  A field given at construction is kept."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, dens, owner=None):
+        if dens is None:
+            return None  # the dataclass default: unformed
+        if dens.__dict__[self.key] is None:
+            dens.x, dens.re_g = zip(*[form() for form in dens.pending])
+            dens.pending = None
+        return dens.__dict__[self.key]
+
+    def __set__(self, dens, value):
+        dens.__dict__[self.key] = value
+
+
+@dataclasses.dataclass(eq=False)
 class SpectralDensity:
     """Density of mu_t on its support, sampled on edge-clustered grids.
 
@@ -452,40 +477,55 @@ class SpectralDensity:
     convergence, at about a third of the trapezoid rule's error on the half
     grid.
 
+    Every build forms what the state-evolution solve reads: rho, dx/dtheta,
+    Re dg/dz and, at construction, the quadrature weights.  The grid x and
+    Re g are formed the first time either is read (`hilbert`,
+    `log_potential`, `matdenoise.mmse`) and kept: a Marchenko-Pastur
+    interval makes its anchored passes then (`_mp_anchored`), and a
+    compound-Poisson one hands over the x and Re g it solved for.
+    Densities compare and hash by identity.
+
     Attributes
     ----------
     intervals : tuple of (l, u)
-    x, rho, re_g : tuples of arrays, one per interval
-        Grid (ascending, from l to u), density, and Re g (the negative
-        Hilbert transform), all on the real axis.
-    dxdtheta : tuple of arrays, one per interval
-        dx/dtheta, for the quadrature weights and `log_potential`.
     critical : tuple of (g_c(l), g_c(u))
         Per interval, the critical points of phi at its edges.
+    dxdtheta : tuple of arrays, one per interval
+        dx/dtheta, for the quadrature weights and `log_potential`.
+    rho : tuple of arrays, one per interval
+        The density on the grid.
     re_dgdz : tuple of arrays, one per interval
         Re dg/dz = Re 1/phi'(g) at the grid's g, from the build.  At an
         edge phi' vanishes but Re dg/dz stays finite (Im dg/dz diverges).
     curves : tuple of `_MpCurve` or `_CpCurve`
         Per interval the curve the grid was built on, which `hilbert`
         solves on, with the edges' and a merge's anchors.  None only for a
-        density put together by hand.
+        density put together by hand, which passes x and re_g.
+    x, re_g : tuples of arrays, one per interval
+        Grid (ascending, from l to u) and Re g (the negative Hilbert
+        transform), on the real axis.
+    pending : tuple of callables, one per interval, or None
+        What forms (x, Re g) of each interval on first read; None once
+        formed or where x and re_g were given.
+    weights : tuple of arrays, one per interval
+        Quadrature weights in x, Simpson's rule in theta.
     """
 
     prior: PriorSpectrum
     t: float
     intervals: tuple
-    x: tuple
+    critical: tuple
     dxdtheta: tuple
     rho: tuple
-    re_g: tuple
-    critical: tuple
     re_dgdz: tuple
     curves: tuple | None = None
+    x: tuple = _FormedOnRead()
+    re_g: tuple = _FormedOnRead()
+    pending: tuple | None = dataclasses.field(default=None, repr=False)
+    weights: tuple = dataclasses.field(init=False, repr=False)
 
-    @functools.cached_property
-    def weights(self):
-        """Per-interval quadrature weights in x, Simpson's rule in theta."""
-        return tuple(_theta_grid(len(d))[3] * d for d in self.dxdtheta)
+    def __post_init__(self):
+        self.weights = tuple(_theta_grid(len(d))[3] * d for d in self.dxdtheta)
 
     def integrate(self, values_per_interval):
         """Sum_i int values_i(x) dx over the support intervals."""
@@ -515,7 +555,10 @@ def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> Spe
     The support is located with `_support`, and each interval is sampled on
     its curve on the real axis (`_curves`): in closed form for the
     Marchenko-Pastur prior (`_mp_interval`), by a bracketed Newton solve of
-    Re g for the compound-Poisson prior (`_CpCurve.interval`).  t = 0 is
+    Re g for the compound-Poisson prior (`_CpCurve.interval`).  Every build
+    forms rho, dx/dtheta, Re dg/dz and the weights; x and Re g are formed
+    when first read (`SpectralDensity`), which for the Marchenko-Pastur
+    prior is two anchored passes over each interval.  t = 0 is
     rejected: every caller builds at t = 1/q_hat > 0 or a positive noise
     level.
 
@@ -533,9 +576,9 @@ def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> Spe
     intervals = tuple(interval for interval, *_ in support)
     critical = tuple(critical for _, critical, _ in support)
     curves = _curves(prior, t, support)
-    x, dxdtheta, rho, re_g, re_dgdz = zip(*[curve.interval(grid) for curve in curves])
-    return SpectralDensity(prior=prior, t=t, intervals=intervals, x=x, dxdtheta=dxdtheta, rho=rho,
-                           re_g=re_g, critical=critical, re_dgdz=re_dgdz, curves=curves)
+    dxdtheta, rho, re_dgdz, pending = zip(*[curve.interval(grid) for curve in curves])
+    return SpectralDensity(prior=prior, t=t, intervals=intervals, critical=critical, dxdtheta=dxdtheta,
+                           rho=rho, re_dgdz=re_dgdz, curves=curves, pending=pending)
 
 
 def _curves(prior, t, support):
@@ -551,20 +594,21 @@ def _polished(kappa, t, g):
     step on phi'(g) = 0 in extended precision (`np.longdouble`, 80-bit on
     x86 and plain double where the platform has no wider type), and in that
     precision.  `_edge_candidates` gives g to about 1e-15, and differences
-    such as g_c(u)^2 - g_c(l)^2 in `_mp_interval` lose digits to
+    such as g_c(u)^2 - g_c(l)^2 in `_mp_curve` lose digits to
     cancellation.  A step above 1e-8 |g|, next to a cusp, is not taken."""
     g, kappa = np.longdouble(g), np.longdouble(kappa)
     kg = kappa + g
-    step = (1.0 / (g * g) - t - kappa / (kg * kg)) / (2.0 * kappa / (kg * kg * kg) - 2.0 / (g * g * g))
+    g2, kg2 = g * g, kg * kg
+    step = (1.0 / g2 - t - kappa / kg2) / (2.0 * kappa / (kg2 * kg) - 2.0 / (g2 * g))
     return g - step if abs(step) <= 1e-8 * abs(g) else g
 
 
-def _one_minus_ts(kappa, t, g):
-    """1 - t g^2 at a real critical point g of the Marchenko-Pastur phi.
-    Where t g^2 is near 1 it is kappa g^2 / (kappa + g)^2 instead, equal
-    to it by phi'(g) = 0 and free of the cancellation."""
-    s = g * g
-    return 1.0 - t * s if t * s < 0.5 else kappa * s / (kappa + g) ** 2
+def _one_minus_ts(kappa, t, g, s):
+    """1 - t s at a real critical point g of the Marchenko-Pastur phi,
+    s = g^2, as a float.  Where t s is near 1 it is kappa s / (kappa + g)^2
+    instead, equal to it by phi'(g) = 0 and free of the cancellation."""
+    ts = t * s
+    return float(1.0 - ts if ts < 0.5 else kappa * s / (kappa + g) ** 2)
 
 
 def _mp_curves(kappa, t, support):
@@ -637,7 +681,7 @@ def _mp_curve(kappa, t, interval, critical, other, gap_at_u, dip):
     else:
         span = kappa * sl * su * (gu - gl) * csum / ((kappa + gl) * (kappa + gu)) ** 2
     dv = math.log1p(span / sl) if abs(span) < 0.5 * sl else 2.0 * math.log(abs(gu / gl))
-    oml, omu = float(_one_minus_ts(kappa, t, gl)), float(_one_minus_ts(kappa, t, gu))
+    oml, omu = _one_minus_ts(kappa, t, gl, sl), _one_minus_ts(kappa, t, gu, su)
     if other is None:
         total = float(2.0 * (kappa * kappa * t - kappa + 1.0) / t - sl - su)
         roots = ("sum", total, float(kappa**4 / (t * t * sl * su)))
@@ -646,31 +690,38 @@ def _mp_curve(kappa, t, interval, critical, other, gap_at_u, dip):
         ge = gu if gap_at_u else gl
         # s_e - root across the gap, the far root
         roots = ("gap", float((ge - across) * (ge + across)), float(far * far), gap_at_u)
-    sl, su, gl, gu, span = map(float, (sl, su, gl, gu, span))
-    ends = [(l, gl, sl, oml), (u, gu, su, omu)]
+    sl, su, gl, gu = float(sl), float(su), float(gl), float(gu)
+    ends = ((l, gl, sl, oml), (u, gu, su, omu))
     vm = None
     if dip is not None:
         zm, gm, go = dip
         vm = 2.0 * math.log(abs(gm / gl))
-        ends.append((zm, gm, gm * gm, float(_one_minus_ts(kappa, t, gm))))
+        ends += ((zm, gm, gm * gm, _one_minus_ts(kappa, t, gm, gm * gm)),)
         roots = ("dip", float(go * go), float((gm - go) * (gm + go)))
-    return _MpCurve(kappa, t, sl, su, dv, span < 0.0, tuple(ends), vm, roots)
+    return _MpCurve(kappa, t, sl, su, dv, bool(span < 0.0), ends, vm, roots)
 
 
-def _mp_points(curve, w, c, lo, mid, up):
-    """The curve at log s = log s_l + w log(s_u / s_l), c = 1 - w, its
-    points lo anchored at l, up at u and mid at the dip.
+def _anchor_slices(curve, s2):
+    """The nodes lo, mid and up of a grid at w = s2, anchored at l, at the
+    dip of a merged interval and at u: each at its nearest anchor in log s."""
+    a = b = (len(s2) + 1) // 2
+    if curve.vm is not None:
+        a, b = np.searchsorted(s2, [0.5 * curve.vm / curve.dv, 0.5 + 0.5 * curve.vm / curve.dv])
+    return slice(0, a), slice(a, b), slice(b, None)
 
-    Every difference is formed without cancellation: s - s_l and s_u - s
-    from expm1, 1 - t s from the end where it is smaller, and
 
-        x - x_e = (s - s_e) (-kappa / (s s_e) - 2 t A_e),
-        a - g_c(e) = (s - s_e) A_e,  A_e = (kappa / ((1 - t s)(1 - t s_e)) - 1) / (2 kappa),
+def _mp_points(curve, w, c, mid):
+    """What every build forms of the curve at log s = log s_l +
+    w log(s_u / s_l), c = 1 - w, with the points mid anchored at the dip:
+    s, 1/(1 - t s) with 1 - t s formed from the end where it is smaller
+    (from s_m at mid),
 
-    so points next to an edge keep their digits, and next to the dip x is
-    formed from z_m, where x(s) is flat.  Returns x, Re g = a, a'(s),
-    x'(s), s, s - s_l, s_u - s, s - s_m at the points mid, and 1/(1 - t s).
-    """
+        a'(s) = (1/(1 - t s)^2 - 1/kappa) / 2,   x'(s) = -kappa / s^2 - 2 t a'(s),
+
+    and s - s_l, s_u - s from expm1 and s - s_m at mid (None without a dip).
+
+    x and Re g = a need the anchored passes of `_mp_anchored` on these
+    arrays, which a build makes only when they are read (`SpectralDensity`)."""
     kappa, t, dv = curve.kappa, curve.t, curve.dv
     v = w * dv
     s = np.exp(v)
@@ -680,21 +731,40 @@ def _mp_points(curve, w, c, lo, mid, up):
     dsu = c * -dv
     np.expm1(dsu, out=dsu)
     dsu *= -curve.su  # s_u - s
-    d = dsl.copy()  # s - s_e
-    d[up] = -dsu[up]
-    (_, _, _, oml), (_, _, _, omu), *dip = curve.ends
-    om = oml - t * dsl if curve.from_l else omu + t * dsu  # 1 - t s
+    om = curve.ends[0][3] - t * dsl if curve.from_l else curve.ends[1][3] + t * dsu  # 1 - t s
     dm = None
-    if dip:
-        ((_, _, sm, omm),) = dip
+    if curve.vm is not None:
+        _, _, sm, omm = curve.ends[2]
         dm = w[mid] * dv
         dm -= curve.vm
         np.expm1(dm, out=dm)
         dm *= sm  # s - s_m
-        d[mid] = dm
         om[mid] = omm - t * dm
-    inv_om = 1.0 / om
-    inv_s = 1.0 / s
+    inv_om = np.divide(1.0, om, out=om)
+    da = inv_om * inv_om  # a'(s)
+    da *= 0.5
+    da -= 0.5 / kappa
+    dx = np.divide(1.0, s)  # x'(s)
+    dx *= dx
+    dx *= -kappa
+    dx -= (2.0 * t) * da
+    return s, inv_om, da, dx, dsl, dsu, dm
+
+
+def _mp_anchored(curve, s, inv_om, dsl, dsu, dm, lo, mid, up):
+    """x and Re g = a at the points of `_mp_points`, lo anchored at l, up at
+    u and mid at the dip, every difference formed without cancellation:
+
+        x - x_e = (s - s_e) (-kappa / (s s_e) - 2 t A_e),
+        a - g_c(e) = (s - s_e) A_e,  A_e = (kappa / ((1 - t s)(1 - t s_e)) - 1) / (2 kappa),
+
+    so points next to an edge keep their digits, and next to the dip x is
+    formed from z_m, where x(s) is flat."""
+    kappa, t = curve.kappa, curve.t
+    d = dsl.copy()  # s - s_e
+    d[up] = -dsu[up]
+    if dm is not None:
+        d[mid] = dm
     anchors = list(zip((lo, up, mid), curve.ends))
     coef = np.empty(len(s))
     for nodes, (_, _, _, ome) in anchors:
@@ -703,20 +773,15 @@ def _mp_points(curve, w, c, lo, mid, up):
     big_a -= 0.5 / kappa
     for nodes, (_, _, se, _) in anchors:
         coef[nodes] = -kappa / se
-    slope = inv_s * coef
+    slope = np.divide(1.0, s)
+    slope *= coef
     slope -= (2.0 * t) * big_a
     x = d * slope  # x - x_e
-    re_g = d * big_a
+    re_g = np.multiply(d, big_a, out=d)
     for nodes, (xe, ge, _, _) in anchors:
         x[nodes] += xe
         re_g[nodes] += ge
-    da = inv_om * inv_om  # a'(s)
-    da *= 0.5
-    da -= 0.5 / kappa
-    dx = inv_s * inv_s  # x'(s)
-    dx *= -kappa
-    dx -= (2.0 * t) * da
-    return x, re_g, da, dx, s, dsl, dsu, dm, inv_om
+    return x, re_g
 
 
 def _mp_interval(curve, grid):
@@ -725,23 +790,19 @@ def _mp_interval(curve, grid):
     log(s_u / s_l) sin^2(theta), evenly spaced in theta: s spans decades
     when kappa is near 1 and t is small, and 10^-11 of itself across a bulk
     at zero.  Each node is anchored at its nearer end e in log s, or at g_m
-    where that is nearer (`_mp_points`).  Then
+    where that is nearer (`_anchor_slices`).  Then
 
         b^2 = t^2 (s - s_l)(s_u - s) Q(s) / (4 kappa^2 (1 - t s)^2),
 
     Q the quadratic of N's other two roots, s minus the root across a gap
     formed as (s - s_e) + (s_e - root) from the edge e at the gap.  Returns
-    the per-interval fields of `SpectralDensity`, in the order x,
-    dx/dtheta, rho, Re g, Re dg/dz.
+    dx/dtheta, rho and Re dg/dz, the fields every build forms, and what
+    forms x and Re g when they are read: `_mp_anchored` on the arrays of
+    `_mp_points`.
     """
     s2, c2, sin2t = grid[:3]
-    t, dv = curve.t, curve.dv
-    # nodes lo, mid and up are anchored at l, g_m and u
-    a = b = (len(s2) + 1) // 2
-    if curve.vm is not None:
-        a, b = np.searchsorted(s2, [0.5 * curve.vm / dv, 0.5 + 0.5 * curve.vm / dv])
-    lo, mid, up = slice(0, a), slice(a, b), slice(b, None)
-    x, re_g, da, dx, s, dsl, dsu, dm, inv_om = _mp_points(curve, s2, c2, lo, mid, up)
+    lo, mid, up = _anchor_slices(curve, s2)
+    s, inv_om, da, dx, dsl, dsu, dm = _mp_points(curve, s2, c2, mid)
     kind, *roots = curve.roots
     if kind == "dip":
         far, gap = roots
@@ -769,10 +830,11 @@ def _mp_interval(curve, grid):
     q *= dsu
     rho = np.sqrt(q, out=q)
     rho *= inv_om
-    rho *= t / (2.0 * np.pi * curve.kappa)
+    rho *= curve.t / (2.0 * np.pi * curve.kappa)
     dxdtheta = dx * s
-    dxdtheta *= dv * sin2t
-    return x, dxdtheta, rho, re_g, np.divide(da, dx, out=da)
+    dxdtheta *= curve.dv * sin2t
+    form = functools.partial(_mp_anchored, curve, s, inv_om, dsl, dsu, dm, lo, mid, up)
+    return dxdtheta, rho, np.divide(da, dx, out=da), form
 
 
 class _MpCurve(collections.namedtuple("_MpCurve", "kappa t sl su dv from_l ends vm roots")):
@@ -784,8 +846,9 @@ class _MpCurve(collections.namedtuple("_MpCurve", "kappa t sl su dv from_l ends 
 
     def at(self, w, nodes, r):
         """x, Re g, d Re g/dw and dx/dw at the points w, anchored at l, the
-        dip and u by the index arrays `nodes` (`_mp_points`); r is unused."""
-        x, re_g, da, dx, s = _mp_points(self, w, 1.0 - w, *nodes)[:5]
+        dip and u by the index arrays `nodes`; r is unused."""
+        s, inv_om, da, dx, dsl, dsu, dm = _mp_points(self, w, 1.0 - w, nodes[1])
+        x, re_g = _mp_anchored(self, s, inv_om, dsl, dsu, dm, *nodes)
         return x, re_g, da * s * self.dv, dx * s * self.dv
 
 
@@ -796,16 +859,15 @@ class _CpCurve(collections.namedtuple("_CpCurve", "kappa t a pa dv ends vm")):
 
     def interval(self, grid):
         """The interval on the curve at w = sin^2(theta), anchored as in
-        `_mp_interval`, whose fields it returns.  That x increases along the
-        nodes is measured, not proven: it is checked (`EdgeDetectionFailed`)."""
+        `_mp_interval`: its fields dx/dtheta, rho and Re dg/dz, and what
+        hands over the x and Re g the solve gives.  That x increases along
+        the nodes is measured, not proven: it is checked
+        (`EdgeDetectionFailed`)."""
         s2, c2, sin2t = grid[:3]
-        i = j = (len(s2) + 1) // 2
-        if self.vm is not None:
-            i, j = np.searchsorted(s2, [0.5 * self.vm / self.dv, 0.5 + 0.5 * self.vm / self.dv])
-        x, r, b2, dr, dx = _cp_points(self, s2, c2, (slice(0, i), slice(i, j), slice(j, None)), None)
+        x, r, b2, dr, dx = _cp_points(self, s2, c2, _anchor_slices(self, s2), None)
         if not np.all(np.diff(x) > 0.0):
             raise EdgeDetectionFailed(f"x does not increase on ({x[0]}, {x[-1]}) at t={self.t}")
-        return x, dx * sin2t, np.sqrt(np.maximum(b2, 0.0)) / np.pi, r, dr / dx
+        return dx * sin2t, np.sqrt(np.maximum(b2, 0.0)) / np.pi, dr / dx, functools.partial(tuple, (x, r))
 
     def at(self, w, nodes, r):
         """As `_MpCurve.at`, Re g solved from r (None: from the edges)."""

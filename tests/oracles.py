@@ -288,6 +288,40 @@ def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES):
     return dens, max(1.0 - kappa, 0.0)
 
 
+def mp_anchored_eager(curve, n_nodes=freeprob.DEFAULT_NODES):
+    """x and Re g of one Marchenko-Pastur interval (`freeprob._MpCurve`) in
+    one pass over its sin^2(theta) grid, each node's anchor e (l, u or the
+    dip of a merged interval, the nearest in log s) gathered per node:
+
+        x - x_e = (s - s_e) (-kappa / (s s_e) - 2 t A_e),
+        a - g_c(e) = (s - s_e) A_e,  A_e = (kappa / ((1 - t s)(1 - t s_e)) - 1) / (2 kappa),
+
+    with s - s_e from expm1 and 1 - t s from the end where it is smaller:
+    the eager formulas that a build's x and Re g, formed on first read,
+    must equal bit for bit."""
+    s2, c2 = freeprob._theta_grid(n_nodes)[:2]
+    kappa, t, dv = curve.kappa, curve.t, curve.dv
+    a = b = (n_nodes + 1) // 2
+    if curve.vm is not None:
+        a, b = np.searchsorted(s2, [0.5 * curve.vm / dv, 0.5 + 0.5 * curve.vm / dv])
+    anchor = np.zeros(n_nodes, dtype=int)  # index into curve.ends: l, u, dip
+    anchor[b:] = 1
+    anchor[a:b] = 2
+    xe, ge, se, ome = (np.array(column)[anchor] for column in zip(*curve.ends))
+    s = np.exp(s2 * dv) * curve.sl
+    dsl = np.expm1(s2 * dv) * curve.sl
+    dsu = np.expm1(c2 * -dv) * -curve.su
+    om = curve.ends[0][3] - t * dsl if curve.from_l else curve.ends[1][3] + t * dsu
+    d = np.where(anchor == 0, dsl, -dsu)
+    if curve.vm is not None:
+        dm = np.expm1(s2[a:b] * dv - curve.vm) * curve.ends[2][2]
+        d[a:b] = dm
+        om[a:b] = curve.ends[2][3] - t * dm
+    big_a = 1.0 / om * (0.5 / ome) - 0.5 / kappa
+    slope = 1.0 / s * (-kappa / se) - 2.0 * t * big_a
+    return d * slope + xe, d * big_a + ge
+
+
 def cube_integral_dt(dens):
     """d/dt of int rho^3 by 2 int rho^3 Re[1/phi'(g)] dx, with phi'
     evaluated again at the stored g = re_g + i pi rho and the integrand

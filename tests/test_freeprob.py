@@ -10,12 +10,14 @@ or alternative quadrature schemes otherwise.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from quadnet import freeprob as fp
 from quadnet import matdenoise
+from quadnet import state_evolution as se
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
 import oracles
@@ -849,6 +851,81 @@ class TestCompoundPoissonCurve:
         monkeypatch.setattr(fp, "_cp_points", swapped)
         with pytest.raises(fp.EdgeDetectionFailed, match="does not increase"):
             density(CP3, 0.5)
+
+
+class TestFormedOnFirstRead:
+    # a build forms rho, dx/dtheta, Re dg/dz and the weights; x and Re g
+    # are formed when first read (`SpectralDensity`)
+
+    @pytest.mark.parametrize(
+        "kappa,t,n_intervals,n_anchors",
+        [(0.5, 0.5, 1, 2), (0.5, 1e-3, 2, 2), (0.95, 5.398127249281708e-06, 1, 3),
+         (0.5, 0.0351199750753887, 1, 3)],
+        ids=["one", "two", "mp0.95-merged", "mp0.5-merged"],
+    )
+    def test_marchenko_pastur_matches_the_eager_formulas(self, kappa, t, n_intervals, n_anchors):
+        dens = density(PriorSpectrum.marchenko_pastur(kappa), t)
+        assert len(dens.intervals) == n_intervals
+        assert {len(c.ends) for c in dens.curves} == {n_anchors}
+        assert dens.pending is not None
+        x, re_g = dens.x, dens.re_g
+        assert dens.pending is None and dens.x is x and dens.re_g is re_g
+        for curve, xi, gi in zip(dens.curves, x, re_g):
+            eager_x, eager_g = oracles.mp_anchored_eager(curve)
+            assert np.array_equal(xi, eager_x) and np.array_equal(gi, eager_g)
+
+    def test_read_order_does_not_matter(self):
+        a, b = density(MP05, 1e-3), density(MP05, 1e-3)
+        re_g, x = a.re_g, a.x
+        assert all(map(np.array_equal, x, b.x)) and all(map(np.array_equal, re_g, b.re_g))
+
+    @pytest.mark.parametrize("name", sorted(TestCompoundPoissonCurve.PRIORS))
+    def test_compound_poisson_keeps_its_solve(self, monkeypatch, name):
+        # the x and Re g of the build's Newton solve (`_cp_points`), as the
+        # monotonicity check saw them
+        prior = TestCompoundPoissonCurve.PRIORS[name]
+        general_path(monkeypatch, prior)
+        s2, c2 = fp._theta_grid(fp.DEFAULT_NODES)[:2]
+        for t in TestCompoundPoissonCurve.TS:
+            dens = density(prior, t)
+            for curve, x, re_g in zip(dens.curves, dens.x, dens.re_g):
+                assert isinstance(curve, fp._CpCurve)
+                eager_x, eager_g = fp._cp_points(curve, s2, c2, fp._anchor_slices(curve, s2), None)[:2]
+                assert np.array_equal(x, eager_x) and np.array_equal(re_g, eager_g), t
+
+    @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
+    def test_unformed_density_pickles(self, prior):
+        dens = density(prior, 1e-3)
+        copy = pickle.loads(pickle.dumps(dens))
+        assert copy.pending is not None
+        for name in ("x", "re_g", "rho", "weights"):
+            assert all(map(np.array_equal, getattr(copy, name), getattr(dens, name))), name
+
+    def test_hand_built_density_keeps_its_fields(self):
+        dens, _ = mp_density_t0(MP20)
+        s2, _, sin2t, w = fp._theta_grid(fp.DEFAULT_NODES)[:4]
+        (l, u), = dens.intervals
+        assert dens.curves is None and dens.pending is None
+        assert np.array_equal(dens.x[0], l + (u - l) * s2)
+        assert np.array_equal(dens.re_g[0], -(2.0 * dens.x[0] + 1.0 - 2.0) / (2.0 * dens.x[0]))
+        assert np.array_equal(dens.weights[0], w * ((u - l) * sin2t))
+
+    def test_state_evolution_solves_form_none(self, monkeypatch):
+        # solve_qhat, threshold_alpha and the F_RIE map read rho and Re dg/dz
+        # only: none of the densities they build makes its anchored passes
+        built, anchored, build, form = [], [], fp.density, fp._mp_anchored
+        monkeypatch.setattr(fp, "density", lambda *a, **k: built.append(build(*a, **k)) or built[-1])
+        monkeypatch.setattr(fp, "_mp_anchored", lambda *a: anchored.append(a) or form(*a))
+        se.solve_qhat(se.ProblemParams(alpha=0.3, kappa=0.5, delta=0.1))
+        se.solve_qhat(se.ProblemParams(alpha=0.8, kappa=0.5))
+        se.threshold_alpha(0.5)
+        se._f_rie(MP05, 1e-3)
+        unformed = [d.pending is not None for d in built]
+        assert len(built) > 10 and all(unformed) and not anchored
+        dens = built[-1]
+        assert len(dens.intervals) == 2
+        dens.re_g, dens.x
+        assert len(anchored) == 2
 
 
 class TestDensityInvariants:

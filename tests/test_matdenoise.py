@@ -42,6 +42,17 @@ class TestDenoiseSpec:
         assert spec.prior == prior and spec.prior is spec.rho.prior
         assert spec.delta == 0.3 and spec.delta is spec.rho.t
 
+    def test_equality_and_hash_by_the_density_identity(self):
+        # densities compare and hash by identity, so specs of one density
+        # are equal and specs of two builds are not, before and after the
+        # build's x and Re g are formed; field-wise array comparison raised
+        a, b = md.DenoiseSpec.create(MP05, 0.3), md.DenoiseSpec.create(MP05, 0.3)
+        same = md.DenoiseSpec(a.rho)
+        assert a == same and hash(a) == hash(same)
+        assert a != b and len({a, b, same}) == 2
+        md.mmse(a)
+        assert a == same and hash(a) == hash(same) and a != b
+
 
 class TestShrink:
     def test_pure_noise_shrinks_to_zero(self):

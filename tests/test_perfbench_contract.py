@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 
-from quadnet import freeprob, matdenoise
+from quadnet import freeprob, matdenoise, state_evolution
 from quadnet.freeprob import PriorSpectrum
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -39,3 +39,27 @@ def test_traced_shrinker_is_bit_identical_and_counted():
         "matdenoise.shrink", "freeprob.hilbert", "freeprob.hilbert"]
     for s in tracer.spans[1:]:
         assert s["counts"] == {"points": len(lam), "offsupport": 3}
+
+
+def test_density_counter_counts_nodes_of_an_unformed_build():
+    # the counter reads dens.x, which a Marchenko-Pastur build forms on
+    # first read: it still counts every node of every interval
+    dens = freeprob.density(PriorSpectrum.marchenko_pastur(0.5), 1e-3)
+    assert len(dens.intervals) == 2 and dens.pending is not None
+    counts = {}
+    tracing._count_density(counts, (dens.prior, dens.t), {}, dens)
+    assert counts == {"nodes": 2 * freeprob.DEFAULT_NODES}
+
+
+def test_traced_solve_qhat_is_bit_identical():
+    # the traced run forms x after each density span closes; the solve's
+    # outputs do not move
+    params = state_evolution.ProblemParams(alpha=0.3, kappa=0.5, delta=0.1)
+    plain = state_evolution.solve_qhat(params, with_free_entropy=True)
+    tracer = tracing.Tracer()
+    with tracing.patched(tracer):
+        traced = state_evolution.solve_qhat(params, with_free_entropy=True)
+    assert repr(traced) == repr(plain)
+    builds = [s for s in tracer.spans if s["name"] == "freeprob.density"]
+    assert len(builds) >= traced.iterations
+    assert all(s["counts"]["nodes"] % freeprob.DEFAULT_NODES == 0 for s in builds)
