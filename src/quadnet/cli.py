@@ -46,8 +46,7 @@ def _opt(default=None, help=None, **meta):
 class _Command:
     """A subcommand's ``grid()`` returns its header config and cell keys, and
     ``cell(**key)`` one cell's values.  A row is the ``lead`` columns, from
-    the cell's key or else the config, then the ``values`` columns; values
-    past the last column are dropped."""
+    the cell's key or else the config, then the ``values`` columns."""
 
     out: str = _opt(help="output CSV path (default stdout)", echo=False)
     threads: int = _opt(help=f"worker pool size (env {THREADS_ENV} overrides)", echo=False)
@@ -66,7 +65,7 @@ class _Command:
         rows = []
         for key, v in zip(keys, values):
             lead = [key[c] if c in key else getattr(self, c) for c in self.lead]
-            rows.append(tuple(map(_fmt, (*lead, *v)))[:len(columns)])
+            rows.append(tuple(map(_fmt, (*lead, *v))))
         return header, columns, rows, sum(failed)
 
 
@@ -98,9 +97,8 @@ class SeCurve(_AlphaGrid):
         return ProblemParams(alpha=alpha, kappa=kappa, delta=self.delta)
 
     def cell(self, alpha, kappa):
-        """The phase-diagram cell; se-curve leaves out its last value."""
         fp = solve_qhat(self.params(alpha, kappa))
-        return fp.mmse, fp.q, fp.q_hat, perfect_recovery_threshold(kappa)
+        return fp.mmse, fp.q, fp.q_hat
 
 
 @dataclasses.dataclass
@@ -112,6 +110,9 @@ class PhaseDiagram(SeCurve):
     kappa_steps: int = _opt(help="number of kappas in the even grid", echo=False)
 
     values = SeCurve.values + ("alpha_pr",)
+
+    def cell(self, alpha, kappa):
+        return (*super().cell(alpha, kappa), perfect_recovery_threshold(kappa))
 
 
 @dataclasses.dataclass

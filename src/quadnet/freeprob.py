@@ -477,10 +477,10 @@ class SpectralDensity:
     convergence, at about a third of the trapezoid rule's error on the half
     grid.
 
-    Every build forms what the state-evolution solve reads: rho, dx/dtheta,
-    Re dg/dz and, at construction, the quadrature weights.  The grid x and
-    Re g are formed the first time either is read (`hilbert`,
-    `log_potential`, `matdenoise.mmse`) and kept: a Marchenko-Pastur
+    Every build forms what the state-evolution solve and `matdenoise.mmse`
+    read: rho, dx/dtheta, Re dg/dz and, at construction, the weights.  The
+    grid x and Re g are formed the first time either is read (`hilbert`,
+    `log_potential`, `matdenoise.mmse_forms`) and kept: a Marchenko-Pastur
     interval makes its anchored passes then (`_mp_anchored`), and a
     compound-Poisson one hands over the x and Re g it solved for.
     Densities compare and hash by identity.

@@ -153,16 +153,15 @@ class GampOptions:
 
 @dataclasses.dataclass
 class GampState:
-    """Live state of the iteration plus per-iteration traces.
+    """Live state of the iteration plus its error trace.
 
-    ``mse_trace`` holds matrix_mse against ``s_star`` when the teacher matrix
-    was provided, otherwise the mean squared channel residual (the only
-    error proxy observable without the teacher).  ``a_trace``, ``v_trace``
-    and ``c_trace`` record the damped precision Abar^t, V^t = c_hat^t and
-    c_hat^{t+1}; their last entries are the last step's, whose denoiser
-    input is ``R``.  ``stop_reason`` is "fixed_point", "noise_floor" or
-    "max_iter"; ``residual_ratio`` is (m2 - tilde_delta) / c_hat at the last
-    channel step; ``n_backtracks`` counts steps undone by the damping rule.
+    ``mse_trace`` holds, per iteration, matrix_mse against ``s_star`` when
+    the teacher matrix was provided, otherwise the mean squared channel
+    residual (the only error proxy observable without the teacher).  ``R``
+    is the last step's denoiser input.  ``stop_reason`` is "fixed_point",
+    "noise_floor" or "max_iter"; ``residual_ratio`` is (m2 - tilde_delta) /
+    c_hat at the last channel step; ``n_backtracks`` counts steps undone by
+    the damping rule.
     """
 
     S_hat: np.ndarray
@@ -171,9 +170,6 @@ class GampState:
     R: np.ndarray
     iter: int
     mse_trace: list
-    a_trace: list
-    v_trace: list
-    c_trace: list
     converged: bool = False
     n_v_floor: int = 0
     stop_reason: str = "max_iter"
@@ -227,10 +223,7 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         S = matdenoise.sample_prior(prior, d, np.random.default_rng([opts.seed, 0x4741]))
         c = 4.0 * prior.variance
 
-    state = GampState(
-        S_hat=S, c_hat=c, omega=np.zeros(n), R=S, iter=0,
-        mse_trace=[], a_trace=[], v_trace=[], c_trace=[],
-    )
+    state = GampState(S_hat=S, c_hat=c, omega=np.zeros(n), R=S, iter=0, mse_trace=[])
 
     beta_max = 1.0 - opts.damping
     beta = beta_max
@@ -281,9 +274,6 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
         state.mse_trace.append(
             m2 if opts.s_star is None else matrix_mse(S_new, opts.s_star, params.kappa)
         )
-        state.a_trace.append(A_bar)
-        state.v_trace.append(c)
-        state.c_trace.append(c_new)
         state.S_hat, state.c_hat, state.R = S_new, c_new, R
         state.iter = it
         S, c = S_new, c_new

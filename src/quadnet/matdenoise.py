@@ -13,10 +13,11 @@ per matrix entry (times d) is
 
     F_RIE(delta) = delta - (4 pi^2 / 3) delta^2 * int rho_delta^3,
 
-equivalently delta - 4 delta^2 * int rho_delta h_delta^2; both forms are
-computed and cross-checked on every call.  A `DenoiseSpec` is the density
-of rho_delta on `freeprob`'s default grid, from which both forms are read;
-the shrinker solves h_delta at each eigenvalue (`freeprob.hilbert`).
+equivalently delta - 4 delta^2 * int rho_delta h_delta^2.  `mmse` returns
+the first form, which `state_evolution` shares; the tests check it against
+the second (`mmse_forms`).  A `DenoiseSpec` is the density of rho_delta on
+`freeprob`'s default grid, from which both forms are read; the shrinker
+solves h_delta at each eigenvalue (`freeprob.hilbert`).
 `sample_prior` draws S from its prior, for the Monte-Carlo checks and
 GAMP's random initialization.
 """
@@ -31,10 +32,6 @@ from .freeprob import PriorSpectrum, SpectralDensity
 
 class EigenFailure(RuntimeError):
     """Eigendecomposition of the observed matrix did not converge."""
-
-
-class FormMismatch(RuntimeError):
-    """The two analytic forms of the denoising MMSE disagree."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,6 +89,15 @@ def denoise_matrix(spec: DenoiseSpec, R: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+# K in F_RIE(t) = t - K t^2 int rho_t^3
+_K = 4.0 * np.pi**2 / 3.0
+
+
+def _rie_error(t, cube):
+    """F_RIE(t) = t - K t^2 C from C = int rho_t^3."""
+    return t - _K * t**2 * cube
+
+
 def mmse_forms(spec: DenoiseSpec) -> tuple[float, float]:
     """Both closed forms of the denoising MMSE, for cross-validation.
 
@@ -101,22 +107,16 @@ def mmse_forms(spec: DenoiseSpec) -> tuple[float, float]:
     """
     delta = spec.delta
     rho = spec.rho
-    cube = rho.cube_integral()
-    primary = delta - (4.0 * np.pi**2 / 3.0) * delta**2 * cube
+    primary = mmse(spec)
     quad = rho.integrate([r * rg**2 for r, rg in zip(rho.rho, rho.re_g)])
     secondary = delta - 4.0 * delta**2 * quad
     return primary, secondary
 
 
 def mmse(spec: DenoiseSpec) -> float:
-    """Asymptotic denoising MMSE F_RIE(delta), cross-checked in two forms."""
-    primary, secondary = mmse_forms(spec)
-    if abs(primary - secondary) > 1e-4:
-        raise FormMismatch(
-            f"denoising MMSE forms disagree at delta={spec.delta}: "
-            f"{primary!r} vs {secondary!r}"
-        )
-    return primary
+    """Asymptotic denoising MMSE F_RIE(delta), the resolvent form: it reads
+    int rho^3 only, so x and Re g of the density stay unformed."""
+    return _rie_error(spec.delta, spec.rho.cube_integral())
 
 
 # ----------------------------------------------------------------------------

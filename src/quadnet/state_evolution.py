@@ -30,10 +30,9 @@ steps and stops at the map's rounding.
 import dataclasses
 import math
 
-import numpy as np
-
 from . import freeprob
 from .freeprob import PriorSpectrum
+from .matdenoise import _K, _rie_error
 
 # q_hat beyond this is numerically indistinguishable from the perfect-recovery
 # fixed point at infinity (MMSE ~ 2 alpha kappa / q_hat < 1e-8)
@@ -144,10 +143,6 @@ class SEFixedPoint:
     clipped: float = 0.0
 
 
-# K in F_RIE(t) = t - K t^2 int mu_t^3
-_K = 4.0 * np.pi**2 / 3.0
-
-
 def _map_value(params, q_hat):
     """Fixed-point map G = lhs - rhs at q_hat, with C = int mu_t^3 and the
     density at t = 1/q_hat that give it."""
@@ -172,13 +167,12 @@ def _f_rie(prior, t):
     """Denoising error F_RIE(t) = t - K t^2 int mu_t^3 (resolvent route), its
     slope t dF_RIE/dt = t (1 - 2 K t C - K t^2 C') and the density at t.
 
-    Shares the density build with `matdenoise.mmse`, which the iterative
-    state evolution uses, but not its formula: `mmse` also checks the
-    Hilbert-transform form.  The two routes are cross-checked in the tests.
+    Its value is `matdenoise.mmse`'s, from the same formula: the iterative
+    state evolution reads F_RIE there.
     """
     dens = freeprob.density(prior, t)
     cube, cube_dt = dens.cube_integral(), dens.cube_integral_dt()
-    return t - _K * t**2 * cube, t * (1.0 - 2.0 * _K * t * cube - _K * t * t * cube_dt), dens
+    return _rie_error(t, cube), t * (1.0 - 2.0 * _K * t * cube - _K * t * t * cube_dt), dens
 
 
 def _hermite_step(x0, f0, d0, x1, f1, d1, step):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from quadnet import freeprob as fp
-from quadnet import matdenoise
+from quadnet import gamp, matdenoise
 from quadnet import state_evolution as se
 from quadnet.freeprob import PriorSpectrum, density, support_edges
 
@@ -911,15 +911,20 @@ class TestFormedOnFirstRead:
         assert np.array_equal(dens.weights[0], w * ((u - l) * sin2t))
 
     def test_state_evolution_solves_form_none(self, monkeypatch):
-        # solve_qhat, threshold_alpha and the F_RIE map read rho and Re dg/dz
-        # only: none of the densities they build makes its anchored passes
+        # solve_qhat, threshold_alpha, the iterative state evolution, the
+        # F_RIE map and the denoiser's MMSE read rho and Re dg/dz only: none
+        # of the densities they build makes its anchored passes.  The last
+        # two are one formula, equal bit for bit.
         built, anchored, build, form = [], [], fp.density, fp._mp_anchored
         monkeypatch.setattr(fp, "density", lambda *a, **k: built.append(build(*a, **k)) or built[-1])
         monkeypatch.setattr(fp, "_mp_anchored", lambda *a: anchored.append(a) or form(*a))
         se.solve_qhat(se.ProblemParams(alpha=0.3, kappa=0.5, delta=0.1))
         se.solve_qhat(se.ProblemParams(alpha=0.8, kappa=0.5))
         se.threshold_alpha(0.5)
-        se._f_rie(MP05, 1e-3)
+        gamp.state_evolution_iterate(se.ProblemParams(alpha=0.3, kappa=0.5, delta=0.1))
+        for prior, t in [(MP05, 0.7), (MP20, 0.05), (CP3, 0.1), (MP05, 1e-3)]:
+            f_rie = se._f_rie(prior, t)[0]
+            assert f_rie == matdenoise.mmse(matdenoise.DenoiseSpec.create(prior, t)), (prior, t)
         unformed = [d.pending is not None for d in built]
         assert len(built) > 10 and all(unformed) and not anchored
         dens = built[-1]

@@ -10,17 +10,26 @@ from quadnet.state_evolution import ProblemParams, solve_qhat
 
 @pytest.fixture(scope="module")
 def tracked_run():
-    """One d=200 noiseless run, 10 iterations, with its scalar prediction."""
+    """One d=200 noiseless run, 10 iterations, with its scalar prediction and
+    each prior step's noise level t_lvl and claimed error c_new."""
     params = ProblemParams(alpha=0.3, kappa=0.5)
     trace = gamp.state_evolution_iterate(params, max_iter=12)
     predicted = [params.kappa * (params.q0 - q) for q, _ in trace[:10]]
     inst = model.generate(d=200, kappa=0.5, alpha=0.3, delta=0.0, seed=11)
     dataset = model.reduce(inst)
     opts = gamp.GampOptions(max_iter=10, seed=11, s_star=inst.S_star)
+    steps, denoise_step = [], gamp._denoise_step
+
+    def recorded(prior, t_lvl, R):
+        S_new, c_new = denoise_step(prior, t_lvl, R)
+        steps.append((t_lvl, c_new))
+        return S_new, c_new
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gamp, "FIXED_POINT_TOL", 0.0)
+        patch.setattr(gamp, "_denoise_step", recorded)
         S_hat, state = gamp.run(dataset, params, opts)
-    return params, predicted, S_hat, state
+    return params, predicted, S_hat, state, steps
 
 
 class TestStateEvolutionIterate:
@@ -67,21 +76,24 @@ class TestStateEvolutionIterate:
 
 class TestRunBasics:
     def test_state_fields_and_trace_lengths(self, tracked_run):
-        _, _, S_hat, state = tracked_run
+        _, _, S_hat, state, _ = tracked_run
         assert state.iter == 10
         assert len(state.mse_trace) == 10
-        assert len(state.a_trace) == len(state.v_trace) == len(state.c_trace) == 10
         assert S_hat.shape == state.S_hat.shape == state.R.shape
         assert state.omega.shape == (model.generate(d=200, kappa=0.5, alpha=0.3, seed=11).n,)
 
     def test_positivity_invariants(self, tracked_run):
-        params, _, _, state = tracked_run
-        assert all(a > 0 for a in state.a_trace)
-        assert all(v > 0 for v in state.v_trace)
-        assert all(0 < c <= 2.0 * params.q0 for c in state.c_trace)
+        # per iteration: the damped precision A = 1 / (2 t_lvl), the channel
+        # variance V (the initial c_hat or an earlier step's c_new) and c_new
+        params, _, _, state, steps = tracked_run
+        assert len(steps) == state.iter
+        t_lvls, c_news = zip(*steps)
+        assert all(1.0 / (2.0 * t) > 0 for t in t_lvls)
+        assert all(v > 0 for v in (2.0 * params.prior.variance, *c_news[:-1]))
+        assert all(0 < c <= 2.0 * params.q0 for c in c_news)
 
     def test_estimate_symmetric(self, tracked_run):
-        _, _, S_hat, state = tracked_run
+        _, _, S_hat, state, _ = tracked_run
         for mat in (S_hat, state.S_hat, state.R):
             assert np.max(np.abs(mat - mat.T)) < 1e-12
 
@@ -194,29 +206,32 @@ class TestRunBasics:
 class TestRunAgainstScalarTracker:
     def test_per_iteration_tracking_d200(self, tracked_run):
         # first ten iterations track kappa (Q0 - q^t) within 0.05
-        _, predicted, _, state = tracked_run
+        _, predicted, _, state, _ = tracked_run
         devs = [abs(m - p) for m, p in zip(state.mse_trace, predicted)]
         assert max(devs) < 0.05
 
 
 class TestSupercritical:
-    def test_noiseless_recovery_above_threshold_d200(self):
-        # alpha = 0.45 > alpha_PR = 0.375: exact recovery regime
+    # alpha = 0.45 > alpha_PR = 0.375: exact recovery regime.  One run without
+    # the teacher serves both tests (s_star does not steer a run:
+    # TestRunBasics::test_teacher_does_not_steer_the_run)
+
+    @pytest.fixture(scope="class")
+    def recovery_run(self):
         params = ProblemParams(alpha=0.45, kappa=0.5)
         inst = model.generate(d=200, kappa=0.5, alpha=0.45, delta=0.0, seed=7)
-        dataset = model.reduce(inst)
-        opts = gamp.GampOptions(max_iter=120, seed=7, s_star=inst.S_star)
-        _, state = gamp.run(dataset, params, opts)
+        _, state = gamp.run(model.reduce(inst), params, gamp.GampOptions(max_iter=120, seed=7))
+        return params, inst, state
+
+    def test_noiseless_recovery_above_threshold_d200(self, recovery_run):
+        params, inst, state = recovery_run
         final = model.matrix_mse(state.S_hat, inst.S_star, params.kappa)
         assert final < 1e-2
 
-    def test_teacher_free_stop_reports_recovery_d200(self):
+    def test_teacher_free_stop_reports_recovery_d200(self, recovery_run):
         # without the teacher the run must end at the noise floor with
         # residuals matching c_hat, never on an iterate that froze early
-        params = ProblemParams(alpha=0.45, kappa=0.5)
-        inst = model.generate(d=200, kappa=0.5, alpha=0.45, delta=0.0, seed=7)
-        dataset = model.reduce(inst)
-        _, state = gamp.run(dataset, params, gamp.GampOptions(max_iter=120, seed=7))
+        params, inst, state = recovery_run
         assert state.converged
         assert state.stop_reason == "noise_floor"
         assert state.residual_ratio <= gamp.RESIDUAL_RATIO_MAX

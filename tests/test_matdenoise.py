@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from quadnet import freeprob as fp
+from quadnet import gamp
 from quadnet import matdenoise as md
 from quadnet.freeprob import PriorSpectrum
 from quadnet.matdenoise import sample_prior
@@ -187,12 +188,20 @@ class TestMmse:
         v = md.mmse(md.DenoiseSpec.create(prior, 500.0))
         assert v == pytest.approx(1.0 / kappa, rel=2e-2)
 
+    FORM_PRIORS = {
+        **{f"mp{k:g}": PriorSpectrum.marchenko_pastur(k) for k in (0.1, 0.5, 0.95, 1.0, 2.0, 8.0)},
+        "cp3_wide": PriorSpectrum.compound_poisson(0.5, ((0.2, 0.3), (1.0, 0.4), (4.0, 0.3))),
+        "cp0.6_zero": PriorSpectrum.compound_poisson(0.6, ((0.0, 0.3), (1.0, 0.7))),
+    }
+
     def test_dual_forms_agree_tightly(self):
-        # FormMismatch fires at 1e-4; on a healthy quadrature the two forms
-        # agree orders of magnitude closer than that
-        for kappa in (0.5, 2.0):
-            prior = PriorSpectrum.marchenko_pastur(kappa)
-            for delta in (0.1, 0.5, 1.0):
+        # mmse returns the resolvent form alone; the Hilbert-transform form
+        # agrees with it at every noise level that GAMP's prior step and the
+        # iterative state evolution reach, T_FLOOR to T_CEIL_FACTOR times
+        # the prior variance (worst gap measured 4.6e-13)
+        for name, prior in self.FORM_PRIORS.items():
+            top = gamp.T_CEIL_FACTOR * prior.variance
+            for delta in map(float, np.geomspace(gamp.T_FLOOR, top, 40)):
                 spec = md.DenoiseSpec.create(prior, delta)
                 v = md.mmse(spec)
                 cube = spec.rho.cube_integral()
@@ -202,7 +211,8 @@ class TestMmse:
                     [r * hi**2 for r, hi in zip(spec.rho.rho, h)]
                 )
                 assert v == primary
-                assert abs(primary - secondary) < 1e-7
+                assert md.mmse_forms(spec) == (primary, secondary)
+                assert abs(primary - secondary) < 1e-7, (name, delta)
 
     def test_monte_carlo_denoising_error(self):
         # realized error of denoise_matrix at d = 500 vs the asymptotic

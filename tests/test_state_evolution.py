@@ -607,8 +607,8 @@ class TestMapSlopes:
 
 class TestFixedPointEquivalence:
     """The root of the scalar equation must agree with the damped iteration
-    through the matrix-denoising error, which uses an independent
-    implementation of the denoising curve."""
+    through the matrix-denoising error, which reaches the overlap without a
+    root solve."""
 
     @staticmethod
     def iterate(params, iters=2000, tol=1e-12):

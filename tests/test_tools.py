@@ -1,4 +1,5 @@
-"""Tests for the repository tools under tools/ that run no commands."""
+"""Tests for the repository tools under tools/; only the exit-status test
+runs a README command (se-curve, well under a second)."""
 
 import importlib.util
 import pathlib
@@ -120,3 +121,19 @@ class TestReadmeCsvsLineDelta:
             "src lines pkg.new 0 -> 2 (+2)",
             "src lines total 18 -> 14 (-4)",
         ]
+
+
+class TestReadmeCsvsExitStatus:
+    def test_diff_exits_one_when_a_csv_differs(self, tmp_path, capsys):
+        saved = tmp_path / "before"
+        assert readme_csvs.main(["--save", str(saved), "se-curve"]) == 0
+        assert readme_csvs.main(["--diff", str(saved), "se-curve"]) == 0
+        capsys.readouterr()
+        csv, = saved.glob("*.csv")
+        lines = csv.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace(",", ",9", 1)
+        csv.write_text("".join(lines))
+        assert readme_csvs.main(["--diff", str(saved), "se-curve"]) == 1
+        assert f"{csv.name}: 1 of " in capsys.readouterr().out
+        csv.unlink()
+        assert readme_csvs.main(["--diff", str(saved), "se-curve"]) == 1

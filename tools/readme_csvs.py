@@ -10,7 +10,8 @@ Command names given as arguments limit the run to those commands:
     python3 tools/readme_csvs.py se-curve phase-diagram
 
 A command that exits nonzero is reported with its exit code; the CSV it
-still wrote is hashed.  The exit status is 1 if any command failed.  After
+still wrote is hashed.  The exit status is 1 if any command failed, or,
+with `--diff`, if any CSV differs from DIR's or only one side has it.  After
 the hashes, the line count of each module under `src/` and their total go
 to standard error.
 
@@ -25,7 +26,7 @@ or `alpha_t_rel` of the `#` JSON header changed.  After the CSVs it
 prints each module's line count against DIR's,
 `src lines <module> <old> -> <new> (<delta>)`, the total last.  So
 a change's moved rows and its line delta can be listed against a run of
-its parent:
+its parent, and exit 0 says that every CSV is byte-identical:
 
     python3 tools/readme_csvs.py --save /tmp/before se-curve   # parent
     python3 tools/readme_csvs.py --diff /tmp/before se-curve   # change
@@ -200,6 +201,7 @@ def main(argv=None):
                 for line in diff_rows(out, *texts):
                     print(line, flush=True)
                 print(diff_summary(out, *texts), flush=True)
+                failed |= old.exists() != csv.exists() or texts[0] != texts[1]
             failed |= code != 0
     counts = line_counts(ROOT / "src")
     print(f"src lines: {sum(counts.values())} total, "
