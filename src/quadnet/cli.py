@@ -3,9 +3,11 @@
 Each subcommand is a config dataclass whose fields are its flags and the keys
 accepted from a flat JSON file (--config; flags win).  Each writes one CSV
 whose first line is a commented JSON header holding the resolved config and
-the package version, so a rerun with the same header is byte-identical.  A
-cell that raises gets NaN values and its reason on stderr; the CSV is still
-written.  Exit codes: 0 success, 1 numerical failure, 2 usage error.
+the package version, so a rerun with the same header is byte-identical.
+Every command maps its cells over one worker pool (`_run_cells`).  A cell
+that raises gets NaN values and its reason on stderr; the CSV is still
+written, except by gd-scan, whose rows average its cells into one scan.
+Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 import argparse
@@ -15,7 +17,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -24,8 +25,10 @@ from . import __version__, gamp, gd, matdenoise, model
 from .freeprob import PriorSpectrum
 from .state_evolution import ProblemParams, perfect_recovery_threshold, solve_qhat
 
-THREADS_ENV = "QUADNET_THREADS"
 NAN = float("nan")
+# gd-scan's dispersion cutoffs: absolute, and relative to the scan's peak
+ABS_THRESHOLD = 1e-2
+REL_THRESHOLD = 1e-3
 
 
 class UsageError(ValueError):
@@ -37,19 +40,20 @@ class NumericalFailure(RuntimeError):
 
 
 def _opt(default=None, help=None, **meta):
-    """A config field.  ``meta``: ``choices``, ``required`` and ``echo=False``
-    (not in the CSV header)."""
+    """A config field.  ``meta``: ``choices``, ``minimum``, ``required`` and
+    ``echo=False`` (not in the CSV header)."""
     return dataclasses.field(default=default, metadata={"help": help, **meta})
 
 
 @dataclasses.dataclass
 class _Command:
-    """A subcommand's ``grid()`` returns its header config and cell keys, and
-    ``cell(**key)`` one cell's values.  A row is the ``lead`` columns, from
-    the cell's key or else the config, then the ``values`` columns."""
+    """A subcommand's ``grid()`` returns its header config and cell keys,
+    ``cell(**key)`` one cell's ``values``, and ``rows`` the table.  By
+    default a row is the ``lead`` columns, from the cell's key or else the
+    config, then the ``values`` columns."""
 
     out: str = _opt(help="output CSV path (default stdout)", echo=False)
-    threads: int = _opt(help=f"worker pool size (env {THREADS_ENV} overrides)", echo=False)
+    threads: int = _opt(help="worker pool size", echo=False)
 
     def echo(self, **resolved):
         """The fields not marked echo=False, updated with ``resolved``."""
@@ -61,12 +65,15 @@ class _Command:
         """Header config, columns, formatted rows and the failed-cell count."""
         header, keys = self.grid()
         values, failed = _run_cells(self.cell, keys, len(self.values), self.threads)
-        columns = self.lead + self.values
+        return self.rows(header, keys, values, failed)
+
+    def rows(self, header, keys, values, failed):
+        """``table()`` from the cells' keys, values and failure flags."""
         rows = []
         for key, v in zip(keys, values):
             lead = [key[c] if c in key else getattr(self, c) for c in self.lead]
             rows.append(tuple(map(_fmt, (*lead, *v))))
-        return header, columns, rows, sum(failed)
+        return header, self.lead + self.values, rows, sum(failed)
 
 
 @dataclasses.dataclass
@@ -74,7 +81,7 @@ class _AlphaGrid(_Command):
     alphas: list = _opt(help="explicit alpha list, comma or space separated")
     alpha_min: float = _opt(help="first alpha of an even grid", echo=False)
     alpha_max: float = _opt(help="last alpha of the even grid", echo=False)
-    alpha_steps: int = _opt(help="number of alphas in the even grid", echo=False)
+    alpha_steps: int = _opt(help="number of alphas in the even grid", echo=False, minimum=1)
     delta: float = _opt(0.0, "label noise variance")
 
 
@@ -107,7 +114,7 @@ class PhaseDiagram(SeCurve):
 
     kappa_min: float = _opt(help="first kappa of an even grid", echo=False)
     kappa_max: float = _opt(help="last kappa of the even grid", echo=False)
-    kappa_steps: int = _opt(help="number of kappas in the even grid", echo=False)
+    kappa_steps: int = _opt(help="number of kappas in the even grid", echo=False, minimum=1)
 
     values = SeCurve.values + ("alpha_pr",)
 
@@ -142,15 +149,15 @@ class _Teacher(_AlphaGrid):
 class Gamp(_Teacher):
     """Message-passing MSE vs the theory curve."""
 
-    n_seeds: int = _opt(8, "runs per alpha, seeded from --seed upwards")
+    n_seeds: int = _opt(8, "runs per alpha, seeded from --seed upwards", minimum=1)
     max_iter: int = _opt(200, "iteration budget per run")
     damping: float = _opt(gamp.GampOptions.damping, "least damping of the adaptive step")
     init: str = _opt(gamp.GampOptions.init, "initial estimate", choices=("mean", "sample"))
     center: bool = _opt(gamp.GampOptions.center, "recentre the residuals every iteration")
 
+    values = ("mse", "se_mmse", "iters", "converged")
+
     def grid(self):
-        if self.n_seeds < 1:
-            raise UsageError("n_seeds must be at least 1")
         alphas = _grid(self, "alpha")
         _checked(lambda: (self.options(self.seed), self.problems(alphas)))
         seeds = [self.seed + i for i in range(self.n_seeds)]
@@ -168,11 +175,9 @@ class Gamp(_Teacher):
         mse = model.matrix_mse(state.S_hat, instance.S_star, self.kappa)
         return mse, fp.mmse, state.iter, int(state.converged)
 
-    def table(self):
+    def rows(self, header, keys, values, failed):
         """Per-seed rows, with each alpha's mean and stderr over the seeds
         that did not fail."""
-        header, keys = self.grid()
-        values, failed = _run_cells(self.cell, keys, 4, self.threads)
         rows = []
         for start in range(0, len(keys), self.n_seeds):
             runs = range(start, start + self.n_seeds)
@@ -193,8 +198,8 @@ class DenoiseMc(_Command):
 
     kappas: list = _opt(help="kappa list")
     deltas: list = _opt(help="noise variance list, all positive")
-    d: int = _opt(500, "matrix size")
-    reps: int = _opt(16, "Monte-Carlo draws per cell")
+    d: int = _opt(500, "matrix size", minimum=1)
+    reps: int = _opt(16, "Monte-Carlo draws per cell", minimum=1)
     seed: int = _opt(0, "base RNG seed")
 
     lead = ("kappa", "delta", "d", "reps")
@@ -212,44 +217,43 @@ class DenoiseMc(_Command):
 
     def cell(self, kappa, delta, seed):
         spec = matdenoise.DenoiseSpec.create(PriorSpectrum.marchenko_pastur(kappa), delta)
-        theory = matdenoise.mmse(spec)
-        primary, secondary = matdenoise.mmse_forms(spec)
+        theory, secondary = matdenoise.mmse_forms(spec)
         rng = np.random.default_rng(seed)
         vals = []
         for _ in range(self.reps):
             S = matdenoise.sample_wishart(self.d, kappa, rng)
             R = S + np.sqrt(delta) * matdenoise.sample_goe(self.d, rng)
             vals.append(float(np.sum((matdenoise.denoise_matrix(spec, R) - S) ** 2)) / self.d)
-        return (*_mean_stderr(vals), theory, abs(primary - secondary))
+        return (*_mean_stderr(vals), theory, abs(theory - secondary))
 
 
 @dataclasses.dataclass
 class _Descent(_Teacher):
-    n_inits: int = _opt(1, "initializations per dataset")
+    n_inits: int = _opt(1, "initializations per dataset", minimum=1)
     learning_rate: float = _opt(help="step size (default: set by d)")
     l2: float = _opt(gd.GdConfig.l2, "weight decay")
     max_steps: int = _opt(gd.GdConfig.max_steps, "step budget per run")
     grad_tol: float = _opt(gd.GdConfig.grad_tol, "gradient-norm stop")
     backtracking: bool = _opt(gd.GdConfig.backtracking, "halve the step until the loss falls")
 
-    def descent(self, seed, n_inits):
+    def descent(self, seed):
         return gd.GdConfig(learning_rate=self.learning_rate, l2=self.l2,
                            max_steps=self.max_steps, grad_tol=self.grad_tol,
-                           n_inits=n_inits, seed=seed, backtracking=self.backtracking)
+                           seed=seed, backtracking=self.backtracking)
 
 
 @dataclasses.dataclass
 class Gd(_Descent):
     """Gradient-descent baseline vs the theory curve."""
 
-    reps: int = _opt(1, "independent datasets per alpha")
+    reps: int = _opt(1, "independent datasets per alpha", minimum=1)
 
     lead = ("alpha", "kappa", "delta", "d", "rep")
     values = ("gd_mse", "agd_mse", "dispersion", "mmse", "final_loss", "steps")
 
     def grid(self):
         alphas = _grid(self, "alpha")
-        _checked(lambda: (self.descent(self.seed, max(1, self.n_inits)), self.problems(alphas)))
+        _checked(lambda: (self.descent(self.seed), self.problems(alphas)))
         keys = [{"alpha": a, "rep": rep, "seed": self.seed + 37 * rep + 9973 * i}
                 for i, a in enumerate(alphas) for rep in range(self.reps)]
         return self.echo(alphas=alphas), keys
@@ -257,11 +261,11 @@ class Gd(_Descent):
     def cell(self, alpha, rep, seed):
         """One dataset; ``rep`` only labels it."""
         _, fp, instance = self.teacher(alpha, seed)
-        run_cfg = self.descent(seed, max(1, self.n_inits))
+        run_cfg = self.descent(seed)
         S_single, trace = gd.gd_run(instance, run_cfg)
         agd_mse = dispersion = NAN
         if self.n_inits >= 2:
-            S_bar, dispersion = gd.agd_run(instance, run_cfg)
+            S_bar, dispersion = gd.agd_run(instance, run_cfg, self.n_inits)
             agd_mse = model.matrix_mse(S_bar, instance.S_star, self.kappa)
         return (model.matrix_mse(S_single, instance.S_star, self.kappa), agd_mse,
                 dispersion, fp.mmse, float(trace[-1]), len(trace) - 1)
@@ -271,32 +275,46 @@ class Gd(_Descent):
 class GdScan(_Descent):
     """Trivialization scan over alpha."""
 
-    n_inits: int = _opt(4, "initializations per dataset")
-    n_datasets: int = _opt(1, "datasets per alpha")
+    n_inits: int = _opt(4, "initializations per dataset", minimum=2)
+    n_datasets: int = _opt(1, "datasets per alpha", minimum=1)
 
-    def table(self):
-        """One scan of pool cells: a failure is the command's, not a cell's."""
-        alphas = _grid(self, "alpha")
-        _checked(lambda: (gd.check_scan(alphas, self.descent(self.seed, self.n_inits)),
-                          self.problems(alphas)))
-        try:
-            result = gd.trivialization_scan(self.d, self.kappa, self.delta, alphas,
-                                            self.descent(self.seed, self.n_inits),
-                                            n_datasets=self.n_datasets, map_cells=self.map_cells)
-        except gd.NotReached as exc:
-            raise NumericalFailure(str(exc))
-        peak = max(result.dispersions)
-        rows = [(_fmt(a), _fmt(v), int(v < gd.ABS_THRESHOLD), int(v < gd.REL_THRESHOLD * peak))
-                for a, v in zip(result.alphas, result.dispersions)]
-        header = self.echo(alphas=alphas, alpha_t_abs=result.alpha_t_abs,
-                           alpha_t_rel=result.alpha_t_rel)
-        return header, ("alpha", "dispersion", "below_abs", "below_rel"), rows, 0
+    values = ("dispersion",)
 
-    def map_cells(self, cell, keys):
-        values, failed = _run_cells(cell, keys, 1, self.threads)
+    def grid(self):
+        alphas = [float(a) for a in _grid(self, "alpha")]
+        if any(b <= a for a, b in zip(alphas, alphas[1:])):
+            raise UsageError("alpha_grid must be strictly increasing")
+        _checked(lambda: (self.descent(self.seed), self.problems(alphas)))
+        keys = [{"alpha": a, "index": j * self.n_datasets + rep}
+                for j, a in enumerate(alphas) for rep in range(self.n_datasets)]
+        return self.echo(alphas=alphas), keys
+
+    def cell(self, alpha, index):
+        """(dispersion,) of averaged GD on the scan's dataset number ``index``."""
+        instance = model.generate(d=self.d, kappa=self.kappa, alpha=alpha, delta=self.delta,
+                                  seed=self.seed + 7919 * index + 1)
+        return gd.agd_run(instance, self.descent(self.seed + 104729 * index), self.n_inits)[1:]
+
+    def rows(self, header, keys, values, failed):
+        """One row per alpha: its dispersion, averaged over its datasets,
+        under each cutoff or not, and in the header the first alpha under
+        each.  A failed run, or a scan under neither cutoff, fails the
+        command."""
         if any(failed):
             raise NumericalFailure(f"{sum(failed)} of {len(keys)} scan runs failed")
-        return values
+        n = self.n_datasets
+        alphas = [key["alpha"] for key in keys[::n]]
+        dispersions = [float(np.mean([v for v, in values[j:j + n]]))
+                       for j in range(0, len(keys), n)]
+        peak = max(dispersions)
+        flags = [(int(v < ABS_THRESHOLD), int(v < REL_THRESHOLD * peak)) for v in dispersions]
+        alpha_t = [next((a for a, f in zip(alphas, flags) if f[i]), None) for i in (0, 1)]
+        if alpha_t == [None, None]:
+            raise NumericalFailure(f"no alpha in {alphas} under abs {ABS_THRESHOLD} or rel "
+                                   f"{REL_THRESHOLD} x peak {peak:.3g}")
+        header = {**header, "alpha_t_abs": alpha_t[0], "alpha_t_rel": alpha_t[1]}
+        rows = [(_fmt(a), _fmt(v), *f) for a, v, f in zip(alphas, dispersions, flags)]
+        return header, ("alpha", "dispersion", "below_abs", "below_rel"), rows, 0
 
 
 COMMANDS = {"se-curve": SeCurve, "phase-diagram": PhaseDiagram, "gamp": Gamp,
@@ -350,8 +368,9 @@ def _resolve(args, cls):
         choices = fields[name].metadata.get("choices")
         if choices and values[name] not in choices:
             raise UsageError(f"{name}: {value!r} is not one of {', '.join(choices)}")
-        if name.endswith("_steps") and values[name] < 1:
-            raise UsageError(f"{name} must be at least 1, got {values[name]}")
+        minimum = fields[name].metadata.get("minimum")
+        if minimum is not None and values[name] < minimum:
+            raise UsageError(f"{name} must be at least {minimum}, got {values[name]}")
     missing = [f"--{n}" for n, f in fields.items() if f.metadata.get("required")
                and values.get(n) is None]
     if missing:
@@ -397,12 +416,7 @@ def _run_cells(cell, keys, width, threads):
     <reason>`` goes to stderr.  Returns the value tuples and a failure flag
     per key.
     """
-    env = os.environ.get(THREADS_ENV)
-    try:
-        n_workers = max(1, int(env) if env is not None else threads or 1)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {env!r}")
-    n_workers = min(n_workers, len(keys))
+    n_workers = min(threads or 1, len(keys))
     if n_workers <= 1:
         results = [_guarded(cell, key) for key in keys]
     else:

@@ -33,15 +33,13 @@ Averaged GD reruns the descent from independent initializations on a fixed
 dataset and averages the resulting S = W^T W / m matrices; the spread of the
 individual S around that average (the dispersion) is the landscape
 diagnostic: it drops to zero once all initializations reach the same
-function.
+function.  The `gd-scan` command of `cli` scans it over alpha.
 """
 
 import dataclasses
-import functools
 
 import numpy as np
 
-from . import model
 from .model import TeacherInstance
 
 DIVERGENCE_FACTOR = 1e6
@@ -59,21 +57,18 @@ class Diverged(RuntimeError):
     """Training loss exceeded a million times its starting value."""
 
 
-class NotReached(RuntimeError):
-    """No grid point satisfied the trivialization thresholds."""
-
-
 def default_learning_rate(d: int) -> float:
     return LR_LARGE if d >= LR_SIZE_CUTOFF else LR_SMALL
 
 
 @dataclasses.dataclass
 class GdConfig:
+    """One descent: its step size, weight decay, stop rules and init seed."""
+
     learning_rate: float | None = None  # None: pick by instance size
     l2: float = 0.0
     max_steps: int = 200_000
     grad_tol: float = 1e-7
-    n_inits: int = 1
     seed: int = 0
     backtracking: bool = False
 
@@ -84,8 +79,6 @@ class GdConfig:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.n_inits < 1:
-            raise ValueError("n_inits must be at least 1")
 
 
 def _loss(W, X, y, l2):
@@ -166,88 +159,21 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
     return S_hat, np.asarray(trace)
 
 
-def agd_run(instance: TeacherInstance, cfg: GdConfig, seeds=None):
-    """Average the descent estimate over initializations of one dataset.
+def agd_run(instance: TeacherInstance, cfg: GdConfig, n_inits: int):
+    """Average the descent estimate over ``n_inits`` initializations of one
+    dataset: the descents of ``cfg`` from seeds spawned by
+    ``SeedSequence(cfg.seed)``.
 
     Returns (S_bar, dispersion) with S_bar the mean of the per-init
     S = W^T W / m and dispersion the mean of tr[(S_bar - S)^2] over inits
     (averaging over datasets is the caller's job).
     """
-    if cfg.n_inits < 2:
-        raise ValueError(f"agd_run needs n_inits >= 2, got {cfg.n_inits}")
-    if seeds is None:
-        seeds = [s.generate_state(1)[0] for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_inits)]
-    elif len(seeds) != cfg.n_inits:
-        raise ValueError(f"got {len(seeds)} seeds for n_inits={cfg.n_inits}")
+    if n_inits < 2:
+        raise ValueError(f"agd_run needs n_inits >= 2, got {n_inits}")
     mats = []
-    for seed in seeds:
-        run_cfg = dataclasses.replace(cfg, seed=int(seed), n_inits=1)
-        S_hat, _ = gd_run(instance, run_cfg)
+    for seq in np.random.SeedSequence(cfg.seed).spawn(n_inits):
+        S_hat, _ = gd_run(instance, dataclasses.replace(cfg, seed=int(seq.generate_state(1)[0])))
         mats.append(S_hat)
     S_bar = np.mean(mats, axis=0)
     dispersion = float(np.mean([np.sum((S_bar - S) ** 2) for S in mats]))
     return S_bar, dispersion
-
-
-ABS_THRESHOLD = 1e-2
-REL_THRESHOLD = 1e-3
-
-
-@dataclasses.dataclass
-class ScanResult:
-    alphas: list
-    dispersions: list
-    alpha_t_abs: float | None  # first alpha with dispersion < 1e-2
-    alpha_t_rel: float | None  # first alpha with dispersion < 1e-3 * max
-
-
-def _scan_cell(d, kappa, delta, cfg, alpha, index):
-    """(dispersion,) of averaged GD on the scan's dataset number `index`."""
-    instance = model.generate(d=d, kappa=kappa, alpha=alpha, delta=delta,
-                              seed=cfg.seed + 7919 * index + 1)
-    return agd_run(instance, dataclasses.replace(cfg, seed=cfg.seed + 104729 * index))[1:]
-
-
-def check_scan(alpha_grid, cfg: GdConfig) -> list:
-    """The alphas of `trivialization_scan`, as floats, after its range
-    checks: a nonempty, strictly increasing grid, and the two or more
-    initializations that `agd_run` averages.  Raises ValueError."""
-    alphas = [float(a) for a in alpha_grid]
-    if not alphas:
-        raise ValueError("alpha_grid is empty")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alpha_grid must be strictly increasing")
-    if cfg.n_inits < 2:
-        raise ValueError(f"n_inits must be at least 2 to average, got {cfg.n_inits}")
-    return alphas
-
-
-def trivialization_scan(d, kappa, delta, alpha_grid, cfg: GdConfig, n_datasets: int = 1,
-                        map_cells=None):
-    """Locate the sample complexity where the landscape trivializes.
-
-    Scans the increasing alpha grid, measuring the dataset-averaged
-    dispersion at each point, and reports the first grid point under each
-    of the two cutoffs (absolute 1e-2, and 1e-3 relative to the scan
-    maximum).  Raises NotReached when neither variant has a qualifying
-    point.  `map_cells(cell, keys)`, an order-preserving map of
-    ``cell(**key)``, runs the (alpha, dataset) cells; default: in turn.
-    """
-    alphas = check_scan(alpha_grid, cfg)
-    keys = [{"alpha": a, "index": j * n_datasets + rep}
-            for j, a in enumerate(alphas) for rep in range(n_datasets)]
-    cell = functools.partial(_scan_cell, d, kappa, delta, cfg)
-    values = map_cells(cell, keys) if map_cells else [cell(**key) for key in keys]
-    dispersions = [float(np.mean([v for v, in values[j * n_datasets:(j + 1) * n_datasets]]))
-                   for j in range(len(alphas))]
-    peak = max(dispersions)
-    alpha_t_abs = next((a for a, v in zip(alphas, dispersions) if v < ABS_THRESHOLD), None)
-    alpha_t_rel = next(
-        (a for a, v in zip(alphas, dispersions) if v < REL_THRESHOLD * peak), None
-    )
-    if alpha_t_abs is None and alpha_t_rel is None:
-        raise NotReached(
-            f"no alpha in {alphas} under abs {ABS_THRESHOLD} or rel "
-            f"{REL_THRESHOLD} x peak {peak:.3g}"
-        )
-    return ScanResult(alphas, dispersions, alpha_t_abs, alpha_t_rel)

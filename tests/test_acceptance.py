@@ -6,6 +6,8 @@ message carries the numbers.  The gradient-descent phenomenology study is
 report-only and lives behind the slow marker; see its docstring.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -301,7 +303,7 @@ def test_density_property_grid():
 
 
 @pytest.mark.slow
-def test_gd_phenomenology_report(capsys):
+def test_gd_phenomenology_report(tmp_path, capsys):
     """Landscape phenomenology at reduced scale; prints a report, never red.
 
     Asymptotic targets: plain GD plateaus at about twice the MMSE, the
@@ -337,21 +339,24 @@ def test_gd_phenomenology_report(capsys):
         f" sqrt-tail limit {extrapolated:.4f}  ratio {extrapolated / mmse:.2f}",
         f"  agd mse         {agd_mse:.4f}  dev {agd_mse - mmse:+.4f}  (target |dev| <= 0.05)",
     ]
-    scan_cfg = gd.GdConfig(n_inits=2, max_steps=200000, seed=3)
-    try:
-        result = gd.trivialization_scan(30, kappa, 0.0, [0.3, 0.4, 0.45, 0.55], scan_cfg)
+    scan = tmp_path / "scan.csv"
+    argv = ["gd-scan", "--d", "30", "--kappa", str(kappa), "--delta", "0",
+            "--alphas", "0.3,0.4,0.45,0.55", "--n-inits", "2", "--max-steps", "200000",
+            "--seed", "3", "--out", str(scan)]
+    if cli.main(argv) == 0:
+        text = scan.read_text().splitlines()
+        header, rows = json.loads(text[0][2:])["config"], list(csv.DictReader(text[1:]))
         a_pr = se.perfect_recovery_threshold(kappa)
         lines.append(
             "  trivialization  "
-            + "  ".join(
-                f"a={a}:{disp:.2e}" for a, disp in zip(result.alphas, result.dispersions)
-            )
+            + "  ".join(f"a={r['alpha']}:{float(r['dispersion']):.2e}" for r in rows)
         )
         lines.append(
-            f"  alpha_T {result.alpha_t_abs}  vs alpha_PR {a_pr}  (grid step 0.05..0.1)"
+            f"  alpha_T {header['alpha_t_abs']}  vs alpha_PR {a_pr}  (grid step 0.05..0.1)"
         )
-    except gd.NotReached as exc:
-        lines.append(f"  trivialization not reached on this grid: {exc}")
+    else:
+        reason = capsys.readouterr().err.strip().splitlines()[-1]
+        lines.append(f"  trivialization not reached on this grid: {reason}")
     report = "\n".join(lines)
     with capsys.disabled():
         print("\n" + report)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import quadnet
-from quadnet import cli, state_evolution
+from quadnet import cli, gd, model, state_evolution
 from quadnet.state_evolution import ProblemParams
 
 
@@ -85,12 +85,6 @@ class TestPlumbing:
         assert cli.main(args + ["--out", str(serial)]) == 0
         assert cli.main(args + ["--threads", "3", "--out", str(pooled)]) == 0
         assert serial.read_bytes() == pooled.read_bytes()
-
-    def test_thread_env_override_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "not-a-number")
-        rc, _, err = run_cli(["se-curve", "--kappas", "0.5", "--alphas", "0.2"], capsys)
-        assert rc == 2
-        assert cli.THREADS_ENV in err
 
     def test_cold_import_loads_no_scipy(self):
         # importing scipy.optimize took most of a cold `quadnet` start; the
@@ -288,6 +282,27 @@ class TestGdCommands:
         assert cli.main(args + ["--threads", "2", "--out", str(pooled)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
 
+    def test_gd_scan_row_is_the_mean_over_datasets(self, capsys):
+        # dataset `index` of the scan: data seed seed + 7919 index + 1, init
+        # seed seed + 104729 index; index = j * n_datasets + rep at alpha j
+        rc, out, _ = run_cli(
+            ["gd-scan", "--d", "12", "--kappa", "0.5", "--delta", "0.0625",
+             "--alphas", "0.4,0.5", "--n-datasets", "2", "--n-inits", "2", "--l2", "0.3",
+             "--max-steps", "500", "--seed", "1"],
+            capsys,
+        )
+        assert rc == 0
+        _, rows = parse_csv(out)
+        for j, row in enumerate(rows):
+            alpha = float(row["alpha"])
+            dispersions = []
+            for index in (2 * j, 2 * j + 1):
+                inst = model.generate(d=12, kappa=0.5, alpha=alpha, delta=0.0625,
+                                      seed=1 + 7919 * index + 1)
+                cfg = gd.GdConfig(l2=0.3, max_steps=500, seed=1 + 104729 * index)
+                dispersions.append(gd.agd_run(inst, cfg, 2)[1])
+            assert row["dispersion"] == format(float(np.mean(dispersions)), ".12g")
+
     def test_gd_scan_failed_run_writes_no_csv(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         rc, _, err = run_cli(
@@ -339,7 +354,8 @@ BAD_FLAGS = [
                   "--kappa-steps", "0"], id="kappa-steps-zero"),
 ]
 
-# values each command's config classes reject in their own checks
+# counts below their field's minimum, and values each command's config
+# classes reject in their own checks
 OUT_OF_RANGE = [
     pytest.param(["gd", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--learning-rate", "-1"],
                  "learning_rate must be positive", id="gd-learning-rate"),
@@ -365,6 +381,19 @@ OUT_OF_RANGE = [
                  "d must be at least 2", id="gamp-d"),
     pytest.param(["gd-scan", "--d", "1", "--kappa", "0.5", "--alphas", "0.3"],
                  "d must be at least 2", id="gd-scan-d"),
+    pytest.param(["gd", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--reps", "0"],
+                 "reps must be at least 1, got 0", id="gd-reps"),
+    pytest.param(["denoise-mc", "--kappas", "0.5", "--deltas", "0.5", "--reps", "0"],
+                 "reps must be at least 1, got 0", id="denoise-mc-reps"),
+    pytest.param(["gd-scan", "--d", "20", "--kappa", "0.5", "--alphas", "0.3",
+                  "--n-datasets", "0"], "n_datasets must be at least 1, got 0",
+                 id="gd-scan-n-datasets"),
+    pytest.param(["gd", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--n-inits", "-2"],
+                 "n_inits must be at least 1, got -2", id="gd-n-inits"),
+    pytest.param(["denoise-mc", "--kappas", "0.5", "--deltas", "0.5", "--d", "0"],
+                 "d must be at least 1, got 0", id="denoise-mc-d"),
+    pytest.param(["gamp", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--n-seeds", "0"],
+                 "n_seeds must be at least 1, got 0", id="gamp-n-seeds"),
 ]
 
 
@@ -375,7 +404,6 @@ class TestConfigTypes:
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr(cli, "_run_cells", fail)
-        monkeypatch.setattr(cli.gd, "trivialization_scan", fail)
 
     @pytest.mark.parametrize("name,config", BAD_CONFIGS)
     def test_bad_config_value_is_usage_error(self, name, config, tmp_path, capsys, no_cells):
@@ -487,10 +515,9 @@ class TestRunner:
         assert "cell alpha=0.0 kappa=0.5: ValueError: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "threads,env,n_keys,sizes",
-        [(1000, None, 2, [2]), (None, "1000", 2, [2]), (3, None, 5, [3]), (1000, None, 1, [])],
+        "threads,n_keys,sizes", [(1000, 2, [2]), (3, 5, [3]), (1000, 1, [])]
     )
-    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, threads, env, n_keys, sizes):
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch, threads, n_keys, sizes):
         # a fake pool records its size and maps in this process, so no
         # worker is started whatever the count asked for
         seen = []
@@ -509,10 +536,6 @@ class TestRunner:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
-        if env is None:
-            monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(cli.THREADS_ENV, env)
         keys = [{"alpha": 0.2 + 0.01 * i, "kappa": 0.5} for i in range(n_keys)]
         cell = functools.partial(_fixed_point, with_free_entropy=False)
         values, failed = cli._run_cells(cell, keys, 3, threads)

@@ -1,4 +1,4 @@
-"""Tests for the gradient-descent baseline and the trivialization scan."""
+"""Tests for the gradient-descent baseline and its average over initializations."""
 
 import numpy as np
 import pytest
@@ -118,8 +118,6 @@ class TestGdRun:
             gd.GdConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             gd.GdConfig(l2=-0.1)
-        with pytest.raises(ValueError):
-            gd.GdConfig(n_inits=0)
 
     def test_nan_l2_rejected(self):
         with pytest.raises(ValueError, match="l2"):
@@ -142,51 +140,19 @@ class TestAgd:
     def test_needs_two_inits(self):
         inst = model.generate(d=30, kappa=0.5, alpha=0.3, delta=0.0, seed=5)
         with pytest.raises(ValueError):
-            gd.agd_run(inst, gd.GdConfig(n_inits=1, max_steps=50))
-
-    def test_identical_seeds_zero_dispersion(self):
-        inst = model.generate(d=30, kappa=0.5, alpha=0.3, delta=0.0, seed=5)
-        cfg = gd.GdConfig(n_inits=2, max_steps=100, seed=5)
-        _, disp = gd.agd_run(inst, cfg, seeds=[7, 7])
-        assert disp == 0.0
+            gd.agd_run(inst, gd.GdConfig(max_steps=50), 1)
 
     def test_distinct_inits_spread(self):
         inst = model.generate(d=30, kappa=0.5, alpha=0.3, delta=0.0, seed=5)
-        cfg = gd.GdConfig(n_inits=3, max_steps=100, seed=5)
-        S_bar, disp = gd.agd_run(inst, cfg)
+        S_bar, disp = gd.agd_run(inst, gd.GdConfig(max_steps=100, seed=5), 3)
         assert disp > 0
         assert np.max(np.abs(S_bar - S_bar.T)) < 1e-12
 
-    def test_seed_list_length_checked(self):
-        inst = model.generate(d=30, kappa=0.5, alpha=0.3, delta=0.0, seed=5)
-        with pytest.raises(ValueError):
-            gd.agd_run(inst, gd.GdConfig(n_inits=3, max_steps=50), seeds=[1, 2])
-
-
-class TestTrivializationScan:
-    def test_grid_validation(self):
-        cfg = gd.GdConfig(n_inits=2, max_steps=50)
-        with pytest.raises(ValueError):
-            gd.trivialization_scan(30, 0.5, 0.0, [], cfg)
-        with pytest.raises(ValueError):
-            gd.trivialization_scan(30, 0.5, 0.0, [0.3, 0.2], cfg)
-
-    def test_one_init_is_rejected_before_any_run(self, monkeypatch):
-        # the scan averages over initializations, so one is a range error
-        # before any cell runs
-        monkeypatch.setattr(gd, "_scan_cell", lambda *args, **kwargs: pytest.fail("a cell ran"))
-        with pytest.raises(ValueError, match="n_inits must be at least 2"):
-            gd.trivialization_scan(30, 0.5, 0.0, [0.3], gd.GdConfig(n_inits=1, max_steps=50))
-
-    def test_not_reached_far_below_threshold(self):
-        # subcritical noiseless point at a tiny budget: runs land apart
-        cfg = gd.GdConfig(n_inits=2, max_steps=150, seed=0)
-        with pytest.raises(gd.NotReached):
-            gd.trivialization_scan(30, 0.5, 0.0, [0.1], cfg)
-
-    def test_single_qualifying_point_returned(self):
-        # strong ridge makes every init land on the same minimum
-        cfg = gd.GdConfig(n_inits=2, l2=0.3, max_steps=40000, seed=0)
-        result = gd.trivialization_scan(30, 0.5, 0.0625, [0.5], cfg)
-        assert result.alpha_t_abs == 0.5
-        assert result.dispersions[0] < gd.ABS_THRESHOLD
+    def test_mean_and_spread_of_runs_at_spawned_seeds(self):
+        inst = model.generate(d=20, kappa=0.5, alpha=0.3, delta=0.0, seed=5)
+        S_bar, disp = gd.agd_run(inst, gd.GdConfig(max_steps=100, seed=5), 3)
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(5).spawn(3)]
+        mats = [gd.gd_run(inst, gd.GdConfig(max_steps=100, seed=s))[0] for s in seeds]
+        mean = np.mean(mats, axis=0)
+        assert np.array_equal(S_bar, mean)
+        assert disp == float(np.mean([np.sum((mean - S) ** 2) for S in mats]))
