@@ -8,26 +8,33 @@ architecture (same width, no noise term).  The gradient is
 
 verified against central finite differences in the tests.
 
-Only the gradient's product with X runs in float32, with float64 master
-quantities as in mixed-precision training: `gd_run` casts X once per run,
-and `_gradient` forms P r and its product with X in X's dtype.  The forward
-P = X W^T / sqrt(d), the residuals r, the loss, W and its update, the
-gradient norm, backtracking and the stop rules stay float64.  The rounding
-is relative to the data term Q^T X = -(1/(m d)) sum_i r_i W x_i x_i^T, not
-to the gradient.  On runs to zero loss the two vanish together, but at a
-ridge minimum the data term equals -l2 W, and with noisy labels past
-n = m d the terms r_i W x_i x_i^T cancel without being small.  There the
-rounding alone holds the gradient norm above `grad_tol` for longer or for
-good: a d = 30, l2 = 0.2, delta = 0.1 run that stops at step 62254 in
-float64 ran all 200000 steps, and a noisy d = 30 run at alpha = 0.8
-stopped at 28306 instead of 21962.  So once the float32 gradient norm
-comes within a bound on that rounding of `grad_tol`, `gd_run` takes the
-rest of the run's gradients in float64, and the stop fires within a few
-steps of the all-float64 run's.  A float32 forward as well would floor r
-near 1e-7 relative, so the gradient norm would stay above `grad_tol` on
-runs that reach zero loss (the test's d = 12 run stops at step 5109, and
-with that forward it runs all 60000), and the backtracking convex run
-would end at loss 5.6e-6 instead of 2.45e-6.
+Both products with X run in float32, with float64 master quantities as
+in mixed-precision training: `gd_run` casts X once per run, `_loss` forms
+the forward P = X W^T / sqrt(d) in X's dtype, and `_gradient` forms P r and
+its product with X in X's dtype.  The residuals r = y - f, the loss, W and
+its update, the gradient norm, backtracking and the stop rules stay
+float64.  Two roundings matter near the end of a run.  The forward leaves r
+about eps32 |f_i| off per sample, a floor that does not shrink with r; and
+the gradient product's rounding is relative to its data term
+Q^T X = -(1/(m d)) sum_i r_i W x_i x_i^T, which at a ridge minimum equals
+-l2 W and with noisy labels past n = m d is a cancelling sum of terms that
+are not small.  Either holds the gradient norm above `grad_tol`: the tests'
+d = 12 run to zero loss, which stops at step 5109, ran all 60000 steps with
+the float32 forward and a switch bound for the gradient product alone, and
+a d = 30, l2 = 0.2, delta = 0.1 run that stops at step 62254 ran all 200000
+with the float32 gradient product and no switch.  Backtracking also
+compares float32-forward losses, whose rounding outlasts the gain of a step
+on ridge and noisy runs: with the gradient-norm switch alone, d = 18 and 20
+runs that stop within 2527 steps in float64 halved their step size away
+and ran all 40000.
+
+So `gd_run` has one float64 tail for both products.  It switches once the
+gradient norm is below `grad_tol` plus a bound on the rounding of both
+products, or, when backtracking, once a step's expected gain is below a
+bound on the forward's rounding of the loss.  On the switch it recomputes
+the loss, r and P in float64, so backtracking compares only float64 losses
+from then on, and the stop fires within a few steps of the all-float64
+run's.
 
 Averaged GD reruns the descent from independent initializations on a fixed
 dataset and averages the resulting S = W^T W / m matrices; the spread of the
@@ -77,15 +84,21 @@ class GdConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not self.l2 >= 0:
             raise ValueError(f"l2 must be nonnegative, got {self.l2}")
+        if not self.grad_tol >= 0:
+            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
 
 def _loss(W, X, y, l2):
     """R(W) on the dataset (X, y), with the residuals r and P = X W^T / sqrt(d)
-    that `_gradient` reuses."""
+    that `_gradient` reuses.
+
+    P and its row sums f are formed in X's dtype: float32 from `gd_run`
+    until its float64 tail (module docstring), float64 for a float64 X.
+    r = y - f and the loss are float64 either way."""
     m, d = W.shape
-    P = X @ (W.T / np.sqrt(d))
+    P = X @ (W.T / np.sqrt(d)).astype(X.dtype, copy=False)
     r = y - np.einsum("ij,ij->i", P, P) / m
     return 0.25 * float(r @ r) + 0.5 * l2 * float(np.sum(W * W)), r, P
 
@@ -94,10 +107,8 @@ def _gradient(W, X, r, P, l2):
     """dR/dW from `_loss`'s residuals r and products P at W, as float64.
 
     The scaled products Q = P r / (-m sqrt(d)) and Q^T X are formed in X's
-    dtype: float32 from `gd_run` until the stop rule needs float64 (module
-    docstring), and exact float64 for a float64 X.  r and P stay the
-    float64 forward's, so the rounding stays in the gradient and leaves the
-    residuals and the loss as in float64."""
+    dtype, the one `_loss` formed P in: float32 from `gd_run` until its
+    float64 tail (module docstring), float64 for a float64 X."""
     m, d = W.shape
     scale = (r / (-m * np.sqrt(d))).astype(X.dtype, copy=False)
     Q = P.astype(X.dtype, copy=False) * scale[:, None]
@@ -112,34 +123,47 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
     cfg = cfg or GdConfig()
     m, d = instance.m, instance.d
     X, y = instance.X, instance.y
-    X_grad = X.astype(np.float32)
-    # bound on the float32 rounding of the data term Q^T X: 4 eps32 ||Q||_F
-    # ||X||_F, with ||Q||_F^2 = sum_i r_i^2 f_i / (m d) and f = y - r (the
-    # rounding measured up to 0.63 eps32 ||Q||_F ||X||_F at d = 6 to 150)
-    round_scale = 4 * np.finfo(np.float32).eps * np.linalg.norm(X) / np.sqrt(m * d)
+    X_prod = X.astype(np.float32)
+    eps32 = np.finfo(np.float32).eps
+    # bound on the float32 rounding of the gradient: 4 eps32 ||X||_F / sqrt(m d)
+    # times sqrt(sum_i (r_i^2 + f_i^2) f_i), f = y - r.  The r^2 term is for
+    # the gradient product (||Q||_F^2 = sum_i r_i^2 f_i / (m d)), the f^2
+    # term for the forward, whose r is about eps32 f_i off.  The rounding
+    # measured up to 0.53 eps32 ||X||_F / sqrt(m d) sqrt(...) at d = 6 to 150
+    # on ridge, noisy and noiseless runs, and ||r - r_64|| up to 1.7 eps32 ||f||
+    round_scale = 4 * eps32 * np.linalg.norm(X) / np.sqrt(m * d)
     lr0 = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(d)
     # keyed stream so a shared seed never replays the teacher's weight draw
     rng = np.random.default_rng([cfg.seed, 0x4744])
     W = rng.standard_normal((m, d))
 
-    loss, r, P = _loss(W, X, y, cfg.l2)
+    loss, r, P = _loss(W, X_prod, y, cfg.l2)
     loss0 = loss
     trace = [loss]
     lr = lr0
     for _ in range(cfg.max_steps):
-        grad = _gradient(W, X_grad, r, P, cfg.l2)
+        grad = _gradient(W, X_prod, r, P, cfg.l2)
         gnorm = float(np.linalg.norm(grad))
-        if X_grad is not X and gnorm < cfg.grad_tol + round_scale * np.sqrt(r * r @ np.abs(y - r)):
-            # the rounding could hide a grad_tol stop: float64 from here on
-            X_grad = X
-            grad = _gradient(W, X, r, P, cfg.l2)
-            gnorm = float(np.linalg.norm(grad))
+        if X_prod is not X:
+            f = np.abs(y - r)
+            # a float32-forward loss is up to eps32 ||r|| ||f|| off and a step
+            # gains about lr gnorm^2 / 2; below twice that rounding,
+            # backtracking's comparison is noise that halves lr for nothing
+            if (gnorm < cfg.grad_tol + round_scale * np.sqrt((r * r + f * f) @ f)
+                    or cfg.backtracking
+                    and lr * gnorm**2 < 4 * eps32 * np.sqrt((r @ r) * (f @ f))):
+                # float64 from here on, from this step's loss
+                X_prod = X
+                loss, r, P = _loss(W, X, y, cfg.l2)
+                trace[-1] = loss
+                grad = _gradient(W, X, r, P, cfg.l2)
+                gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.grad_tol:
             break
         if cfg.backtracking:
             for _ in range(MAX_BACKTRACKS):
                 W_new = W - lr * grad
-                loss_new, r_new, P_new = _loss(W_new, X, y, cfg.l2)
+                loss_new, r_new, P_new = _loss(W_new, X_prod, y, cfg.l2)
                 if loss_new <= loss:
                     break
                 lr *= 0.5
@@ -148,7 +172,7 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
             lr = min(lr * 1.3, lr0)
         else:
             W_new = W - lr * grad
-            loss_new, r_new, P_new = _loss(W_new, X, y, cfg.l2)
+            loss_new, r_new, P_new = _loss(W_new, X_prod, y, cfg.l2)
         W, loss, r, P = W_new, loss_new, r_new, P_new
         trace.append(loss)
         if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(loss0, 1e-300):

@@ -361,6 +361,8 @@ OUT_OF_RANGE = [
                  "learning_rate must be positive", id="gd-learning-rate"),
     pytest.param(["gd-scan", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--l2", "-1"],
                  "l2 must be nonnegative", id="gd-scan-l2"),
+    pytest.param(["gd", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--grad-tol", "-1"],
+                 "grad_tol must be nonnegative", id="gd-grad-tol"),
     pytest.param(["gamp", "--d", "20", "--kappa", "0.5", "--alphas", "0.3", "--damping", "0.9"],
                  "damping must be in [0, 0.5]", id="gamp-damping"),
     pytest.param(["gamp", "--d", "20", "--kappa", "-1", "--alphas", "0.3"],

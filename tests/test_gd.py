@@ -39,6 +39,33 @@ class TestGradient:
         fd = _central_differences(lambda V: gd._loss(V, inst.X, inst.y, l2)[0], W, 1e-5)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
+    @pytest.mark.parametrize("l2", [0.0, 0.3])
+    def test_float32_forward_matches_central_finite_differences(self, l2):
+        # before its float64 tail gd_run takes both products in float32:
+        # r and P from _loss on the float32 X feed _gradient
+        inst = model.generate(d=10, kappa=1.2, alpha=0.3, delta=0.1, seed=3)
+        W = np.random.default_rng(0).standard_normal((inst.m, inst.d))
+        X32 = inst.X.astype(np.float32)
+        _, r, P = gd._loss(W, X32, inst.y, l2)
+        grad = gd._gradient(W, X32, r, P, l2)
+        assert grad.dtype == np.float64
+        fd = _central_differences(lambda V: gd._loss(V, inst.X, inst.y, l2)[0], W, 1e-5)
+        assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    def test_float32_forward_residuals_within_rounding(self, scale):
+        # the loss and r stay float64 and within the bounds gd_run's switch
+        # takes for the forward's rounding: ||r - r64|| <= 2 eps32 ||f|| with
+        # f = y - r64, so the loss is off by at most ||r64|| ||r - r64|| / 2
+        # + ||r - r64||^2 / 4 <= eps32 ||r64|| ||f|| + eps32^2 ||f||^2
+        inst = model.generate(d=10, kappa=1.2, alpha=0.3, delta=0.1, seed=3)
+        W = scale * np.random.default_rng(0).standard_normal((inst.m, inst.d))
+        loss, r, _ = gd._loss(W, inst.X.astype(np.float32), inst.y, 0.3)
+        loss64, r64, _ = gd._loss(W, inst.X, inst.y, 0.3)
+        assert isinstance(loss, float) and r.dtype == np.float64
+        eps32, f = np.finfo(np.float32).eps, np.linalg.norm(inst.y - r64)
+        assert np.linalg.norm(r - r64) <= 2 * eps32 * f
+        assert abs(loss - loss64) <= eps32 * np.linalg.norm(r64) * f + (eps32 * f) ** 2
 
 def _central_differences(f, W, h):
     """Central finite differences of the scalar f at W, entry by entry."""
@@ -91,8 +118,9 @@ class TestGdRun:
 
     def test_grad_tol_stop_fires_before_budget(self):
         # a noiseless run that reaches zero loss stops on grad_tol (at step
-        # 5109); residuals from a float32 forward would floor near 1e-7
-        # relative, keep the gradient above grad_tol and run all 60000 steps
+        # 5109); residuals from the float32 forward floor near eps32 |f_i|,
+        # so without the float64 tail the gradient would stay above
+        # grad_tol and the run take all 60000 steps
         inst = model.generate(d=12, kappa=0.5, alpha=0.8, delta=0.0, seed=1)
         cfg = gd.GdConfig(learning_rate=0.2, max_steps=60000, seed=2)
         _, trace = gd.gd_run(inst, cfg)
@@ -109,6 +137,51 @@ class TestGdRun:
         _, trace = gd.gd_run(inst, cfg)
         assert len(trace) - 1 < cfg.max_steps // 3
 
+    def test_float64_tail_keeps_stop_steps(self, monkeypatch):
+        # the all-float64 descent stops at steps 5109 (grad_tol run above),
+        # 4346 / 5415 (ridge runs above) and 865; with the float32 products
+        # and their one float64 tail each stops within a few steps of that
+        d12 = model.generate(d=12, kappa=0.5, alpha=0.8, delta=0.0, seed=1)
+        runs = [(d12, gd.GdConfig(learning_rate=0.2, max_steps=60000, seed=2), 5109)]
+        for kappa, delta, steps in [(1.0, 0.0, 4346), (0.5, 0.0625, 5415)]:
+            inst = model.generate(d=18, kappa=kappa, alpha=0.5, delta=delta, seed=1)
+            runs.append((inst, gd.GdConfig(learning_rate=0.2, l2=0.3, max_steps=30000, seed=2),
+                         steps))
+        # backtracking on a ridge run stops at 865; comparing float32-forward
+        # losses there halved the step size away and ran the whole budget
+        runs.append((runs[1][0], gd.GdConfig(learning_rate=1.0, l2=0.3, max_steps=30000, seed=2,
+                                             backtracking=True), 865))
+        for inst, cfg, steps in runs:
+            _, trace = gd.gd_run(inst, cfg)
+            assert abs(len(trace) - 1 - steps) <= 3
+
+        # backtracking to zero loss: the forward switches from float32 to
+        # float64 once, the trace stays monotone and the run stops on grad_tol
+        calls = []
+        loss = gd._loss
+
+        def record(W, X, y, l2):
+            out = loss(W, X, y, l2)
+            calls.append((X.dtype, W, out[0]))
+            return out
+
+        monkeypatch.setattr(gd, "_loss", record)
+        cfg = gd.GdConfig(learning_rate=1.0, max_steps=60000, seed=2, backtracking=True)
+        _, trace = gd.gd_run(d12, cfg)
+        dtypes = [dtype for dtype, _, _ in calls]
+        switch = dtypes.index(np.float64)
+        assert switch > 0 and set(dtypes[:switch]) == {np.dtype(np.float32)}
+        assert set(dtypes[switch:]) == {np.dtype(np.float64)}
+        # the switch recomputes the loss at the accepted float32 step's W in
+        # float64, and that loss replaces the float32 one in the trace
+        assert calls[switch][1] is calls[switch - 1][1]
+        assert calls[switch][2] in trace and calls[switch - 1][2] not in trace
+        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+        _, W_last, loss_last = calls[-1]
+        assert loss_last == trace[-1] < 1e-10
+        _, r, P = loss(W_last, d12.X, d12.y, 0.0)
+        assert np.linalg.norm(gd._gradient(W_last, d12.X, r, P, 0.0)) < cfg.grad_tol
+
     def test_default_learning_rates(self):
         assert gd.default_learning_rate(200) == 0.2
         assert gd.default_learning_rate(100) == 0.07
@@ -122,6 +195,11 @@ class TestGdRun:
     def test_nan_l2_rejected(self):
         with pytest.raises(ValueError, match="l2"):
             gd.GdConfig(l2=float("nan"))
+
+    @pytest.mark.parametrize("grad_tol", [float("nan"), -1.0])
+    def test_nan_or_negative_grad_tol_rejected(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol must be nonnegative"):
+            gd.GdConfig(grad_tol=grad_tol)
 
 
 class TestRegularization:
