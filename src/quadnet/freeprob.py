@@ -39,10 +39,11 @@ compound-Poisson prior Re g(s) is the one root of a monotone equation
 eigenvalue on the support (`_curve_hilbert`).  Each density also keeps
 Re dg/dz = Re 1/phi'(g) at its nodes, for the t-derivative of int rho^3.
 
-A build forms what the state-evolution solve reads, rho, dx/dtheta,
-Re dg/dz and the quadrature weights; the grid x and Re g, which only
-`hilbert`, `log_potential` and the denoiser's second MMSE form read, are
-formed the first time they are read (`SpectralDensity`).
+`density` is the one way to make a `SpectralDensity`.  It forms what the
+state-evolution solve reads, rho, dx/dtheta, Re dg/dz and the quadrature
+weights; the grid x and Re g, which only `hilbert`, `log_potential` and the
+denoiser's second MMSE form read, are formed from the build's curves the
+first time either is read.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "SpectralDensity",
     "EdgeDetectionFailed",
     "density",
-    "support_edges",
     "hilbert",
     "log_potential",
 ]
@@ -99,18 +99,18 @@ class PriorSpectrum:
     atoms: tuple[tuple[float, float], ...] = ((1.0, 1.0),)
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if len(self.atoms) == 0:
             raise ValueError("need at least one atom")
         for a, p in self.atoms:
             # a = 0 is allowed: an atom at zero contributes nothing to the
             # R-transform, so {(0, 1)} degenerates to a pure point mass whose
             # free convolution with the semicircle is the semicircle itself
-            if a < 0 or not np.isfinite(a) or p <= 0:
+            if not (0 <= a < math.inf and 0 < p < math.inf):
                 raise ValueError(
-                    f"atom values must be finite and >= 0 with positive weights,"
-                    f" got ({a}, {p})"
+                    f"atom values must be finite and >= 0 with finite positive"
+                    f" weights, got ({a}, {p})"
                 )
         wsum = sum(p for _, p in self.atoms)
         if abs(wsum - 1.0) > 1e-12:
@@ -378,8 +378,9 @@ def _collided_once(candidates):
     return np.array(zc), np.array(gc)
 
 
-def support_edges(prior: PriorSpectrum, t: float):
-    """Support intervals of mu_t = prior (+) semicircle(t), t > 0.
+def _support(prior, t):
+    """Support intervals of mu_t = prior (+) semicircle(t), t > 0, with the
+    critical point of phi at each edge and the candidates between them.
 
     Candidate edges are the real critical values x_c = phi(g_c) of the
     inverse map z = phi(g) (`_edge_candidates`).  Off the support g is real
@@ -397,19 +398,13 @@ def support_edges(prior: PriorSpectrum, t: float):
 
     Returns
     -------
-    tuple of (left, right) pairs, ascending.
-    """
-    return tuple(interval for interval, *_ in _support(prior, t))
-
-
-def _support(prior, t):
-    """`support_edges` with the critical point of phi at each edge and the
-    candidates between them: ((l, u), (g_c(l), g_c(u)), inner) per interval,
+    tuple of ((l, u), (g_c(l), g_c(u)), inner) per interval, ascending,
     inner the (z, g_c) of the candidates inside it.  An interval has one
     there after two intervals merged, the one of the collided pair of
-    critical values that was kept."""
-    if t <= 0:
-        raise ValueError("support_edges requires t > 0 (t = 0 edges are analytic)")
+    critical values that was kept.
+    """
+    if not t > 0:
+        raise ValueError(f"density requires t > 0, got {t}")
     zc, gc = _edge_candidates(prior, t)
     curv = [_phi_second(prior, g) for g in gc.tolist()]
     # on[k]: whether the region between candidates k - 1 and k is on the support
@@ -444,26 +439,6 @@ def _theta_grid(n):
     return (*grid, float(theta[1]))
 
 
-class _FormedOnRead:
-    """x or Re g of a `SpectralDensity`, which a build leaves to its
-    `pending` formations: the first read of either forms both, keeps them
-    and drops the formations.  A field given at construction is kept."""
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, dens, owner=None):
-        if dens is None:
-            return None  # the dataclass default: unformed
-        if dens.__dict__[self.key] is None:
-            dens.x, dens.re_g = zip(*[form() for form in dens.pending])
-            dens.pending = None
-        return dens.__dict__[self.key]
-
-    def __set__(self, dens, value):
-        dens.__dict__[self.key] = value
-
-
 @dataclasses.dataclass(eq=False)
 class SpectralDensity:
     """Density of mu_t on its support, sampled on edge-clustered grids.
@@ -483,7 +458,7 @@ class SpectralDensity:
     `log_potential`, `matdenoise.mmse_forms`) and kept: a Marchenko-Pastur
     interval makes its anchored passes then (`_mp_anchored`), and a
     compound-Poisson one hands over the x and Re g it solved for.
-    Densities compare and hash by identity.
+    `density` makes every one; they compare and hash by identity.
 
     Attributes
     ----------
@@ -499,14 +474,13 @@ class SpectralDensity:
         edge phi' vanishes but Re dg/dz stays finite (Im dg/dz diverges).
     curves : tuple of `_MpCurve` or `_CpCurve`
         Per interval the curve the grid was built on, which `hilbert`
-        solves on, with the edges' and a merge's anchors.  None only for a
-        density put together by hand, which passes x and re_g.
-    x, re_g : tuples of arrays, one per interval
-        Grid (ascending, from l to u) and Re g (the negative Hilbert
-        transform), on the real axis.
+        solves on, with the edges' and a merge's anchors.
     pending : tuple of callables, one per interval, or None
         What forms (x, Re g) of each interval on first read; None once
-        formed or where x and re_g were given.
+        formed.
+    x, re_g : tuples of arrays, one per interval
+        Grid (ascending, from l to u) and Re g (the negative Hilbert
+        transform), on the real axis, formed from `pending`.
     weights : tuple of arrays, one per interval
         Quadrature weights in x, Simpson's rule in theta.
     """
@@ -518,14 +492,21 @@ class SpectralDensity:
     dxdtheta: tuple
     rho: tuple
     re_dgdz: tuple
-    curves: tuple | None = None
-    x: tuple = _FormedOnRead()
-    re_g: tuple = _FormedOnRead()
-    pending: tuple | None = dataclasses.field(default=None, repr=False)
+    curves: tuple
+    pending: tuple | None = dataclasses.field(repr=False)
     weights: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         self.weights = tuple(_theta_grid(len(d))[3] * d for d in self.dxdtheta)
+
+    def _form(self):
+        """Form x and Re g of every interval, keep both and drop `pending`."""
+        self.x, self.re_g = zip(*[form() for form in self.pending])
+        self.pending = None
+        return self.x, self.re_g
+
+    x = functools.cached_property(lambda self: self._form()[0])
+    re_g = functools.cached_property(lambda self: self._form()[1])
 
     def integrate(self, values_per_interval):
         """Sum_i int values_i(x) dx over the support intervals."""
@@ -565,14 +546,10 @@ def density(prior: PriorSpectrum, t: float, n_nodes: int = DEFAULT_NODES) -> Spe
     Parameters
     ----------
     n_nodes : int
-        Grid nodes per interval (odd; even values are bumped by one).
+        Grid nodes per interval, odd and at least 3 (`_theta_grid`).
     """
-    if not t > 0:
-        raise ValueError(f"density requires t > 0, got {t}")
-    if n_nodes % 2 == 0:
-        n_nodes += 1
-    support = _support(prior, t)
     grid = _theta_grid(n_nodes)
+    support = _support(prior, t)
     intervals = tuple(interval for interval, *_ in support)
     critical = tuple(critical for _, critical, _ in support)
     curves = _curves(prior, t, support)

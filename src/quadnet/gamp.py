@@ -117,9 +117,11 @@ STEP_MIN = 0.05
 RESIDUAL_RATIO_MAX = 3.0
 
 # Fixed-point stop, in units of the claimed error (see the module
-# docstring), and the scalar tracker's stop on the step of its overlap.
+# docstring), and the scalar tracker's stop on the step of its overlap and
+# its step budget.
 FIXED_POINT_TOL = 1e-2
 SE_ITERATE_TOL = 1e-10
+SE_ITERATE_MAX = 5000
 
 
 class Diverged(RuntimeError):
@@ -299,8 +301,7 @@ def run(dataset: ReducedDataset, params: ProblemParams, opts: GampOptions | None
     return state.S_hat, state
 
 
-def state_evolution_iterate(params: ProblemParams, q_init: float | None = None,
-                            max_iter: int = 5000):
+def state_evolution_iterate(params: ProblemParams, q_init: float | None = None):
     """Scalar tracker of the iteration: alternates the channel and prior maps.
 
     q_hat^t = 4 alpha / (tilde_delta + 2 (Q0 - q^t)), then
@@ -308,7 +309,8 @@ def state_evolution_iterate(params: ProblemParams, q_init: float | None = None,
     (q, q_hat) pairs, starting with the first updated pair.  The overlap
     q = Q0 - mmse matches the matrix iteration started from the prior mean:
     kappa * (Q0 - q^t) is the predicted error after t denoising steps.
-    The trace ends once q moves by less than ``SE_ITERATE_TOL``.
+    The trace ends once q moves by less than ``SE_ITERATE_TOL``, or after
+    ``SE_ITERATE_MAX`` steps.
     """
     prior = params.prior
     q0 = params.q0
@@ -320,7 +322,7 @@ def state_evolution_iterate(params: ProblemParams, q_init: float | None = None,
     td = params.tilde_delta
     q = min(max(q_init, q_min), q0)
     trace = []
-    for _ in range(max_iter):
+    for _ in range(SE_ITERATE_MAX):
         gap = q0 - q
         q_hat = 4.0 * params.alpha / (td + 2.0 * gap)
         t_lvl = 1.0 / q_hat

@@ -8,11 +8,11 @@ architecture (same width, no noise term).  The gradient is
 
 verified against central finite differences in the tests.
 
-Both products with X run in float32, with float64 master quantities as
-in mixed-precision training: `gd_run` casts X once per run, `_loss` forms
-the forward P = X W^T / sqrt(d) in X's dtype, and `_gradient` forms P r and
-its product with X in X's dtype.  The residuals r = y - f, the loss, W and
-its update, the gradient norm, backtracking and the stop rules stay
+A plain descent runs both products with X in float32, with float64 master
+quantities as in mixed-precision training: `gd_run` casts X once per run,
+`_loss` forms the forward P = X W^T / sqrt(d) in X's dtype, and `_gradient`
+forms P r and its product with X in X's dtype.  The residuals r = y - f,
+the loss, W and its update, the gradient norm and the stop rules stay
 float64.  Two roundings matter near the end of a run.  The forward leaves r
 about eps32 |f_i| off per sample, a floor that does not shrink with r; and
 the gradient product's rounding is relative to its data term
@@ -22,19 +22,16 @@ are not small.  Either holds the gradient norm above `grad_tol`: the tests'
 d = 12 run to zero loss, which stops at step 5109, ran all 60000 steps with
 the float32 forward and a switch bound for the gradient product alone, and
 a d = 30, l2 = 0.2, delta = 0.1 run that stops at step 62254 ran all 200000
-with the float32 gradient product and no switch.  Backtracking also
-compares float32-forward losses, whose rounding outlasts the gain of a step
-on ridge and noisy runs: with the gradient-norm switch alone, d = 18 and 20
-runs that stop within 2527 steps in float64 halved their step size away
-and ran all 40000.
+with the float32 gradient product and no switch.
 
-So `gd_run` has one float64 tail for both products.  It switches once the
-gradient norm is below `grad_tol` plus a bound on the rounding of both
-products, or, when backtracking, once a step's expected gain is below a
-bound on the forward's rounding of the loss.  On the switch it recomputes
-the loss, r and P in float64, so backtracking compares only float64 losses
-from then on, and the stop fires within a few steps of the all-float64
-run's.
+So a plain descent has one float64 tail for both products: `gd_run`
+switches once the gradient norm is below `grad_tol` plus a bound on the
+rounding of both products, recomputes the loss, r and P in float64, and
+the stop fires within a few steps of the all-float64 run's.  A
+backtracking descent runs in float64 from its first step: it compares
+losses, and a float32-forward loss's rounding outlasts the gain of a step
+on ridge and noisy runs, where d = 18 and 20 runs that stop within 2527
+steps in float64 halved their step size away and ran all 40000.
 
 Averaged GD reruns the descent from independent initializations on a fixed
 dataset and averages the resulting S = W^T W / m matrices; the spread of the
@@ -123,15 +120,14 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
     cfg = cfg or GdConfig()
     m, d = instance.m, instance.d
     X, y = instance.X, instance.y
-    X_prod = X.astype(np.float32)
-    eps32 = np.finfo(np.float32).eps
+    X_prod = X if cfg.backtracking else X.astype(np.float32)
     # bound on the float32 rounding of the gradient: 4 eps32 ||X||_F / sqrt(m d)
     # times sqrt(sum_i (r_i^2 + f_i^2) f_i), f = y - r.  The r^2 term is for
     # the gradient product (||Q||_F^2 = sum_i r_i^2 f_i / (m d)), the f^2
     # term for the forward, whose r is about eps32 f_i off.  The rounding
     # measured up to 0.53 eps32 ||X||_F / sqrt(m d) sqrt(...) at d = 6 to 150
     # on ridge, noisy and noiseless runs, and ||r - r_64|| up to 1.7 eps32 ||f||
-    round_scale = 4 * eps32 * np.linalg.norm(X) / np.sqrt(m * d)
+    round_scale = 4 * np.finfo(np.float32).eps * np.linalg.norm(X) / np.sqrt(m * d)
     lr0 = cfg.learning_rate if cfg.learning_rate is not None else default_learning_rate(d)
     # keyed stream so a shared seed never replays the teacher's weight draw
     rng = np.random.default_rng([cfg.seed, 0x4744])
@@ -146,12 +142,7 @@ def gd_run(instance: TeacherInstance, cfg: GdConfig | None = None):
         gnorm = float(np.linalg.norm(grad))
         if X_prod is not X:
             f = np.abs(y - r)
-            # a float32-forward loss is up to eps32 ||r|| ||f|| off and a step
-            # gains about lr gnorm^2 / 2; below twice that rounding,
-            # backtracking's comparison is noise that halves lr for nothing
-            if (gnorm < cfg.grad_tol + round_scale * np.sqrt((r * r + f * f) @ f)
-                    or cfg.backtracking
-                    and lr * gnorm**2 < 4 * eps32 * np.sqrt((r @ r) * (f @ f))):
+            if gnorm < cfg.grad_tol + round_scale * np.sqrt((r * r + f * f) @ f):
                 # float64 from here on, from this step's loss
                 X_prod = X
                 loss, r, P = _loss(W, X, y, cfg.l2)

@@ -69,12 +69,12 @@ class ProblemParams:
     prior: PriorSpectrum = None
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not self.delta >= 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta}")
         if self.prior is None:
             object.__setattr__(
                 self, "prior", PriorSpectrum.marchenko_pastur(self.kappa)
@@ -383,18 +383,14 @@ def _inner_conjugate(params, q):
     return 1.0 / math.exp(v), dens
 
 
-def overlap_rate(params: ProblemParams, q: float) -> float:
+def _overlap_rate(params, q, conjugate=None):
     """I(q): the prior-side rate function of the overlap.
 
     inf over q_hat >= 0 of (Q0-q) q_hat/4 - Sigma(mu_{1/q_hat})/2
     - log(q_hat)/4 - 1/8, with Sigma the log potential.  Zero at q = q_min;
-    the infimum is attained at the conjugate returned by the inner solve.
+    the infimum is attained at the conjugate returned by the inner solve,
+    or at conjugate = (q_hat, density at t = 1/q_hat) of q when given.
     """
-    return _overlap_rate(params, q)
-
-
-def _overlap_rate(params, q, conjugate=None):
-    """`overlap_rate`, taking conjugate = (q_hat, density at t = 1/q_hat) of q when given."""
     span = params.q0 - params.q_min
     if q <= params.q_min + 1e-12 * span:
         return 0.0

@@ -166,9 +166,15 @@ def companion_critical_points(prior, t):
     return freeprob._collided_once(freeprob._companion_candidates(prior, t))
 
 
+def support_edges(prior, t):
+    """The support intervals (l, u) of mu_t, t > 0, ascending, as
+    `freeprob._support` classifies them by the sign of phi''."""
+    return tuple(interval for interval, *_ in freeprob._support(prior, t))
+
+
 def root_count_support(prior, t):
     """Support intervals of mu_t, t > 0, by counting non-real roots: the
-    reference for the phi'' rule of `freeprob.support_edges`.
+    reference for the phi'' rule of `freeprob._support`.
 
     Roots of P_x(g) collide on the real axis only at critical values of phi,
     so the number of non-real roots is constant between consecutive edge
@@ -253,39 +259,26 @@ def interp(dens, lam, values_per_interval, outside=np.nan):
 
 
 def mp_density_t0(prior, n_nodes=freeprob.DEFAULT_NODES):
-    """The t = 0 Marchenko-Pastur law in closed form: (density, atom mass).
+    """The t = 0 Marchenko-Pastur law in closed form, on the compound-Poisson
+    build's sin^2 grid: ((l-, l+), x, rho, Re g, quadrature weights, atom
+    mass).
 
     Bulk rho = kappa sqrt((l+ - x)(x - l-)) / (2 pi x) on [l-, l+],
-    l+- = (1 +- kappa^-1/2)^2, on the compound-Poisson build's sin^2 grid, with
-    Re g = -(kappa x + 1 - kappa) / (2 x), the real part of the roots of
-    x g^2 + (kappa x + 1 - kappa) g + kappa; the two roots meet at the
-    edges, so Re g there is the edge's critical point.  The point mass
-    max(1 - kappa, 0) at zero is returned next to the density, which only
-    carries the bulk.
+    l+- = (1 +- kappa^-1/2)^2, with Re g = -(kappa x + 1 - kappa) / (2 x),
+    the real part of the roots of x g^2 + (kappa x + 1 - kappa) g + kappa;
+    the weights are Simpson's rule in theta times dx/dtheta.  The point mass
+    max(1 - kappa, 0) at zero is not in rho, which only carries the bulk.
     """
     kappa = prior.kappa
     lam_m = (1.0 - kappa**-0.5) ** 2
     lam_p = (1.0 + kappa**-0.5) ** 2
-    s2, _, sin2t = freeprob._theta_grid(n_nodes)[:3]
+    s2, _, sin2t, w = freeprob._theta_grid(n_nodes)[:4]
     x = lam_m + (lam_p - lam_m) * s2
     with np.errstate(all="ignore"):
         rho = kappa * np.sqrt(np.maximum((lam_p - x) * (x - lam_m), 0.0)) / (2 * np.pi * x)
         re_g = -(kappa * x + 1.0 - kappa) / (2.0 * x)
     rho = np.where(np.isfinite(rho), rho, 0.0)
-    with np.errstate(all="ignore"):
-        dgdz = 1.0 / freeprob._phi_prime(prior, 0.0, re_g + 1j * np.pi * rho)
-    dens = freeprob.SpectralDensity(
-        prior=prior,
-        t=0.0,
-        intervals=((lam_m, lam_p),),
-        x=(x,),
-        dxdtheta=((lam_p - lam_m) * sin2t,),
-        rho=(rho,),
-        re_g=(re_g,),
-        critical=((re_g[0], re_g[-1]),),
-        re_dgdz=(dgdz.real,),
-    )
-    return dens, max(1.0 - kappa, 0.0)
+    return (lam_m, lam_p), x, rho, re_g, w * ((lam_p - lam_m) * sin2t), max(1.0 - kappa, 0.0)
 
 
 def mp_anchored_eager(curve, n_nodes=freeprob.DEFAULT_NODES):

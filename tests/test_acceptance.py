@@ -224,7 +224,7 @@ def test_gamp_matches_asymptotic_mmse():
 
 def test_gamp_tracks_state_evolution(monkeypatch):
     params = ProblemParams(alpha=0.3, kappa=0.5)
-    trace = gamp.state_evolution_iterate(params, max_iter=12)
+    trace = gamp.state_evolution_iterate(params)
     predicted = [params.kappa * (params.q0 - q) for q, _ in trace[:10]]
     inst = model.generate(d=200, kappa=0.5, alpha=0.3, delta=0.0, seed=11)
     dataset = model.reduce(inst)

@@ -9,7 +9,6 @@ closed forms where known (semicircle, Marchenko-Pastur limits), refinement
 or alternative quadrature schemes otherwise.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
@@ -18,7 +17,7 @@ import pytest
 from quadnet import freeprob as fp
 from quadnet import gamp, matdenoise
 from quadnet import state_evolution as se
-from quadnet.freeprob import PriorSpectrum, density, support_edges
+from quadnet.freeprob import PriorSpectrum, density
 
 import oracles
 from oracles import (
@@ -37,6 +36,7 @@ from oracles import (
     root_count_support,
     sigma_t_derivative,
     stieltjes,
+    support_edges,
     upper_root,
 )
 
@@ -146,6 +146,19 @@ class TestPriorSpectrum:
             PriorSpectrum.compound_poisson(1.0, ((1.0, 0.5), (2.0, 0.6)))
         with pytest.raises(ValueError):
             PriorSpectrum.compound_poisson(1.0, ((-1.0, 1.0),))
+
+    @pytest.mark.parametrize(
+        "kappa,atoms",
+        [(np.inf, ((1.0, 1.0),)), (np.nan, ((1.0, 1.0),)), (1.0, ((1.0, np.nan),)),
+         (1.0, ((1.0, 1.0), (2.0, np.nan))), (1.0, ((np.inf, 1.0),))],
+        ids=["kappa-inf", "kappa-nan", "weight-nan", "second-weight-nan", "value-inf"],
+    )
+    def test_non_finite_rejected(self, kappa, atoms):
+        # rejected where built: a NaN weight passed the sum check and failed
+        # later in `density` with LinAlgError, kappa = inf there with
+        # EdgeDetectionFailed
+        with pytest.raises(ValueError, match="finite"):
+            PriorSpectrum.compound_poisson(kappa, atoms)
 
 
 class TestAtomLawPicksThePath:
@@ -901,15 +914,6 @@ class TestFormedOnFirstRead:
         for name in ("x", "re_g", "rho", "weights"):
             assert all(map(np.array_equal, getattr(copy, name), getattr(dens, name))), name
 
-    def test_hand_built_density_keeps_its_fields(self):
-        dens, _ = mp_density_t0(MP20)
-        s2, _, sin2t, w = fp._theta_grid(fp.DEFAULT_NODES)[:4]
-        (l, u), = dens.intervals
-        assert dens.curves is None and dens.pending is None
-        assert np.array_equal(dens.x[0], l + (u - l) * s2)
-        assert np.array_equal(dens.re_g[0], -(2.0 * dens.x[0] + 1.0 - 2.0) / (2.0 * dens.x[0]))
-        assert np.array_equal(dens.weights[0], w * ((u - l) * sin2t))
-
     def test_state_evolution_solves_form_none(self, monkeypatch):
         # solve_qhat, threshold_alpha, the iterative state evolution, the
         # F_RIE map and the denoiser's MMSE read rho and Re dg/dz only: none
@@ -993,27 +997,25 @@ class TestDensityInvariants:
         assert mp.cube_integral() == pytest.approx(cp.cube_integral(), rel=1e-13)
 
     def test_t_zero_marchenko_pastur_with_atom(self):
-        dens, atom = mp_density_t0(MP05)
+        (l, u), _, rho, _, w, atom = mp_density_t0(MP05)
         assert atom == pytest.approx(0.5)
-        assert dens.integrate(dens.rho) == pytest.approx(0.5, abs=1e-6)
-        ((l, u),) = dens.intervals
+        assert np.dot(w, rho) == pytest.approx(0.5, abs=1e-6)
         assert l == pytest.approx((1.0 - 0.5**-0.5) ** 2)
         assert u == pytest.approx((1.0 + 0.5**-0.5) ** 2)
-        dens2, atom2 = mp_density_t0(MP20)
+        _, _, rho2, _, w2, atom2 = mp_density_t0(MP20)
         assert atom2 == 0.0
-        assert dens2.mass() + atom2 == pytest.approx(1.0, abs=1e-6)
+        assert np.dot(w2, rho2) + atom2 == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("prior", [MP05, MP20], ids=["mp05", "mp2"])
     def test_t_zero_closed_form_re_g_matches_stieltjes(self, prior):
         # the closed-form Re g of the t = 0 oracle against the root solve of
         # the quadratic at x + i eps, at interior nodes; eps = 1e-12 keeps
         # the offset's own move of g, eps pi rho'(x), below the tolerance
-        dens, _ = mp_density_t0(prior)
-        for i in np.linspace(20, len(dens.x[0]) - 21, 9).astype(int):
-            x, re_g = dens.x[0][i], dens.re_g[0][i]
-            g = stieltjes(prior, 0.0, complex(x, 1e-12)).g
-            assert g.real == pytest.approx(re_g, rel=1e-9)
-            assert g.imag / np.pi == pytest.approx(dens.rho[0][i], rel=1e-9)
+        _, x, rho, re_g, _, _ = mp_density_t0(prior)
+        for i in np.linspace(20, len(x) - 21, 9).astype(int):
+            g = stieltjes(prior, 0.0, complex(x[i], 1e-12)).g
+            assert g.real == pytest.approx(re_g[i], rel=1e-9)
+            assert g.imag / np.pi == pytest.approx(rho[i], rel=1e-9)
 
     @pytest.mark.parametrize("prior", [MP05, CP3], ids=["mp05", "cp3"])
     def test_requires_positive_t(self, prior):
@@ -1022,6 +1024,13 @@ class TestDensityInvariants:
         for t in (0.0, -0.5):
             with pytest.raises(ValueError):
                 density(prior, t)
+
+    @pytest.mark.parametrize("n_nodes", [800, 2, 1])
+    def test_rejects_a_node_count_simpson_cannot_use(self, n_nodes):
+        # Simpson's rule in theta needs an odd count of at least 3; an even
+        # count is an error, not bumped to the next odd one
+        with pytest.raises(ValueError, match="odd"):
+            density(MP05, 0.5, n_nodes=n_nodes)
 
     def test_branch_selection_matches_continuation(self):
         # where spurious upper-half-plane roots exist (near the gap of a
@@ -1280,21 +1289,11 @@ class TestLogPotential:
 
     def test_rescaling_shifts_by_log_c(self):
         # c X for X ~ MP(kappa) (+) semicircle(t) is the law of the
-        # compound-Poisson prior with the one atom (c, 1) at t c^2
+        # compound-Poisson prior with the one atom (c, 1) at t c^2, which
+        # builds on the compound-Poisson path
         c = 3.0
         dens = density(MP05, 0.5)
-        scaled = dataclasses.replace(
-            dens,
-            prior=PriorSpectrum.compound_poisson(MP05.kappa, ((c, 1.0),)),
-            t=c * c * dens.t,
-            intervals=tuple((c * l, c * u) for l, u in dens.intervals),
-            critical=tuple((gl / c, gu / c) for gl, gu in dens.critical),
-            x=tuple(c * x for x in dens.x),
-            dxdtheta=tuple(c * d for d in dens.dxdtheta),
-            rho=tuple(r / c for r in dens.rho),
-            re_g=tuple(g / c for g in dens.re_g),
-            curves=None,
-        )
+        scaled = density(PriorSpectrum.compound_poisson(MP05.kappa, ((c, 1.0),)), c * c * dens.t)
         assert fp.log_potential(scaled) - fp.log_potential(dens) == pytest.approx(
             np.log(c), abs=1e-5
         )

@@ -13,7 +13,7 @@ def tracked_run():
     """One d=200 noiseless run, 10 iterations, with its scalar prediction and
     each prior step's noise level t_lvl and claimed error c_new."""
     params = ProblemParams(alpha=0.3, kappa=0.5)
-    trace = gamp.state_evolution_iterate(params, max_iter=12)
+    trace = gamp.state_evolution_iterate(params)
     predicted = [params.kappa * (params.q0 - q) for q, _ in trace[:10]]
     inst = model.generate(d=200, kappa=0.5, alpha=0.3, delta=0.0, seed=11)
     dataset = model.reduce(inst)
@@ -44,7 +44,7 @@ class TestStateEvolutionIterate:
         q_hat_1 = 4.0 * params.alpha / (params.tilde_delta + 2.0 * (params.q0 - params.q_min))
         spec = DenoiseSpec.create(params.prior, 1.0 / q_hat_1)
         q_1 = params.q0 - matdenoise.mmse(spec)
-        trace = gamp.state_evolution_iterate(params, max_iter=1)
+        trace = gamp.state_evolution_iterate(params)
         assert trace[0][1] == pytest.approx(q_hat_1, rel=1e-12)
         assert trace[0][0] == pytest.approx(q_1, rel=1e-10)
 

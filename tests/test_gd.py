@@ -148,15 +148,16 @@ class TestGdRun:
             runs.append((inst, gd.GdConfig(learning_rate=0.2, l2=0.3, max_steps=30000, seed=2),
                          steps))
         # backtracking on a ridge run stops at 865; comparing float32-forward
-        # losses there halved the step size away and ran the whole budget
+        # losses there halved the step size away and ran the whole budget,
+        # so backtracking runs are float64 throughout
         runs.append((runs[1][0], gd.GdConfig(learning_rate=1.0, l2=0.3, max_steps=30000, seed=2,
                                              backtracking=True), 865))
         for inst, cfg, steps in runs:
             _, trace = gd.gd_run(inst, cfg)
             assert abs(len(trace) - 1 - steps) <= 3
 
-        # backtracking to zero loss: the forward switches from float32 to
-        # float64 once, the trace stays monotone and the run stops on grad_tol
+        # the plain run to zero loss: the forward switches from float32 to
+        # float64 once and the run stops on grad_tol
         calls = []
         loss = gd._loss
 
@@ -166,7 +167,7 @@ class TestGdRun:
             return out
 
         monkeypatch.setattr(gd, "_loss", record)
-        cfg = gd.GdConfig(learning_rate=1.0, max_steps=60000, seed=2, backtracking=True)
+        cfg = runs[0][1]
         _, trace = gd.gd_run(d12, cfg)
         dtypes = [dtype for dtype, _, _ in calls]
         switch = dtypes.index(np.float64)
@@ -176,11 +177,19 @@ class TestGdRun:
         # float64, and that loss replaces the float32 one in the trace
         assert calls[switch][1] is calls[switch - 1][1]
         assert calls[switch][2] in trace and calls[switch - 1][2] not in trace
-        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         _, W_last, loss_last = calls[-1]
         assert loss_last == trace[-1] < 1e-10
         _, r, P = loss(W_last, d12.X, d12.y, 0.0)
         assert np.linalg.norm(gd._gradient(W_last, d12.X, r, P, 0.0)) < cfg.grad_tol
+
+        # a backtracking run compares losses: every one is float64, the
+        # trace stays monotone and the run stops on grad_tol
+        calls.clear()
+        cfg = gd.GdConfig(learning_rate=1.0, max_steps=60000, seed=2, backtracking=True)
+        _, trace = gd.gd_run(d12, cfg)
+        assert {dtype for dtype, _, _ in calls} == {np.dtype(np.float64)}
+        assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+        assert len(trace) - 1 < cfg.max_steps and trace[-1] < 1e-10
 
     def test_default_learning_rates(self):
         assert gd.default_learning_rate(200) == 0.2

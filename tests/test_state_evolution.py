@@ -89,6 +89,14 @@ class TestProblemParams:
         with pytest.raises(ValueError):
             ProblemParams(**{"alpha": 0.1, "kappa": 1.0, field: math.nan})
 
+    @pytest.mark.parametrize("field", ["alpha", "kappa", "delta"])
+    def test_infinite_rejected(self, field):
+        # rejected where built: downstream an infinite alpha came out as a
+        # silent "supercritical" fixed point, and kappa or delta as
+        # ZeroDivisionError or "math domain error" in solve_qhat
+        with pytest.raises(ValueError, match=field):
+            ProblemParams(**{"alpha": 0.1, "kappa": 1.0, field: math.inf})
+
     def test_frozen(self):
         p = ProblemParams(alpha=0.1, kappa=1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -775,7 +783,7 @@ class TestFreeEntropy:
 
     def test_rate_vanishes_at_data_free_overlap(self):
         params = ProblemParams(alpha=0.3, kappa=1.0)
-        assert se.overlap_rate(params, params.q_min) == 0.0
+        assert se._overlap_rate(params, params.q_min) == 0.0
 
     def test_no_data_maximizes_at_q_min(self):
         params = ProblemParams(alpha=0.0, kappa=1.0, delta=0.5)
