@@ -8,15 +8,31 @@ architecture (same width, no noise term).  The gradient is
 
 verified against central finite differences in the tests.
 
+A step costs two GEMMs, the forward P = X W^T / sqrt(d) and the gradient
+product.  `_gradient` scales P in place into Q = P r / (-m sqrt(d)), so P
+is consumed and no n x m temporary is allocated, and forms the data term
+as (X^T Q)^T rather than Q^T X.  The flops are the same; the time depends
+on how OpenBLAS splits the two layouts over its threads.  In float32 on a
+2-vCPU Xeon, X^T Q against Q^T X took 0.35 against 0.45 ms at d = 100
+(n = 3000, m = 50) and 5.6 against 7.7 ms at d = 200 (n = 18000, m = 100)
+with 2 BLAS threads, but 0.50 against 0.49 ms and 9.4 against 9.1 ms with
+one.  So the layout pays only with a multithreaded BLAS: re-measure it if
+the BLAS thread count changes.  Whole steps with one BLAS thread were no
+slower in paired runs; the in-place Q and `_loss`'s skipped l2 term make
+up for it.
+In float32 the two layouts gave bit-identical products with 1 and 2
+threads; in float64 with 2 threads OpenBLAS splits them differently at
+n = 3000, which moves a float64 product by about one rounding.
+
 A plain descent runs both products with X in float32, with float64 master
 quantities as in mixed-precision training: `gd_run` casts X once per run,
-`_loss` forms the forward P = X W^T / sqrt(d) in X's dtype, and `_gradient`
-forms P r and its product with X in X's dtype.  The residuals r = y - f,
-the loss, W and its update, the gradient norm and the stop rules stay
-float64.  Two roundings matter near the end of a run.  The forward leaves r
+`_loss` forms the forward P in X's dtype, and `_gradient` forms Q and its
+product with X in X's dtype.  The residuals r = y - f, the loss, W and its
+update, the gradient norm and the stop rules stay float64.  Two roundings
+matter near the end of a run.  The forward leaves r
 about eps32 |f_i| off per sample, a floor that does not shrink with r; and
 the gradient product's rounding is relative to its data term
-Q^T X = -(1/(m d)) sum_i r_i W x_i x_i^T, which at a ridge minimum equals
+(X^T Q)^T = -(1/(m d)) sum_i r_i W x_i x_i^T, which at a ridge minimum equals
 -l2 W and with noisy labels past n = m d is a cancelling sum of terms that
 are not small.  Either holds the gradient norm above `grad_tol`: the tests'
 d = 12 run to zero loss, which stops at step 5109, ran all 60000 steps with
@@ -77,12 +93,13 @@ class GdConfig:
     backtracking: bool = False
 
     def __post_init__(self):
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not self.l2 >= 0:
-            raise ValueError(f"l2 must be nonnegative, got {self.l2}")
-        if not self.grad_tol >= 0:
-            raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.l2 < np.inf:
+            raise ValueError(f"l2 must be nonnegative and finite, got {self.l2}")
+        if not 0 <= self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -97,19 +114,26 @@ def _loss(W, X, y, l2):
     m, d = W.shape
     P = X @ (W.T / np.sqrt(d)).astype(X.dtype, copy=False)
     r = y - np.einsum("ij,ij->i", P, P) / m
-    return 0.25 * float(r @ r) + 0.5 * l2 * float(np.sum(W * W)), r, P
+    loss = 0.25 * float(r @ r)
+    if l2 > 0:
+        loss += 0.5 * l2 * float(np.sum(W * W))
+    return loss, r, P
 
 
 def _gradient(W, X, r, P, l2):
     """dR/dW from `_loss`'s residuals r and products P at W, as float64.
 
-    The scaled products Q = P r / (-m sqrt(d)) and Q^T X are formed in X's
-    dtype, the one `_loss` formed P in: float32 from `gd_run` until its
-    float64 tail (module docstring), float64 for a float64 X."""
+    The scaled products Q = P r / (-m sqrt(d)) and the data term
+    (X^T Q)^T are formed in X's dtype, the one `_loss` formed P in: float32
+    from `gd_run` until its float64 tail (module docstring), float64 for a
+    float64 X.  P is consumed: when it is already in X's dtype it is scaled
+    in place into Q, so a caller must not read P afterwards."""
     m, d = W.shape
     scale = (r / (-m * np.sqrt(d))).astype(X.dtype, copy=False)
-    Q = P.astype(X.dtype, copy=False) * scale[:, None]
-    grad = (Q.T @ X).astype(np.float64, copy=False)
+    Q = P.astype(X.dtype, copy=False)
+    Q *= scale[:, None]
+    # C order, like W: the gradient norm then sums in W's element order
+    grad = (X.T @ Q).T.astype(np.float64, order="C", copy=False)
     if l2:
         grad = grad + l2 * W
     return grad

@@ -93,10 +93,14 @@ def labels(W, a, X, delta, rng) -> np.ndarray:
     delta values, and the noise across positive ones.
     """
     m, d = W.shape
-    pre = X @ W.T / np.sqrt(d)
+    pre = X @ W.T
+    pre /= np.sqrt(d)
     if delta > 0:
-        pre = pre + np.sqrt(delta) * rng.standard_normal(pre.shape)
-    return pre**2 @ np.asarray(a) / m
+        noise = rng.standard_normal(pre.shape)
+        noise *= np.sqrt(delta)
+        pre += noise
+    np.square(pre, out=pre)
+    return pre @ np.asarray(a) / m
 
 
 def check_dimension(d: int) -> None:

@@ -191,6 +191,22 @@ class TestGdRun:
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert len(trace) - 1 < cfg.max_steps and trace[-1] < 1e-10
 
+    def test_consumed_products_are_never_read_again(self, monkeypatch):
+        # _gradient scales P in place; handing it a copy instead leaves a
+        # plain run through its float64 tail and a backtracking run, which
+        # discards the products of its rejected trial steps, bit-identical
+        d12 = model.generate(d=12, kappa=0.5, alpha=0.8, delta=0.0, seed=1)
+        cfgs = [gd.GdConfig(learning_rate=0.2, max_steps=60000, seed=2),
+                gd.GdConfig(learning_rate=1.0, max_steps=60000, seed=2, backtracking=True)]
+        runs = [gd.gd_run(d12, cfg) for cfg in cfgs]
+        gradient = gd._gradient
+        monkeypatch.setattr(gd, "_gradient",
+                            lambda W, X, r, P, l2: gradient(W, X, r, P.copy(), l2))
+        for cfg, (S_hat, trace) in zip(cfgs, runs):
+            S_copy, trace_copy = gd.gd_run(d12, cfg)
+            assert np.array_equal(S_copy, S_hat)
+            assert np.array_equal(trace_copy, trace)
+
     def test_default_learning_rates(self):
         assert gd.default_learning_rate(200) == 0.2
         assert gd.default_learning_rate(100) == 0.07
@@ -200,6 +216,13 @@ class TestGdRun:
             gd.GdConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             gd.GdConfig(l2=-0.1)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "l2", "grad_tol"])
+    def test_infinite_rejected(self, field):
+        # an infinite grad_tol would stop at step 0 and return the random
+        # init; an infinite step size or weight decay would diverge
+        with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+            gd.GdConfig(**{field: np.inf})
 
     def test_nan_l2_rejected(self):
         with pytest.raises(ValueError, match="l2"):

@@ -116,6 +116,19 @@ class TestGenerate:
         y = (X @ W.T / np.sqrt(base.d)) ** 2 @ base.a / base.m
         assert np.array_equal(base.y, y)
 
+    @pytest.mark.parametrize("a", [np.ones(15), np.array([1.0, -1.0, 2.0] * 5)])
+    def test_noisy_labels_match_the_plain_expression_bit_for_bit(self, a):
+        # labels forms the pre-activations in place; the values and the
+        # noise draws are those of the plain expression (the noiseless
+        # labels are pinned by test_noiseless_labels_draw_no_noise)
+        rng = np.random.default_rng(11)
+        W, X = rng.standard_normal((15, 30)), rng.standard_normal((200, 30))
+        rng_plain, rng_labels = (np.random.default_rng(12) for _ in range(2))
+        pre = X @ W.T / np.sqrt(30) + np.sqrt(0.25) * rng_plain.standard_normal((200, 15))
+        y = pre**2 @ a / 15
+        assert np.array_equal(model.labels(W, a, X, 0.25, rng_labels), y)
+        assert rng_labels.bit_generator.state == rng_plain.bit_generator.state
+
     def test_memory_budget(self, monkeypatch):
         # read at call time
         monkeypatch.setattr(model, "MEMORY_BUDGET", 1000)

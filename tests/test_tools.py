@@ -3,6 +3,8 @@ runs a README command (se-curve, well under a second)."""
 
 import importlib.util
 import pathlib
+import re
+import subprocess
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -137,3 +139,24 @@ class TestReadmeCsvsExitStatus:
         assert f"{csv.name}: 1 of " in capsys.readouterr().out
         csv.unlink()
         assert readme_csvs.main(["--diff", str(saved), "se-curve"]) == 1
+
+
+class TestReadmeCsvsEnvironment:
+    def test_commands_inherit_the_blas_thread_count(self, monkeypatch, capsys):
+        envs = []
+
+        def run(args, cwd, env):
+            envs.append(env)
+            return subprocess.CompletedProcess(args, 0)
+
+        monkeypatch.setattr(readme_csvs.subprocess, "run", run)
+        for threads, named in (("1", "1"), (None, "default")):
+            if threads is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            assert readme_csvs.main(["se-curve"]) == 0
+            assert envs[-1].get("OPENBLAS_NUM_THREADS") == threads
+            assert envs[-1]["PYTHONPATH"].startswith(str(readme_csvs.ROOT / "src"))
+            assert re.search(rf"^se-curve: [\d.]+ s, OPENBLAS_NUM_THREADS={named}$",
+                             capsys.readouterr().err, re.M)

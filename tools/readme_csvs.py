@@ -3,11 +3,18 @@
 Each `quadnet ...` command of README's sh blocks runs with `--threads 1`
 in a temporary directory, with the package taken from this checkout's
 `src/`.  One line per command goes to standard output,
-`<command> <csv name> <sha256>`, and its wall time to standard error.
+`<command> <csv name> <sha256>`, and its wall time to standard error with
+the `OPENBLAS_NUM_THREADS` it ran with (`default` when unset).
 Command names given as arguments limit the run to those commands:
 
     python3 tools/readme_csvs.py
     python3 tools/readme_csvs.py se-curve phase-diagram
+
+Each command inherits the caller's environment.  A GEMM's rounding can
+depend on how its threads split the work (the README gd CSV differs
+between 1 and 2 BLAS threads), so save and diff with the same
+`OPENBLAS_NUM_THREADS`, and to show that a change leaves the CSVs
+byte-identical do so once with `OPENBLAS_NUM_THREADS=1` and once with 2.
 
 A command that exits nonzero is reported with its exit code; the CSV it
 still wrote is hashed.  The exit status is 1 if any command failed, or,
@@ -177,6 +184,7 @@ def main(argv=None):
         ap.error(f"not a README command: {', '.join(sorted(unknown))}")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    blas = env.get("OPENBLAS_NUM_THREADS", "default")
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for command in commands:
@@ -188,7 +196,8 @@ def main(argv=None):
                 [sys.executable, "-m", "quadnet.cli", *command, "--threads", "1"],
                 cwd=tmp, env=env,
             ).returncode
-            print(f"{command[0]}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+            print(f"{command[0]}: {time.perf_counter() - start:.1f} s, OPENBLAS_NUM_THREADS={blas}",
+                  file=sys.stderr)
             csv = pathlib.Path(tmp) / out
             digest = hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else "-"
             print(f"{command[0]} {out} {digest}" + (f" exit={code}" if code else ""), flush=True)
